@@ -54,49 +54,37 @@ pub enum Element {
     Level,
 }
 
-impl Element {
-    /// (number of context increments, number of context-coded bins).
-    fn dims(self) -> (usize, usize) {
-        match self {
-            Element::Skip => (3, 1),
-            Element::Intra => (3, 1),
-            Element::IntraMode => (1, 3),
-            Element::Intra4 => (1, 1),
-            Element::Intra4Mode => (1, 3),
-            Element::PartShape => (1, 3),
-            Element::SubShape => (1, 3),
-            Element::PredDir => (1, 2),
-            Element::MvdX | Element::MvdY => (3, 5),
-            Element::QpDelta => (1, 3),
-            Element::Cbp => (4, 1),
-            Element::Blk4 => (4, 1),
-            Element::Sig => (15, 1),
-            Element::Last => (15, 1),
-            Element::Level => (2, 5),
-        }
-    }
+/// (number of context increments, number of context-coded bins) per
+/// element, indexed by `Element as usize` (declaration order).
+const DIMS: [(usize, usize); 16] = [
+    (3, 1),  // Skip
+    (3, 1),  // Intra
+    (1, 3),  // IntraMode
+    (1, 1),  // Intra4
+    (1, 3),  // Intra4Mode
+    (1, 3),  // PartShape
+    (1, 3),  // SubShape
+    (1, 2),  // PredDir
+    (3, 5),  // MvdX
+    (3, 5),  // MvdY
+    (1, 3),  // QpDelta
+    (4, 1),  // Cbp
+    (4, 1),  // Blk4
+    (15, 1), // Sig
+    (15, 1), // Last
+    (2, 5),  // Level
+];
 
-    fn all() -> [Element; 16] {
-        [
-            Element::Skip,
-            Element::Intra,
-            Element::IntraMode,
-            Element::Intra4,
-            Element::Intra4Mode,
-            Element::PartShape,
-            Element::SubShape,
-            Element::PredDir,
-            Element::MvdX,
-            Element::MvdY,
-            Element::QpDelta,
-            Element::Cbp,
-            Element::Blk4,
-            Element::Sig,
-            Element::Last,
-            Element::Level,
-        ]
+/// First context slot of each element; the last entry is the table size.
+const OFFSETS: [usize; 17] = {
+    let mut out = [0; 17];
+    let mut i = 0;
+    while i < 16 {
+        out[i + 1] = out[i] + DIMS[i].0 * DIMS[i].1;
+        i += 1;
     }
-}
+    out
+};
 
 /// Truncated-unary prefix length before switching to the Exp-Golomb escape
 /// in `put_uint`/`get_uint` (UEG0 binarisation, as CABAC uses for MVD).
@@ -105,42 +93,29 @@ const TU_LIMIT: u32 = 4;
 const MAX_EG_PREFIX: u32 = 32;
 
 /// Context table shared by the CABAC writer and reader; layout must match
-/// on both sides.
+/// on both sides. Each element owns `incs * bins` consecutive slots from
+/// its [`OFFSETS`] entry, so a lookup is two table reads.
 #[derive(Clone, Debug)]
 struct ContextTable {
-    ctxs: Vec<BinContext>,
-    offsets: Vec<(Element, usize, usize, usize)>, // (el, offset, incs, bins)
+    ctxs: [BinContext; OFFSETS[16]],
 }
 
 impl ContextTable {
     fn new() -> Self {
-        let mut offsets = Vec::new();
-        let mut total = 0;
-        for el in Element::all() {
-            let (incs, bins) = el.dims();
-            offsets.push((el, total, incs, bins));
-            total += incs * bins;
-        }
         ContextTable {
-            ctxs: vec![BinContext::new(); total],
-            offsets,
+            ctxs: [BinContext::new(); OFFSETS[16]],
         }
     }
 
     #[inline]
-    fn index(&self, el: Element, inc: usize, bin: usize) -> usize {
-        let &(_, offset, incs, bins) = self
-            .offsets
-            .iter()
-            .find(|&&(e, ..)| e == el)
-            .expect("all elements registered");
-        offset + inc.min(incs - 1) * bins + bin.min(bins - 1)
+    fn index(el: Element, inc: usize, bin: usize) -> usize {
+        let (incs, bins) = DIMS[el as usize];
+        OFFSETS[el as usize] + inc.min(incs - 1) * bins + bin.min(bins - 1)
     }
 
     #[inline]
     fn ctx_mut(&mut self, el: Element, inc: usize, bin: usize) -> &mut BinContext {
-        let i = self.index(el, inc, bin);
-        &mut self.ctxs[i]
+        &mut self.ctxs[Self::index(el, inc, bin)]
     }
 }
 
@@ -315,8 +290,7 @@ impl<'a> CabacReader<'a> {
 
 impl<'a> SymbolReader for CabacReader<'a> {
     fn get_flag(&mut self, el: Element, inc: usize) -> bool {
-        let i = self.table.index(el, inc, 0);
-        self.dec.decode(&mut self.table.ctxs[i])
+        self.dec.decode(self.table.ctx_mut(el, inc, 0))
     }
 
     fn get_uint(&mut self, el: Element, inc: usize) -> u32 {
@@ -456,6 +430,71 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// The original layout: offsets accumulated over the elements in
+    /// declaration order, each lookup a linear search by element.
+    fn legacy_index(el: Element, inc: usize, bin: usize) -> usize {
+        let dims = |e: Element| match e {
+            Element::Skip | Element::Intra => (3, 1),
+            Element::IntraMode
+            | Element::Intra4Mode
+            | Element::PartShape
+            | Element::SubShape
+            | Element::QpDelta => (1, 3),
+            Element::Intra4 => (1, 1),
+            Element::PredDir => (1, 2),
+            Element::MvdX | Element::MvdY => (3, 5),
+            Element::Cbp | Element::Blk4 => (4, 1),
+            Element::Sig | Element::Last => (15, 1),
+            Element::Level => (2, 5),
+        };
+        let mut offsets = Vec::new();
+        let mut total = 0;
+        for e in ALL_ELEMENTS {
+            let (incs, bins) = dims(e);
+            offsets.push((e, total, incs, bins));
+            total += incs * bins;
+        }
+        let &(_, offset, incs, bins) = offsets.iter().find(|&&(e, ..)| e == el).unwrap();
+        offset + inc.min(incs - 1) * bins + bin.min(bins - 1)
+    }
+
+    const ALL_ELEMENTS: [Element; 16] = [
+        Element::Skip,
+        Element::Intra,
+        Element::IntraMode,
+        Element::Intra4,
+        Element::Intra4Mode,
+        Element::PartShape,
+        Element::SubShape,
+        Element::PredDir,
+        Element::MvdX,
+        Element::MvdY,
+        Element::QpDelta,
+        Element::Cbp,
+        Element::Blk4,
+        Element::Sig,
+        Element::Last,
+        Element::Level,
+    ];
+
+    #[test]
+    fn array_indexed_contexts_match_the_legacy_layout() {
+        let mut slots = std::collections::BTreeSet::new();
+        for el in ALL_ELEMENTS {
+            // Out-of-range increments and bins clamp to the last slot.
+            for inc in 0..20 {
+                for bin in 0..8 {
+                    let i = ContextTable::index(el, inc, bin);
+                    assert_eq!(i, legacy_index(el, inc, bin), "{el:?} inc {inc} bin {bin}");
+                    slots.insert(i);
+                }
+            }
+        }
+        // Every slot is reachable and the table has no spare slots.
+        assert_eq!(slots.len(), OFFSETS[16]);
+        assert_eq!(slots.last(), Some(&(OFFSETS[16] - 1)));
     }
 
     #[test]

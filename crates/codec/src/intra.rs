@@ -20,19 +20,22 @@ pub struct IntraAvail {
 }
 
 impl IntraAvail {
-    /// Modes that may be used given these borders. DC is always legal.
+    /// Whether `mode` may be used given these borders. DC is always legal.
+    pub fn allows(self, mode: IntraMode) -> bool {
+        match mode {
+            IntraMode::Dc => true,
+            IntraMode::Vertical => self.top,
+            IntraMode::Horizontal => self.left,
+            IntraMode::Plane => self.top && self.left,
+        }
+    }
+
+    /// The modes [`allows`](Self::allows) permits, in coding-index order.
     pub fn legal_modes(self) -> Vec<IntraMode> {
-        let mut modes = vec![IntraMode::Dc];
-        if self.top {
-            modes.push(IntraMode::Vertical);
-        }
-        if self.left {
-            modes.push(IntraMode::Horizontal);
-        }
-        if self.top && self.left {
-            modes.push(IntraMode::Plane);
-        }
-        modes
+        IntraMode::ALL
+            .into_iter()
+            .filter(|&m| self.allows(m))
+            .collect()
     }
 }
 
@@ -48,7 +51,7 @@ pub fn predict_intra16(
     avail: IntraAvail,
     mode: IntraMode,
 ) -> [u8; 256] {
-    let mode = if avail.legal_modes().contains(&mode) {
+    let mode = if avail.allows(mode) {
         mode
     } else {
         IntraMode::Dc
@@ -129,21 +132,30 @@ pub struct Intra4Avail {
 }
 
 impl Intra4Avail {
-    /// Modes usable with these borders (DC always; diagonal modes need
-    /// the full border set they extrapolate from).
+    /// Whether `mode` is usable with these borders (DC always; diagonal
+    /// modes need the full border set they extrapolate from).
+    pub fn allows(self, mode: Intra4Mode) -> bool {
+        match mode {
+            Intra4Mode::Dc => true,
+            Intra4Mode::Vertical | Intra4Mode::DiagDownLeft => self.top,
+            Intra4Mode::Horizontal => self.left,
+            Intra4Mode::DiagDownRight => self.top && self.left,
+        }
+    }
+
+    /// The modes [`allows`](Self::allows) permits, in the order the
+    /// encoder's mode search tries them.
     pub fn legal_modes(self) -> Vec<Intra4Mode> {
-        let mut modes = vec![Intra4Mode::Dc];
-        if self.top {
-            modes.push(Intra4Mode::Vertical);
-            modes.push(Intra4Mode::DiagDownLeft);
-        }
-        if self.left {
-            modes.push(Intra4Mode::Horizontal);
-        }
-        if self.top && self.left {
-            modes.push(Intra4Mode::DiagDownRight);
-        }
-        modes
+        [
+            Intra4Mode::Dc,
+            Intra4Mode::Vertical,
+            Intra4Mode::DiagDownLeft,
+            Intra4Mode::Horizontal,
+            Intra4Mode::DiagDownRight,
+        ]
+        .into_iter()
+        .filter(|&m| self.allows(m))
+        .collect()
     }
 }
 
@@ -160,27 +172,23 @@ pub fn predict_intra4(
     avail: Intra4Avail,
     mode: Intra4Mode,
 ) -> [u8; 16] {
-    let mode = if avail.legal_modes().contains(&mode) {
+    let mode = if avail.allows(mode) {
         mode
     } else {
         Intra4Mode::Dc
     };
-    let xi = x as isize;
-    let yi = y as isize;
-    // Border pixels. t[0..4] is the row above; t[4..8] replicates t[3]
-    // (see doc comment). l[0..4] is the column to the left; c the corner.
+    // Border pixels, clamped to the plane like `Plane::sample`. t[0..4] is
+    // the row above; t[4..8] replicates t[3] (see doc comment). l[0..4] is
+    // the column to the left; c the corner.
+    let (w, h) = (recon.width(), recon.height());
+    let (xl, yt) = (x.saturating_sub(1), y.saturating_sub(1));
+    let above = recon.row(yt);
     let mut t = [0u8; 8];
-    for (i, tv) in t.iter_mut().enumerate().take(4) {
-        *tv = recon.sample(xi + i as isize, yi - 1);
+    for (i, tv) in t.iter_mut().enumerate() {
+        *tv = above[(x + i.min(3)).min(w - 1)];
     }
-    for i in 4..8 {
-        t[i] = t[3];
-    }
-    let mut l = [0u8; 4];
-    for (i, lv) in l.iter_mut().enumerate() {
-        *lv = recon.sample(xi - 1, yi + i as isize);
-    }
-    let c = recon.sample(xi - 1, yi - 1);
+    let l: [u8; 4] = core::array::from_fn(|i| recon.row((y + i).min(h - 1))[xl]);
+    let c = above[xl];
 
     let mut out = [0u8; 16];
     match mode {
@@ -269,7 +277,7 @@ pub fn intra_sources(
     avail: IntraAvail,
     mode: IntraMode,
 ) -> Vec<(usize, f64)> {
-    let mode = if avail.legal_modes().contains(&mode) {
+    let mode = if avail.allows(mode) {
         mode
     } else {
         IntraMode::Dc

@@ -128,6 +128,16 @@ impl Plane {
         &self.data[y * self.width..(y + 1) * self.width]
     }
 
+    /// Returns one row of pixels, mutably.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is out of bounds.
+    #[inline]
+    pub fn row_mut(&mut self, y: usize) -> &mut [u8] {
+        &mut self.data[y * self.width..(y + 1) * self.width]
+    }
+
     /// Copies a `w x h` block whose top-left corner is `(x, y)` into `out`
     /// (row-major, clamped at borders).
     ///
@@ -162,18 +172,16 @@ impl Plane {
     /// silently dropped.
     pub fn store_block(&mut self, x: usize, y: usize, w: usize, h: usize, block: &[u8]) {
         assert_eq!(block.len(), w * h, "input buffer size mismatch");
-        for by in 0..h {
-            let py = y + by;
-            if py >= self.height {
-                break;
-            }
-            for bx in 0..w {
-                let px = x + bx;
-                if px >= self.width {
-                    break;
-                }
-                self.data[py * self.width + px] = block[by * w + bx];
-            }
+        let cw = w.min(self.width.saturating_sub(x));
+        if cw == 0 {
+            return;
+        }
+        for (by, src) in block
+            .chunks_exact(w)
+            .take(self.height.saturating_sub(y))
+            .enumerate()
+        {
+            self.row_mut(y + by)[x..x + cw].copy_from_slice(&src[..cw]);
         }
     }
 
