@@ -43,6 +43,9 @@ impl From<ParseHeaderError> for ParseContainerError {
     }
 }
 
+/// Smallest serialised frame record: the header and payload length fields.
+const MIN_FRAME_RECORD: usize = 8;
+
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -102,7 +105,10 @@ impl EncodedVideo {
         if count > 10_000_000 {
             return Err(ParseContainerError::InvalidLength);
         }
-        let mut metas = Vec::with_capacity(count);
+        // The count is untrusted: reserve no more records than the bytes
+        // left could hold (each takes at least its two 4-byte lengths).
+        let capacity = count.min((bytes.len() - c.pos) / MIN_FRAME_RECORD);
+        let mut metas = Vec::with_capacity(capacity);
         for _ in 0..count {
             let fh_len = c.take_u32()? as usize;
             if fh_len > 1 << 20 {
@@ -112,7 +118,7 @@ impl EncodedVideo {
             let payload_len = c.take_u32()? as usize;
             metas.push((fh, payload_len));
         }
-        let mut frames = Vec::with_capacity(count);
+        let mut frames = Vec::with_capacity(metas.len());
         for (header, payload_len) in metas {
             let payload = c.take(payload_len)?.to_vec();
             frames.push(EncodedFrame { header, payload });

@@ -32,6 +32,11 @@ impl std::error::Error for ParseHeaderError {}
 
 const MAGIC: u32 = 0x5641_5031; // "VAP1"
 
+/// Largest frame width or height a stream header may declare. The decoder
+/// allocates a reconstruction plane per frame from these fields, so a
+/// parsed header bounds them: 8192 covers every H.264 level (8K UHD).
+pub const MAX_DIMENSION: u32 = 8192;
+
 /// Sequence-level header.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamHeader {
@@ -88,7 +93,8 @@ impl StreamHeader {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseHeaderError`] when the magic or a field is invalid.
+    /// Returns [`ParseHeaderError`] when the magic or a field is invalid,
+    /// including a width or height of zero or above [`MAX_DIMENSION`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ParseHeaderError> {
         let mut r = BitReader::new(bytes);
         if r.get_bits(32) != MAGIC {
@@ -110,7 +116,7 @@ impl StreamHeader {
         let flags = r.get_bits(8);
         let subpel = flags & 1 == 1;
         let deblock = flags & 2 == 2;
-        if width == 0 || height == 0 {
+        if !(1..=MAX_DIMENSION).contains(&width) || !(1..=MAX_DIMENSION).contains(&height) {
             return Err(ParseHeaderError::InvalidField("dimensions"));
         }
         if slices == 0 || keyint == 0 {
@@ -302,6 +308,34 @@ mod tests {
             StreamHeader::from_bytes(&bytes),
             Err(ParseHeaderError::BadMagic)
         );
+    }
+
+    #[test]
+    fn stream_header_rejects_out_of_range_dimensions() {
+        let base = sample_stream_header();
+        for (width, height) in [
+            (u32::MAX, 32),
+            (48, u32::MAX),
+            (MAX_DIMENSION + 1, 32),
+            (0, 32),
+        ] {
+            let h = StreamHeader {
+                width,
+                height,
+                ..base.clone()
+            };
+            assert_eq!(
+                StreamHeader::from_bytes(&h.to_bytes()),
+                Err(ParseHeaderError::InvalidField("dimensions")),
+                "{width}x{height}"
+            );
+        }
+        let largest = StreamHeader {
+            width: MAX_DIMENSION,
+            height: MAX_DIMENSION,
+            ..base
+        };
+        assert_eq!(StreamHeader::from_bytes(&largest.to_bytes()), Ok(largest));
     }
 
     #[test]
