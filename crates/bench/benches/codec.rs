@@ -1,16 +1,19 @@
-//! Codec throughput: encode and decode, CABAC vs CAVLC, plus the
-//! word-parallel inner-loop kernels (SAD, fused transform/quant, half-pel
-//! motion compensation) and an encoder frames-per-second figure.
+//! Codec throughput: encode and decode, CABAC vs CAVLC, decode of a
+//! damaged stream (the concealment path every storage trial runs), plus
+//! the word-parallel inner-loop kernels (SAD, fused transform/quant,
+//! half-pel motion compensation) and an encoder frames-per-second figure.
 
 use std::hint::black_box;
 use vapp_bench::harness::{Criterion, Throughput};
 use vapp_bench::{criterion_group, criterion_main};
+use vapp_codec::bitstream::flip_bit;
 use vapp_codec::inter::{mc_block_halfpel_into, MAX_BLOCK_PIXELS};
 use vapp_codec::quant::{dequant_inverse, forward_quant};
 use vapp_codec::transform::Block4x4;
 use vapp_codec::types::MotionVector;
 use vapp_codec::{decode, Encoder, EncoderConfig, EntropyMode};
 use vapp_media::{Plane, MB_SIZE};
+use vapp_rand::{rngs::StdRng, SeedableRng};
 use vapp_workloads::{ClipSpec, SceneKind};
 
 fn bench_codec(c: &mut Criterion) {
@@ -35,6 +38,23 @@ fn bench_codec(c: &mut Criterion) {
         group.bench_function(format!("decode_{entropy:?}"), |b| {
             b.iter(|| black_box(decode(black_box(&stream))));
         });
+        if entropy == EntropyMode::Cabac {
+            // Seeded i.i.d. payload flips at the paper's raw BER of 1e-3:
+            // the entropy decoder desynchronises, so this times the
+            // garbage-macroblock path the clean stream never reaches.
+            let mut damaged = stream.clone();
+            let mut rng = StdRng::seed_from_u64(7);
+            for f in &mut damaged.frames {
+                let bits = f.payload.len() as u64 * 8;
+                for bit in vapp_sim::pick_positions(&[0..bits], 1e-3, &mut rng) {
+                    flip_bit(&mut f.payload, bit);
+                }
+            }
+            assert_ne!(damaged, stream, "the seeded draw must damage the stream");
+            group.bench_function(format!("decode_damaged_{entropy:?}"), |b| {
+                b.iter(|| black_box(decode(black_box(&damaged))));
+            });
+        }
     }
     group.finish();
 }
