@@ -143,23 +143,10 @@ pub fn motion_search_stats(
     best
 }
 
-/// Motion-compensates a `w x h` block: copies the block at
-/// `(x + mv.x, y + mv.y)` from the reference (clamped at borders).
-pub fn mc_block(
-    reference: &Plane,
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-    mv: MotionVector,
-) -> Vec<u8> {
-    let mut out = vec![0u8; w * h];
-    mc_block_into(reference, x, y, w, h, mv, &mut out);
-    out
-}
-
-/// [`mc_block`] writing into a caller-provided buffer — the allocation-free
-/// form the encoder's candidate loops use (one scratch per macroblock task).
+/// Motion-compensates a `w x h` block into a caller-provided buffer: copies
+/// the block at `(x + mv.x, y + mv.y)` from the reference (clamped at
+/// borders). Allocation-free, like every compensation entry point: the
+/// encoder's candidate loops and the decoder pass fixed scratch buffers.
 ///
 /// # Panics
 ///
@@ -182,24 +169,11 @@ pub fn mc_block_into(
     );
 }
 
-/// Motion-compensates a block with **half-pel** precision: `mv` is in
-/// half-pel units; fractional positions are bilinearly interpolated
-/// (H.264 uses a 6-tap filter for luma half-pel; bilinear preserves the
-/// dependence structure at a fraction of the complexity).
-pub fn mc_block_halfpel(
-    reference: &Plane,
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-    mv: MotionVector,
-) -> Vec<u8> {
-    let mut out = vec![0u8; w * h];
-    mc_block_halfpel_into(reference, x, y, w, h, mv, &mut out);
-    out
-}
-
-/// [`mc_block_halfpel`] writing into a caller-provided buffer.
+/// Motion-compensates a block with **half-pel** precision into a
+/// caller-provided buffer: `mv` is in half-pel units; fractional positions
+/// are bilinearly interpolated (H.264 uses a 6-tap filter for luma
+/// half-pel; bilinear preserves the dependence structure at a fraction of
+/// the complexity).
 ///
 /// Interior blocks (the fractional footprint fully inside the reference)
 /// interpolate whole rows at a time with the word-parallel rounding averages
@@ -292,25 +266,8 @@ pub fn mc_block_halfpel_into(
     }
 }
 
-/// Motion compensation at either precision: `mv` is in half-pel units
-/// when `subpel` is set, full-pel otherwise.
-pub fn mc_block_sub(
-    reference: &Plane,
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-    mv: MotionVector,
-    subpel: bool,
-) -> Vec<u8> {
-    if subpel {
-        mc_block_halfpel(reference, x, y, w, h, mv)
-    } else {
-        mc_block(reference, x, y, w, h, mv)
-    }
-}
-
-/// [`mc_block_sub`] writing into a caller-provided buffer.
+/// Motion compensation at either precision into a caller-provided buffer:
+/// `mv` is in half-pel units when `subpel` is set, full-pel otherwise.
 ///
 /// # Panics
 ///
@@ -584,19 +541,8 @@ pub fn search_sub_stats(
     best
 }
 
-/// Bi-prediction: rounds-to-nearest average of forward and backward
-/// compensation.
-///
-/// # Panics
-///
-/// Panics if the two blocks differ in length.
-pub fn bi_average(fwd: &[u8], bwd: &[u8]) -> Vec<u8> {
-    let mut out = vec![0u8; fwd.len()];
-    bi_average_into(fwd, bwd, &mut out);
-    out
-}
-
-/// [`bi_average`] into a caller-provided buffer, averaging 8 pixel pairs
+/// Bi-prediction: the rounds-to-nearest average of forward and backward
+/// compensation, into a caller-provided buffer, averaging 8 pixel pairs
 /// per word (`(a + b).div_ceil(2)` is exactly the half-pel rounding
 /// average).
 ///
@@ -612,6 +558,21 @@ pub fn bi_average_into(fwd: &[u8], bwd: &[u8], out: &mut [u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Compensates into a fresh buffer (tests only; callers pass scratch).
+    fn mc(
+        reference: &Plane,
+        x: usize,
+        y: usize,
+        w: usize,
+        h: usize,
+        mv: MotionVector,
+        subpel: bool,
+    ) -> Vec<u8> {
+        let mut out = vec![0u8; w * h];
+        mc_block_sub_into(reference, x, y, w, h, mv, subpel, &mut out);
+        out
+    }
 
     /// A plane with a distinctive patch at a given offset.
     fn patch_plane(ox: usize, oy: usize) -> Plane {
@@ -654,7 +615,7 @@ mod tests {
     #[test]
     fn mc_block_reproduces_reference() {
         let reference = patch_plane(20, 24);
-        let got = mc_block(&reference, 4, 4, 8, 8, MotionVector::new(16, 20));
+        let got = mc(&reference, 4, 4, 8, 8, MotionVector::new(16, 20), false);
         for y in 0..8 {
             for x in 0..8 {
                 assert_eq!(got[y * 8 + x], reference.get(20 + x, 24 + y));
@@ -665,15 +626,15 @@ mod tests {
     #[test]
     fn mc_block_clamps_outside_frame() {
         let reference = patch_plane(0, 0);
-        let got = mc_block(&reference, 0, 0, 4, 4, MotionVector::new(-100, -100));
+        let got = mc(&reference, 0, 0, 4, 4, MotionVector::new(-100, -100), false);
         assert!(got.iter().all(|&v| v == reference.get(0, 0)));
     }
 
     #[test]
     fn halfpel_integer_positions_match_fullpel() {
         let reference = patch_plane(20, 24);
-        let full = mc_block(&reference, 4, 4, 8, 8, MotionVector::new(3, -2));
-        let half = mc_block_halfpel(&reference, 4, 4, 8, 8, MotionVector::new(6, -4));
+        let full = mc(&reference, 4, 4, 8, 8, MotionVector::new(3, -2), false);
+        let half = mc(&reference, 4, 4, 8, 8, MotionVector::new(6, -4), true);
         assert_eq!(full, half);
     }
 
@@ -686,10 +647,10 @@ mod tests {
             }
         }
         // Sampling at x=15.5: average of 100 and 200 → 150.
-        let half = mc_block_halfpel(&reference, 15, 8, 1, 1, MotionVector::new(1, 0));
+        let half = mc(&reference, 15, 8, 1, 1, MotionVector::new(1, 0), true);
         assert_eq!(half[0], 150);
         // Diagonal half position averages four pixels.
-        let diag = mc_block_halfpel(&reference, 15, 8, 1, 1, MotionVector::new(1, 1));
+        let diag = mc(&reference, 15, 8, 1, 1, MotionVector::new(1, 1), true);
         assert_eq!(diag[0], 150);
     }
 
@@ -762,7 +723,7 @@ mod tests {
     fn sad_against_matches_plane_sad() {
         let a = patch_plane(10, 10);
         let b = patch_plane(12, 11);
-        let pred = mc_block(&b, 8, 8, 16, 16, MotionVector::ZERO);
+        let pred = mc(&b, 8, 8, 16, 16, MotionVector::ZERO, false);
         assert_eq!(
             sad_against(&a, 8, 8, 16, 16, &pred),
             a.sad(8, 8, 16, 16, &b, 8, 8)
@@ -771,7 +732,10 @@ mod tests {
 
     #[test]
     fn bi_average_rounds_to_nearest() {
-        assert_eq!(bi_average(&[10, 255], &[11, 0]), vec![11, 128]);
-        assert_eq!(bi_average(&[100], &[100]), vec![100]);
+        let mut out = [0u8; 2];
+        bi_average_into(&[10, 255], &[11, 0], &mut out);
+        assert_eq!(out, [11, 128]);
+        bi_average_into(&[100], &[100], &mut out[..1]);
+        assert_eq!(out[0], 100);
     }
 }
