@@ -1,5 +1,6 @@
-//! Storage-substrate throughput: BCH encode/decode per 512-bit block and
-//! MLC model queries.
+//! Storage-substrate throughput: the bitsliced BCH engine, the analytic
+//! block-failure rate, MLC model queries and whole-stream corruption
+//! through each substrate.
 
 use std::hint::black_box;
 use vapp_bench::harness::Criterion;
@@ -18,34 +19,10 @@ fn bench_storage(c: &mut Criterion) {
     let mut group = c.benchmark_group("storage");
     group.sample_size(20);
 
-    let mut data = BitBuf::zeroed(DATA_BITS);
-    for i in (0..DATA_BITS).step_by(3) {
-        data.set(i, true);
-    }
-
     for t in [6usize, 16] {
-        let code = Bch::new(t);
-        group.bench_function(format!("bch{t}_encode"), |b| {
-            b.iter(|| black_box(code.encode(black_box(&data))));
-        });
-        let clean = code.encode(&data);
-        group.bench_function(format!("bch{t}_decode_clean"), |b| {
-            b.iter(|| {
-                let mut cw = clean.clone();
-                black_box(code.decode(&mut cw))
-            });
-        });
-        group.bench_function(format!("bch{t}_decode_{t}errors"), |b| {
-            b.iter(|| {
-                let mut cw = clean.clone();
-                for e in 0..t {
-                    cw.flip((e * 83 + 11) % cw.len());
-                }
-                black_box(code.decode(&mut cw))
-            });
-        });
+        let code = Bch::cached(t);
         group.bench_function(format!("bch{t}_failure_rate"), |b| {
-            b.iter(|| black_box(block_failure_rate(&code, black_box(1e-3))));
+            b.iter(|| black_box(block_failure_rate(code, black_box(1e-3))));
         });
     }
 
@@ -59,46 +36,9 @@ fn bench_storage(c: &mut Criterion) {
     group.finish();
 }
 
-/// The word-parallel BCH kernels across the code strengths the figures
-/// use: per-block encode, the clean-decode fast path, and a decode at
-/// the full correction radius (syndromes + BM + root location).
-fn bench_bch(c: &mut Criterion) {
-    let mut group = c.benchmark_group("bch");
-    group.sample_size(20);
-
-    let mut data = BitBuf::zeroed(DATA_BITS);
-    for i in (0..DATA_BITS).step_by(3) {
-        data.set(i, true);
-    }
-
-    for t in [6usize, 10, 16] {
-        let code = Bch::new(t);
-        group.bench_function(format!("bch{t}_encode"), |b| {
-            b.iter(|| black_box(code.encode(black_box(&data))));
-        });
-        let clean = code.encode(&data);
-        group.bench_function(format!("bch{t}_decode_clean"), |b| {
-            b.iter(|| {
-                let mut cw = clean.clone();
-                black_box(code.decode(&mut cw))
-            });
-        });
-        group.bench_function(format!("bch{t}_decode_{t}errors"), |b| {
-            b.iter(|| {
-                let mut cw = clean.clone();
-                for e in 0..t {
-                    cw.flip((e * 83 + 11) % cw.len());
-                }
-                black_box(code.decode(&mut cw))
-            });
-        });
-    }
-    group.finish();
-}
-
-/// The bitsliced batch engine against its per-block reference: 64-block
-/// encode, all-clean batch detection, mixed clean/dirty decode, and the
-/// pipeline's sparse error-pattern shape.
+/// The bitsliced BCH engine: 64-block encode, all-clean batch detection,
+/// mixed clean/dirty decode, and the pipeline's sparse error-pattern
+/// shape.
 fn bench_bch_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("bch_batch");
     group.sample_size(20);
@@ -118,24 +58,11 @@ fn bench_bch_batch(c: &mut Criterion) {
         group.bench_function(format!("bch{t}_encode64_batch"), |b| {
             b.iter(|| black_box(code.encode_batch(black_box(&blocks))));
         });
-        group.bench_function(format!("bch{t}_encode64_perblock"), |b| {
-            b.iter(|| {
-                let cws: Vec<BitBuf> = blocks.iter().map(|d| code.encode(d)).collect();
-                black_box(cws)
-            });
-        });
-        let clean: Vec<BitBuf> = blocks.iter().map(|d| code.encode(d)).collect();
+        let clean = code.encode_batch(&blocks);
         group.bench_function(format!("bch{t}_decode64_clean_batch"), |b| {
             b.iter(|| {
                 let mut cws = clean.clone();
                 black_box(code.decode_blocks(&mut cws))
-            });
-        });
-        group.bench_function(format!("bch{t}_decode64_clean_perblock"), |b| {
-            b.iter(|| {
-                let mut cws = clean.clone();
-                let out: Vec<_> = cws.iter_mut().map(|cw| code.decode(cw)).collect();
-                black_box(out)
             });
         });
         // Mixed batch: every fourth lane carries t errors (a much higher
@@ -150,13 +77,6 @@ fn bench_bch_batch(c: &mut Criterion) {
             b.iter(|| {
                 let mut cws = mixed.clone();
                 black_box(code.decode_blocks(&mut cws))
-            });
-        });
-        group.bench_function(format!("bch{t}_decode64_mixed_perblock"), |b| {
-            b.iter(|| {
-                let mut cws = mixed.clone();
-                let out: Vec<_> = cws.iter_mut().map(|cw| code.decode(cw)).collect();
-                black_box(out)
             });
         });
         // The pipeline's shape: sparse error patterns, ~9 dirty lanes.
@@ -257,11 +177,5 @@ fn bench_substrate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_storage,
-    bench_bch,
-    bench_bch_batch,
-    bench_substrate
-);
+criterion_group!(benches, bench_storage, bench_bch_batch, bench_substrate);
 criterion_main!(benches);

@@ -54,7 +54,7 @@ impl EcScheme {
     pub fn overhead(self) -> f64 {
         match self {
             EcScheme::None => 0.0,
-            EcScheme::Bch(t) => Bch::new(t as usize).overhead(),
+            EcScheme::Bch(t) => Bch::cached(t as usize).overhead(),
         }
     }
 
@@ -63,7 +63,7 @@ impl EcScheme {
     pub fn residual_ber(self, raw_ber: f64) -> f64 {
         match self {
             EcScheme::None => raw_ber,
-            EcScheme::Bch(t) => uber::residual_ber(&Bch::new(t as usize), raw_ber),
+            EcScheme::Bch(t) => uber::residual_ber(Bch::cached(t as usize), raw_ber),
         }
     }
 

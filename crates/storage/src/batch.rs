@@ -1,150 +1,43 @@
 //! Bitsliced batch BCH kernels: 64 blocks per `u64` op.
 //!
-//! The per-block decoder in [`crate::bch`] walks one codeword at a time;
-//! at the pipeline's realistic error rates most of that work is
-//! re-proving blocks clean. This module pivots the problem into a
-//! struct-of-arrays layout (`BlockBatch`): up to 64 codewords are
+//! This is the crate's only BCH engine: the per-block [`Bch::encode`] /
+//! [`Bch::decode`] are one-lane calls into it. It pivots the problem
+//! into a struct-of-arrays layout (`BlockBatch`): up to 64 codewords are
 //! transposed into one bit-*plane* per codeword bit position, so bit `b`
-//! of plane `k` is bit `k` of block `b`. Over the planes,
+//! of plane `k` is bit `k` of block `b`. Over the planes, using the
+//! tables [`Bch::new`] builds,
 //!
-//! * **clean detection** re-derives every block's parity in one pass
-//!   (plane `k` XORs into the parity rows selected by
-//!   `R_k = x^{parity+k} mod g`) and diffs against the stored parity
-//!   planes — the OR of the diffs is a 64-bit dirty-lane mask,
+//! * **encode** and **clean detection** derive every block's parity in
+//!   one pass (plane `k` XORs into the parity rows selected by
+//!   `R_k = x^{parity+k} mod g`); decode diffs that against the stored
+//!   parity planes — the OR of the diffs is a 64-bit dirty-lane mask,
 //! * **syndromes** accumulate bitsliced for the *odd* powers
 //!   (`S_j += α^{j·deg(k)}` per set plane, as 10 accumulator planes per
 //!   syndrome) and derive the even powers by the Frobenius identity
 //!   `S_2j = S_j²` — squaring is GF(2)-linear, a fixed 10×10 bit matrix
 //!   applied plane-wise,
 //! * only **dirty lanes** fall back to the scalar Berlekamp–Massey /
-//!   closed-form locators / Chien search shared with the per-block path,
-//!   reading their 2t syndromes straight out of the planes.
+//!   closed-form locators / Chien search in [`crate::bch`], reading their
+//!   2t syndromes straight out of the planes.
 //!
 //! Zero planes are skipped everywhere, so the same engine is fast both
 //! for dense content batches (throughput benches) and for the pipeline's
-//! sparse error-pattern batches. The per-block path remains the
-//! property-tested reference (`tests/batch_equivalence.rs`).
+//! sparse error-pattern batches. The test-only scalar oracle
+//! `bch::reference::ScalarBch` pins it to byte-identical behavior.
 //!
 //! With the default-off `arch-intrinsics` cargo feature the plane
 //! reductions use explicit `core::arch` AVX2 (runtime-detected, scalar
 //! fallback elsewhere); the workspace stays dependency-free either way.
 
 use crate::bch::{
-    berlekamp_massey, chien_search, generator_poly, locate_deg1, locate_deg2, Bch, DecodeOutcome,
-    DATA_BITS,
+    berlekamp_massey, chien_search, locate_deg1, locate_deg2, Bch, DecodeOutcome, DATA_BITS,
+    GF_BITS,
 };
 use crate::bits::{transpose64, words_for, BitBuf};
 use crate::gf::Gf1024;
 
 /// Blocks per batch: one lane per bit of the plane words.
 pub const LANES: usize = 64;
-
-/// GF(2^10) elements are 10 bits wide: planes per syndrome.
-const GF_BITS: usize = 10;
-
-/// Precomputed bitslicing tables for one code strength, shared
-/// process-wide per `t` (they depend only on the generator).
-#[derive(Debug)]
-struct BatchTables {
-    /// CSR over data bits: `par_pos[par_off[k]..par_off[k+1]]` lists the
-    /// parity-bit positions set in `R_k = x^{parity+k} mod g`.
-    par_off: Vec<u32>,
-    par_pos: Vec<u16>,
-    /// `α^{j·deg(k)}` for the odd syndromes `j = 2i+1`, laid out
-    /// `[k][i]` over all `n` codeword bit positions.
-    syn_const: Vec<u16>,
-    /// Frobenius matrix: `sq[u]` = square of the basis element `x^u`.
-    sq: [u16; GF_BITS],
-}
-
-/// Process-wide table cache, one entry per code strength (the tables
-/// depend only on `t`, so `Bch::new` clones share them too).
-fn batch_tables(t: usize) -> &'static BatchTables {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    static REGISTRY: OnceLock<Mutex<HashMap<usize, &'static BatchTables>>> = OnceLock::new();
-    let mut map = REGISTRY
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("batch table registry poisoned");
-    map.entry(t)
-        .or_insert_with(|| Box::leak(Box::new(build_batch_tables(t))))
-}
-
-fn build_batch_tables(t: usize) -> BatchTables {
-    let gf = Gf1024::get();
-    let generator = generator_poly(t);
-    let parity = generator.len() - 1;
-    let n = DATA_BITS + parity;
-    let pw = parity.div_ceil(64);
-    let top_mask = if parity.is_multiple_of(64) {
-        !0u64
-    } else {
-        (1u64 << (parity % 64)) - 1
-    };
-    // g minus its monic top term: x^parity ≡ g_low (mod g).
-    let mut g_low = vec![0u64; pw];
-    for (k, &c) in generator.iter().enumerate().take(parity) {
-        if c {
-            g_low[k / 64] |= 1u64 << (k % 64);
-        }
-    }
-    // R_k by repeated ·x (mod g), emitted as a CSR of set positions.
-    let mut par_off = Vec::with_capacity(DATA_BITS + 1);
-    let mut par_pos = Vec::new();
-    let mut cur = g_low.clone();
-    for k in 0..DATA_BITS {
-        if k > 0 {
-            let carry = (cur[(parity - 1) / 64] >> ((parity - 1) % 64)) & 1 == 1;
-            for w in (1..pw).rev() {
-                cur[w] = (cur[w] << 1) | (cur[w - 1] >> 63);
-            }
-            cur[0] <<= 1;
-            cur[pw - 1] &= top_mask;
-            if carry {
-                for w in 0..pw {
-                    cur[w] ^= g_low[w];
-                }
-            }
-        }
-        par_off.push(par_pos.len() as u32);
-        for (w, &word) in cur.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                par_pos.push((w * 64 + bits.trailing_zeros() as usize) as u16);
-                bits &= bits - 1;
-            }
-        }
-    }
-    par_off.push(par_pos.len() as u32);
-
-    // Odd-syndrome constants per codeword bit. Bit k of the BitBuf
-    // layout is polynomial degree `parity + k` (data) or `k - 512`
-    // (parity bits).
-    let mut syn_const = vec![0u16; n * t];
-    for k in 0..n {
-        let deg = if k < DATA_BITS {
-            parity + k
-        } else {
-            k - DATA_BITS
-        };
-        for i in 0..t {
-            syn_const[k * t + i] = gf.alpha_pow((2 * i + 1) * deg);
-        }
-    }
-
-    let mut sq = [0u16; GF_BITS];
-    for (u, s) in sq.iter_mut().enumerate() {
-        *s = gf.square(1 << u);
-    }
-
-    BatchTables {
-        par_off,
-        par_pos,
-        syn_const,
-        sq,
-    }
-}
 
 /// Up to 64 codewords of one code, stored as bit-planes.
 #[derive(Clone, Debug)]
@@ -244,14 +137,12 @@ impl BlockBatch {
 
 impl Bch {
     /// Encodes up to 64 data blocks per transpose through the bitsliced
-    /// parity kernel. Accepts any number of blocks (chunked internally);
-    /// output codewords are bit-identical to per-block [`Bch::encode`].
+    /// parity kernel. Accepts any number of blocks (chunked internally).
     ///
     /// # Panics
     ///
     /// Panics if any block is not exactly 512 bits.
     pub fn encode_batch(&self, blocks: &[BitBuf]) -> Vec<BitBuf> {
-        let tb = batch_tables(self.t());
         let parity = self.parity_bits();
         let mut out = Vec::with_capacity(blocks.len());
         for chunk in blocks.chunks(LANES) {
@@ -266,7 +157,7 @@ impl Bch {
                 transpose64(&mut m);
                 group.copy_from_slice(&m);
             }
-            let par = parity_planes(&planes, tb, parity);
+            let par = self.parity_planes(&planes);
             // Assemble codewords: original data words + transposed parity.
             let pw = parity.div_ceil(64);
             let mut pwords = vec![[0u64; 64]; pw];
@@ -289,9 +180,9 @@ impl Bch {
 
     /// Decodes a batch in place: bitsliced clean detection and syndrome
     /// accumulation across all lanes, scalar locator fallback only for
-    /// the dirty ones. Corrections are applied to the planes; outcomes
-    /// (and the `storage.bch.*` tallies) match per-block [`Bch::decode`]
-    /// lane for lane.
+    /// the dirty ones. Corrections are applied to the planes; each lane's
+    /// outcome is tallied in the `storage.bch.clean` / `.corrected` /
+    /// `.uncorrectable` counters (plus `storage.bch.bits_corrected`).
     ///
     /// # Panics
     ///
@@ -299,7 +190,6 @@ impl Bch {
     pub fn decode_batch(&self, batch: &mut BlockBatch) -> Vec<DecodeOutcome> {
         let n = self.codeword_bits();
         assert_eq!(batch.planes.len(), n, "batch built for a different code");
-        let tb = batch_tables(self.t());
         let parity = self.parity_bits();
         let lanes = batch.lanes;
         let _span = vapp_obs::span!("storage.batch.decode", lanes);
@@ -313,7 +203,7 @@ impl Bch {
         // data planes and diff against the stored parity planes. A lane
         // is dirty iff any diff bit is set — iff it is not a codeword.
         let data: &[u64; DATA_BITS] = batch.planes[..DATA_BITS].try_into().expect("plane layout");
-        let par = parity_planes(data, tb, parity);
+        let par = self.parity_planes(data);
         let dirty = plane_ops::or_diff(&par, &batch.planes[DATA_BITS..]) & active;
         // Per-batch dirty-lane distribution: deterministic at a fixed
         // seed, so it doubles as a drift-gate signal for obs_report.
@@ -332,7 +222,7 @@ impl Bch {
             if p == 0 {
                 continue;
             }
-            for (i, &c) in tb.syn_const[k * t..(k + 1) * t].iter().enumerate() {
+            for (i, &c) in self.syn_const[k * t..(k + 1) * t].iter().enumerate() {
                 let base = 2 * i * GF_BITS; // syndrome j = 2i+1 lives at slot j-1
                 let mut c = c;
                 while c != 0 {
@@ -348,7 +238,7 @@ impl Bch {
                 if p == 0 {
                     continue;
                 }
-                let mut c = tb.sq[u];
+                let mut c = self.sq[u];
                 while c != 0 {
                     dst[c.trailing_zeros() as usize] ^= p;
                     c &= c - 1;
@@ -373,8 +263,8 @@ impl Bch {
                 }
                 *s = v;
             }
-            // Parity mismatch implies nonzero syndromes; mirror the
-            // per-block decoder's defensive clean path regardless.
+            // Parity mismatch implies nonzero syndromes; stay defensive
+            // regardless.
             if syn.iter().all(|&s| s == 0) {
                 continue;
             }
@@ -393,7 +283,7 @@ impl Bch {
                 Some(positions) => {
                     for &k in &positions {
                         // Coefficient x^k: parity bit below `parity`,
-                        // data bit above (same map as the scalar path).
+                        // data bit above.
                         let bit = if k < parity {
                             DATA_BITS + k
                         } else {
@@ -441,22 +331,22 @@ impl Bch {
         }
         out
     }
-}
 
-/// Recomputed parity planes for a batch's 512 data planes: plane `j`
-/// collects `Σ_k data[k]·R_k[j]` over the nonzero data planes.
-fn parity_planes(data: &[u64; DATA_BITS], tb: &BatchTables, parity: usize) -> Vec<u64> {
-    let mut par = vec![0u64; parity];
-    for (k, &p) in data.iter().enumerate() {
-        if p == 0 {
-            continue;
+    /// Recomputed parity planes for a batch's 512 data planes: plane `j`
+    /// collects `Σ_k data[k]·R_k[j]` over the nonzero data planes.
+    fn parity_planes(&self, data: &[u64; DATA_BITS]) -> Vec<u64> {
+        let mut par = vec![0u64; self.parity_bits()];
+        for (k, &p) in data.iter().enumerate() {
+            if p == 0 {
+                continue;
+            }
+            let row = &self.par_pos[self.par_off[k] as usize..self.par_off[k + 1] as usize];
+            for &j in row {
+                par[j as usize] ^= p;
+            }
         }
-        let row = &tb.par_pos[tb.par_off[k] as usize..tb.par_off[k + 1] as usize];
-        for &j in row {
-            par[j as usize] ^= p;
-        }
+        par
     }
-    par
 }
 
 /// Plane reductions, with an AVX2 variant behind the `arch-intrinsics`
@@ -464,8 +354,8 @@ fn parity_planes(data: &[u64; DATA_BITS], tb: &BatchTables, parity: usize) -> Ve
 /// portable scalar loop).
 mod plane_ops {
     /// OR-reduction of the element-wise XOR of two plane slices — the
-    /// dirty-lane mask of the clean check. `b` may be shorter than `a`
-    /// is never allowed: lengths must match.
+    /// dirty-lane mask of the clean check. The slices must have equal
+    /// lengths.
     pub fn or_diff(a: &[u64], b: &[u64]) -> u64 {
         debug_assert_eq!(a.len(), b.len());
         #[cfg(all(feature = "arch-intrinsics", target_arch = "x86_64"))]
@@ -535,6 +425,9 @@ mod plane_ops {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bch::reference::ScalarBch;
+    use crate::interleave::Interleaver;
+    use vapp_check::RngExt;
 
     fn pattern_data(seed: u64) -> BitBuf {
         let mut d = BitBuf::zeroed(DATA_BITS);
@@ -546,19 +439,6 @@ mod tests {
             d.set(i, (s >> 60) & 1 == 1);
         }
         d
-    }
-
-    #[test]
-    fn encode_batch_matches_per_block() {
-        for t in [6usize, 10, 16] {
-            let code = Bch::cached(t);
-            // 70 blocks: one full 64-lane batch plus a partial tail.
-            let blocks: Vec<BitBuf> = (0..70).map(|i| pattern_data(i * 31 + t as u64)).collect();
-            let batch = code.encode_batch(&blocks);
-            for (i, block) in blocks.iter().enumerate() {
-                assert_eq!(batch[i], code.encode(block), "t={t} block {i}");
-            }
-        }
     }
 
     #[test]
@@ -609,8 +489,8 @@ mod tests {
         for lane in [0usize, 7, 63] {
             assert_eq!(cws[lane], clean[lane], "lane {lane} not restored");
         }
-        // The overloaded lane must behave exactly like per-block decode.
-        let expect_out = code.decode(&mut reference);
+        // The overloaded lane must behave exactly like the oracle.
+        let expect_out = ScalarBch::new(10).decode(&mut reference);
         assert_eq!(outcomes[20], expect_out);
         assert_eq!(cws[20], reference);
         for lane in (1..LANES).filter(|&l| ![7, 20, 63].contains(&l)) {
@@ -619,32 +499,105 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sparse_error_batch_decodes_like_shifted_codewords() {
-        // The pipeline identity: decoding the bare error pattern must
-        // yield the same outcome as decoding codeword + error, because
-        // syndromes are linear and vanish on codewords.
-        let code = Bch::cached(6);
-        let n = code.codeword_bits();
-        let cases: &[&[usize]] = &[
-            &[5],
-            &[0, 511, 512, n - 1],
-            &[1, 2, 3, 4, 5, 6, 7],
-            &[100, 200, 300, 400, 450, 500],
-        ];
-        let mut batch = BlockBatch::zeroed(code, cases.len());
-        for (lane, flips) in cases.iter().enumerate() {
-            for &f in *flips {
+    /// Decodes the bare error patterns as one sparse batch and checks each
+    /// lane's outcome against the oracle on `encode(data) + pattern`, with
+    /// data drawn from `seed` — the pipeline identity: syndromes are
+    /// linear and vanish on codewords, so the data cannot matter.
+    fn assert_sparse_matches_shifted(t: usize, patterns: &[Vec<usize>], seed: u64) {
+        let code = Bch::cached(t);
+        let oracle = ScalarBch::new(t);
+        let mut batch = BlockBatch::zeroed(code, patterns.len());
+        for (lane, flips) in patterns.iter().enumerate() {
+            for &f in flips {
                 batch.flip(lane, f);
             }
         }
         let sparse = code.decode_batch(&mut batch);
-        for (lane, flips) in cases.iter().enumerate() {
-            let mut cw = code.encode(&pattern_data(lane as u64 + 9));
-            for &f in *flips {
+        for (lane, flips) in patterns.iter().enumerate() {
+            let mut cw = oracle.encode(&pattern_data(seed.wrapping_add(lane as u64)));
+            for &f in flips {
                 cw.flip(f);
             }
-            assert_eq!(sparse[lane], code.decode(&mut cw), "lane {lane}");
+            assert_eq!(sparse[lane], oracle.decode(&mut cw), "t={t} lane {lane}");
+        }
+    }
+
+    #[test]
+    fn sparse_error_batches_match_scalar_reference() {
+        // The fast store path feeds the batch decoder bare error patterns
+        // instead of codeword+error; this keeps it byte-identical to the
+        // oracle. Fixed edge positions first, then random patterns.
+        let n = Bch::cached(6).codeword_bits();
+        let edges = [
+            vec![5],
+            vec![0, 511, 512, n - 1],
+            vec![1, 2, 3, 4, 5, 6, 7],
+            vec![100, 200, 300, 400, 450, 500],
+        ];
+        assert_sparse_matches_shifted(6, &edges, 9);
+        for t in [6usize, 10, 16] {
+            let n = Bch::cached(t).codeword_bits();
+            vapp_check::check(&format!("sparse_error_batch_t{t}"), 12, |rng| {
+                let blocks = rng.random_range(1..=LANES);
+                let patterns: Vec<Vec<usize>> = (0..blocks)
+                    .map(|_| {
+                        let errors = rng.random_range(0..t + 3);
+                        vapp_check::gen::distinct(rng, 0..n, errors)
+                            .into_iter()
+                            .collect()
+                    })
+                    .collect();
+                assert_sparse_matches_shifted(t, &patterns, rng.random());
+            });
+        }
+    }
+
+    /// Burst-shaped error patterns (page-sized runs spread by the block
+    /// interleaving plus i.i.d. background) — the pattern population the
+    /// `BurstErasure` interleaved-BCH realization feeds to `decode_blocks`
+    /// — must decode exactly as the oracle decodes them.
+    #[test]
+    fn burst_patterns_match_scalar_reference() {
+        for t in [6usize, 10] {
+            let code = Bch::cached(t);
+            let oracle = ScalarBch::new(t);
+            let nb = code.codeword_bits();
+            vapp_check::check(&format!("batch_burst_equivalence_t{t}"), 16, |rng| {
+                let blocks = rng.random_range(1..80usize);
+                let depth = rng.random_range(1..=blocks);
+                let il = Interleaver::new(depth, depth * nb);
+                let mut patterns: Vec<BitBuf> = (0..blocks).map(|_| BitBuf::zeroed(nb)).collect();
+                // A few physical bursts, each wiping a contiguous run whose
+                // bits garble with probability 1/2 (what a lost page does).
+                for _ in 0..rng.random_range(0..4usize) {
+                    let span = rng.random_range(1..3 * depth.max(2));
+                    let group = rng.random_range(0..blocks.div_ceil(depth));
+                    let start = rng.random_range(0..depth * nb - span);
+                    for pos in start..start + span {
+                        if rng.random_bool(0.5) {
+                            let l = il.inverse(pos);
+                            let block = group * depth + l / nb;
+                            if block < blocks {
+                                patterns[block].flip(l % nb);
+                            }
+                        }
+                    }
+                }
+                // Background i.i.d. floor.
+                for _ in 0..rng.random_range(0..20usize) {
+                    let block = rng.random_range(0..blocks);
+                    let bit = rng.random_range(0..nb);
+                    patterns[block].flip(bit);
+                }
+                let mut reference = patterns.clone();
+                let ref_outcomes: Vec<DecodeOutcome> =
+                    reference.iter_mut().map(|p| oracle.decode(p)).collect();
+                let batch_outcomes = code.decode_blocks(&mut patterns);
+                assert_eq!(batch_outcomes, ref_outcomes, "t={t} outcomes diverge");
+                for (i, (got, want)) in patterns.iter().zip(&reference).enumerate() {
+                    assert_eq!(got, want, "t={t} pattern {i} diverges after decode");
+                }
+            });
         }
     }
 }

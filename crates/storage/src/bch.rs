@@ -4,29 +4,22 @@
 //! codes protecting 512-bit blocks: X correctable errors cost exactly
 //! 10·X parity bits (11.7% overhead for BCH-6 up to 31.3% for BCH-16).
 //! This module implements the real thing: generator synthesis from
-//! cyclotomic cosets, systematic LFSR encoding, and syndrome /
+//! cyclotomic cosets, systematic encoding, and syndrome /
 //! Berlekamp–Massey / Chien-search decoding. The codes are
 //! *self-correcting* — parity bits are part of the protected codeword.
 //!
-//! The hot paths are table-driven and word-parallel (see DESIGN.md,
-//! "Storage kernels"):
+//! There is one engine (see DESIGN.md, "Storage kernels"). [`Bch::new`]
+//! builds the code's bitslicing tables; the kernels that read them live
+//! in [`crate::batch`] and encode or decode up to 64 blocks per pass.
+//! [`Bch::encode`] and [`Bch::decode`] are one-lane calls into that
+//! engine. This module also holds the scalar algebra the batch decoder
+//! runs on its dirty lanes: Berlekamp–Massey, closed-form locators for
+//! one and two errors, and an incremental Chien search.
 //!
-//! * **Encode** steps the LFSR one *byte* at a time, CRC-style: a
-//!   256-entry table maps `(top byte of remainder) ^ (data byte)` to the
-//!   remainder update, so a 512-bit block costs 64 table steps instead of
-//!   512 bit shifts.
-//! * **Decode** first re-derives the parity from the data bytes and
-//!   compares words against the stored parity — equal iff all 2t
-//!   syndromes are zero, so clean blocks (the common case at realistic
-//!   BERs) never compute a syndrome. Corrupted blocks compute syndromes
-//!   byte-wise (Horner over bytes with per-syndrome 256-entry
-//!   contribution tables), locate degree-1/2 errors in closed form, and
-//!   fall back to an incremental Chien search (one multiply per step per
-//!   σ-coefficient, early exit once all roots are found).
-//!
-//! The scalar bit-at-a-time implementation survives as
-//! `reference::ScalarBch` (test-only); property tests pin the two to
-//! byte-identical behavior.
+//! The test-only `reference::ScalarBch` is a scalar bit-at-a-time
+//! implementation; property tests pin the engine to it byte for byte.
+
+use std::slice;
 
 use crate::bits::BitBuf;
 use crate::gf::{Gf1024, GF_ORDER};
@@ -37,9 +30,8 @@ pub const DATA_BITS: usize = 512;
 /// Data words per block.
 const DATA_WORDS: usize = DATA_BITS / 64;
 
-/// Max parity words: `DATA_BITS + parity <= GF_ORDER` caps parity at 511
-/// bits.
-const MAX_PW: usize = 8;
+/// GF(2^10) elements are 10 bits wide: planes per syndrome.
+pub(crate) const GF_BITS: usize = 10;
 
 /// Outcome of decoding one codeword.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,20 +66,15 @@ pub enum DecodeOutcome {
 pub struct Bch {
     t: usize,
     parity: usize,
-    /// Words per parity register (`parity.div_ceil(64)`).
-    pw: usize,
-    /// Valid-bit mask for the top parity word.
-    top_mask: u64,
-    /// Byte-stepped LFSR update table, 256 rows × `pw` words:
-    /// `row[b] = (b(x) · x^parity) mod g(x)`.
-    enc_table: Vec<u64>,
-    /// Per-syndrome Horner step `log α^{8j}`, j = 1..2t.
-    syn_step_log: Vec<usize>,
-    /// Per-syndrome data-section shift `log α^{j·parity}`.
-    syn_data_shift_log: Vec<usize>,
-    /// Per-syndrome byte-contribution tables, 2t × 256:
-    /// `tbl_j[b] = Σ_{k ∈ bits(b)} α^{jk}`.
-    syn_table: Vec<u16>,
+    /// CSR over data bits: `par_pos[par_off[k]..par_off[k+1]]` lists the
+    /// parity-bit positions set in `R_k = x^{parity+k} mod g`.
+    pub(crate) par_off: Vec<u32>,
+    pub(crate) par_pos: Vec<u16>,
+    /// `α^{j·deg(k)}` for the odd syndromes `j = 2i+1`, laid out
+    /// `[k][i]` over all `n` codeword bit positions.
+    pub(crate) syn_const: Vec<u16>,
+    /// Frobenius matrix: `sq[u]` = square of the basis element `x^u`.
+    pub(crate) sq: [u16; GF_BITS],
 }
 
 impl Bch {
@@ -105,76 +92,47 @@ impl Bch {
             DATA_BITS + parity <= GF_ORDER,
             "code too strong for 512-bit blocks"
         );
-        let pw = parity.div_ceil(64);
-        let top_mask = if parity.is_multiple_of(64) {
-            !0u64
-        } else {
-            (1u64 << (parity % 64)) - 1
-        };
 
-        // g(x) minus its monic x^parity term, packed into words; since g
-        // is monic, x^parity ≡ this value (mod g).
-        let mut g_low = [0u64; MAX_PW];
-        for (k, &c) in generator.iter().enumerate().take(parity) {
-            if c {
-                g_low[k / 64] |= 1u64 << (k % 64);
-            }
-        }
-
-        // bit_rem[k] = x^{parity+k} mod g, k = 0..8, by repeated ·x.
-        let mut bit_rem = [[0u64; MAX_PW]; 8];
-        let mut cur = g_low;
-        bit_rem[0] = cur;
-        for rem in bit_rem.iter_mut().skip(1) {
-            // cur ·= x (mod g): shift up one bit, reduce if x^parity appears.
-            let carry = (cur[(parity - 1) / 64] >> ((parity - 1) % 64)) & 1 == 1;
-            for w in (1..pw).rev() {
-                cur[w] = (cur[w] << 1) | (cur[w - 1] >> 63);
-            }
-            cur[0] <<= 1;
-            cur[pw - 1] &= top_mask;
+        // R_k by repeated ·x (mod g), emitted as a CSR of set positions.
+        // g is monic, so R_0 = x^parity ≡ g minus its top term.
+        let mut par_off = Vec::with_capacity(DATA_BITS + 1);
+        let mut par_pos = Vec::new();
+        let mut r = generator[..parity].to_vec();
+        for _ in 0..DATA_BITS {
+            par_off.push(par_pos.len() as u32);
+            par_pos.extend((0..parity).filter(|&j| r[j]).map(|j| j as u16));
+            let carry = r[parity - 1];
+            r.rotate_right(1);
+            r[0] = false;
             if carry {
-                for w in 0..pw {
-                    cur[w] ^= g_low[w];
+                for (rj, &gj) in r.iter_mut().zip(&generator) {
+                    *rj ^= gj;
                 }
             }
-            *rem = cur;
         }
+        par_off.push(par_pos.len() as u32);
 
-        // Byte update table by linearity over the bits of the index.
-        let mut enc_table = vec![0u64; 256 * pw];
-        for b in 1usize..256 {
-            let k = b.trailing_zeros() as usize;
-            let prev = b & (b - 1);
-            for w in 0..pw {
-                enc_table[b * pw + w] = enc_table[prev * pw + w] ^ bit_rem[k][w];
-            }
-        }
-
-        // Syndrome tables: per j, byte contributions and Horner steps.
+        // Odd-syndrome constants per codeword bit. Bit k of the BitBuf
+        // layout is polynomial degree `parity + k` (data) or `k - 512`
+        // (parity bits).
         let gf = Gf1024::get();
-        let mut syn_step_log = Vec::with_capacity(2 * t);
-        let mut syn_data_shift_log = Vec::with_capacity(2 * t);
-        let mut syn_table = vec![0u16; 2 * t * 256];
-        for j in 1..=2 * t {
-            syn_step_log.push((8 * j) % GF_ORDER);
-            syn_data_shift_log.push((j * parity) % GF_ORDER);
-            let tbl = &mut syn_table[(j - 1) * 256..j * 256];
-            for b in 1usize..256 {
-                let k = b.trailing_zeros() as usize;
-                tbl[b] = tbl[b & (b - 1)] ^ gf.alpha_pow(j * k);
-            }
+        let mut syn_const = Vec::with_capacity((DATA_BITS + parity) * t);
+        for k in 0..DATA_BITS + parity {
+            let deg = if k < DATA_BITS {
+                parity + k
+            } else {
+                k - DATA_BITS
+            };
+            syn_const.extend((0..t).map(|i| gf.alpha_pow((2 * i + 1) * deg)));
         }
 
         Bch {
             t,
             parity,
-            pw,
-            top_mask,
-            enc_table,
-            syn_step_log,
-            syn_data_shift_log,
-            syn_table,
+            par_off,
+            par_pos,
+            syn_const,
+            sq: std::array::from_fn(|u| gf.square(1 << u)),
         }
     }
 
@@ -212,37 +170,8 @@ impl Bch {
         self.parity_bits() as f64 / DATA_BITS as f64
     }
 
-    /// Remainder of `m(x)·x^parity mod g(x)` for a 512-bit data block,
-    /// stepping the LFSR a byte at a time: read the top remainder byte,
-    /// shift by 8, xor the table row for `top ^ data_byte`. Data bytes
-    /// feed highest polynomial degree (bit 511) first.
-    fn data_parity(&self, dw: &[u64]) -> [u64; MAX_PW] {
-        debug_assert_eq!(dw.len(), DATA_WORDS);
-        let pw = self.pw;
-        let top = self.parity - 8;
-        let (tw, ts) = (top / 64, top % 64);
-        let mut r = [0u64; MAX_PW];
-        for m in (0..DATA_BITS / 8).rev() {
-            let byte = (dw[m / 8] >> (8 * (m % 8))) as u8;
-            let mut hi = r[tw] >> ts;
-            if ts > 56 {
-                hi |= r[tw + 1] << (64 - ts);
-            }
-            let idx = (hi as u8 ^ byte) as usize;
-            for w in (1..pw).rev() {
-                r[w] = (r[w] << 8) | (r[w - 1] >> 56);
-            }
-            r[0] <<= 8;
-            r[pw - 1] &= self.top_mask;
-            let row = &self.enc_table[idx * pw..(idx + 1) * pw];
-            for w in 0..pw {
-                r[w] ^= row[w];
-            }
-        }
-        r
-    }
-
-    /// Systematically encodes a 512-bit block into a codeword.
+    /// Systematically encodes a 512-bit block into a codeword: a one-lane
+    /// [`Bch::encode_batch`].
     ///
     /// Codeword layout: bits `0..512` data (bit i = coefficient of
     /// x^(parity + i)), bits `512..` parity (bit j = coefficient of x^j).
@@ -251,103 +180,18 @@ impl Bch {
     ///
     /// Panics if `data` is not exactly 512 bits.
     pub fn encode(&self, data: &BitBuf) -> BitBuf {
-        assert_eq!(data.len(), DATA_BITS, "data must be 512 bits");
-        let r = self.data_parity(data.words());
-        let mut words = Vec::with_capacity(DATA_WORDS + self.pw);
-        words.extend_from_slice(data.words());
-        words.extend_from_slice(&r[..self.pw]);
-        BitBuf::from_words(words, self.codeword_bits())
-    }
-
-    /// Syndromes S_j = c(α^j), j = 1..2t, via byte-wise Horner run
-    /// separately over the data section (codeword bits 0..512, polynomial
-    /// degrees parity..) and the parity section (degrees 0..parity), both
-    /// of which are byte-aligned in the word backing.
-    fn syndromes(&self, words: &[u64]) -> Vec<u16> {
-        let gf = Gf1024::get();
-        let parity_bytes = self.parity.div_ceil(8);
-        let mut out = vec![0u16; 2 * self.t];
-        for (ji, s) in out.iter_mut().enumerate() {
-            let tbl = &self.syn_table[ji * 256..(ji + 1) * 256];
-            let step = self.syn_step_log[ji];
-            let mut d = 0u16;
-            for m in (0..DATA_BITS / 8).rev() {
-                let b = (words[m / 8] >> (8 * (m % 8))) as u8;
-                d = gf.mul_alpha_log(d, step) ^ tbl[b as usize];
-            }
-            let mut r = 0u16;
-            for m in (0..parity_bytes).rev() {
-                let b = (words[DATA_WORDS + m / 8] >> (8 * (m % 8))) as u8;
-                r = gf.mul_alpha_log(r, step) ^ tbl[b as usize];
-            }
-            *s = gf.mul_alpha_log(d, self.syn_data_shift_log[ji]) ^ r;
-        }
-        out
+        let mut cws = self.encode_batch(slice::from_ref(data));
+        cws.pop().expect("one block in, one codeword out")
     }
 
     /// Decodes in place, correcting up to `t` errors anywhere in the
-    /// codeword (data or parity).
+    /// codeword (data or parity): a one-lane [`Bch::decode_blocks`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cw` is not [`Bch::codeword_bits`] long.
     pub fn decode(&self, cw: &mut BitBuf) -> DecodeOutcome {
-        assert_eq!(cw.len(), self.codeword_bits(), "codeword length mismatch");
-        let gf = Gf1024::get();
-        let n = self.codeword_bits();
-
-        // Fast clean check: recomputed parity matches stored parity iff
-        // g(x) divides the codeword iff all 2t syndromes vanish (g is the
-        // lcm of the minimal polynomials of α^1..α^2t). Parity words sit
-        // word-aligned at words[8..] with a zeroed tail, mirroring the
-        // masked LFSR register, so this is a pw-word compare.
-        let r = self.data_parity(&cw.words()[..DATA_WORDS]);
-        if r[..self.pw] == cw.words()[DATA_WORDS..] {
-            return self.tally(DecodeOutcome::Clean);
-        }
-
-        let syndromes = self.syndromes(cw.words());
-        if syndromes.iter().all(|&s| s == 0) {
-            return self.tally(DecodeOutcome::Clean);
-        }
-
-        // Berlekamp–Massey: find the error locator σ(x).
-        let sigma = berlekamp_massey(&syndromes, gf);
-        let deg = sigma.len() - 1;
-        if deg == 0 || deg > self.t {
-            return self.tally(DecodeOutcome::Uncorrectable);
-        }
-
-        // Error positions k ∈ 0..n with σ(α^{-k}) = 0: closed forms for
-        // one and two errors, incremental Chien search above that.
-        let positions = match deg {
-            1 => locate_deg1(&sigma, n, gf),
-            2 => locate_deg2(&sigma, n, gf),
-            _ => chien_search(&sigma, n, gf),
-        };
-        let Some(positions) = positions else {
-            return self.tally(DecodeOutcome::Uncorrectable);
-        };
-        for &k in &positions {
-            // Coefficient x^k: parity bit k below `parity`, else data bit.
-            if k < self.parity {
-                cw.flip(DATA_BITS + k);
-            } else {
-                cw.flip(k - self.parity);
-            }
-        }
-        self.tally(DecodeOutcome::Corrected(positions.len()))
-    }
-
-    /// Records one decode outcome in the observability registry
-    /// (`storage.bch.clean` / `.corrected` / `.uncorrectable`, plus the
-    /// individual `storage.bch.bits_corrected` total) and passes it through.
-    fn tally(&self, out: DecodeOutcome) -> DecodeOutcome {
-        match out {
-            DecodeOutcome::Clean => vapp_obs::counter!("storage.bch.clean"),
-            DecodeOutcome::Corrected(n) => {
-                vapp_obs::counter!("storage.bch.corrected");
-                vapp_obs::counter!("storage.bch.bits_corrected", n as u64);
-            }
-            DecodeOutcome::Uncorrectable => vapp_obs::counter!("storage.bch.uncorrectable"),
-        }
-        out
+        self.decode_blocks(slice::from_mut(cw))[0]
     }
 
     /// Extracts the 512 data bits from a codeword.
@@ -465,7 +309,7 @@ fn grow_xor(sigma: &mut Vec<u16>, b: &[u16], coef: u16, shift: usize, gf: &Gf102
 
 /// Generator polynomial of the t-error-correcting BCH code over GF(2^10):
 /// lcm of the minimal polynomials of α^1 … α^{2t}. Coefficients in GF(2).
-pub(crate) fn generator_poly(t: usize) -> Vec<bool> {
+fn generator_poly(t: usize) -> Vec<bool> {
     let gf = Gf1024::get();
     let mut seen = vec![false; GF_ORDER];
     // g as a GF(2) polynomial, bool per coefficient.
@@ -524,8 +368,8 @@ pub(crate) fn generator_poly(t: usize) -> Vec<bool> {
     g
 }
 
-/// The scalar bit-at-a-time implementation the table-driven kernels
-/// replaced, kept as the oracle for the equivalence property tests.
+/// The scalar bit-at-a-time implementation, kept as the single oracle
+/// for the engine's equivalence property tests.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
@@ -778,37 +622,63 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "codeword length mismatch")]
+    fn wrong_codeword_length_rejected() {
+        let code = Bch::new(6);
+        code.decode(&mut BitBuf::zeroed(code.codeword_bits() - 1));
+    }
+
+    #[test]
     fn fast_kernels_match_scalar_reference() {
-        // The table-driven encode/decode against the retired scalar
-        // implementation: random data, 0..=t+2 random error positions
-        // (inside and beyond the correction radius), for the three code
+        // The batch engine against the scalar oracle: 1..2·LANES+10
+        // blocks of random data (partial tails and multi-batch inputs),
+        // each with 0..=t+2 random error positions (clean, correctable
+        // and beyond-radius lanes mixed in one batch), for the three code
         // strengths the figures use. Outcomes and the resulting codeword
-        // bytes must agree exactly.
+        // bytes must agree exactly, through the batch calls and through
+        // the one-lane wrappers.
+        use crate::batch::LANES;
+        use vapp_check::RngExt;
         for t in [6usize, 10, 16] {
-            let fast = Bch::new(t);
+            let fast = Bch::cached(t);
             let slow = reference::ScalarBch::new(t);
             vapp_check::check(&format!("bch_fast_matches_scalar_t{t}"), 12, |rng| {
-                use vapp_check::RngExt;
-                let mut data = BitBuf::zeroed(DATA_BITS);
-                for w in 0..DATA_BITS / 64 {
-                    data.set_bits(w * 64, 64, rng.random::<u64>());
-                }
-                let cw_fast = fast.encode(&data);
-                let cw_slow = slow.encode(&data);
-                assert_eq!(cw_fast, cw_slow, "t = {t}: encode mismatch");
+                let blocks = rng.random_range(1..2 * LANES + 10);
+                let data: Vec<BitBuf> = (0..blocks)
+                    .map(|_| {
+                        let mut d = BitBuf::zeroed(DATA_BITS);
+                        for w in 0..DATA_WORDS {
+                            d.set_bits(w * 64, 64, rng.random::<u64>());
+                        }
+                        d
+                    })
+                    .collect();
+                let mut got = fast.encode_batch(&data);
+                let mut want: Vec<BitBuf> = data.iter().map(|d| slow.encode(d)).collect();
+                assert_eq!(got, want, "t = {t}: encode mismatch");
+                assert_eq!(fast.encode(&data[0]), want[0], "t = {t}: one-lane encode");
 
-                let errors = rng.random_range(0..=t + 2);
-                let flips = vapp_check::gen::distinct(rng, 0..fast.codeword_bits(), errors);
-                let mut a = cw_fast;
-                let mut b = cw_slow;
-                for &pos in &flips {
-                    a.flip(pos);
-                    b.flip(pos);
+                for (a, b) in got.iter_mut().zip(&mut want) {
+                    let errors = rng.random_range(0..=t + 2);
+                    for pos in vapp_check::gen::distinct(rng, 0..fast.codeword_bits(), errors) {
+                        a.flip(pos);
+                        b.flip(pos);
+                    }
                 }
-                let out_fast = fast.decode(&mut a);
-                let out_slow = slow.decode(&mut b);
-                assert_eq!(out_fast, out_slow, "t = {t} flips = {flips:?}");
-                assert_eq!(a, b, "t = {t} flips = {flips:?}: codeword mismatch");
+                let mut first = got[0].clone();
+                let out_fast = fast.decode_blocks(&mut got);
+                let out_slow: Vec<DecodeOutcome> =
+                    want.iter_mut().map(|cw| slow.decode(cw)).collect();
+                assert_eq!(out_fast, out_slow, "t = {t}: outcomes diverge");
+                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(a, b, "t = {t} block {i}: codeword mismatch");
+                }
+                assert_eq!(
+                    fast.decode(&mut first),
+                    out_slow[0],
+                    "t = {t}: one-lane decode"
+                );
+                assert_eq!(first, want[0], "t = {t}: one-lane codeword");
             });
         }
     }

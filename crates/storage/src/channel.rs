@@ -686,9 +686,9 @@ impl BurstErasure {
             tally.flips += pat.count_ones() as u64;
         }
 
-        // Decode only the dirty patterns, batched (batch↔per-block
-        // equivalence on burst patterns is property-pinned in
-        // `tests/substrate_props.rs`).
+        // Decode only the dirty patterns, batched (the engine's
+        // equivalence to the scalar oracle on burst patterns is
+        // property-pinned in `batch.rs`).
         let mut dirty_idx: Vec<usize> = Vec::new();
         let mut dirty: Vec<BitBuf> = Vec::new();
         for (i, pat) in patterns.iter().enumerate() {

@@ -7,6 +7,8 @@
 //!   scrub interval,
 //! * [`bch`] — real BCH-X codes over GF(2^10) on 512-bit blocks
 //!   (10·X parity bits, matching the paper's Fig. 8 overheads exactly),
+//! * [`batch`] — the bitsliced engine behind every BCH encode and decode,
+//!   64 blocks per `u64` operation (per-block calls are one-lane batches),
 //! * [`rs`] — Reed–Solomon over the same GF(2^10) with erasure decoding
 //!   (bursty channels know *where* a page died),
 //! * [`interleave`] — row/column block interleaver spreading bursts

@@ -1,11 +1,11 @@
 //! Property tests for the substrate building blocks: Reed–Solomon
 //! round-trips at the mixed erasure/error budget boundary, interleaver
-//! bijectivity on arbitrary partial tails, and batch↔per-block decode
-//! equivalence on burst-shaped error patterns.
+//! bijectivity on arbitrary partial tails, and seed purity of the burst
+//! substrate. (The BCH engine's burst-pattern equivalence against the
+//! scalar oracle is a `vapp-storage` unit test in `batch.rs`.)
 
 use vapp_check::{RngExt, StdRng};
-use vapp_storage::bch::{Bch, DecodeOutcome};
-use vapp_storage::bits::BitBuf;
+use vapp_storage::bch::DecodeOutcome;
 use vapp_storage::channel::{BurstConfig, BurstErasure, Substrate};
 use vapp_storage::interleave::Interleaver;
 use vapp_storage::rs::Rs;
@@ -113,56 +113,6 @@ fn interleaver_bounds_burst_damage_per_row() {
             );
         }
     });
-}
-
-/// Burst-shaped error patterns (contiguous page wipes after bit
-/// interleaving plus i.i.d. background) must decode identically on the
-/// batch engine and the per-block reference — this is the pattern
-/// population the `BurstErasure` interleaved-BCH realization feeds to
-/// `decode_blocks`.
-#[test]
-fn batch_matches_per_block_on_burst_patterns() {
-    for t in [6usize, 10] {
-        let code = Bch::cached(t);
-        let nb = code.codeword_bits();
-        let name = format!("batch_burst_equivalence_t{t}");
-        vapp_check::check(&name, 16, |rng| {
-            let blocks = rng.random_range(1..80usize);
-            let depth = rng.random_range(1..=blocks);
-            let il = Interleaver::new(depth, depth * nb);
-            let mut patterns: Vec<BitBuf> = (0..blocks).map(|_| BitBuf::zeroed(nb)).collect();
-            // A few physical bursts, each wiping a contiguous run whose
-            // bits garble with probability 1/2 (what a lost page does).
-            for _ in 0..rng.random_range(0..4usize) {
-                let span = rng.random_range(1..3 * depth.max(2));
-                let group = rng.random_range(0..blocks.div_ceil(depth));
-                let start = rng.random_range(0..depth * nb - span);
-                for pos in start..start + span {
-                    if rng.random_bool(0.5) {
-                        let l = il.inverse(pos);
-                        let block = group * depth + l / nb;
-                        if block < blocks {
-                            patterns[block].flip(l % nb);
-                        }
-                    }
-                }
-            }
-            // Background i.i.d. floor.
-            for _ in 0..rng.random_range(0..20usize) {
-                let block = rng.random_range(0..blocks);
-                let bit = rng.random_range(0..nb);
-                patterns[block].flip(bit);
-            }
-            let mut reference = patterns.clone();
-            let ref_outcomes: Vec<DecodeOutcome> =
-                reference.iter_mut().map(|p| code.decode(p)).collect();
-            let batch_outcomes = code.decode_blocks(&mut patterns);
-            assert_eq!(batch_outcomes, ref_outcomes, "t={t} outcomes diverge");
-            for (i, (got, want)) in patterns.iter().zip(&reference).enumerate() {
-                assert_eq!(got, want, "t={t} pattern {i} diverges after decode");
-            }
-        });
-    }
 }
 
 /// The public corruption surface of `BurstErasure` must be a pure
