@@ -6,10 +6,56 @@
 //! The parser handles the full JSON grammar the repo's writers produce
 //! (objects, arrays, strings with `\uXXXX` escapes, numbers, booleans,
 //! null). It is not a streaming parser and keeps the document in memory,
-//! which is fine for snapshot- and bench-sized files.
+//! which is fine for snapshot- and bench-sized files. It reads untrusted
+//! files, so container nesting is capped at [`MAX_DEPTH`]: a deeper
+//! document is an error, never a stack overflow.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// Deepest array/object nesting [`Value::parse`] accepts. The repo's
+/// writers nest a handful of levels; the cap bounds the parser's
+/// recursion on hostile input.
+pub const MAX_DEPTH: usize = 128;
+
+/// Why [`Value::parse`] rejected a document.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ParseError {
+    /// An array or object opened at byte `offset` would nest deeper
+    /// than [`MAX_DEPTH`].
+    TooDeep {
+        /// Byte offset of the offending `[` or `{`.
+        offset: usize,
+    },
+    /// Any other malformed input; the message names the byte offset
+    /// where it can.
+    Malformed(String),
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParseError::TooDeep { offset } => {
+                write!(f, "nesting deeper than {MAX_DEPTH} at byte {offset}")
+            }
+            ParseError::Malformed(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl From<String> for ParseError {
+    fn from(msg: String) -> Self {
+        ParseError::Malformed(msg)
+    }
+}
+
+impl From<&str> for ParseError {
+    fn from(msg: &str) -> Self {
+        ParseError::Malformed(msg.to_string())
+    }
+}
+
+type Parsed<T> = Result<T, ParseError>;
 
 /// Escapes a string for inclusion inside JSON quotes.
 pub fn escape(s: &str) -> String {
@@ -59,15 +105,16 @@ impl Value {
     ///
     /// # Errors
     ///
-    /// Returns a message with the byte offset on malformed input or
-    /// trailing garbage.
-    pub fn parse(text: &str) -> Result<Value, String> {
+    /// Returns [`ParseError::TooDeep`] past [`MAX_DEPTH`] nested
+    /// containers, and [`ParseError::Malformed`] with the byte offset on
+    /// other malformed input or trailing garbage.
+    pub fn parse(text: &str) -> Result<Value, ParseError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
+            return Err(format!("trailing data at byte {pos}").into());
         }
         Ok(v)
     }
@@ -128,21 +175,24 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
+fn expect(b: &[u8], pos: &mut usize, c: u8) -> Parsed<()> {
     if *pos < b.len() && b[*pos] == c {
         *pos += 1;
         Ok(())
     } else {
-        Err(format!("expected `{}` at byte {pos}", c as char))
+        Err(format!("expected `{}` at byte {pos}", c as char).into())
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parses one value; `depth` counts the containers already open around
+/// it.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Parsed<Value> {
     skip_ws(b, pos);
     match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
+        None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(ParseError::TooDeep { offset: *pos }),
+        Some(b'{') => parse_object(b, pos, depth + 1),
+        Some(b'[') => parse_array(b, pos, depth + 1),
         Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
         Some(b't') => parse_keyword(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_keyword(b, pos, "false", Value::Bool(false)),
@@ -151,16 +201,16 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_keyword(b: &[u8], pos: &mut usize, word: &str, val: Value) -> Result<Value, String> {
+fn parse_keyword(b: &[u8], pos: &mut usize, word: &str, val: Value) -> Parsed<Value> {
     if b[*pos..].starts_with(word.as_bytes()) {
         *pos += word.len();
         Ok(val)
     } else {
-        Err(format!("invalid literal at byte {pos}"))
+        Err(format!("invalid literal at byte {pos}").into())
     }
 }
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_number(b: &[u8], pos: &mut usize) -> Parsed<Value> {
     let start = *pos;
     while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
         *pos += 1;
@@ -169,15 +219,15 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         .ok()
         .and_then(|s| s.parse::<f64>().ok())
         .map(Value::Num)
-        .ok_or_else(|| format!("invalid number at byte {start}"))
+        .ok_or_else(|| format!("invalid number at byte {start}").into())
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(b: &[u8], pos: &mut usize) -> Parsed<String> {
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
         match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
+            None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
@@ -205,7 +255,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
-                    _ => return Err(format!("bad escape at byte {pos}")),
+                    _ => return Err(format!("bad escape at byte {pos}").into()),
                 }
                 *pos += 1;
             }
@@ -220,7 +270,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(b: &[u8], pos: &mut usize, depth: usize) -> Parsed<Value> {
     expect(b, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(b, pos);
@@ -229,7 +279,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(b, pos, depth)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -237,12 +287,12 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 *pos += 1;
                 return Ok(Value::Arr(items));
             }
-            _ => return Err(format!("expected `,` or `]` at byte {pos}")),
+            _ => return Err(format!("expected `,` or `]` at byte {pos}").into()),
         }
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_object(b: &[u8], pos: &mut usize, depth: usize) -> Parsed<Value> {
     expect(b, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(b, pos);
@@ -255,7 +305,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         let key = parse_string(b, pos)?;
         skip_ws(b, pos);
         expect(b, pos, b':')?;
-        let val = parse_value(b, pos)?;
+        let val = parse_value(b, pos, depth)?;
         map.insert(key, val);
         skip_ws(b, pos);
         match b.get(*pos) {
@@ -264,7 +314,7 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 *pos += 1;
                 return Ok(Value::Obj(map));
             }
-            _ => return Err(format!("expected `,` or `}}` at byte {pos}")),
+            _ => return Err(format!("expected `,` or `}}` at byte {pos}").into()),
         }
     }
 }
@@ -307,6 +357,25 @@ mod tests {
         assert!(Value::parse("{\"a\" 1}").is_err());
         assert!(Value::parse("12 34").is_err());
         assert!(Value::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let deep_arrays = "[".repeat(1_000_000);
+        let deep_objects = "{\"a\":".repeat(1_000_000);
+        for doc in [&deep_arrays, &deep_objects] {
+            let err = Value::parse(doc).expect_err("too deep");
+            assert!(matches!(err, ParseError::TooDeep { .. }), "{err}");
+            assert!(err.to_string().contains("at byte"), "{err}");
+        }
+        // The limit itself is fine; one more level is not.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Value::parse(&at_limit).is_ok());
+        let past = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert_eq!(
+            Value::parse(&past),
+            Err(ParseError::TooDeep { offset: MAX_DEPTH })
+        );
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! hermetic — see DESIGN.md §"Zero-dependency policy"). It provides:
 //!
 //! * **Spans** — [`span!`] opens a named, hierarchical wall-clock span
-//!   (`Instant`-backed) that records its duration on drop into per-name
-//!   aggregate statistics, the call-path profile ([`profile`]) and a
-//!   bounded per-run timeline.
-//! * **Profile** — completed spans aggregate by *full call path*
-//!   (`outer>inner`) with self-time attribution; worker pools install
+//!   (`Instant`-backed) that records its duration on drop, under one
+//!   lock, into the call-path profile ([`profile`]) and a bounded
+//!   per-run timeline.
+//! * **Profile** — the one span aggregate: completed spans aggregate by
+//!   *full call path* (`outer>inner`) with self-time attribution; a
+//!   span name's call count is the sum over its paths. Worker pools install
 //!   the spawning thread's path as a prefix
 //!   ([`span::with_path_prefix`]) so the tree is identical at any
 //!   thread count. Rendered by `obs_report`.
@@ -44,7 +45,7 @@
 //!
 //! * `VAPP_OBS` — stderr verbosity: `off` (default), `error`, `warn`,
 //!   `info`, `debug`, `trace`. Anything unrecognised means `off`.
-//!   Metrics and span statistics are *always* collected (cheap atomics);
+//!   Metrics and the span profile are *always* collected;
 //!   the variable only gates the stderr sink.
 //! * `VAPP_OBS_OUT` — when set to a directory, [`maybe_write_run_snapshot`]
 //!   writes `OBS_<run>.json` there (used by the CLI, the examples and CI).
@@ -85,8 +86,8 @@ pub use profile::ProfileEntry;
 pub use registry::{current, global, Registry};
 pub use sketch::Sketch;
 pub use snapshot::{
-    maybe_write_run_snapshot, write_run_snapshot, HistogramSnapshot, Snapshot, SpanSnapshot,
-    SCHEMA_MAJOR, SCHEMA_VERSION,
+    maybe_write_run_snapshot, write_run_snapshot, HistogramSnapshot, Snapshot, SCHEMA_MAJOR,
+    SCHEMA_VERSION,
 };
 pub use span::Span;
 pub use trace::{maybe_write_trace, write_trace};
@@ -222,7 +223,9 @@ mod tests {
             .expect("histogram recorded");
         assert_eq!(h.count, 1);
         assert_eq!(h.sum, 9);
-        let s = snap.span("test.widget.assemble").expect("span recorded");
+        let s = snap
+            .profile_path("test.widget.assemble")
+            .expect("span recorded");
         assert_eq!(s.count, 1);
         assert!(s.total_ns >= s.min_ns);
         assert_eq!(snap.timeline.len(), 1);

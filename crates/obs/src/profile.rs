@@ -1,10 +1,11 @@
 //! The hierarchical span-tree profile: completed spans aggregated by
 //! full call path (`outer>inner>leaf`), with self-time attribution.
 //!
-//! Unlike the per-name [`crate::SpanSnapshot`] aggregates, the profile
-//! distinguishes *where* a span ran: `core.level.corrupt` under
-//! `core.store.load` is a different row than the same span under a
-//! bench loop. Worker threads spawned by `vapp-par` install the
+//! This is the only span aggregate a registry keeps. It distinguishes
+//! *where* a span ran: `core.level.corrupt` under `core.store.load` is a
+//! different row than the same span under a bench loop; per-name call
+//! counts are sums over the paths ending in that name
+//! ([`ProfileEntry::name`]). Worker threads spawned by `vapp-par` install the
 //! spawning thread's span path as a prefix
 //! ([`crate::span::with_path_prefix`]), so worker-side spans fold into
 //! the caller's subtree and the profile is identical at any thread

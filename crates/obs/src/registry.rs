@@ -1,11 +1,12 @@
-//! The metrics registry: named counters, histograms, span statistics
-//! and the call-path profile.
+//! The metrics registry: named counters, histograms, the call-path
+//! profile and the span timeline.
 //!
 //! Values are plain atomics — recording never blocks on other recorders.
 //! The only locks are the name → handle maps (taken once per lookup;
 //! hot loops should hoist the [`Counter`] / [`Histogram`] handle out of
-//! the loop, see [`Registry::counter`]) and the timeline/profile maps
-//! (taken once per *span close*, which is coarse by design).
+//! the loop, see [`Registry::counter`]) and the one span lock over the
+//! profile and the timeline (taken once per *span close*, which is
+//! coarse by design).
 //!
 //! Lock poisoning is survivable by construction: a worker thread that
 //! panics while a span guard is live drops that span during unwinding,
@@ -28,7 +29,7 @@ use std::time::Instant;
 
 use crate::profile::ProfileEntry;
 use crate::sketch::{self, Sketch};
-use crate::snapshot::{HistogramSnapshot, Snapshot, SpanSnapshot};
+use crate::snapshot::{HistogramSnapshot, Snapshot};
 
 /// Locks a mutex, recovering the guard if a panicking thread poisoned
 /// it (see the module docs — observability must survive unwinding).
@@ -53,24 +54,10 @@ impl Counter {
     }
 }
 
-/// Legacy power-of-two bucket count (pre-2.0 snapshot surface): one per
-/// possible bit length of a `u64` value, plus one for zero. Histograms
-/// are now backed by the finer [`crate::sketch`] buckets; these coarse
-/// bins remain exactly reconstructible from them.
-pub const HISTOGRAM_BUCKETS: usize = 65;
-
-/// Legacy bucket index of a value: its bit length (0 for 0). Kept as
-/// the documented meaning of a snapshot's `buckets` field.
-#[inline]
-pub fn bucket_of(value: u64) -> usize {
-    (u64::BITS - value.leading_zeros()) as usize
-}
-
 /// A histogram backed by the log-bucketed quantile sketch
 /// ([`crate::sketch`]): γ = 2^(1/32) geometric buckets recorded as
-/// atomics, plus exact count, sum, min and max. Snapshots carry both
-/// the sketch (for p50..p999) and the legacy power-of-two buckets
-/// derived from it.
+/// atomics, plus exact count, sum, min and max. Snapshots carry the
+/// sketch, which answers p50..p999.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: Vec<AtomicU64>,
@@ -135,53 +122,7 @@ impl Histogram {
             sum: sketch.sum(),
             min: sketch.min(),
             max: sketch.max(),
-            buckets: sketch.legacy_pow2_buckets(),
             sketch,
-        }
-    }
-}
-
-/// Aggregate wall-clock statistics for one span name.
-#[derive(Debug)]
-pub struct SpanStats {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    min_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
-
-impl Default for SpanStats {
-    fn default() -> Self {
-        SpanStats {
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            min_ns: AtomicU64::new(u64::MAX),
-            max_ns: AtomicU64::new(0),
-        }
-    }
-}
-
-impl SpanStats {
-    /// Folds one completed span duration into the aggregate.
-    pub fn record(&self, dur_ns: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(dur_ns, Ordering::Relaxed);
-        self.min_ns.fetch_min(dur_ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(dur_ns, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self, name: &str) -> SpanSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
-        SpanSnapshot {
-            name: name.to_string(),
-            count,
-            total_ns: self.total_ns.load(Ordering::Relaxed),
-            min_ns: if count == 0 {
-                0
-            } else {
-                self.min_ns.load(Ordering::Relaxed)
-            },
-            max_ns: self.max_ns.load(Ordering::Relaxed),
         }
     }
 }
@@ -213,7 +154,7 @@ impl Default for PathStats {
 }
 
 /// One completed span on the timeline (an individual record, unlike the
-/// per-name aggregates — this is what gives *per-frame* durations).
+/// call-path profile — this is what gives *per-frame* durations).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Span name (`crate.noun.verb`).
@@ -237,22 +178,23 @@ pub struct SpanRecord {
 /// never silent.
 pub const TIMELINE_CAP: usize = 16_384;
 
+/// Everything a span close writes, kept behind one lock: the call-path
+/// profile and the bounded timeline.
 #[derive(Debug, Default)]
-struct Timeline {
-    records: Vec<SpanRecord>,
+struct Spans {
+    profile: BTreeMap<String, PathStats>,
+    timeline: Vec<SpanRecord>,
     dropped: u64,
 }
 
-/// A collection point for counters, histograms, span statistics, the
-/// span timeline and the call-path profile.
+/// A collection point for counters, histograms, the call-path profile
+/// and the span timeline.
 #[derive(Debug)]
 pub struct Registry {
     epoch: Instant,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    spans: Mutex<BTreeMap<String, Arc<SpanStats>>>,
-    profile: Mutex<BTreeMap<String, PathStats>>,
-    timeline: Mutex<Timeline>,
+    spans: Mutex<Spans>,
 }
 
 impl Default for Registry {
@@ -268,9 +210,7 @@ impl Registry {
             epoch: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(BTreeMap::new()),
-            profile: Mutex::new(BTreeMap::new()),
-            timeline: Mutex::new(Timeline::default()),
+            spans: Mutex::new(Spans::default()),
         }
     }
 
@@ -303,37 +243,21 @@ impl Registry {
         h
     }
 
-    /// The span statistics registered under `name`, creating them on
-    /// first use.
-    pub fn span_stats(&self, name: &str) -> Arc<SpanStats> {
-        let mut map = lock_recover(&self.spans);
-        if let Some(s) = map.get(name) {
-            return Arc::clone(s);
-        }
-        let s = Arc::new(SpanStats::default());
-        map.insert(name.to_string(), Arc::clone(&s));
-        s
-    }
-
-    /// Folds one completed span into the call-path profile under its
-    /// full `>`-joined path.
-    pub fn record_path(&self, path: &str, dur_ns: u64) {
-        let mut map = lock_recover(&self.profile);
-        let stats = map.entry(path.to_string()).or_default();
+    /// Records one completed span under its full `>`-joined call
+    /// `path`: folds the duration into the profile and appends the
+    /// record to the timeline (or counts it as dropped past
+    /// [`TIMELINE_CAP`]), both under the one span lock.
+    pub fn record_span(&self, path: String, record: SpanRecord) {
+        let mut spans = lock_recover(&self.spans);
+        let stats = spans.profile.entry(path).or_default();
         stats.count += 1;
-        stats.total_ns += dur_ns;
-        stats.min_ns = stats.min_ns.min(dur_ns);
-        stats.max_ns = stats.max_ns.max(dur_ns);
-    }
-
-    /// Appends one completed span to the timeline (or counts it as
-    /// dropped past [`TIMELINE_CAP`]).
-    pub fn record_span(&self, record: SpanRecord) {
-        let mut tl = lock_recover(&self.timeline);
-        if tl.records.len() < TIMELINE_CAP {
-            tl.records.push(record);
+        stats.total_ns += record.dur_ns;
+        stats.min_ns = stats.min_ns.min(record.dur_ns);
+        stats.max_ns = stats.max_ns.max(record.dur_ns);
+        if spans.timeline.len() < TIMELINE_CAP {
+            spans.timeline.push(record);
         } else {
-            tl.dropped += 1;
+            spans.dropped += 1;
         }
     }
 
@@ -347,20 +271,14 @@ impl Registry {
             .iter()
             .map(|(name, h)| h.snapshot(name))
             .collect();
-        let spans = lock_recover(&self.spans)
-            .iter()
-            .map(|(name, s)| s.snapshot(name))
-            .collect();
-        let profile = ProfileEntry::from_paths(lock_recover(&self.profile).iter());
-        let tl = lock_recover(&self.timeline);
+        let spans = lock_recover(&self.spans);
         Snapshot {
             captured_ns: self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64,
             counters,
             histograms,
-            spans,
-            profile,
-            timeline: tl.records.clone(),
-            timeline_dropped: tl.dropped,
+            profile: ProfileEntry::from_paths(spans.profile.iter()),
+            timeline: spans.timeline.clone(),
+            timeline_dropped: spans.dropped,
         }
     }
 }
@@ -407,6 +325,17 @@ pub fn with_registry<T>(reg: Arc<Registry>, f: impl FnOnce() -> T) -> T {
 mod tests {
     use super::*;
 
+    fn record(name: &str, start_ns: u64, dur_ns: u64) -> SpanRecord {
+        SpanRecord {
+            name: name.into(),
+            fields: String::new(),
+            depth: 1,
+            start_ns,
+            dur_ns,
+            tid: 1,
+        }
+    }
+
     #[test]
     fn counters_accumulate_and_are_shared_by_name() {
         let reg = Registry::new();
@@ -419,13 +348,6 @@ mod tests {
 
     #[test]
     fn histogram_buckets_follow_bit_length() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 1);
-        assert_eq!(bucket_of(2), 2);
-        assert_eq!(bucket_of(3), 2);
-        assert_eq!(bucket_of(4), 3);
-        assert_eq!(bucket_of(u64::MAX), 64);
-
         let reg = Registry::new();
         let h = reg.histogram("h");
         for v in [0u64, 1, 2, 3, 1000] {
@@ -437,9 +359,6 @@ mod tests {
         assert_eq!(hs.sum, 1006);
         assert_eq!(hs.min, 0);
         assert_eq!(hs.max, 1000);
-        // Legacy buckets: 0 -> b0, 1 -> b1, {2,3} -> b2, 1000 -> b10 —
-        // the sketch-backed histogram must reconstruct these exactly.
-        assert_eq!(hs.buckets, vec![(0, 1), (1, 1), (2, 2), (10, 1)]);
         assert_eq!(hs.sketch.count(), 5);
     }
 
@@ -489,18 +408,14 @@ mod tests {
     fn timeline_caps_and_reports_drops() {
         let reg = Registry::new();
         for i in 0..(TIMELINE_CAP + 3) {
-            reg.record_span(SpanRecord {
-                name: "x".into(),
-                fields: String::new(),
-                depth: 1,
-                start_ns: i as u64,
-                dur_ns: 1,
-                tid: 1,
-            });
+            reg.record_span("x".into(), record("x", i as u64, 1));
         }
         let snap = reg.snapshot();
         assert_eq!(snap.timeline.len(), TIMELINE_CAP);
         assert_eq!(snap.timeline_dropped, 3);
+        // The profile still counts every close, kept or dropped.
+        let x = snap.profile_path("x").expect("x");
+        assert_eq!(x.count, TIMELINE_CAP as u64 + 3);
     }
 
     #[test]
@@ -521,21 +436,18 @@ mod tests {
         let snap = reg.snapshot();
         assert_eq!(snap.counter("test.panic.before"), 1);
         // Both spans closed during unwinding and were recorded.
-        assert_eq!(snap.span("test.panic.inner").expect("inner").count, 1);
-        assert_eq!(snap.span("test.panic.outer").expect("outer").count, 1);
+        let count = |path: &str| snap.profile_path(path).map(|p| p.count);
+        assert_eq!(count("test.panic.outer>test.panic.inner"), Some(1));
+        assert_eq!(count("test.panic.outer"), Some(1));
         assert_eq!(snap.timeline.len(), 2);
-        assert!(snap
-            .profile
-            .iter()
-            .any(|p| p.path == "test.panic.outer>test.panic.inner"));
     }
 
     #[test]
     fn path_profile_aggregates_by_full_path() {
         let reg = Registry::new();
-        reg.record_path("a>b", 10);
-        reg.record_path("a>b", 30);
-        reg.record_path("a", 50);
+        reg.record_span("a>b".into(), record("b", 0, 10));
+        reg.record_span("a>b".into(), record("b", 10, 30));
+        reg.record_span("a".into(), record("a", 0, 50));
         let snap = reg.snapshot();
         let ab = snap.profile.iter().find(|p| p.path == "a>b").expect("a>b");
         assert_eq!(

@@ -17,10 +17,9 @@
 //!
 //! The bucket index of a value is computed from its exact integer
 //! octave (`63 − leading_zeros`); only the sub-bucket within the octave
-//! uses floating point, clamped to the octave — so the legacy
-//! power-of-two histogram buckets (bit-length bins) are *exactly*
-//! reconstructible from a sketch (see [`Sketch::legacy_pow2_buckets`]),
-//! keeping the pre-2.0 snapshot surface intact.
+//! uses floating point, clamped to the octave — so power-of-two
+//! boundaries are exact and every octave's 32 buckets hold exactly the
+//! values of that bit length.
 
 /// Sub-buckets per power-of-two octave. 32 gives γ = 2^(1/32) and a
 /// worst-case midpoint relative error of 2^(1/64) − 1 ≈ 1.09%.
@@ -41,7 +40,7 @@ pub fn bucket_index(value: u64) -> usize {
     // The octave is exact integer arithmetic; only the fractional
     // sub-bucket position goes through f64, and it is clamped into the
     // octave so boundary rounding can never leak into a neighbour
-    // octave (which would break the legacy-bucket reconstruction).
+    // octave.
     let e = 63 - value.leading_zeros() as usize;
     let mantissa = value as f64 / (1u64 << e) as f64; // in [1, 2)
     let sub = ((mantissa.log2() * SUB_BUCKETS as f64) as usize).min(SUB_BUCKETS - 1);
@@ -235,26 +234,6 @@ impl Sketch {
     pub fn snapshot_quantiles(&self) -> [(&'static str, f64); 5] {
         SNAPSHOT_QUANTILES.map(|(name, q)| (name, self.quantile(q)))
     }
-
-    /// Reconstructs the legacy power-of-two histogram buckets (pre-2.0
-    /// snapshot surface): `(bit_length, count)` pairs where bucket
-    /// `b > 0` counts values in `[2^(b−1), 2^b − 1]` and bucket 0 counts
-    /// exact zeros. Exact because sketch octaves nest inside bit-length
-    /// bins.
-    pub fn legacy_pow2_buckets(&self) -> Vec<(u32, u64)> {
-        let mut out = Vec::new();
-        if self.counts[0] > 0 {
-            out.push((0, self.counts[0]));
-        }
-        for b in 1..=64u32 {
-            let lo = 1 + (b as usize - 1) * SUB_BUCKETS;
-            let c: u64 = self.counts[lo..lo + SUB_BUCKETS].iter().sum();
-            if c > 0 {
-                out.push((b, c));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -325,19 +304,6 @@ mod tests {
         for (_, q) in SNAPSHOT_QUANTILES {
             assert_eq!(merged.quantile(q).to_bits(), single.quantile(q).to_bits());
         }
-    }
-
-    #[test]
-    fn legacy_buckets_match_bit_length_binning() {
-        let mut s = Sketch::new();
-        for v in [0u64, 1, 2, 3, 1000] {
-            s.record(v);
-        }
-        // Same shape the pre-2.0 power-of-two histogram produced.
-        assert_eq!(
-            s.legacy_pow2_buckets(),
-            vec![(0, 1), (1, 1), (2, 2), (10, 1)]
-        );
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! shape-discipline as the bench harness's `BENCH_*.json`) and a compact
 //! human-readable text rendering.
 //!
-//! JSON schema **2.0** (stable compatibility surface — `obs_report`
+//! JSON schema **3.0** (stable compatibility surface — `obs_report`
 //! diffs these files across runs and CI gates on them; see DESIGN.md §7
 //! for the field-by-field contract):
 //!
 //! ```json
 //! {
 //!   "obs": "vapp-obs",
-//!   "schema_version": "2.0",
+//!   "schema_version": "3.0",
 //!   "run": "store",
 //!   "epoch_base": "registry-creation",
 //!   "captured_ns": 48123456,
@@ -18,15 +18,8 @@
 //!   "histograms": {
 //!     "sim.flips.per_draw": {
 //!       "count": 30, "sum": 171, "min": 2, "max": 11,
-//!       "buckets": [[2, 7], [3, 14], [4, 9]],
 //!       "quantiles": {"p50": 5.7, "p90": 9.2, "p95": 10.1, "p99": 11.0, "p999": 11.0},
 //!       "sketch": [[34, 7], [52, 14], [71, 9]]
-//!     }
-//!   },
-//!   "spans": {
-//!     "codec.frame.encode": {
-//!       "count": 48, "total_ns": 81234567,
-//!       "min_ns": 901234, "max_ns": 3456789, "mean_ns": 1692386.8
 //!     }
 //!   },
 //!   "profile": {
@@ -44,12 +37,11 @@
 //!
 //! All `*_ns` timestamps are **offsets from the registry epoch** (its
 //! creation instant — `epoch_base`); `captured_ns` is the snapshot
-//! instant on the same axis. Histogram `buckets` entries are the legacy
-//! `[bit_length, count]` pairs (bucket `b > 0` counts values in
-//! `[2^(b-1), 2^b - 1]`, bucket 0 exact zeros), reconstructed exactly
-//! from the finer `sketch` pairs (`[sketch_bucket_index, count]`, see
-//! [`crate::sketch`]); only non-empty buckets appear in either.
-//! `quantiles` are derived from the sketch at snapshot time.
+//! instant on the same axis. Histogram `sketch` entries are
+//! `[sketch_bucket_index, count]` pairs (see [`crate::sketch`]); only
+//! non-empty buckets appear. `quantiles` are derived from the sketch at
+//! snapshot time. Per-span-name totals are not stored: they are sums
+//! over the `profile` paths that end in that name.
 //!
 //! [`Snapshot::from_json`] rejects documents whose `schema_version`
 //! major differs from [`SCHEMA_MAJOR`] — consumers must never silently
@@ -64,10 +56,10 @@ use crate::registry::SpanRecord;
 use crate::sketch::Sketch;
 
 /// Snapshot JSON schema version written by this crate.
-pub const SCHEMA_VERSION: &str = "2.0";
+pub const SCHEMA_VERSION: &str = "3.0";
 
 /// Major version accepted by [`Snapshot::from_json`].
-pub const SCHEMA_MAJOR: u64 = 2;
+pub const SCHEMA_MAJOR: u64 = 3;
 
 /// Snapshot of one histogram.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -82,8 +74,6 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest recorded value (0 when empty).
     pub max: u64,
-    /// Legacy `(bit_length, count)` pairs for non-empty buckets.
-    pub buckets: Vec<(u32, u64)>,
     /// The full log-bucketed distribution (quantile queries, exact
     /// merging).
     pub sketch: Sketch,
@@ -105,32 +95,6 @@ impl HistogramSnapshot {
     }
 }
 
-/// Snapshot of one span name's aggregate timings.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SpanSnapshot {
-    /// Span name.
-    pub name: String,
-    /// Completed instances.
-    pub count: u64,
-    /// Total wall-clock time across instances, nanoseconds.
-    pub total_ns: u64,
-    /// Fastest instance (0 when empty).
-    pub min_ns: u64,
-    /// Slowest instance (0 when empty).
-    pub max_ns: u64,
-}
-
-impl SpanSnapshot {
-    /// Mean duration per instance, nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.total_ns as f64 / self.count as f64
-        }
-    }
-}
-
 /// A consistent copy of a registry's state.
 #[derive(Clone, Debug, Default)]
 pub struct Snapshot {
@@ -140,8 +104,6 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     /// Histogram snapshots, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Span aggregates, sorted by name.
-    pub spans: Vec<SpanSnapshot>,
     /// The call-path profile, sorted by path (see [`crate::profile`]).
     pub profile: Vec<ProfileEntry>,
     /// Individual completed spans in completion order (bounded; see
@@ -164,11 +126,6 @@ impl Snapshot {
     /// The histogram named `name`, if recorded.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// The span aggregate named `name`, if recorded.
-    pub fn span(&self, name: &str) -> Option<&SpanSnapshot> {
-        self.spans.iter().find(|s| s.name == name)
     }
 
     /// The profile entry for the exact call path, if recorded.
@@ -204,11 +161,6 @@ impl Snapshot {
         out.push_str("  \"histograms\": {");
         for (i, h) in self.histograms.iter().enumerate() {
             let sep = if i == 0 { "\n" } else { ",\n" };
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .map(|(b, c)| format!("[{b}, {c}]"))
-                .collect();
             let quantiles: Vec<String> = h
                 .sketch
                 .snapshot_quantiles()
@@ -222,38 +174,17 @@ impl Snapshot {
                 .collect();
             let _ = write!(
                 out,
-                "{sep}    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [{}], \"quantiles\": {{{}}}, \"sketch\": [{}]}}",
+                "{sep}    \"{}\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"quantiles\": {{{}}}, \"sketch\": [{}]}}",
                 escape(&h.name),
                 h.count,
                 h.sum,
                 h.min,
                 h.max,
-                buckets.join(", "),
                 quantiles.join(", "),
                 sketch.join(", ")
             );
         }
         out.push_str(if self.histograms.is_empty() {
-            "},\n"
-        } else {
-            "\n  },\n"
-        });
-
-        out.push_str("  \"spans\": {");
-        for (i, s) in self.spans.iter().enumerate() {
-            let sep = if i == 0 { "\n" } else { ",\n" };
-            let _ = write!(
-                out,
-                "{sep}    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"min_ns\": {}, \"max_ns\": {}, \"mean_ns\": {}}}",
-                escape(&s.name),
-                s.count,
-                s.total_ns,
-                s.min_ns,
-                s.max_ns,
-                fmt_f64(s.mean_ns())
-            );
-        }
-        out.push_str(if self.spans.is_empty() {
             "},\n"
         } else {
             "\n  },\n"
@@ -369,24 +300,20 @@ impl Snapshot {
                 let sum = need_u64(h, "sum", &ctx)?;
                 let min = need_u64(h, "min", &ctx)?;
                 let max = need_u64(h, "max", &ctx)?;
-                let pairs = |key: &str| -> Result<Vec<(u64, u64)>, String> {
-                    h.get(key)
-                        .and_then(Value::as_arr)
-                        .ok_or_else(|| format!("{ctx}: missing `{key}` array"))?
-                        .iter()
-                        .map(|p| {
-                            let p = p.as_arr().filter(|p| p.len() == 2);
-                            let b = p.and_then(|p| p[0].as_u64());
-                            let c = p.and_then(|p| p[1].as_u64());
-                            b.zip(c)
-                                .ok_or_else(|| format!("{ctx}: malformed `{key}` pair"))
-                        })
-                        .collect()
-                };
-                let sketch_pairs: Vec<(usize, u64)> = pairs("sketch")?
-                    .into_iter()
-                    .map(|(b, c)| (b as usize, c))
-                    .collect();
+                let sketch_pairs = h
+                    .get("sketch")
+                    .and_then(Value::as_arr)
+                    .ok_or_else(|| format!("{ctx}: missing `sketch` array"))?
+                    .iter()
+                    .map(|p| {
+                        let p = p.as_arr().filter(|p| p.len() == 2);
+                        let b = p.and_then(|p| p[0].as_u64());
+                        let c = p.and_then(|p| p[1].as_u64());
+                        b.map(|b| b as usize)
+                            .zip(c)
+                            .ok_or_else(|| format!("{ctx}: malformed `sketch` pair"))
+                    })
+                    .collect::<Result<Vec<_>, String>>()?;
                 let sketch = Sketch::from_parts(&sketch_pairs, count, sum, min, max)
                     .map_err(|e| format!("{ctx}: {e}"))?;
                 snap.histograms.push(HistogramSnapshot {
@@ -395,24 +322,7 @@ impl Snapshot {
                     sum,
                     min,
                     max,
-                    buckets: pairs("buckets")?
-                        .into_iter()
-                        .map(|(b, c)| (b as u32, c))
-                        .collect(),
                     sketch,
-                });
-            }
-        }
-
-        if let Some(spans) = doc.get("spans").and_then(Value::as_obj) {
-            for (name, s) in spans {
-                let ctx = format!("span `{name}`");
-                snap.spans.push(SpanSnapshot {
-                    name: name.clone(),
-                    count: need_u64(s, "count", &ctx)?,
-                    total_ns: need_u64(s, "total_ns", &ctx)?,
-                    min_ns: need_u64(s, "min_ns", &ctx)?,
-                    max_ns: need_u64(s, "max_ns", &ctx)?,
                 });
             }
         }
@@ -457,31 +367,16 @@ impl Snapshot {
     }
 
     /// Renders a compact human-readable summary (the `--stats` output
-    /// and the vapp-check failure context). At most `max_lines` lines;
-    /// the timeline is summarised, not listed.
+    /// and the vapp-check failure context). At most `max_lines` lines:
+    /// the hottest profile paths by self time (at most half the budget,
+    /// see [`crate::profile::render_self_table`]), then counters and
+    /// histograms; the timeline is summarised, not listed.
     pub fn render_text(&self, max_lines: usize) -> String {
-        fn ms(ns: f64) -> String {
-            if ns >= 1e6 {
-                format!("{:.2} ms", ns / 1e6)
-            } else {
-                format!("{:.1} µs", ns / 1e3)
-            }
-        }
-        let mut lines = Vec::new();
-        if !self.spans.is_empty() {
-            lines.push("spans (count, total, mean, min..max):".to_string());
-            for s in &self.spans {
-                lines.push(format!(
-                    "  {:<32} x{:<5} {:>10}  mean {:>10}  [{} .. {}]",
-                    s.name,
-                    s.count,
-                    ms(s.total_ns as f64),
-                    ms(s.mean_ns()),
-                    ms(s.min_ns as f64),
-                    ms(s.max_ns as f64),
-                ));
-            }
-        }
+        let mut lines: Vec<String> =
+            crate::profile::render_self_table(&self.profile, max_lines / 2)
+                .lines()
+                .map(str::to_string)
+                .collect();
         if !self.counters.is_empty() {
             lines.push("counters:".to_string());
             for (name, v) in &self.counters {
@@ -592,15 +487,13 @@ mod tests {
         let h = doc.get("histograms").and_then(|h| h.get("h.i.j")).unwrap();
         assert_eq!(h.get("count").and_then(Value::as_u64), Some(2));
         assert_eq!(h.get("sum").and_then(Value::as_u64), Some(3));
-        let buckets = h.get("buckets").and_then(Value::as_arr).unwrap();
-        assert_eq!(buckets.len(), 2); // zero bucket + bit-length-2 bucket
+        assert!(h.get("buckets").is_none());
         assert!(h.get("quantiles").and_then(|q| q.get("p99")).is_some());
         assert_eq!(
             h.get("sketch").and_then(Value::as_arr).map(<[_]>::len),
             Some(2)
         );
-        let s = doc.get("spans").and_then(|s| s.get("s.p.q")).unwrap();
-        assert_eq!(s.get("count").and_then(Value::as_u64), Some(1));
+        assert!(doc.get("spans").is_none());
         let p = doc.get("profile").and_then(|p| p.get("s.p.q")).unwrap();
         assert_eq!(p.get("count").and_then(Value::as_u64), Some(1));
         let tl = doc.get("timeline").and_then(Value::as_arr).unwrap();
@@ -618,7 +511,6 @@ mod tests {
         assert_eq!(parsed.captured_ns, snap.captured_ns);
         assert_eq!(parsed.counters, snap.counters);
         assert_eq!(parsed.histograms, snap.histograms);
-        assert_eq!(parsed.spans, snap.spans);
         assert_eq!(parsed.profile, snap.profile);
         assert_eq!(parsed.timeline, snap.timeline);
         assert_eq!(parsed.timeline_dropped, snap.timeline_dropped);
@@ -627,25 +519,35 @@ mod tests {
     #[test]
     fn from_json_rejects_unknown_major_versions() {
         let json = sample().to_json("vgate");
-        let future = json.replacen(
-            "\"schema_version\": \"2.0\"",
-            "\"schema_version\": \"3.0\"",
-            1,
-        );
-        let err = Snapshot::from_json(&future).expect_err("major 3 must be rejected");
-        assert!(err.contains("3.0"), "{err}");
+        let with_version = |v: &str| {
+            json.replacen(
+                "\"schema_version\": \"3.0\"",
+                &format!("\"schema_version\": \"{v}\""),
+                1,
+            )
+        };
+        let future = with_version("4.0");
+        let err = Snapshot::from_json(&future).expect_err("major 4 must be rejected");
+        assert!(err.contains("4.0"), "{err}");
+        // Schema 2.0 documents (with per-name spans and legacy buckets)
+        // are rejected too.
+        let err = Snapshot::from_json(&with_version("2.0")).expect_err("major 2 is gone");
+        assert!(err.contains("2.0"), "{err}");
         // Minor bumps within the major are fine.
-        let minor = json.replacen(
-            "\"schema_version\": \"2.0\"",
-            "\"schema_version\": \"2.9\"",
-            1,
-        );
-        assert!(Snapshot::from_json(&minor).is_ok());
-        // Pre-2.0 documents (no version field) are rejected, not guessed at.
-        let legacy = json.replacen("  \"schema_version\": \"2.0\",\n", "", 1);
+        assert!(Snapshot::from_json(&with_version("3.9")).is_ok());
+        // Unversioned documents are rejected, not guessed at.
+        let legacy = json.replacen("  \"schema_version\": \"3.0\",\n", "", 1);
         assert!(Snapshot::from_json(&legacy).is_err());
         assert!(Snapshot::from_json("{\"x\": 1}").is_err());
         assert!(Snapshot::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn from_json_rejects_documents_nested_past_the_depth_cap() {
+        for doc in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            let err = Snapshot::from_json(&doc).expect_err("too deep");
+            assert!(err.contains("nesting deeper"), "{err}");
+        }
     }
 
     #[test]

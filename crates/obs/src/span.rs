@@ -2,9 +2,12 @@
 //!
 //! A [`Span`] is an RAII guard: [`Span::enter`] notes the start instant
 //! and pushes the name onto a thread-local stack (so events and nested
-//! spans know their context); dropping it records the duration into the
-//! current registry's per-name aggregates, the call-path profile
-//! ([`crate::profile`]) and the bounded timeline.
+//! spans know their context); dropping it pops that name back off and
+//! records the duration into the current registry's call-path profile
+//! ([`crate::profile`]) and bounded timeline, under one lock. The stack
+//! holds the only copy of the name, so spans must close in reverse
+//! order of opening on the thread that opened them — which scoped
+//! guards do by construction.
 //!
 //! Spans are deliberately coarse — per frame, per stream, per pipeline
 //! stage — so two `Instant` reads and one registry update per span are
@@ -58,7 +61,20 @@ pub fn current_tid() -> u64 {
 /// (worker path prefix first, then the local stack, outermost first);
 /// empty when no span is active and no prefix is installed.
 pub fn current_path() -> String {
-    current_path_parts().join(">")
+    PATH_PREFIX.with(|prefix| SPAN_STACK.with(|stack| join_path(&prefix.borrow(), &stack.borrow())))
+}
+
+/// `prefix` then `stack`, `>`-joined into one string allocated once.
+fn join_path(prefix: &[String], stack: &[String]) -> String {
+    let parts = prefix.iter().chain(stack);
+    let mut path = String::with_capacity(parts.clone().map(|p| p.len() + 1).sum());
+    for (i, part) in parts.enumerate() {
+        if i > 0 {
+            path.push('>');
+        }
+        path.push_str(part);
+    }
+    path
 }
 
 /// The open-span path as individual segments (prefix + local stack).
@@ -94,7 +110,6 @@ pub fn with_path_prefix<T>(prefix: &[String], f: impl FnOnce() -> T) -> T {
 /// An open span; created by the [`crate::span!`] macro.
 #[derive(Debug)]
 pub struct Span {
-    name: String,
     fields: String,
     start: Instant,
 }
@@ -105,15 +120,9 @@ impl Span {
     pub fn enter(name: &str, fields: String) -> Span {
         SPAN_STACK.with(|stack| stack.borrow_mut().push(name.to_string()));
         Span {
-            name: name.to_string(),
             fields,
             start: Instant::now(),
         }
-    }
-
-    /// The span's name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 }
 
@@ -122,41 +131,40 @@ impl Drop for Span {
         let dur_ns = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         // Depth and full path are taken *before* popping, so both
         // include this span itself (and any worker prefix).
-        let depth = current_depth() as u32;
-        let full_path = current_path();
-        SPAN_STACK.with(|stack| {
-            stack.borrow_mut().pop();
+        let (path, name, depth) = PATH_PREFIX.with(|prefix| {
+            SPAN_STACK.with(|stack| {
+                let prefix = prefix.borrow();
+                let mut stack = stack.borrow_mut();
+                let path = join_path(&prefix, &stack);
+                let depth = (prefix.len() + stack.len()) as u32;
+                (path, stack.pop().unwrap_or_default(), depth)
+            })
         });
         if stderr_enabled(Level::Debug) {
-            let path = current_path();
-            let sep = if path.is_empty() { "" } else { ">" };
             let braces = if self.fields.is_empty() {
                 String::new()
             } else {
                 format!("{{{}}}", self.fields)
             };
-            eprintln!(
-                "[span] {path}{sep}{}{braces} {:.3} ms",
-                self.name,
-                dur_ns as f64 / 1e6
-            );
+            eprintln!("[span] {path}{braces} {:.3} ms", dur_ns as f64 / 1e6);
         }
         let reg = current();
-        reg.span_stats(&self.name).record(dur_ns);
-        reg.record_path(&full_path, dur_ns);
         let start_ns = self
             .start
             .duration_since(reg.epoch())
             .as_nanos()
             .min(u64::MAX as u128) as u64;
-        reg.record_span(SpanRecord {
-            name: std::mem::take(&mut self.name),
-            fields: std::mem::take(&mut self.fields),
-            depth,
-            start_ns,
-            dur_ns,
-            tid: current_tid(),
-        });
+        reg.record_span(
+            path,
+            SpanRecord {
+                name,
+                fields: std::mem::take(&mut self.fields),
+                depth,
+                start_ns,
+                dur_ns,
+                tid: current_tid(),
+            },
+        );
     }
 }
 
@@ -201,7 +209,7 @@ mod tests {
             }
         });
         let snap = reg.snapshot();
-        let s = snap.span("repeat.work.run").expect("recorded");
+        let s = snap.profile_path("repeat.work.run").expect("recorded");
         assert_eq!(s.count, 5);
         assert!(s.min_ns <= s.max_ns);
         assert!(s.total_ns >= s.max_ns);
@@ -225,9 +233,50 @@ mod tests {
             .profile
             .iter()
             .any(|p| p.path == "outer.region.run>unit.work.run" && p.count == 1));
-        // The prefix affects the path and depth, not the aggregate name.
-        assert_eq!(snap.span("unit.work.run").expect("named").count, 1);
+        // The prefix affects the path and depth, not the recorded name.
+        assert_eq!(snap.profile[0].name(), "unit.work.run");
+        assert_eq!(snap.timeline[0].name, "unit.work.run");
         assert_eq!(snap.timeline[0].depth, 2);
+    }
+
+    #[test]
+    fn each_close_makes_one_profile_count_and_one_timeline_record() {
+        let reg = Arc::new(Registry::new());
+        with_registry(reg.clone(), || {
+            let prefix = vec!["caller.region.run".to_string()];
+            with_path_prefix(&prefix, || {
+                for _ in 0..3 {
+                    let _outer = Span::enter("unit.outer.run", String::new());
+                    for _ in 0..2 {
+                        let _inner = Span::enter("unit.inner.run", String::new());
+                    }
+                }
+            });
+        });
+        let snap = reg.snapshot();
+        let outer = "caller.region.run>unit.outer.run";
+        let inner = "caller.region.run>unit.outer.run>unit.inner.run";
+        let paths: Vec<(&str, u64)> = snap
+            .profile
+            .iter()
+            .map(|p| (p.path.as_str(), p.count))
+            .collect();
+        assert_eq!(paths, [(outer, 3), (inner, 6)]);
+        assert_eq!(snap.timeline.len(), 9);
+        assert_eq!(snap.timeline_dropped, 0);
+        for (path, depth) in [(outer, 2), (inner, 3)] {
+            let entry = snap.profile_path(path).expect("recorded");
+            let records: Vec<&SpanRecord> = snap
+                .timeline
+                .iter()
+                .filter(|r| r.name == entry.name())
+                .collect();
+            assert_eq!(records.len() as u64, entry.count, "{path}");
+            assert!(records.iter().all(|r| r.depth == depth), "{path}");
+            // Both stores saw the very same durations.
+            let total: u64 = records.iter().map(|r| r.dur_ns).sum();
+            assert_eq!(total, entry.total_ns, "{path}");
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! **Two files** — an observability drift gate in the spirit of
 //! `bench_compare`: the run at a fixed seed must produce the *same*
-//! counters, histogram distributions, span counts and profile shape
-//! every time. Missing, new or changed **stable** values are hard
+//! counters, histogram distributions and profile (call paths and their
+//! counts) every time. Missing, new or changed **stable** values are hard
 //! failures (exit 1); durations are wall-clock and only gated by a
 //! coarse ratio (`--dur-threshold`, applied when both sides are at
 //! least `--min-dur-ns`). Names under the `par.` namespace or ending in
@@ -118,32 +118,9 @@ fn diff(a: &Snapshot, b: &Snapshot, opts: DiffOpts) -> Vec<String> {
         }
     }
 
-    // Spans: same names and counts; totals gated by the duration ratio.
-    for sa in &a.spans {
-        let Some(sb) = b.span(&sa.name) else {
-            out.push(format!("span `{}` missing from the second run", sa.name));
-            continue;
-        };
-        if sa.count != sb.count {
-            out.push(format!(
-                "span `{}` count changed: {} -> {}",
-                sa.name, sa.count, sb.count
-            ));
-        } else if dur_ratio_exceeded(sa.total_ns, sb.total_ns, opts) {
-            out.push(format!(
-                "span `{}` duration drifted past {:.1}x: {} ns -> {} ns",
-                sa.name, opts.dur_threshold, sa.total_ns, sb.total_ns
-            ));
-        }
-    }
-    for sb in &b.spans {
-        if a.span(&sb.name).is_none() {
-            out.push(format!("span `{}` new in the second run", sb.name));
-        }
-    }
-
     // Profile: same call paths and counts (the tree shape is part of
-    // the determinism contract); durations gated like spans.
+    // the determinism contract; per-name span counts are sums of path
+    // counts); totals gated by the duration ratio.
     for pa in &a.profile {
         let Some(pb) = b.profile_path(&pa.path) else {
             out.push(format!(
@@ -179,11 +156,10 @@ fn render_report(run: &str, snap: &Snapshot, top: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "obs_report: run `{run}` — {} counters, {} histograms, {} spans, {} profile paths \
+        "obs_report: run `{run}` — {} counters, {} histograms, {} profile paths \
          (captured at {:.1} ms)",
         snap.counters.len(),
         snap.histograms.len(),
-        snap.spans.len(),
         snap.profile.len(),
         snap.captured_ns as f64 / 1e6,
     );
@@ -287,10 +263,9 @@ fn run() -> Result<(), String> {
             if findings.is_empty() {
                 println!(
                     "obs_report: `{run_a}` and `{run_b}` agree on all stable observables \
-                     ({} counters, {} histograms, {} spans, {} profile paths)",
+                     ({} counters, {} histograms, {} profile paths)",
                     a.counters.iter().filter(|(n, _)| !is_unstable(n)).count(),
                     a.histograms.len(),
-                    a.spans.len(),
                     a.profile.len(),
                 );
                 Ok(())
@@ -411,12 +386,12 @@ mod tests {
     fn span_count_changes_fail_but_duration_noise_does_not() {
         let a = sample();
         let mut b = a.clone();
-        for s in &mut b.spans {
-            s.total_ns = s.total_ns.wrapping_mul(3) + 5; // < threshold or < min_dur
+        for p in &mut b.profile {
+            p.total_ns = p.total_ns.wrapping_mul(3) + 5; // < threshold or < min_dur
         }
         assert!(diff(&a, &b, DiffOpts::default()).is_empty());
         let mut c = a.clone();
-        c.spans[0].count += 1;
+        c.profile[0].count += 1;
         assert!(diff(&a, &c, DiffOpts::default())
             .iter()
             .any(|f| f.contains("count changed")));
@@ -428,8 +403,8 @@ mod tests {
         let mut b = a.clone();
         // Push both sides over min_dur_ns with a >5x ratio.
         let mut a2 = a.clone();
-        a2.spans[0].total_ns = 2_000_000;
-        b.spans[0].total_ns = 50_000_000;
+        a2.profile[0].total_ns = 2_000_000;
+        b.profile[0].total_ns = 50_000_000;
         let findings = diff(&a2, &b, DiffOpts::default());
         assert!(
             findings.iter().any(|f| f.contains("drifted past")),

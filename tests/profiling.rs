@@ -328,13 +328,16 @@ fn snapshot_schema_gate_holds_for_pipeline_output() {
     let json = reg.snapshot().to_json("gate");
     let (_, parsed) = Snapshot::from_json(&json).expect("own output parses");
     assert_eq!(profile_shape(&parsed), profile_shape(&reg.snapshot()));
-    let future = json.replacen(
-        "\"schema_version\": \"2.0\"",
-        "\"schema_version\": \"9.1\"",
-        1,
-    );
-    assert!(
-        Snapshot::from_json(&future).is_err(),
-        "future majors must be rejected, not misread"
-    );
+    for other in ["9.1", "2.0"] {
+        let doc = json.replacen(
+            "\"schema_version\": \"3.0\"",
+            &format!("\"schema_version\": \"{other}\""),
+            1,
+        );
+        assert_ne!(doc, json);
+        assert!(
+            Snapshot::from_json(&doc).is_err(),
+            "major {other} must be rejected, not misread"
+        );
+    }
 }
