@@ -141,14 +141,6 @@ fn bench_substrate(c: &mut Criterion) {
                 ..BurstConfig::default()
             }),
         ),
-        (
-            "burst_ilbch",
-            burst_erasure(BurstConfig {
-                page_loss: 5e-3,
-                interleaved_bch: true,
-                ..BurstConfig::default()
-            }),
-        ),
     ];
     for (name, sub) in &channels {
         group.bench_function(format!("corrupt_64k_{name}_t6"), |b| {

@@ -42,6 +42,5 @@ pub use pipeline::{ApproxStore, PipelineReport, StoragePolicy};
 pub use pivots::{FramePivots, Pivot, PivotTable};
 pub use streams::{merge_streams, split_streams, ProtectedStreams};
 pub use vapp_storage::channel::{
-    burst_erasure, data_in_video, mlc_pcm, slc, BurstConfig, CorruptTally, Substrate,
-    VideoChannelConfig,
+    burst_erasure, data_in_video, mlc_pcm, BurstConfig, CorruptTally, Substrate, VideoChannelConfig,
 };

@@ -43,7 +43,7 @@ pub struct StoragePolicy {
     /// The error channel the streams are stored on.
     pub substrate: Arc<dyn Substrate>,
     /// Use the exact block machinery instead of an analytic model where
-    /// the substrate offers both (the MLC/SLC i.i.d. channels do).
+    /// the substrate offers both (the MLC i.i.d. channel does).
     pub exact_bch: bool,
 }
 
@@ -229,16 +229,10 @@ impl ApproxStore {
         let meta_cells = density::cells_for(header_bits + pivot_bits, precise_overhead, bpc);
         let total_cells_mlc = payload_cells + meta_cells;
 
-        // The SLC baseline goes through the same trait surface as every
-        // other substrate (1 bit/cell, overhead-free) rather than
-        // hardcoded constants.
-        let slc_baseline = vapp_storage::SlcSubstrate;
+        // The density baseline is precise SLC (paper §7.3): 1 bit/cell,
+        // no error correction.
         let all_bits = payload_bits + header_bits;
-        let cells_slc = density::cells_for(
-            all_bits,
-            Substrate::overhead(&slc_baseline, 0),
-            Substrate::bits_per_cell(&slc_baseline),
-        );
+        let cells_slc = density::cells_for(all_bits, 0.0, 1);
         let cells_ideal = density::cells_for(all_bits, 0.0, bpc);
         let cells_uniform = density::cells_for(payload_bits, precise_overhead, bpc)
             + density::cells_for(header_bits, precise_overhead, bpc);

@@ -553,9 +553,9 @@ mod tests {
     }
 
     /// Burst-shaped error patterns (page-sized runs spread by the block
-    /// interleaving plus i.i.d. background) — the pattern population the
-    /// `BurstErasure` interleaved-BCH realization feeds to `decode_blocks`
-    /// — must decode exactly as the oracle decodes them.
+    /// interleaving plus i.i.d. background) — dense, often overloaded
+    /// patterns far from the sparse i.i.d. population — must decode
+    /// exactly as the oracle decodes them.
     #[test]
     fn burst_patterns_match_scalar_reference() {
         for t in [6usize, 10] {

@@ -1,5 +1,5 @@
-//! Bit-addressed helpers over byte buffers plus the word-backed
-//! [`BitBuf`] (LSB-first within a byte / word).
+//! The word-backed [`BitBuf`] (LSB-first within a word) plus size and
+//! transpose helpers.
 //!
 //! The storage stack moves data around as packed bit vectors: BCH
 //! codewords are not byte multiples (512 data + 10·X parity bits), and MLC
@@ -7,28 +7,6 @@
 //! paths (BCH encode/decode, hamming distances, cell packing) run on
 //! machine words: 64 bits per shift/xor/popcount instead of one bit per
 //! loop iteration.
-
-/// Reads bit `i` (LSB-first within each byte).
-#[inline]
-pub fn get_bit(bytes: &[u8], i: usize) -> bool {
-    (bytes[i / 8] >> (i % 8)) & 1 == 1
-}
-
-/// Sets bit `i` to `v` (LSB-first within each byte).
-#[inline]
-pub fn set_bit(bytes: &mut [u8], i: usize, v: bool) {
-    if v {
-        bytes[i / 8] |= 1 << (i % 8);
-    } else {
-        bytes[i / 8] &= !(1 << (i % 8));
-    }
-}
-
-/// Flips bit `i`.
-#[inline]
-pub fn flip_bit(bytes: &mut [u8], i: usize) {
-    bytes[i / 8] ^= 1 << (i % 8);
-}
 
 /// Number of bytes needed for `bits` bits.
 #[inline]

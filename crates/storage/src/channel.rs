@@ -16,12 +16,16 @@
 //!   plus a background i.i.d. floor. Protected by the in-repo
 //!   Reed–Solomon code over GF(2^10) ([`crate::rs`]) behind a symbol
 //!   interleaver ([`crate::interleave`]), with page-granular *erasure*
-//!   locations handed to the decoder; bit-interleaved BCH is available
-//!   as an alternative realization.
+//!   locations handed to the decoder.
 //! - [`DataInVideo`] — the payload round-trips through our own lossy
 //!   codec at a configurable quant level (`vapp-codec`, all-intra),
 //!   RS-protected. Damage is content-dependent, deterministic, and
 //!   spatially clustered — the opposite of the i.i.d. assumption.
+//!
+//! Each channel has one realization. The two RS channels share one
+//! interleaved decode-and-deliver path and differ only in how they
+//! build each codeword's error pattern: the burst channel draws it
+//! (with erasure locations), the video channel measures it.
 //!
 //! # Determinism contract for implementors
 //!
@@ -43,7 +47,6 @@ use crate::batch::{self, BlockBatch};
 use crate::bch::{Bch, DecodeOutcome, DATA_BITS};
 use crate::bits::BitBuf;
 use crate::interleave::Interleaver;
-use crate::mlc::SlcSubstrate;
 use crate::rs::{Rs, RS_DATA_SYMS, SYM_BITS};
 use crate::uber;
 use vapp_codec::{Encoder, EncoderConfig};
@@ -86,7 +89,7 @@ impl CorruptTally {
 /// [`overhead`](Substrate::overhead), so one importance assignment
 /// transfers across substrates.
 pub trait Substrate: Send + Sync + std::fmt::Debug {
-    /// Short stable identifier (`"mlc"`, `"slc"`, `"burst"`, `"video"`).
+    /// Short stable identifier (`"mlc"`, `"burst"`, `"video"`).
     fn name(&self) -> &'static str;
 
     /// Storage density: payload bits per physical cell.
@@ -117,22 +120,11 @@ pub trait Substrate: Send + Sync + std::fmt::Debug {
         exact: bool,
         seed: u64,
     ) -> CorruptTally;
-
-    /// Block-granular raw-channel damage: corrupts an unprotected
-    /// buffer and returns the number of bit flips delivered.
-    fn corrupt_block(&self, data: &mut [u8], bits: u64, seed: u64) -> u64 {
-        self.corrupt_stream(data, bits, 0, true, seed).flips
-    }
 }
 
 /// Shorthand for the paper's MLC PCM substrate at a given raw BER.
 pub fn mlc_pcm(raw_ber: f64) -> Arc<dyn Substrate> {
     Arc::new(MlcPcm::new(raw_ber))
-}
-
-/// Shorthand for the precise SLC baseline substrate.
-pub fn slc() -> Arc<dyn Substrate> {
-    Arc::new(SlcSubstrate)
 }
 
 /// Shorthand for a [`BurstErasure`] substrate.
@@ -156,18 +148,14 @@ fn flip_stream_bit(bytes: &mut [u8], bit_index: u64) {
     }
 }
 
-/// Analytic i.i.d. block failure probability for strength `t` on
-/// 512-bit data blocks.
-fn iid_block_failure(raw_ber: f64, t: usize) -> f64 {
-    if t == 0 {
-        uber::binomial_tail(DATA_BITS as u64, raw_ber, 0)
-    } else {
-        uber::block_failure_rate(Bch::cached(t), raw_ber)
-    }
+/// Reads one bit of an MSB-first byte stream (the read side of
+/// [`flip_stream_bit`]).
+#[inline]
+fn stream_bit(bytes: &[u8], bit_index: u64) -> bool {
+    (bytes[(bit_index / 8) as usize] >> (7 - bit_index % 8)) & 1 == 1
 }
 
-/// The i.i.d.-flip + BCH corruption engine shared by [`MlcPcm`] and
-/// [`SlcSubstrate`].
+/// The i.i.d.-flip + BCH corruption engine behind [`MlcPcm`].
 ///
 /// This is the pipeline's original `corrupt_stream_bits`, moved here
 /// verbatim (dispatching on `t` instead of `EcScheme`): RNG construction,
@@ -329,12 +317,6 @@ impl MlcPcm {
         );
         MlcPcm { raw_ber }
     }
-
-    /// Derives the raw BER from a calibrated cell model at retention
-    /// time `t_days` (see [`crate::mlc::MlcSubstrate::raw_ber`]).
-    pub fn from_model(model: &crate::mlc::MlcSubstrate, t_days: f64) -> Self {
-        MlcPcm::new(model.raw_ber(t_days))
-    }
 }
 
 impl Substrate for MlcPcm {
@@ -359,7 +341,11 @@ impl Substrate for MlcPcm {
     }
 
     fn block_failure_rate(&self, t: usize) -> f64 {
-        iid_block_failure(self.raw_ber, t)
+        if t == 0 {
+            uber::binomial_tail(DATA_BITS as u64, self.raw_ber, 0)
+        } else {
+            uber::block_failure_rate(Bch::cached(t), self.raw_ber)
+        }
     }
 
     fn corrupt_stream(
@@ -375,44 +361,110 @@ impl Substrate for MlcPcm {
     }
 }
 
-/// The SLC baseline goes through the same trait surface, so density
-/// comparisons (fig11) need no special-casing: 1 bit/cell at an
-/// effectively error-free rate, same i.i.d. engine if ever corrupted.
-impl Substrate for SlcSubstrate {
-    fn name(&self) -> &'static str {
-        "slc"
-    }
+/// The symbol-interleaved Reed–Solomon layout of one protection stream,
+/// shared by the RS-protected channels ([`BurstErasure`] and
+/// [`DataInVideo`]).
+///
+/// The stream's `bits` split into 10-bit MSB-first data symbols,
+/// [`RS_DATA_SYMS`] per codeword; every codeword of the stream
+/// interleaves column-major over the physical medium. A codeword is
+/// `[parity; p] ++ [data; k]`, so symbol `j >= p` of codeword `c` is
+/// stream data symbol `c * k + j - p`.
+struct RsStream {
+    code: &'static Rs,
+    bits: u64,
+    total_syms: usize,
+    cws: usize,
+    il: Interleaver,
+}
 
-    fn bits_per_cell(&self) -> u32 {
-        SlcSubstrate::bits_per_cell(self)
-    }
-
-    fn raw_ber(&self) -> f64 {
-        SlcSubstrate::raw_ber(self)
-    }
-
-    fn overhead(&self, t: usize) -> f64 {
-        if t == 0 {
-            0.0
-        } else {
-            Bch::cached(t).overhead()
+impl RsStream {
+    fn new(bits: u64, t: usize) -> Self {
+        let code = Rs::cached(t);
+        let total_syms = (bits as usize).div_ceil(SYM_BITS);
+        let cws = total_syms.div_ceil(RS_DATA_SYMS).max(1);
+        let il = Interleaver::new(cws, cws * code.codeword_syms());
+        RsStream {
+            code,
+            bits,
+            total_syms,
+            cws,
+            il,
         }
     }
 
-    fn block_failure_rate(&self, t: usize) -> f64 {
-        iid_block_failure(SlcSubstrate::raw_ber(self), t)
+    /// Symbols on the physical medium: every codeword, parity included.
+    fn phys_syms(&self) -> usize {
+        self.il.len()
     }
 
-    fn corrupt_stream(
+    /// `(codeword, symbol)` stored at physical symbol `phys`.
+    fn locate(&self, phys: usize) -> (usize, usize) {
+        let l = self.il.inverse(phys);
+        let n = self.code.codeword_syms();
+        (l / n, l % n)
+    }
+
+    /// Stream data symbol `gs`; bits past the stream read as zero.
+    fn data_sym(&self, data: &[u8], gs: usize) -> u16 {
+        (0..SYM_BITS).fold(0u16, |v, b| {
+            let pos = (gs * SYM_BITS + b) as u64;
+            (v << 1) | (pos < self.bits && stream_bit(data, pos)) as u16
+        })
+    }
+
+    /// Decodes each codeword's error pattern and delivers the damage of
+    /// the uncorrectable ones to the stream. `erasures[c]` lists the
+    /// erased symbols of codeword `c`; a channel without erasure
+    /// knowledge passes an empty slice. Syndromes are linear, so
+    /// decoding the bare pattern gives the outcome of decoding the
+    /// damaged codeword, and an uncorrectable codeword reads back with
+    /// its pattern still applied: data-symbol damage reaches the stream,
+    /// parity and padding damage does not.
+    fn decode_and_deliver(
         &self,
         data: &mut [u8],
-        bits: u64,
-        t: usize,
-        exact: bool,
-        seed: u64,
+        mut patterns: Vec<Vec<u16>>,
+        erasures: &[Vec<usize>],
     ) -> CorruptTally {
-        vapp_obs::counter!("storage.substrate.streams", 1);
-        corrupt_iid_bch(data, bits, t, exact, SlcSubstrate::raw_ber(self), seed)
+        let mut tally = CorruptTally::default();
+        let p = self.code.parity_syms();
+        vapp_obs::counter!("storage.substrate.rs.codewords", self.cws as u64);
+        for (c, pattern) in patterns.iter_mut().enumerate() {
+            tally.flips += pattern.iter().map(|&v| v.count_ones() as u64).sum::<u64>();
+            let eras = erasures.get(c).map_or(&[][..], Vec::as_slice);
+            if eras.is_empty() && pattern.iter().all(|&v| v == 0) {
+                tally.clean += 1;
+                continue;
+            }
+            match self.code.decode(pattern, eras) {
+                // Clean despite damage means the erased symbols' garbage
+                // matched the original (zero pattern): nothing to deliver.
+                DecodeOutcome::Clean | DecodeOutcome::Corrected(_) => tally.corrected += 1,
+                DecodeOutcome::Uncorrectable => {
+                    tally.uncorrectable += 1;
+                    for (j, &v) in pattern.iter().enumerate().skip(p) {
+                        let gs = c * RS_DATA_SYMS + (j - p);
+                        if v == 0 || gs >= self.total_syms {
+                            continue;
+                        }
+                        for b in 0..SYM_BITS {
+                            let pos = (gs * SYM_BITS + b) as u64;
+                            if (v >> (SYM_BITS - 1 - b)) & 1 == 1 && pos < self.bits {
+                                flip_stream_bit(data, pos);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let reg = vapp_obs::current();
+        reg.counter("storage.substrate.rs.clean").add(tally.clean);
+        reg.counter("storage.substrate.rs.corrected")
+            .add(tally.corrected);
+        reg.counter("storage.substrate.rs.uncorrectable")
+            .add(tally.uncorrectable);
+        tally
     }
 }
 
@@ -427,12 +479,6 @@ pub struct BurstConfig {
     pub burst_pages: u64,
     /// Background independent bit error rate on top of page loss.
     pub iid_ber: f64,
-    /// Interleave depth (codewords per interleave group) for the
-    /// interleaved-BCH realization.
-    pub depth: usize,
-    /// Realize protection as bit-interleaved BCH instead of the default
-    /// symbol-interleaved Reed–Solomon.
-    pub interleaved_bch: bool,
     /// Cell density of the underlying medium.
     pub bits_per_cell: u32,
 }
@@ -444,8 +490,6 @@ impl Default for BurstConfig {
             page_loss: 1e-3,
             burst_pages: 4,
             iid_ber: 1e-5,
-            depth: 64,
-            interleaved_bch: false,
             bits_per_cell: 3,
         }
     }
@@ -454,9 +498,9 @@ impl Default for BurstConfig {
 /// Bursty page-loss substrate: loss events wipe `burst_pages`
 /// consecutive pages (their bits read back as garbage — each flips with
 /// probability 1/2) and an i.i.d. floor runs underneath. Loss locations
-/// are *known* (a dead page announces itself), so the default RS
-/// realization decodes them as erasures — worth 2× the correction
-/// budget of an unknown error.
+/// are *known* (a dead page announces itself), so the RS realization
+/// decodes them as erasures — worth 2× the correction budget of an
+/// unknown error.
 #[derive(Clone, Debug)]
 pub struct BurstErasure {
     cfg: BurstConfig,
@@ -472,7 +516,6 @@ impl BurstErasure {
         assert!((0.0..=1.0).contains(&cfg.page_loss), "page_loss range");
         assert!((0.0..=1.0).contains(&cfg.iid_ber), "iid_ber range");
         assert!(cfg.page_bits > 0 && cfg.burst_pages > 0, "page geometry");
-        assert!(cfg.depth > 0, "interleave depth");
         BurstErasure { cfg }
     }
 
@@ -530,20 +573,12 @@ impl BurstErasure {
         tally
     }
 
-    /// RS realization: symbol-interleave all codewords of the stream
-    /// column-major, draw page losses over the interleaved physical
-    /// space, decode each codeword's *error pattern* with the lost
-    /// symbols as erasures.
+    /// RS realization: draw page losses over the interleaved physical
+    /// space of the stream's codewords ([`RsStream`]) and decode each
+    /// codeword's *error pattern* with the lost symbols as erasures.
     fn corrupt_rs(&self, data: &mut [u8], bits: u64, t: usize, seed: u64) -> CorruptTally {
-        let mut tally = CorruptTally::default();
-        let code = Rs::cached(t);
-        let k = RS_DATA_SYMS;
-        let p = code.parity_syms();
-        let n = code.codeword_syms();
-        let total_syms = (bits as usize).div_ceil(SYM_BITS);
-        let cws = total_syms.div_ceil(k).max(1);
-        let phys_syms = cws * n;
-        let il = Interleaver::new(cws, phys_syms);
+        let rs = RsStream::new(bits, t);
+        let phys_syms = rs.phys_syms();
         let phys_bits = (phys_syms * SYM_BITS) as u64;
 
         let seeds = derive_subseeds(seed, 3);
@@ -565,157 +600,23 @@ impl BurstErasure {
         // garbage; garbage XOR original is uniform, so drawing the
         // pattern value directly is distribution-exact and needs no
         // content. Values draw in ascending physical order.
-        let mut patterns: Vec<Vec<u16>> = vec![vec![0u16; n]; cws];
-        let mut erasures: Vec<Vec<usize>> = vec![Vec::new(); cws];
+        let mut patterns = vec![vec![0u16; rs.code.codeword_syms()]; rs.cws];
+        let mut erasures: Vec<Vec<usize>> = vec![Vec::new(); rs.cws];
         let mut garble = StdRng::seed_from_u64(seeds[1]);
         for (phys, flag) in erased.iter().enumerate() {
             if !flag {
                 continue;
             }
-            let l = il.inverse(phys);
-            patterns[l / n][l % n] = garble.random::<u16>() & 0x3FF;
-            erasures[l / n].push(l % n);
+            let (c, j) = rs.locate(phys);
+            patterns[c][j] = garble.random::<u16>() & 0x3FF;
+            erasures[c].push(j);
         }
         let mut iid = StdRng::seed_from_u64(seeds[2]);
         for pos in pick_positions(&[0..phys_bits], self.cfg.iid_ber, &mut iid) {
-            let l = il.inverse((pos as usize) / SYM_BITS);
-            patterns[l / n][l % n] ^= 1 << (SYM_BITS - 1 - (pos as usize) % SYM_BITS);
+            let (c, j) = rs.locate((pos as usize) / SYM_BITS);
+            patterns[c][j] ^= 1 << (SYM_BITS - 1 - (pos as usize) % SYM_BITS);
         }
-        for pat in &patterns {
-            tally.flips += pat.iter().map(|&v| v.count_ones() as u64).sum::<u64>();
-        }
-
-        vapp_obs::counter!("storage.substrate.rs.codewords", cws as u64);
-        for (c, (pattern, eras)) in patterns.iter_mut().zip(&erasures).enumerate() {
-            if eras.is_empty() && pattern.iter().all(|&v| v == 0) {
-                tally.clean += 1;
-                continue;
-            }
-            match code.decode(pattern, eras) {
-                // Clean despite damage means the garbage matched the
-                // original (zero pattern): nothing to deliver.
-                DecodeOutcome::Clean | DecodeOutcome::Corrected(_) => tally.corrected += 1,
-                DecodeOutcome::Uncorrectable => {
-                    tally.uncorrectable += 1;
-                    // Deliver the pattern to the live data symbols
-                    // (positions p..n hold data; parity and padding
-                    // damage never reaches the stream).
-                    for (j, &v) in pattern.iter().enumerate().skip(p) {
-                        if v == 0 {
-                            continue;
-                        }
-                        let gs = c * k + (j - p);
-                        if gs >= total_syms {
-                            continue;
-                        }
-                        for b in 0..SYM_BITS {
-                            if (v >> (SYM_BITS - 1 - b)) & 1 == 1 {
-                                let pos = (gs * SYM_BITS + b) as u64;
-                                if pos < bits {
-                                    flip_stream_bit(data, pos);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let reg = vapp_obs::current();
-        reg.counter("storage.substrate.rs.clean").add(tally.clean);
-        reg.counter("storage.substrate.rs.corrected")
-            .add(tally.corrected);
-        reg.counter("storage.substrate.rs.uncorrectable")
-            .add(tally.uncorrectable);
-        tally
-    }
-
-    /// Interleaved-BCH realization: codewords bit-interleave in groups
-    /// of `depth`; lost pages become unknown-location bit flips (no
-    /// erasure knowledge for BCH), decoded on the batch engine.
-    fn corrupt_interleaved_bch(
-        &self,
-        data: &mut [u8],
-        bits: u64,
-        t: usize,
-        seed: u64,
-    ) -> CorruptTally {
-        let mut tally = CorruptTally::default();
-        let code = Bch::cached(t);
-        let nb = code.codeword_bits();
-        let blocks = bits.div_ceil(DATA_BITS as u64) as usize;
-        let d = self.cfg.depth.min(blocks);
-        let groups = blocks.div_ceil(d);
-        let tail = blocks - (groups - 1) * d;
-        let full_bits = d * nb;
-        let phys_bits = (blocks * nb) as u64;
-        let il_full = Interleaver::new(d, full_bits);
-        let il_tail = Interleaver::new(tail, tail * nb);
-
-        // physical bit -> (block, codeword bit)
-        let locate = |pos: u64| -> (usize, usize) {
-            let g = ((pos as usize) / full_bits).min(groups - 1);
-            let local = pos as usize - g * full_bits;
-            let il = if g == groups - 1 { &il_tail } else { &il_full };
-            let l = il.inverse(local);
-            (g * d + l / nb, l % nb)
-        };
-
-        let seeds = derive_subseeds(seed, 3);
-        let n_pages = phys_bits.div_ceil(self.cfg.page_bits);
-        let lost = self.draw_lost_pages(n_pages, &mut StdRng::seed_from_u64(seeds[0]));
-        vapp_obs::counter!("storage.substrate.burst.pages_lost", lost.len() as u64);
-
-        let mut patterns: Vec<BitBuf> = (0..blocks).map(|_| BitBuf::zeroed(nb)).collect();
-        let mut garble = StdRng::seed_from_u64(seeds[1]);
-        for &page in &lost {
-            let start = page * self.cfg.page_bits;
-            let end = (start + self.cfg.page_bits).min(phys_bits);
-            for pos in start..end {
-                if garble.random_bool(0.5) {
-                    let (block, bit) = locate(pos);
-                    patterns[block].flip(bit);
-                }
-            }
-        }
-        let mut iid = StdRng::seed_from_u64(seeds[2]);
-        for pos in pick_positions(&[0..phys_bits], self.cfg.iid_ber, &mut iid) {
-            let (block, bit) = locate(pos);
-            patterns[block].flip(bit);
-        }
-        for pat in &patterns {
-            tally.flips += pat.count_ones() as u64;
-        }
-
-        // Decode only the dirty patterns, batched (the engine's
-        // equivalence to the scalar oracle on burst patterns is
-        // property-pinned in `batch.rs`).
-        let mut dirty_idx: Vec<usize> = Vec::new();
-        let mut dirty: Vec<BitBuf> = Vec::new();
-        for (i, pat) in patterns.iter().enumerate() {
-            if pat.count_ones() == 0 {
-                tally.clean += 1;
-            } else {
-                dirty_idx.push(i);
-                dirty.push(pat.clone());
-            }
-        }
-        let outcomes = code.decode_blocks(&mut dirty);
-        for (&block, outcome) in dirty_idx.iter().zip(&outcomes) {
-            match outcome {
-                DecodeOutcome::Clean => tally.clean += 1,
-                DecodeOutcome::Corrected(_) => tally.corrected += 1,
-                DecodeOutcome::Uncorrectable => {
-                    tally.uncorrectable += 1;
-                    let start = block as u64 * DATA_BITS as u64;
-                    for f in patterns[block].iter_ones() {
-                        if f < DATA_BITS && start + (f as u64) < bits {
-                            flip_stream_bit(data, start + f as u64);
-                        }
-                    }
-                }
-            }
-        }
-        tally
+        rs.decode_and_deliver(data, patterns, &erasures)
     }
 }
 
@@ -735,8 +636,6 @@ impl Substrate for BurstErasure {
     fn overhead(&self, t: usize) -> f64 {
         if t == 0 {
             0.0
-        } else if self.cfg.interleaved_bch {
-            Bch::cached(t).overhead()
         } else {
             Rs::cached(t).overhead()
         }
@@ -747,10 +646,6 @@ impl Substrate for BurstErasure {
         // interleaving, one codeword's units are nearly independent.
         if t == 0 {
             return uber::binomial_tail(DATA_BITS as u64, self.raw_ber(), 0);
-        }
-        if self.cfg.interleaved_bch {
-            let code = Bch::cached(t);
-            return uber::binomial_tail(code.codeword_bits() as u64, self.raw_ber(), t as u64);
         }
         let code = Rs::cached(t);
         let p_erase = self.page_marginal();
@@ -778,8 +673,6 @@ impl Substrate for BurstErasure {
         }
         if t == 0 {
             self.corrupt_raw(data, bits, seed)
-        } else if self.cfg.interleaved_bch {
-            self.corrupt_interleaved_bch(data, bits, t, seed)
         } else {
             self.corrupt_rs(data, bits, t, seed)
         }
@@ -839,10 +732,14 @@ impl DataInVideo {
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate geometry (cell must divide both frame
-    /// dimensions) or inverted luma levels.
+    /// Panics on a degenerate geometry (frame dimensions must be
+    /// nonzero and the cell must divide both) or inverted luma levels.
     pub fn new(cfg: VideoChannelConfig) -> Self {
         assert!(cfg.cell > 0, "cell size");
+        assert!(
+            cfg.frame_width > 0 && cfg.frame_height > 0,
+            "frame dimensions"
+        );
         assert!(
             cfg.frame_width.is_multiple_of(cfg.cell) && cfg.frame_height.is_multiple_of(cfg.cell),
             "cell must tile the frame"
@@ -929,21 +826,6 @@ impl DataInVideo {
     }
 }
 
-/// Reads data symbol `gs` (10 bits, MSB-first) from a protection stream.
-fn read_stream_sym(data: &[u8], bits: u64, gs: usize) -> u16 {
-    let mut v = 0u16;
-    for b in 0..SYM_BITS {
-        let pos = (gs * SYM_BITS + b) as u64;
-        let bit = if pos < bits {
-            (data[(pos / 8) as usize] >> (7 - pos % 8)) & 1
-        } else {
-            0
-        };
-        v = (v << 1) | bit as u16;
-    }
-    v
-}
-
 impl Substrate for DataInVideo {
     fn name(&self) -> &'static str {
         "video"
@@ -1000,17 +882,15 @@ impl Substrate for DataInVideo {
         _seed: u64,
     ) -> CorruptTally {
         vapp_obs::counter!("storage.substrate.streams", 1);
-        let mut tally = CorruptTally::default();
         if bits == 0 {
-            return tally;
+            return CorruptTally::default();
         }
         if t == 0 {
+            let mut tally = CorruptTally::default();
             // Unprotected: the data bits are the carrier payload.
             let mut carrier = BitBuf::zeroed(bits as usize);
             for pos in 0..bits as usize {
-                if (data[pos / 8] >> (7 - pos % 8)) & 1 == 1 {
-                    carrier.set(pos, true);
-                }
+                carrier.set(pos, stream_bit(data, pos as u64));
             }
             let back = self.roundtrip(&carrier);
             for pos in 0..bits as usize {
@@ -1023,96 +903,38 @@ impl Substrate for DataInVideo {
         }
         // RS-protected: materialize real codewords (transcode damage
         // depends on content, so — unlike the i.i.d. channels — the
-        // pattern trick alone cannot model it), interleave symbols
-        // column-major, round-trip, decode the read-back difference.
-        let code = Rs::cached(t);
-        let k = RS_DATA_SYMS;
-        let p = code.parity_syms();
-        let n = code.codeword_syms();
-        let total_syms = (bits as usize).div_ceil(SYM_BITS);
-        let cws = total_syms.div_ceil(k).max(1);
-        let phys_syms = cws * n;
-        let il = Interleaver::new(cws, phys_syms);
-
-        let cwords: Vec<Vec<u16>> = (0..cws)
+        // pattern trick alone cannot model it), interleave symbols,
+        // round-trip, decode the read-back difference.
+        let rs = RsStream::new(bits, t);
+        let phys_syms = rs.phys_syms();
+        let cwords: Vec<Vec<u16>> = (0..rs.cws)
             .map(|c| {
-                let mut d = vec![0u16; k];
-                for (i, sym) in d.iter_mut().enumerate() {
-                    let gs = c * k + i;
-                    if gs < total_syms {
-                        *sym = read_stream_sym(data, bits, gs);
-                    }
-                }
-                code.encode(&d)
+                let d: Vec<u16> = (0..RS_DATA_SYMS)
+                    .map(|i| rs.data_sym(data, c * RS_DATA_SYMS + i))
+                    .collect();
+                rs.code.encode(&d)
             })
             .collect();
 
         let mut carrier = BitBuf::zeroed(phys_syms * SYM_BITS);
         for phys in 0..phys_syms {
-            let l = il.inverse(phys);
-            let v = cwords[l / n][l % n];
+            let (c, j) = rs.locate(phys);
+            let v = cwords[c][j];
             for b in 0..SYM_BITS {
-                if (v >> (SYM_BITS - 1 - b)) & 1 == 1 {
-                    carrier.set(phys * SYM_BITS + b, true);
-                }
+                carrier.set(phys * SYM_BITS + b, (v >> (SYM_BITS - 1 - b)) & 1 == 1);
             }
         }
         let back = self.roundtrip(&carrier);
-        tally.flips = carrier.hamming_distance(&back) as u64;
 
-        // Received-minus-sent error patterns, de-interleaved.
-        let mut patterns: Vec<Vec<u16>> = vec![vec![0u16; n]; cws];
+        // Received-minus-sent error patterns, de-interleaved: each
+        // read-back symbol XORs into the codeword symbol that was sent.
+        let mut patterns = cwords;
         for phys in 0..phys_syms {
-            let mut diff = 0u16;
-            for b in 0..SYM_BITS {
-                let pos = phys * SYM_BITS + b;
-                if carrier.get(pos) != back.get(pos) {
-                    diff |= 1 << (SYM_BITS - 1 - b);
-                }
-            }
-            if diff != 0 {
-                let l = il.inverse(phys);
-                patterns[l / n][l % n] = diff;
-            }
+            let (c, j) = rs.locate(phys);
+            patterns[c][j] ^=
+                (0..SYM_BITS).fold(0u16, |v, b| (v << 1) | back.get(phys * SYM_BITS + b) as u16);
         }
-
-        vapp_obs::counter!("storage.substrate.rs.codewords", cws as u64);
-        for (c, pattern) in patterns.iter_mut().enumerate() {
-            if pattern.iter().all(|&v| v == 0) {
-                tally.clean += 1;
-                continue;
-            }
-            match code.decode(pattern, &[]) {
-                DecodeOutcome::Clean | DecodeOutcome::Corrected(_) => tally.corrected += 1,
-                DecodeOutcome::Uncorrectable => {
-                    tally.uncorrectable += 1;
-                    for (j, &v) in pattern.iter().enumerate().skip(p) {
-                        if v == 0 {
-                            continue;
-                        }
-                        let gs = c * k + (j - p);
-                        if gs >= total_syms {
-                            continue;
-                        }
-                        for b in 0..SYM_BITS {
-                            if (v >> (SYM_BITS - 1 - b)) & 1 == 1 {
-                                let pos = (gs * SYM_BITS + b) as u64;
-                                if pos < bits {
-                                    flip_stream_bit(data, pos);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        let reg = vapp_obs::current();
-        reg.counter("storage.substrate.rs.clean").add(tally.clean);
-        reg.counter("storage.substrate.rs.corrected")
-            .add(tally.corrected);
-        reg.counter("storage.substrate.rs.uncorrectable")
-            .add(tally.uncorrectable);
-        tally
+        rs.decode_and_deliver(data, patterns, &[])
     }
 }
 
@@ -1177,27 +999,6 @@ mod tests {
     }
 
     #[test]
-    fn burst_interleaved_bch_runs_and_is_deterministic() {
-        let sub = BurstErasure::new(BurstConfig {
-            page_loss: 0.01,
-            interleaved_bch: true,
-            depth: 16,
-            ..BurstConfig::default()
-        });
-        let bits = 30_000u64;
-        let mut a = pattern_bytes(3750, 4);
-        let mut b = a.clone();
-        let ta = sub.corrupt_stream(&mut a, bits, 6, true, 11);
-        let tb = sub.corrupt_stream(&mut b, bits, 6, true, 11);
-        assert_eq!(a, b);
-        assert_eq!(ta, tb);
-        assert_eq!(
-            ta.clean + ta.corrected + ta.uncorrectable,
-            bits.div_ceil(DATA_BITS as u64)
-        );
-    }
-
-    #[test]
     fn video_roundtrip_flips_some_bits_at_high_crf() {
         let sub = DataInVideo::new(VideoChannelConfig {
             frame_width: 64,
@@ -1230,9 +1031,18 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "frame dimensions")]
+    fn video_rejects_zero_frame_dimensions() {
+        DataInVideo::new(VideoChannelConfig {
+            frame_width: 0,
+            ..VideoChannelConfig::default()
+        });
+    }
+
+    #[test]
     fn substrate_objects_are_usable_behind_arc_dyn() {
         let subs: Vec<Arc<dyn Substrate>> =
-            vec![mlc_pcm(1e-3), slc(), burst_erasure(BurstConfig::default())];
+            vec![mlc_pcm(1e-3), burst_erasure(BurstConfig::default())];
         for s in subs {
             assert!(s.bits_per_cell() >= 1);
             assert!(s.overhead(6) > 0.0);

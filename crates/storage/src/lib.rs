@@ -14,8 +14,8 @@
 //! * [`interleave`] — row/column block interleaver spreading bursts
 //!   across codewords,
 //! * [`channel`] — the [`channel::Substrate`] trait making the error
-//!   channel pluggable: MLC PCM (i.i.d.), burst page-erasure, and
-//!   data-stored-as-video,
+//!   channel pluggable: MLC PCM (i.i.d., BCH), burst page-erasure and
+//!   data-stored-as-video (both on one interleaved-RS decode path),
 //! * [`uber`] — binomial-tail math for uncorrectable error rates,
 //! * [`bank`] — a fixed-capacity block bank (one shard of the archive
 //!   layer): pristine writes, substrate-decoded reads,
@@ -59,9 +59,9 @@ pub use bank::{Bank, BLOCK_BYTES};
 pub use bch::{Bch, DecodeOutcome, DATA_BITS};
 pub use bits::BitBuf;
 pub use channel::{
-    burst_erasure, data_in_video, mlc_pcm, slc, BurstConfig, BurstErasure, CorruptTally,
-    DataInVideo, MlcPcm, Substrate, VideoChannelConfig,
+    burst_erasure, data_in_video, mlc_pcm, BurstConfig, BurstErasure, CorruptTally, DataInVideo,
+    MlcPcm, Substrate, VideoChannelConfig,
 };
 pub use interleave::Interleaver;
-pub use mlc::{MlcConfig, MlcSubstrate, SlcSubstrate, DEFAULT_SCRUB_DAYS, TARGET_RAW_BER};
+pub use mlc::{MlcConfig, MlcSubstrate, DEFAULT_SCRUB_DAYS, TARGET_RAW_BER};
 pub use rs::Rs;

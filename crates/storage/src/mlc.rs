@@ -328,23 +328,6 @@ fn gaussian(rng: &mut StdRng) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// A precise single-level-cell substrate for the density baseline
-/// (paper §7.3 compares against SLC with no error correction).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SlcSubstrate;
-
-impl SlcSubstrate {
-    /// Bits per cell.
-    pub fn bits_per_cell(&self) -> u32 {
-        1
-    }
-
-    /// The precise-storage error rate (effectively error-free).
-    pub fn raw_ber(&self) -> f64 {
-        1e-16
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,12 +446,5 @@ mod tests {
                 .collect();
             assert_eq!(batch, per_cell, "t_days={t_days}");
         }
-    }
-
-    #[test]
-    fn slc_is_precise_and_single_bit() {
-        let slc = SlcSubstrate;
-        assert_eq!(slc.bits_per_cell(), 1);
-        assert!(slc.raw_ber() <= 1e-15);
     }
 }

@@ -124,8 +124,6 @@ fn burst_substrate_is_seed_pure_across_instances() {
         let cfg = BurstConfig {
             page_loss: 0.01,
             burst_pages: rng.random_range(1..6u64),
-            depth: rng.random_range(1..40usize),
-            interleaved_bch: rng.random_bool(0.5),
             ..BurstConfig::default()
         };
         let bits = rng.random_range(1..60_000u64);
