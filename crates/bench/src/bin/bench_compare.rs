@@ -21,40 +21,13 @@
 //! uniform machine-speed differences.
 
 use std::process::ExitCode;
-use vapp_obs::json::Value;
+use vapp_bench::harness::load_medians;
 
 struct Row {
     name: String,
     base_ns: f64,
     cur_ns: f64,
     ratio: f64,
-}
-
-fn load_medians(path: &str) -> Result<Vec<(String, f64)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let v = Value::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let results = v
-        .get("results")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("{path}: no `results` array"))?;
-    let mut out = Vec::new();
-    for r in results {
-        let name = r
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{path}: result without `name`"))?;
-        let median = r
-            .get("median_ns")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{path}: `{name}` without `median_ns`"))?;
-        if median > 0.0 {
-            out.push((name.to_string(), median));
-        }
-    }
-    if out.is_empty() {
-        return Err(format!("{path}: no usable results"));
-    }
-    Ok(out)
 }
 
 fn median(values: &mut [f64]) -> f64 {
@@ -297,16 +270,5 @@ mod tests {
         let base = vec![("a".to_string(), 100.0)];
         let cur = vec![("a".to_string(), 100.0), ("brand_new".to_string(), 1e9)];
         assert!(!compare(&base, &cur, 0.25, &[]).expect("new bench is not gated"));
-    }
-
-    #[test]
-    fn medians_load_and_reject_garbage() {
-        let dir = std::env::temp_dir().join("vapp-bench-compare-test-3");
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let good = write_bench(&dir, "good.json", &[("x", 10.0)]);
-        assert_eq!(load_medians(&good).expect("good"), vec![("x".into(), 10.0)]);
-        let bad = dir.join("bad.json");
-        std::fs::write(&bad, "not json").expect("write");
-        assert!(load_medians(&bad.to_string_lossy()).is_err());
     }
 }

@@ -24,7 +24,7 @@
 //! (used by the tests; CI relies on detection).
 
 use std::process::ExitCode;
-use vapp_obs::json::Value;
+use vapp_bench::harness::load_medians;
 use vapp_obs::Snapshot;
 
 /// One worker's utilization, read from the `par.worker.<w>.*` counters.
@@ -88,28 +88,6 @@ fn render_utilization(utils: &[WorkerUtil]) -> String {
         );
     }
     out
-}
-
-fn load_medians(path: &str) -> Result<Vec<(String, f64)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let v = Value::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let results = v
-        .get("results")
-        .and_then(Value::as_arr)
-        .ok_or_else(|| format!("{path}: no `results` array"))?;
-    let mut out = Vec::new();
-    for r in results {
-        let name = r
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{path}: result without `name`"))?;
-        let median = r
-            .get("median_ns")
-            .and_then(Value::as_f64)
-            .ok_or_else(|| format!("{path}: `{name}` without `median_ns`"))?;
-        out.push((name.to_string(), median));
-    }
-    Ok(out)
 }
 
 /// How the scaling assertion resolved.

@@ -44,6 +44,7 @@
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
+use vapp_obs::json::{escape, fmt_f64, Value};
 
 /// Top-level harness state: where results go.
 pub struct Criterion {
@@ -300,55 +301,29 @@ fn report_line(group: &str, s: &BenchStats) {
     );
 }
 
-/// Minimal JSON string escaping (names are ASCII identifiers in
-/// practice, but stay correct anyway).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
 fn render_json(group: &str, results: &[BenchStats]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    out.push_str(&format!("  \"group\": \"{}\",\n", json_escape(group)));
+    out.push_str(&format!("  \"group\": \"{}\",\n", escape(group)));
     out.push_str("  \"harness\": \"vapp-bench\",\n");
     out.push_str("  \"results\": [\n");
     for (i, s) in results.iter().enumerate() {
         out.push_str("    {\n");
-        out.push_str(&format!("      \"name\": \"{}\",\n", json_escape(&s.name)));
+        out.push_str(&format!("      \"name\": \"{}\",\n", escape(&s.name)));
         out.push_str(&format!("      \"samples\": {},\n", s.samples));
         out.push_str(&format!(
             "      \"iters_per_sample\": {},\n",
             s.iters_per_sample
         ));
-        out.push_str(&format!("      \"mean_ns\": {},\n", json_f64(s.mean_ns)));
-        out.push_str(&format!(
-            "      \"median_ns\": {},\n",
-            json_f64(s.median_ns)
-        ));
-        out.push_str(&format!("      \"min_ns\": {},\n", json_f64(s.min_ns)));
-        out.push_str(&format!("      \"max_ns\": {},\n", json_f64(s.max_ns)));
-        out.push_str(&format!("      \"p50_ns\": {},\n", json_f64(s.p50_ns)));
-        out.push_str(&format!("      \"p90_ns\": {},\n", json_f64(s.p90_ns)));
-        out.push_str(&format!("      \"p95_ns\": {},\n", json_f64(s.p95_ns)));
-        out.push_str(&format!("      \"p99_ns\": {},\n", json_f64(s.p99_ns)));
-        out.push_str(&format!("      \"stddev_ns\": {}", json_f64(s.stddev_ns)));
+        out.push_str(&format!("      \"mean_ns\": {},\n", fmt_f64(s.mean_ns)));
+        out.push_str(&format!("      \"median_ns\": {},\n", fmt_f64(s.median_ns)));
+        out.push_str(&format!("      \"min_ns\": {},\n", fmt_f64(s.min_ns)));
+        out.push_str(&format!("      \"max_ns\": {},\n", fmt_f64(s.max_ns)));
+        out.push_str(&format!("      \"p50_ns\": {},\n", fmt_f64(s.p50_ns)));
+        out.push_str(&format!("      \"p90_ns\": {},\n", fmt_f64(s.p90_ns)));
+        out.push_str(&format!("      \"p95_ns\": {},\n", fmt_f64(s.p95_ns)));
+        out.push_str(&format!("      \"p99_ns\": {},\n", fmt_f64(s.p99_ns)));
+        out.push_str(&format!("      \"stddev_ns\": {}", fmt_f64(s.stddev_ns)));
         match s.throughput {
             Some(Throughput::Bytes(b)) => {
                 out.push_str(&format!(",\n      \"throughput_bytes\": {b}"));
@@ -359,13 +334,48 @@ fn render_json(group: &str, results: &[BenchStats]) -> String {
             None => {}
         }
         if let Some((rate, unit)) = s.rate_per_sec() {
-            out.push_str(&format!(",\n      \"{unit}\": {}", json_f64(rate)));
+            out.push_str(&format!(",\n      \"{unit}\": {}", fmt_f64(rate)));
         }
         out.push_str("\n    }");
         out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n}\n");
     out
+}
+
+/// Reads the per-bench medians back out of a `BENCH_<group>.json` file
+/// (the format every bench group writes; see the module docs). Benches
+/// with a non-positive median carry no timing and are dropped.
+///
+/// # Errors
+///
+/// Fails on an unreadable or malformed file, a result without `name` or
+/// `median_ns`, or a file with no usable result at all.
+pub fn load_medians(path: &str) -> Result<Vec<(String, f64)>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let v = Value::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let results = v
+        .get("results")
+        .and_then(Value::as_arr)
+        .ok_or_else(|| format!("{path}: no `results` array"))?;
+    let mut out = Vec::new();
+    for r in results {
+        let name = r
+            .get("name")
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("{path}: result without `name`"))?;
+        let median = r
+            .get("median_ns")
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("{path}: `{name}` without `median_ns`"))?;
+        if median > 0.0 {
+            out.push((name.to_string(), median));
+        }
+    }
+    if out.is_empty() {
+        return Err(format!("{path}: no usable results"));
+    }
+    Ok(out)
 }
 
 /// Bundles bench functions into one group runner (criterion-compatible
@@ -444,8 +454,25 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("x\ny"), "x\\u000ay");
+    fn medians_load_and_reject_garbage() {
+        let dir = std::env::temp_dir().join("vapp-bench-load-medians-test");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let write = |name: &str, text: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).expect("write");
+            path.to_string_lossy().into_owned()
+        };
+        let good = write(
+            "good.json",
+            r#"{"results":[{"name":"x","median_ns":10},{"name":"idle","median_ns":0}]}"#,
+        );
+        assert_eq!(load_medians(&good).expect("good"), vec![("x".into(), 10.0)]);
+        let empty = write(
+            "empty.json",
+            r#"{"results":[{"name":"idle","median_ns":0}]}"#,
+        );
+        assert!(load_medians(&empty).is_err());
+        let bad = write("bad.json", "not json");
+        assert!(load_medians(&bad).is_err());
     }
 }

@@ -96,15 +96,26 @@ impl Default for EncoderConfig {
 }
 
 impl EncoderConfig {
-    fn validate(&self) {
-        assert!(self.crf <= MAX_QP, "crf must be 0..=51");
-        assert!(self.keyint >= 1, "keyint must be >= 1");
-        assert!(self.bframes <= 3, "at most 3 B frames between anchors");
-        assert!(self.slices >= 1, "at least one slice per frame");
-        assert!(
-            (1..=64).contains(&self.search_range),
-            "search range must be 1..=64"
-        );
+    /// Checks every field against its documented range.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated range as a message (the same text
+    /// [`Encoder::new`] panics with).
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.crf > MAX_QP {
+            Err("crf must be 0..=51")
+        } else if self.keyint < 1 {
+            Err("keyint must be >= 1")
+        } else if self.bframes > 3 {
+            Err("at most 3 B frames between anchors")
+        } else if self.slices < 1 {
+            Err("at least one slice per frame")
+        } else if !(1..=64).contains(&self.search_range) {
+            Err("search range must be 1..=64")
+        } else {
+            Ok(())
+        }
     }
 }
 
@@ -131,9 +142,12 @@ impl Encoder {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (see field docs).
+    /// Panics if the configuration is invalid (see
+    /// [`EncoderConfig::validate`]).
     pub fn new(cfg: EncoderConfig) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
+        }
         Encoder { cfg }
     }
 

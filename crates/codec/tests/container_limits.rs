@@ -2,6 +2,10 @@
 //! fail with a typed error before anything is sized from it. A tracking
 //! global allocator records the largest single request made while parsing.
 
+// A `GlobalAlloc` impl is unsafe by definition; this forwarding allocator is
+// the workspace's only exception to the `unsafe_code = "deny"` lint.
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use vapp_codec::{EncodedVideo, EntropyMode, StreamHeader};

@@ -5,10 +5,8 @@
 //! kernels here process 8 pixels per `u64` with plain integer arithmetic, so
 //! they are portable and exactly bit-identical to the scalar definitions they
 //! replace (pinned by the property tests in `vapp-codec` and the in-module
-//! reference tests below). An optional AVX2 SAD path sits behind the
-//! default-off `arch-intrinsics` feature and is runtime-dispatched; all three
-//! implementations (scalar, SWAR, AVX2) compute the same exact sums, so
-//! dispatch can never change a coded stream.
+//! reference tests below). Each kernel has exactly this one implementation;
+//! the scalar definitions survive only as the test oracle.
 //!
 //! # SWAR layout
 //!
@@ -83,19 +81,6 @@ fn load4(s: &[u8]) -> u64 {
 #[inline]
 pub fn sad_slices(a: &[u8], b: &[u8]) -> u64 {
     debug_assert_eq!(a.len(), b.len(), "SAD row length mismatch");
-    #[cfg(all(feature = "arch-intrinsics", target_arch = "x86_64"))]
-    {
-        if crate::kernels::avx2::available() {
-            // SAFETY: `available()` just confirmed AVX2 support at runtime.
-            return unsafe { avx2::sad_slices(a, b) };
-        }
-    }
-    sad_slices_swar(a, b)
-}
-
-/// Portable SWAR implementation of [`sad_slices`].
-#[inline]
-pub(crate) fn sad_slices_swar(a: &[u8], b: &[u8]) -> u64 {
     let mut total = 0u64;
     let chunk = a.len() - a.len() % 8;
     let (ca, mut ra) = a.split_at(chunk);
@@ -195,62 +180,6 @@ pub fn avg4_rounding(a: &[u8], b: &[u8], c: &[u8], d: &[u8], out: &mut [u8]) {
     }
 }
 
-/// AVX2 SAD, runtime-dispatched from [`sad_slices`] when the default-off
-/// `arch-intrinsics` feature is enabled. `_mm256_sad_epu8` computes the same
-/// exact byte-wise sums as the SWAR path, so dispatch is invisible to every
-/// caller.
-#[cfg(all(feature = "arch-intrinsics", target_arch = "x86_64"))]
-mod avx2 {
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::{
-        __m256i, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_sad_epu8, _mm_cvtsi128_si64,
-        _mm_extract_epi64, _mm_loadu_si128, _mm_sad_epu8,
-    };
-
-    /// True when the running CPU supports AVX2.
-    #[inline]
-    pub(super) fn available() -> bool {
-        std::arch::is_x86_feature_detected!("avx2")
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure the running CPU supports AVX2 (see [`available`]).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn sad_slices(a: &[u8], b: &[u8]) -> u64 {
-        let mut total = 0u64;
-        let mut i = 0;
-        while i + 32 <= a.len() {
-            // SAFETY: `i + 32 <= a.len() == b.len()`; unaligned loads are fine.
-            let (va, vb) = unsafe {
-                (
-                    _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i),
-                    _mm256_loadu_si256(b.as_ptr().add(i) as *const __m256i),
-                )
-            };
-            let s = _mm256_sad_epu8(va, vb);
-            total += (_mm256_extract_epi64(s, 0)
-                + _mm256_extract_epi64(s, 1)
-                + _mm256_extract_epi64(s, 2)
-                + _mm256_extract_epi64(s, 3)) as u64;
-            i += 32;
-        }
-        if i + 16 <= a.len() {
-            // SAFETY: `i + 16 <= a.len() == b.len()`.
-            let (va, vb) = unsafe {
-                (
-                    _mm_loadu_si128(a.as_ptr().add(i).cast()),
-                    _mm_loadu_si128(b.as_ptr().add(i).cast()),
-                )
-            };
-            let s = _mm_sad_epu8(va, vb);
-            total += (_mm_cvtsi128_si64(s) + _mm_extract_epi64(s, 1)) as u64;
-            i += 16;
-        }
-        total + super::sad_slices_swar(&a[i..], &b[i..])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,11 +207,11 @@ mod tests {
 
     #[test]
     fn swar_sad_matches_scalar_all_lengths() {
-        for len in 0..80 {
+        for len in (0..80).chain([100, 256]) {
             for seed in 0..4u64 {
                 let a = pattern(seed * 2 + 1, len);
                 let b = pattern(seed * 2 + 2, len);
-                assert_eq!(sad_slices_swar(&a, &b), sad_scalar(&a, &b), "len {len}");
+                assert_eq!(sad_slices(&a, &b), sad_scalar(&a, &b), "len {len}");
             }
         }
     }
@@ -291,21 +220,9 @@ mod tests {
     fn swar_sad_extremes() {
         let zeros = vec![0u8; 24];
         let maxed = vec![255u8; 24];
-        assert_eq!(sad_slices_swar(&zeros, &maxed), 24 * 255);
-        assert_eq!(sad_slices_swar(&maxed, &zeros), 24 * 255);
-        assert_eq!(sad_slices_swar(&maxed, &maxed), 0);
-    }
-
-    #[test]
-    fn sad_dispatch_matches_scalar() {
-        // Under `arch-intrinsics` on an AVX2 machine this exercises the
-        // intrinsic path (the CI leg's runtime-dispatch smoke test); on other
-        // builds it covers the SWAR path through the public entry point.
-        for len in [0, 1, 7, 8, 15, 16, 31, 32, 33, 63, 64, 100, 256] {
-            let a = pattern(1000 + len as u64, len);
-            let b = pattern(2000 + len as u64, len);
-            assert_eq!(sad_slices(&a, &b), sad_scalar(&a, &b), "len {len}");
-        }
+        assert_eq!(sad_slices(&zeros, &maxed), 24 * 255);
+        assert_eq!(sad_slices(&maxed, &zeros), 24 * 255);
+        assert_eq!(sad_slices(&maxed, &maxed), 0);
     }
 
     #[test]

@@ -24,10 +24,6 @@
 //! for dense content batches (throughput benches) and for the pipeline's
 //! sparse error-pattern batches. The test-only scalar oracle
 //! `bch::reference::ScalarBch` pins it to byte-identical behavior.
-//!
-//! With the default-off `arch-intrinsics` cargo feature the plane
-//! reductions use explicit `core::arch` AVX2 (runtime-detected, scalar
-//! fallback elsewhere); the workspace stays dependency-free either way.
 
 use crate::bch::{
     berlekamp_massey, chien_search, locate_deg1, locate_deg2, Bch, DecodeOutcome, DATA_BITS,
@@ -204,7 +200,7 @@ impl Bch {
         // is dirty iff any diff bit is set — iff it is not a codeword.
         let data: &[u64; DATA_BITS] = batch.planes[..DATA_BITS].try_into().expect("plane layout");
         let par = self.parity_planes(data);
-        let dirty = plane_ops::or_diff(&par, &batch.planes[DATA_BITS..]) & active;
+        let dirty = or_diff(&par, &batch.planes[DATA_BITS..]) & active;
         // Per-batch dirty-lane distribution: deterministic at a fixed
         // seed, so it doubles as a drift-gate signal for obs_report.
         vapp_obs::histogram!("storage.batch.dirty_lanes", u64::from(dirty.count_ones()));
@@ -349,77 +345,11 @@ impl Bch {
     }
 }
 
-/// Plane reductions, with an AVX2 variant behind the `arch-intrinsics`
-/// feature (runtime-dispatched; every other configuration gets the
-/// portable scalar loop).
-mod plane_ops {
-    /// OR-reduction of the element-wise XOR of two plane slices — the
-    /// dirty-lane mask of the clean check. The slices must have equal
-    /// lengths.
-    pub fn or_diff(a: &[u64], b: &[u64]) -> u64 {
-        debug_assert_eq!(a.len(), b.len());
-        #[cfg(all(feature = "arch-intrinsics", target_arch = "x86_64"))]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: AVX2 support was just verified at runtime.
-                return unsafe { avx2::or_diff(a, b) };
-            }
-        }
-        or_diff_scalar(a, b)
-    }
-
-    pub(super) fn or_diff_scalar(a: &[u64], b: &[u64]) -> u64 {
-        a.iter().zip(b).fold(0u64, |acc, (&x, &y)| acc | (x ^ y))
-    }
-
-    #[cfg(all(feature = "arch-intrinsics", target_arch = "x86_64"))]
-    mod avx2 {
-        use std::arch::x86_64::{
-            __m256i, _mm256_extract_epi64, _mm256_loadu_si256, _mm256_or_si256,
-            _mm256_setzero_si256, _mm256_xor_si256,
-        };
-
-        /// # Safety
-        ///
-        /// Caller must ensure the CPU supports AVX2.
-        #[target_feature(enable = "avx2")]
-        pub(super) unsafe fn or_diff(a: &[u64], b: &[u64]) -> u64 {
-            let mut acc = _mm256_setzero_si256();
-            let lanes = a.len() / 4;
-            for i in 0..lanes {
-                // SAFETY: `i * 4 + 3 < a.len()` by the loop bound; loadu
-                // has no alignment requirement.
-                let va = _mm256_loadu_si256(a.as_ptr().add(i * 4) as *const __m256i);
-                let vb = _mm256_loadu_si256(b.as_ptr().add(i * 4) as *const __m256i);
-                acc = _mm256_or_si256(acc, _mm256_xor_si256(va, vb));
-            }
-            let mut out = (_mm256_extract_epi64(acc, 0)
-                | _mm256_extract_epi64(acc, 1)
-                | _mm256_extract_epi64(acc, 2)
-                | _mm256_extract_epi64(acc, 3)) as u64;
-            for i in lanes * 4..a.len() {
-                out |= a[i] ^ b[i];
-            }
-            out
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        #[test]
-        fn or_diff_dispatch_matches_scalar() {
-            let a: Vec<u64> = (0..67u64)
-                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .collect();
-            let mut b = a.clone();
-            assert_eq!(super::or_diff(&a, &b), 0);
-            b[13] ^= 1 << 7;
-            b[66] ^= 1 << 63;
-            let expect = super::or_diff_scalar(&a, &b);
-            assert_eq!(super::or_diff(&a, &b), expect);
-            assert_eq!(expect, (1 << 7) | (1 << 63));
-        }
-    }
+/// OR-reduction of the element-wise XOR of two plane slices — the
+/// dirty-lane mask of the clean check. The slices must have equal lengths.
+fn or_diff(a: &[u64], b: &[u64]) -> u64 {
+    debug_assert_eq!(a.len(), b.len());
+    a.iter().zip(b).fold(0u64, |acc, (&x, &y)| acc | (x ^ y))
 }
 
 #[cfg(test)]
@@ -439,6 +369,18 @@ mod tests {
             d.set(i, (s >> 60) & 1 == 1);
         }
         d
+    }
+
+    #[test]
+    fn or_diff_dispatch_matches_scalar() {
+        let a: Vec<u64> = (0..67u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let mut b = a.clone();
+        assert_eq!(or_diff(&a, &b), 0);
+        b[13] ^= 1 << 7;
+        b[66] ^= 1 << 63;
+        assert_eq!(or_diff(&a, &b), (1 << 7) | (1 << 63));
     }
 
     #[test]

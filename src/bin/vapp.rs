@@ -180,6 +180,17 @@ fn parse_num<T: std::str::FromStr>(name: &str, v: Option<&str>) -> Result<T, Str
         .map_err(|_| format!("--{name}: invalid value"))
 }
 
+/// Rejects a `--raw-ber` that is not a probability (NaN included).
+fn check_raw_ber(raw_ber: f64) -> Result<(), String> {
+    if (0.0..=1.0).contains(&raw_ber) {
+        Ok(())
+    } else {
+        Err(format!(
+            "--raw-ber: {raw_ber} is not a probability in [0, 1]"
+        ))
+    }
+}
+
 fn read_file(path: &str) -> Result<Vec<u8>, String> {
     std::fs::read(path).map_err(|e| format!("{path}: {e}"))
 }
@@ -233,6 +244,16 @@ fn cmd_generate(args: VecDeque<String>) -> Result<(), String> {
     let [out] = positional.as_slice() else {
         return Err("generate needs one output path".into());
     };
+    let max = vapp_codec::syntax::MAX_DIMENSION as usize;
+    if !(1..=max).contains(&w) || !(1..=max).contains(&h) {
+        return Err(format!("--width/--height must be 1..={max}"));
+    }
+    if n == 0 {
+        return Err("--frames must be >= 1".into());
+    }
+    if !(fps.is_finite() && fps > 0.0) {
+        return Err("--fps must be finite and positive".into());
+    }
     let scene = match kind.as_str() {
         "blocks" => SceneKind::MovingBlocks,
         "fast" => SceneKind::FastMotion,
@@ -288,6 +309,8 @@ fn encoder_flags(args: VecDeque<String>) -> Result<(EncoderConfig, u64, f64, Vec
         }
         other => Err(format!("unknown flag --{other}")),
     })?;
+    cfg.validate()?;
+    check_raw_ber(raw_ber)?;
     Ok((cfg, seed, raw_ber, positional))
 }
 
@@ -481,6 +504,10 @@ fn cmd_archive(args: VecDeque<String>) -> Result<(), String> {
     })?;
     if !positional.is_empty() {
         return Err("archive takes no positional arguments".into());
+    }
+    check_raw_ber(cfg.raw_ber)?;
+    if cfg.initial_objects == 0 {
+        return Err("--objects must be >= 1".into());
     }
     let outcome = vapp_archive::run_fleet(&cfg, seed);
     let snap = vapp_obs::current().snapshot();
