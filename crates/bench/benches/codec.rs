@@ -1,16 +1,17 @@
 //! Codec throughput: encode and decode, CABAC vs CAVLC, decode of a
 //! damaged stream (the concealment path every storage trial runs), plus
-//! the word-parallel inner-loop kernels (SAD, fused transform/quant,
-//! half-pel motion compensation) and an encoder frames-per-second figure.
+//! the word-parallel inner-loop kernels (SAD, the shared partition-search
+//! window, fused transform/quant, half-pel motion compensation) and an
+//! encoder frames-per-second figure.
 
 use std::hint::black_box;
 use vapp_bench::harness::{Criterion, Throughput};
 use vapp_bench::{criterion_group, criterion_main};
 use vapp_codec::bitstream::flip_bit;
-use vapp_codec::inter::{mc_block_halfpel_into, MAX_BLOCK_PIXELS};
+use vapp_codec::inter::{mc_block_halfpel_into, RefPlanes, SadGrid, MAX_BLOCK_PIXELS};
 use vapp_codec::quant::{dequant_inverse, forward_quant};
 use vapp_codec::transform::Block4x4;
-use vapp_codec::types::MotionVector;
+use vapp_codec::types::{MotionVector, PartShape, PartitionLayout, SubShape};
 use vapp_codec::{decode, Encoder, EncoderConfig, EntropyMode};
 use vapp_media::{Plane, MB_SIZE};
 use vapp_rand::{rngs::StdRng, SeedableRng};
@@ -83,9 +84,20 @@ fn bench_codec_kernels(c: &mut Criterion) {
     group.bench_function("sad_16x16_interior", |b| {
         b.iter(|| black_box(cur.sad(48, 48, MB_SIZE, MB_SIZE, &refp, 50, 47)));
     });
-    // Reference block straddles the plane border: clamped scalar path.
-    group.bench_function("sad_16x16_edge", |b| {
-        b.iter(|| black_box(cur.sad(0, 0, MB_SIZE, MB_SIZE, &refp, -3, -2)));
+    // One macroblock's shared ±2 partition window: 25 displacements of
+    // 4x4-cell SADs against the padded reference, then the full-pel
+    // winner of every P8x8 4x4 block.
+    let refs = RefPlanes::new(refp.clone());
+    let cells = PartitionLayout {
+        shape: PartShape::P8x8,
+        subs: [SubShape::S4x4; 4],
+    }
+    .blocks();
+    group.bench_function("sad_grid_16x16_pm2", |b| {
+        b.iter(|| {
+            let grid = SadGrid::new(&cur, &refs, 48, 48, MotionVector::new(2, -1), false);
+            black_box(cells.iter().map(|g| grid.full_search(g).sad).sum::<u64>())
+        });
     });
     // Bounded SAD with a tight bound: measures the early-exit win.
     let full = cur.sad(48, 48, MB_SIZE, MB_SIZE, &refp, 50, 47);

@@ -27,8 +27,8 @@
 use crate::analysis::{AnalysisRecord, Dependency, FrameAnalysis, MbAnalysis};
 use crate::entropy::{CabacWriter, CavlcWriter, Element, EntropyMode, SymbolWriter};
 use crate::inter::{
-    bi_average_into, mc_block_sub_into, ref_rect, sad_against_bounded, search_sub_stats,
-    SearchResult, SearchStats, MAX_BLOCK_PIXELS,
+    bi_average_into, mc_block_sub_into, ref_rect, sad_against_bounded, search_sub_stats, RefPlanes,
+    SadGrid, SearchResult, SearchStats, MAX_BLOCK_PIXELS,
 };
 use crate::intra::{intra_sources, predict_intra16, predict_intra4, Intra4Avail, IntraAvail};
 use crate::quant::{dequant_inverse, forward_quant, to_zigzag, MAX_QP};
@@ -174,7 +174,15 @@ impl Encoder {
         let padded: Vec<Plane> =
             vapp_par::par_map(video.iter().collect(), |_, f| pad_to_mb(f.plane()));
 
-        let mut dpb: Vec<Option<Plane>> = vec![None; plans.len()];
+        // Reference frames by coding index, prepared for motion search when
+        // they enter; each is dropped after the last wave that reads it.
+        let mut last_read = vec![0usize; plans.len()];
+        for plan in &plans {
+            for ci in plan.ref_fwd.into_iter().chain(plan.ref_bwd) {
+                last_read[ci] = last_read[ci].max(plan.coding);
+            }
+        }
+        let mut dpb: Vec<Option<RefPlanes>> = vec![None; plans.len()];
         let mut frames = Vec::with_capacity(plans.len());
         let mut analyses = Vec::with_capacity(plans.len());
         let mut recon_display: Vec<Option<Frame>> = vec![None; video.len()];
@@ -249,7 +257,14 @@ impl Encoder {
                     video.width(),
                     video.height(),
                 )));
-                dpb[plan.coding] = Some(out.recon);
+                if last_read[plan.coding] > plan.coding {
+                    dpb[plan.coding] = Some(RefPlanes::new(out.recon));
+                }
+            }
+            for (ci, entry) in dpb.iter_mut().enumerate() {
+                if last_read[ci] < wave_end {
+                    *entry = None;
+                }
             }
             next = wave_end;
         }
@@ -504,8 +519,8 @@ struct FrameCtx<'a> {
     grid: &'a MbGrid,
     plan: &'a FramePlan,
     cur: &'a Plane,
-    ref_fwd: Option<&'a Plane>,
-    ref_bwd: Option<&'a Plane>,
+    ref_fwd: Option<&'a RefPlanes>,
+    ref_bwd: Option<&'a RefPlanes>,
 }
 
 struct FrameOut {
@@ -711,7 +726,7 @@ fn encode_mb<W: SymbolWriter>(
             w.put_flag(Element::Skip, skip_ctx_inc(states, &nb), true);
             let mut pred = [0u8; MAX_BLOCK_PIXELS];
             mc_block_sub_into(
-                ctx.ref_fwd.expect("skip needs a reference"),
+                ctx.ref_fwd.expect("skip needs a reference").recon(),
                 mb_x,
                 mb_y,
                 MB_SIZE,
@@ -864,7 +879,7 @@ fn encode_mb<W: SymbolWriter>(
                             sp,
                         );
                         mc_block_sub_into(
-                            ctx.ref_fwd.expect("fwd ref"),
+                            ctx.ref_fwd.expect("fwd ref").recon(),
                             bx,
                             by,
                             g.w,
@@ -888,7 +903,7 @@ fn encode_mb<W: SymbolWriter>(
                             sp,
                         );
                         mc_block_sub_into(
-                            ctx.ref_bwd.expect("bwd ref"),
+                            ctx.ref_bwd.expect("bwd ref").recon(),
                             bx,
                             by,
                             g.w,
@@ -925,7 +940,7 @@ fn encode_mb<W: SymbolWriter>(
                         );
                         let bw = &mut bwd_pred[..n];
                         mc_block_sub_into(
-                            ctx.ref_bwd.expect("bwd ref"),
+                            ctx.ref_bwd.expect("bwd ref").recon(),
                             bx,
                             by,
                             g.w,
@@ -936,7 +951,7 @@ fn encode_mb<W: SymbolWriter>(
                         );
                         let mut fwd = [0u8; MAX_BLOCK_PIXELS];
                         mc_block_sub_into(
-                            ctx.ref_fwd.expect("fwd ref"),
+                            ctx.ref_fwd.expect("fwd ref").recon(),
                             bx,
                             by,
                             g.w,
@@ -1073,7 +1088,7 @@ fn mb_candidates(
             mb_y,
             MB_SIZE,
             MB_SIZE,
-            ctx.ref_fwd.expect("inter_allowed"),
+            ctx.ref_fwd.expect("inter_allowed").recon(),
             mb_x as isize,
             mb_y as isize,
             ACTIVITY_CUTOFF,
@@ -1189,7 +1204,7 @@ fn decide_mode(
     // Skip candidate: prediction with the predicted MV and zero residual.
     {
         mc_block_sub_into(
-            ref_fwd,
+            ref_fwd.recon(),
             mb_x,
             mb_y,
             MB_SIZE,
@@ -1259,11 +1274,20 @@ fn decide_mode(
         PartShape::P8x8,
     ];
     let mut best_inter: Option<(PartitionLayout, Vec<InterBlock>, u64)> = None;
+    // Every partition search below runs ±2 around one centre per direction
+    // (`whole.mv` forward, `bwd_whole.mv` backward), so each direction's
+    // window is evaluated once, as 4x4-cell SADs, when the macroblock gets
+    // this far (skipped macroblocks never build one).
+    let fwd_grid = SadGrid::new(ctx.cur, ref_fwd, mb_x, mb_y, whole.mv, sp);
+    let bwd_grid = ctx
+        .ref_bwd
+        .zip(bwd_whole)
+        .map(|(rb, bw)| SadGrid::new(ctx.cur, rb, mb_x, mb_y, bw.mv, sp));
     // The P8x8 sub-shape trials and the final P8x8 block list run the same
-    // (geometry, whole.mv, range-2) forward searches; cache the trial
-    // results so the winning layout's blocks are never searched twice. The
-    // search is deterministic, so replaying a cached result is
-    // decision-identical to recomputing it.
+    // forward grid searches; cache the trial results so the winning
+    // layout's blocks never repeat their half-pel refinement. The search is
+    // deterministic, so replaying a cached result is decision-identical to
+    // recomputing it.
     let mut p8_cache = [(BlockGeom::default(), whole); 36];
     let mut p8_len = 0usize;
     for shape in shapes {
@@ -1303,18 +1327,7 @@ fn decide_mode(
                             abandoned = true;
                             break;
                         }
-                        let r = search_sub_stats(
-                            ctx.cur,
-                            ref_fwd,
-                            mb_x + g.dx,
-                            mb_y + g.dy,
-                            g.w,
-                            g.h,
-                            whole.mv,
-                            2,
-                            sp,
-                            stats,
-                        );
+                        let r = fwd_grid.search(g, stats);
                         p8_cache[p8_len] = (*g, r);
                         p8_len += 1;
                         cost += r.sad + lam * 10;
@@ -1332,25 +1345,18 @@ fn decide_mode(
         for g in &geoms {
             let bx = mb_x + g.dx;
             let by = mb_y + g.dy;
-            let refine = if *g == geoms[0] && shape == PartShape::P16x16 {
-                0
-            } else {
-                2
-            };
-            let fwd = if refine == 0 {
+            let fwd = if shape == PartShape::P16x16 {
                 whole
             } else if let Some(&(_, r)) = p8_cache[..p8_len].iter().find(|(cg, _)| cg == g) {
                 r
             } else {
-                search_sub_stats(
-                    ctx.cur, ref_fwd, bx, by, g.w, g.h, whole.mv, refine, sp, stats,
-                )
+                fwd_grid.search(g, stats)
             };
             let mut dir = PredDir::Forward;
             let mut chosen_sad = fwd.sad;
             let mut mv_b = MotionVector::ZERO;
-            if let (Some(rb), Some(bw)) = (ctx.ref_bwd, bwd_whole) {
-                let bwd = search_sub_stats(ctx.cur, rb, bx, by, g.w, g.h, bw.mv, 2, sp, stats);
+            if let (Some(rb), Some(bg)) = (ctx.ref_bwd, &bwd_grid) {
+                let bwd = bg.search(g, stats);
                 if bwd.sad + lam * 2 < chosen_sad {
                     dir = PredDir::Backward;
                     chosen_sad = bwd.sad;
@@ -1363,8 +1369,17 @@ fn decide_mode(
                 let n = g.w * g.h;
                 let mut fwd_pred = [0u8; MAX_BLOCK_PIXELS];
                 let mut bi = [0u8; MAX_BLOCK_PIXELS];
-                mc_block_sub_into(ref_fwd, bx, by, g.w, g.h, fwd.mv, sp, &mut fwd_pred[..n]);
-                mc_block_sub_into(rb, bx, by, g.w, g.h, bwd.mv, sp, &mut scratch[..n]);
+                mc_block_sub_into(
+                    ref_fwd.recon(),
+                    bx,
+                    by,
+                    g.w,
+                    g.h,
+                    fwd.mv,
+                    sp,
+                    &mut fwd_pred[..n],
+                );
+                mc_block_sub_into(rb.recon(), bx, by, g.w, g.h, bwd.mv, sp, &mut scratch[..n]);
                 bi_average_into(&fwd_pred[..n], &scratch[..n], &mut bi[..n]);
                 let bi_bound = chosen_sad.saturating_sub(lam * 6);
                 let bi_sad = sad_against_bounded(ctx.cur, bx, by, g.w, g.h, &bi[..n], bi_bound);

@@ -4,8 +4,16 @@
 //! vector, per-partition refinement, and bi-prediction for B frames. The
 //! referenced pixel rectangles double as the temporal compensation
 //! dependencies VideoApp records (paper §4.1).
+//!
+//! Motion search never samples a reference with clamping. Each reference
+//! frame is prepared once ([`RefPlanes`]: edge-extended full-pel and
+//! half-pel phase planes), so every candidate SAD is an interior row SAD at
+//! a clamped origin; and the partition searches of one macroblock share a
+//! single ±[`GRID_RANGE`] window per direction ([`SadGrid`]), evaluated
+//! once at 4x4-cell granularity.
 
-use crate::types::MotionVector;
+use crate::types::{BlockGeom, MotionVector};
+use vapp_media::kernels::{avg4_rounding, avg_rounding, sad_quads16};
 use vapp_media::{Plane, MB_SIZE};
 
 /// Hard bound on motion-vector components (also the decoder's clamp for
@@ -29,6 +37,11 @@ pub struct SearchStats {
     /// SAD evaluations pruned by the running-best bound: the evaluation
     /// stopped (possibly mid-block) once its partial sum exceeded the best
     /// candidate so far, so the block was rejected without a full sum.
+    ///
+    /// Counted in the 16x16 full searches ([`motion_search_stats`]), the
+    /// ±1 half-pel refinement and the encoder's bi-prediction probe. The
+    /// shared partition window ([`SadGrid`]) evaluates every cell of every
+    /// displacement without a bound, so it contributes nothing.
     pub early_exits: u64,
 }
 
@@ -39,35 +52,140 @@ impl SearchStats {
     }
 }
 
-/// Full search in a `±range` window around `center` for the `w x h` block
-/// of `cur` at `(x, y)`, matching against `reference`.
+/// Edge-extension margin of [`RefPlanes`], in pixels, on every side.
 ///
-/// Ties break toward the vector closest to `center` (cheaper to code).
-#[allow(clippy::too_many_arguments)] // block geometry: x, y, w, h + search window
-pub fn motion_search(
-    cur: &Plane,
-    reference: &Plane,
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-    center: MotionVector,
-    range: i16,
-) -> SearchResult {
-    motion_search_stats(
-        cur,
-        reference,
-        x,
-        y,
-        w,
-        h,
-        center,
-        range,
-        &mut SearchStats::default(),
-    )
+/// Clamped sampling saturates. A block at most `MB_SIZE` wide whose origin
+/// lies `REF_MARGIN` or more pixels before the first column reads, even
+/// with its half-pel `+1` tap, only columns `<= 0`, which all clamp to
+/// column 0; past the last column, and along rows, the same holds with room
+/// to spare. So a block at any origin reads the same pixels as the block at
+/// the origin clamped into the margin, and the padded planes serve every
+/// vector without a per-pixel clamping path.
+pub const REF_MARGIN: usize = MB_SIZE + 1;
+
+/// A reference frame prepared once for motion search.
+///
+/// Holds the reconstruction itself (which compensation reads) and four
+/// phase planes, each edge-extended by [`REF_MARGIN`] on every side:
+/// full-pel, horizontal, vertical and diagonal half-pel. Pixel `(X, Y)` of
+/// the phase with fractional offsets `(fx, fy)` is the clamped bilinear
+/// sample at half-pel position `(2 X' + fx, 2 Y' + fy)`, where
+/// `(X', Y') = (X - REF_MARGIN, Y - REF_MARGIN)` — what
+/// [`mc_block_halfpel_into`] computes per candidate. A search SAD is
+/// therefore [`Plane::sad_bounded`]'s interior row path on one phase plane,
+/// with no interpolation and no border branch.
+#[derive(Clone, Debug)]
+pub struct RefPlanes {
+    recon: Plane,
+    /// Indexed by `fx + 2 * fy`.
+    phases: [Plane; 4],
 }
 
-/// [`motion_search`] with early-exit accounting.
+impl RefPlanes {
+    /// Takes ownership of a reconstruction and builds its phase planes.
+    /// Half-pel phases are built from the padded full-pel plane with the
+    /// word-parallel rounding averages, a whole row at a time.
+    pub fn new(recon: Plane) -> Self {
+        let (w, h) = (recon.width(), recon.height());
+        let m = REF_MARGIN;
+        let (pw, ph) = (w + 2 * m, h + 2 * m);
+        let mut full = Plane::new(pw, ph);
+        for py in 0..ph {
+            let src = recon.row(py.saturating_sub(m).min(h - 1));
+            let row = full.row_mut(py);
+            row[..m].fill(src[0]);
+            row[m..m + w].copy_from_slice(src);
+            row[m + w..].fill(src[w - 1]);
+        }
+        let (mut horiz, mut vert, mut diag) =
+            (Plane::new(pw, ph), Plane::new(pw, ph), Plane::new(pw, ph));
+        let last = pw - 1;
+        for py in 0..ph {
+            // The `+1` taps past the last row and column clamp onto it.
+            let (r0, r1) = (full.row(py), full.row((py + 1).min(ph - 1)));
+            let out = horiz.row_mut(py);
+            avg_rounding(&r0[..last], &r0[1..], &mut out[..last]);
+            out[last] = r0[last];
+            avg_rounding(r0, r1, vert.row_mut(py));
+            let out = diag.row_mut(py);
+            avg4_rounding(
+                &r0[..last],
+                &r0[1..],
+                &r1[..last],
+                &r1[1..],
+                &mut out[..last],
+            );
+            out[last] = (u16::from(r0[last]) + u16::from(r1[last])).div_ceil(2) as u8;
+        }
+        RefPlanes {
+            recon,
+            phases: [full, horiz, vert, diag],
+        }
+    }
+
+    /// The reconstruction these planes were built from.
+    pub fn recon(&self) -> &Plane {
+        &self.recon
+    }
+
+    /// SAD between the `w x h` block of `cur` at `(x, y)` and the reference
+    /// block `mv` points at — in half-pel units when `subpel` is set — with
+    /// clamped (and at half-pel, bilinear) sampling of the reference.
+    /// Exactly the SAD against [`mc_block_sub_into`]'s prediction, with
+    /// [`Plane::sad_bounded`]'s early-exit contract.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is larger than a macroblock or leaves `cur`.
+    #[allow(clippy::too_many_arguments)] // block geometry + vector + precision + bound
+    pub fn sad_bounded(
+        &self,
+        cur: &Plane,
+        x: usize,
+        y: usize,
+        w: usize,
+        h: usize,
+        mv: MotionVector,
+        subpel: bool,
+        bound: u64,
+    ) -> u64 {
+        let (ix, iy, phase) = if subpel {
+            let bx = x as isize * 2 + mv.x as isize;
+            let by = y as isize * 2 + mv.y as isize;
+            let phase = bx.rem_euclid(2) + 2 * by.rem_euclid(2);
+            (bx.div_euclid(2), by.div_euclid(2), phase as usize)
+        } else {
+            (x as isize + mv.x as isize, y as isize + mv.y as isize, 0)
+        };
+        let (ox, oy) = self.origin(ix, iy, w, h);
+        cur.sad_bounded(x, y, w, h, &self.phases[phase], ox, oy, bound)
+    }
+
+    /// Where a `w x h` block whose clamped-sampling origin is `(ix, iy)`
+    /// sits in the padded planes: the origin clamped into the margin (see
+    /// [`REF_MARGIN`]), shifted by it.
+    fn origin(&self, ix: isize, iy: isize, w: usize, h: usize) -> (isize, isize) {
+        assert!(
+            w <= MB_SIZE && h <= MB_SIZE,
+            "search blocks are at most a macroblock"
+        );
+        let m = REF_MARGIN as isize;
+        let clamp =
+            |v: isize, len: usize, size: usize| v.clamp(-m, (len + REF_MARGIN - size) as isize) + m;
+        (
+            clamp(ix, self.recon.width(), w),
+            clamp(iy, self.recon.height(), h),
+        )
+    }
+}
+
+/// Full search in a `±range` window around `center` for the `w x h` block
+/// of `cur` at `(x, y)`, matching against `reference`, with early-exit
+/// accounting.
+///
+/// Ties break toward the vector closest to `center` (cheaper to code), and
+/// among equally close ones toward the first evaluated: the centre — first
+/// so that it seeds a tight bound — then the window in row-major order.
 ///
 /// Every candidate SAD is bounded by the running best: a candidate whose
 /// partial sum already exceeds `best.sad` can stop summing, because it can
@@ -75,16 +193,10 @@ pub fn motion_search(
 /// exact equality, and partial sums only come back when they *exceed* the
 /// bound). The winner's SAD is therefore always the exact value — identical
 /// to the unbounded search, decision for decision.
-///
-/// The center candidate is evaluated first (exactly) to seed a tight bound;
-/// the winner is the lexicographic minimum of `(sad, distance-to-center)`
-/// over the window, which does not depend on evaluation order (equal
-/// `(sad, dist)` pairs can only share a motion vector via clamping), so the
-/// reordering is also decision-identical.
 #[allow(clippy::too_many_arguments)]
 pub fn motion_search_stats(
     cur: &Plane,
-    reference: &Plane,
+    reference: &RefPlanes,
     x: usize,
     y: usize,
     w: usize,
@@ -93,45 +205,20 @@ pub fn motion_search_stats(
     range: i16,
     stats: &mut SearchStats,
 ) -> SearchResult {
-    let seed_mv = MotionVector::new(
-        center.x.clamp(-MV_LIMIT, MV_LIMIT),
-        center.y.clamp(-MV_LIMIT, MV_LIMIT),
-    );
+    let seed_mv = clamp_mv(center, 0, 0);
     let mut best = SearchResult {
         mv: seed_mv,
-        sad: cur.sad(
-            x,
-            y,
-            w,
-            h,
-            reference,
-            x as isize + seed_mv.x as isize,
-            y as isize + seed_mv.y as isize,
-        ),
+        sad: reference.sad_bounded(cur, x, y, w, h, seed_mv, false, u64::MAX),
     };
-    let mut best_dist =
-        (seed_mv.x as i32 - center.x as i32).abs() + (seed_mv.y as i32 - center.y as i32).abs();
+    let mut best_dist = l1_dist(seed_mv, center);
     for dy in -range..=range {
         for dx in -range..=range {
             if dx == 0 && dy == 0 {
                 continue;
             }
-            let mv = MotionVector::new(
-                (center.x + dx).clamp(-MV_LIMIT, MV_LIMIT),
-                (center.y + dy).clamp(-MV_LIMIT, MV_LIMIT),
-            );
-            let sad = cur.sad_bounded(
-                x,
-                y,
-                w,
-                h,
-                reference,
-                x as isize + mv.x as isize,
-                y as isize + mv.y as isize,
-                best.sad,
-            );
-            let dist =
-                (mv.x as i32 - center.x as i32).abs() + (mv.y as i32 - center.y as i32).abs();
+            let mv = clamp_mv(center, dx, dy);
+            let sad = reference.sad_bounded(cur, x, y, w, h, mv, false, best.sad);
+            let dist = l1_dist(mv, center);
             if sad < best.sad || (sad == best.sad && dist < best_dist) {
                 best = SearchResult { mv, sad };
                 best_dist = dist;
@@ -141,6 +228,19 @@ pub fn motion_search_stats(
         }
     }
     best
+}
+
+/// `center + (dx, dy)`, each component clamped to `±MV_LIMIT`.
+fn clamp_mv(center: MotionVector, dx: i16, dy: i16) -> MotionVector {
+    MotionVector::new(
+        (center.x + dx).clamp(-MV_LIMIT, MV_LIMIT),
+        (center.y + dy).clamp(-MV_LIMIT, MV_LIMIT),
+    )
+}
+
+/// L1 distance between two vectors, the search's tie-break.
+fn l1_dist(a: MotionVector, b: MotionVector) -> i32 {
+    (a.x as i32 - b.x as i32).abs() + (a.y as i32 - b.y as i32).abs()
 }
 
 /// Motion-compensates a `w x h` block into a caller-provided buffer: copies
@@ -319,15 +419,15 @@ pub fn ref_rect(
 pub const MAX_BLOCK_PIXELS: usize = vapp_media::MB_PIXELS;
 
 /// Sum of absolute differences between the source block and an arbitrary
-/// prediction buffer.
-pub fn sad_against(cur: &Plane, x: usize, y: usize, w: usize, h: usize, pred: &[u8]) -> u64 {
-    sad_against_bounded(cur, x, y, w, h, pred, u64::MAX)
-}
-
-/// [`sad_against`] with the same early-exit contract as
+/// prediction buffer, with the same early-exit contract as
 /// [`Plane::sad_bounded`]: stops once the running total strictly exceeds
-/// `bound`. Interior source blocks compare borrowed plane rows against the
-/// prediction word-parallel.
+/// `bound`. Borrowed plane rows are compared against the prediction
+/// word-parallel.
+///
+/// # Panics
+///
+/// Panics if the source block leaves `cur` (the encoder's source planes
+/// are padded to whole macroblocks).
 #[allow(clippy::too_many_arguments)] // block geometry + prediction + bound
 pub fn sad_against_bounded(
     cur: &Plane,
@@ -340,21 +440,9 @@ pub fn sad_against_bounded(
 ) -> u64 {
     debug_assert_eq!(pred.len(), w * h);
     let mut total = 0u64;
-    if x + w <= cur.width() && y + h <= cur.height() {
-        for oy in 0..h {
-            let a = &cur.row(y + oy)[x..x + w];
-            total += vapp_media::kernels::sad_slices(a, &pred[oy * w..][..w]);
-            if total > bound {
-                return total;
-            }
-        }
-        return total;
-    }
     for oy in 0..h {
-        for ox in 0..w {
-            let a = cur.sample((x + ox) as isize, (y + oy) as isize) as i32;
-            total += (a - pred[oy * w + ox] as i32).unsigned_abs() as u64;
-        }
+        let a = &cur.row(y + oy)[x..x + w];
+        total += vapp_media::kernels::sad_slices(a, &pred[oy * w..][..w]);
         if total > bound {
             return total;
         }
@@ -362,146 +450,14 @@ pub fn sad_against_bounded(
     total
 }
 
-/// Fused half-pel compensation + bounded SAD: interpolates one row at a
-/// time into a stack buffer and accumulates the SAD against `cur`, stopping
-/// as soon as the running total strictly exceeds `bound` — so a pruned
-/// candidate never pays for the rows it would have thrown away.
-///
-/// Same contract as [`Plane::sad_bounded`]: exact whenever the result is
-/// `<= bound`, and any early return is itself `> bound`. Identical bytes to
-/// `mc_block_halfpel_into` + `sad_against` (pinned by the unit tests below
-/// and the kernel-equivalence property tests).
-#[allow(clippy::too_many_arguments)]
-pub fn sad_halfpel_bounded(
-    cur: &Plane,
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-    reference: &Plane,
-    mv: MotionVector,
-    bound: u64,
-) -> u64 {
-    debug_assert!(w <= MB_SIZE);
-    let bx = x as isize * 2 + mv.x as isize;
-    let by = y as isize * 2 + mv.y as isize;
-    let ix = bx.div_euclid(2);
-    let iy = by.div_euclid(2);
-    let fx = bx.rem_euclid(2) as usize;
-    let fy = by.rem_euclid(2) as usize;
-    let mut total = 0u64;
-    if x + w <= cur.width()
-        && y + h <= cur.height()
-        && reference.block_interior(ix, iy, w + fx, h + fy)
-    {
-        let (ix, iy) = (ix as usize, iy as usize);
-        let mut row_buf = [0u8; MB_SIZE];
-        for oy in 0..h {
-            let a = &cur.row(y + oy)[x..x + w];
-            total += match (fx, fy) {
-                (0, 0) => vapp_media::kernels::sad_slices(a, &reference.row(iy + oy)[ix..ix + w]),
-                _ => {
-                    let pred = &mut row_buf[..w];
-                    let r0 = reference.row(iy + oy);
-                    match (fx, fy) {
-                        (1, 0) => vapp_media::kernels::avg_rounding(
-                            &r0[ix..ix + w],
-                            &r0[ix + 1..ix + 1 + w],
-                            pred,
-                        ),
-                        (0, 1) => vapp_media::kernels::avg_rounding(
-                            &r0[ix..ix + w],
-                            &reference.row(iy + oy + 1)[ix..ix + w],
-                            pred,
-                        ),
-                        _ => {
-                            let r1 = reference.row(iy + oy + 1);
-                            vapp_media::kernels::avg4_rounding(
-                                &r0[ix..ix + w],
-                                &r0[ix + 1..ix + 1 + w],
-                                &r1[ix..ix + w],
-                                &r1[ix + 1..ix + 1 + w],
-                                pred,
-                            );
-                        }
-                    }
-                    vapp_media::kernels::sad_slices(a, pred)
-                }
-            };
-            if total > bound {
-                return total;
-            }
-        }
-        return total;
-    }
-    for oy in 0..h {
-        for ox in 0..w {
-            let px = ix + ox as isize;
-            let py = iy + oy as isize;
-            let p00 = reference.sample(px, py) as u16;
-            let p = match (fx, fy) {
-                (0, 0) => p00,
-                (1, 0) => (p00 + reference.sample(px + 1, py) as u16 + 1) >> 1,
-                (0, 1) => (p00 + reference.sample(px, py + 1) as u16 + 1) >> 1,
-                _ => {
-                    let p10 = reference.sample(px + 1, py) as u16;
-                    let p01 = reference.sample(px, py + 1) as u16;
-                    let p11 = reference.sample(px + 1, py + 1) as u16;
-                    (p00 + p10 + p01 + p11 + 2) >> 2
-                }
-            };
-            let a = cur.sample((x + ox) as isize, (y + oy) as isize) as i32;
-            total += (a - p as i32).unsigned_abs() as u64;
-        }
-        if total > bound {
-            return total;
-        }
-    }
-    total
-}
-
-/// Two-stage motion search: full-pel full search around `center` (given
-/// in the unit implied by `subpel`), then — with `subpel` — a ±1 half-pel
-/// refinement around the winner. The returned vector is in half-pel units
-/// when `subpel` is set.
-#[allow(clippy::too_many_arguments)]
-pub fn search_sub(
-    cur: &Plane,
-    reference: &Plane,
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-    center: MotionVector,
-    range: i16,
-    subpel: bool,
-) -> SearchResult {
-    search_sub_stats(
-        cur,
-        reference,
-        x,
-        y,
-        w,
-        h,
-        center,
-        range,
-        subpel,
-        &mut SearchStats::default(),
-    )
-}
-
-/// [`search_sub`] with early-exit accounting — the allocation-free form
-/// used per macroblock task.
-///
-/// The ±1 refinement bounds each candidate by the running best; only a
-/// strictly better candidate replaces it (no tie-break here), so pruning
-/// anything whose partial sum exceeds the best is decision-identical. Each
-/// candidate runs through the fused [`sad_halfpel_bounded`], so pruned
-/// candidates never materialise their prediction at all.
+/// Two-stage motion search with early-exit accounting: full-pel full
+/// search around `center` (given in the unit implied by `subpel`), then —
+/// with `subpel` — a ±1 half-pel refinement around the winner. The
+/// returned vector is in half-pel units when `subpel` is set.
 #[allow(clippy::too_many_arguments)]
 pub fn search_sub_stats(
     cur: &Plane,
-    reference: &Plane,
+    reference: &RefPlanes,
     x: usize,
     y: usize,
     w: usize,
@@ -516,6 +472,25 @@ pub fn search_sub_stats(
     }
     let full_center = MotionVector::new(center.x / 2, center.y / 2);
     let full = motion_search_stats(cur, reference, x, y, w, h, full_center, range, stats);
+    refine_halfpel(cur, reference, x, y, w, h, full, stats)
+}
+
+/// The ±1 half-pel refinement around a full-pel winner.
+///
+/// Each candidate is bounded by the running best; only a strictly better
+/// candidate replaces it (no tie-break here), so pruning anything whose
+/// partial sum exceeds the best is decision-identical.
+#[allow(clippy::too_many_arguments)]
+fn refine_halfpel(
+    cur: &Plane,
+    reference: &RefPlanes,
+    x: usize,
+    y: usize,
+    w: usize,
+    h: usize,
+    full: SearchResult,
+    stats: &mut SearchStats,
+) -> SearchResult {
     let base = MotionVector::new(full.mv.x * 2, full.mv.y * 2);
     let mut best = SearchResult {
         mv: base,
@@ -526,11 +501,8 @@ pub fn search_sub_stats(
             if dx == 0 && dy == 0 {
                 continue;
             }
-            let mv = MotionVector::new(
-                (base.x + dx).clamp(-MV_LIMIT, MV_LIMIT),
-                (base.y + dy).clamp(-MV_LIMIT, MV_LIMIT),
-            );
-            let sad = sad_halfpel_bounded(cur, x, y, w, h, reference, mv, best.sad);
+            let mv = clamp_mv(base, dx, dy);
+            let sad = reference.sad_bounded(cur, x, y, w, h, mv, true, best.sad);
             if sad < best.sad {
                 best = SearchResult { mv, sad };
             } else if sad > best.sad {
@@ -539,6 +511,154 @@ pub fn search_sub_stats(
         }
     }
     best
+}
+
+/// Half-width of the partition window: every partition search of a
+/// macroblock runs `±GRID_RANGE` full-pel around one shared centre.
+pub const GRID_RANGE: i16 = 2;
+
+/// Displacements in the shared window.
+const GRID_CANDIDATES: usize = (2 * GRID_RANGE as usize + 1).pow(2);
+
+/// One macroblock's shared ±[`GRID_RANGE`] partition window against one
+/// reference, evaluated once.
+///
+/// For each displacement the 16x16 block is compared in a single pass and
+/// the SADs of its sixteen 4x4 cells are kept ([`sad_quads16`]). Any
+/// partition block — every [`crate::types::PartitionLayout`] block is a
+/// union of cells — then gets its full-pel search by summing cells, with
+/// the same winner as [`search_sub_stats`] at range `GRID_RANGE` would
+/// pick: clamped sampling is per pixel, so a sub-block of the clamped 16x16
+/// prediction is the sub-block's own clamped prediction.
+#[derive(Debug)]
+pub struct SadGrid<'a> {
+    cur: &'a Plane,
+    reference: &'a RefPlanes,
+    mb_x: usize,
+    mb_y: usize,
+    subpel: bool,
+    /// Candidate vectors (full-pel, clamped) in the order the full search
+    /// evaluates them: the centre first, then the window row-major.
+    mvs: [MotionVector; GRID_CANDIDATES],
+    /// Each candidate's distance to the (unclamped) full-pel centre.
+    dists: [i32; GRID_CANDIDATES],
+    /// Per 4x4 cell — `(col, row)` at `row * 4 + col` — its SAD at each
+    /// candidate, so a block's SADs at every candidate sum whole rows.
+    cells: [[u16; GRID_CANDIDATES]; 16],
+}
+
+impl<'a> SadGrid<'a> {
+    /// Evaluates the window around `center` (in half-pel units when
+    /// `subpel` is set, halved with truncation exactly as
+    /// [`search_sub_stats`] does) for the macroblock at `(mb_x, mb_y)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the macroblock leaves `cur`.
+    pub fn new(
+        cur: &'a Plane,
+        reference: &'a RefPlanes,
+        mb_x: usize,
+        mb_y: usize,
+        center: MotionVector,
+        subpel: bool,
+    ) -> Self {
+        let center = if subpel {
+            MotionVector::new(center.x / 2, center.y / 2)
+        } else {
+            center
+        };
+        let mut mvs = [clamp_mv(center, 0, 0); GRID_CANDIDATES];
+        let offsets = (-GRID_RANGE..=GRID_RANGE)
+            .flat_map(|dy| (-GRID_RANGE..=GRID_RANGE).map(move |dx| (dx, dy)))
+            .filter(|&d| d != (0, 0));
+        for (mv, (dx, dy)) in mvs[1..].iter_mut().zip(offsets) {
+            *mv = clamp_mv(center, dx, dy);
+        }
+        let full = &reference.phases[0];
+        let mut cells = [[0u16; GRID_CANDIDATES]; 16];
+        for (k, mv) in mvs.iter().enumerate() {
+            let (ox, oy) = reference.origin(
+                mb_x as isize + mv.x as isize,
+                mb_y as isize + mv.y as isize,
+                MB_SIZE,
+                MB_SIZE,
+            );
+            let (ox, oy) = (ox as usize, oy as usize);
+            for (cell_row, out) in cells.chunks_exact_mut(4).enumerate() {
+                // Four rows of quad sums: each lane stays below 4 * 1020.
+                let lanes: u64 = (cell_row * 4..cell_row * 4 + 4)
+                    .map(|r| {
+                        sad_quads16(
+                            &cur.row(mb_y + r)[mb_x..mb_x + MB_SIZE],
+                            &full.row(oy + r)[ox..ox + MB_SIZE],
+                        )
+                    })
+                    .sum();
+                for (col, cell) in out.iter_mut().enumerate() {
+                    cell[k] = (lanes >> (16 * col)) as u16;
+                }
+            }
+        }
+        SadGrid {
+            cur,
+            reference,
+            mb_x,
+            mb_y,
+            subpel,
+            mvs,
+            dists: mvs.map(|mv| l1_dist(mv, center)),
+            cells,
+        }
+    }
+
+    /// Full-pel search of partition block `g`: the lexicographic
+    /// `(sad, distance)` minimum over the window, first evaluated winning
+    /// ties — [`motion_search_stats`]'s rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) unless `g` is a union of 4x4 cells.
+    pub fn full_search(&self, g: &BlockGeom) -> SearchResult {
+        debug_assert!(
+            [g.dx, g.dy, g.w, g.h].iter().all(|v| v % 4 == 0)
+                && g.dx + g.w <= MB_SIZE
+                && g.dy + g.h <= MB_SIZE,
+            "partition blocks are unions of 4x4 cells"
+        );
+        let mut sads = [0u32; GRID_CANDIDATES];
+        for row in g.dy / 4..(g.dy + g.h) / 4 {
+            for cell in &self.cells[row * 4 + g.dx / 4..row * 4 + (g.dx + g.w) / 4] {
+                for (sad, &v) in sads.iter_mut().zip(cell) {
+                    *sad += u32::from(v);
+                }
+            }
+        }
+        let mut best = 0;
+        for k in 1..GRID_CANDIDATES {
+            let (sad, best_sad) = (sads[k], sads[best]);
+            if sad < best_sad || (sad == best_sad && self.dists[k] < self.dists[best]) {
+                best = k;
+            }
+        }
+        SearchResult {
+            mv: self.mvs[best],
+            sad: u64::from(sads[best]),
+        }
+    }
+
+    /// [`SadGrid::full_search`], then — when the grid was built with
+    /// `subpel` — the ±1 half-pel refinement of [`search_sub_stats`].
+    /// Equal to `search_sub_stats` over this block at range
+    /// [`GRID_RANGE`], except that the window adds no early exits.
+    pub fn search(&self, g: &BlockGeom, stats: &mut SearchStats) -> SearchResult {
+        let full = self.full_search(g);
+        if !self.subpel {
+            return full;
+        }
+        let (x, y) = (self.mb_x + g.dx, self.mb_y + g.dy);
+        refine_halfpel(self.cur, self.reference, x, y, g.w, g.h, full, stats)
+    }
 }
 
 /// Bi-prediction: the rounds-to-nearest average of forward and backward
@@ -574,6 +694,25 @@ mod tests {
         out
     }
 
+    /// Searches against a freshly prepared reference (tests only; the
+    /// encoder prepares each reference once).
+    #[allow(clippy::too_many_arguments)]
+    fn search(
+        cur: &Plane,
+        reference: &Plane,
+        x: usize,
+        y: usize,
+        w: usize,
+        h: usize,
+        center: MotionVector,
+        range: i16,
+        subpel: bool,
+    ) -> SearchResult {
+        let refs = RefPlanes::new(reference.clone());
+        let mut stats = SearchStats::default();
+        search_sub_stats(cur, &refs, x, y, w, h, center, range, subpel, &mut stats)
+    }
+
     /// A plane with a distinctive patch at a given offset.
     fn patch_plane(ox: usize, oy: usize) -> Plane {
         let mut p = Plane::filled(64, 64, 50);
@@ -589,7 +728,7 @@ mod tests {
     fn search_finds_known_translation() {
         let reference = patch_plane(20, 24);
         let cur = patch_plane(24, 26); // moved by (+4, +2)
-        let r = motion_search(&cur, &reference, 24, 26, 8, 8, MotionVector::ZERO, 8);
+        let r = search(&cur, &reference, 24, 26, 8, 8, MotionVector::ZERO, 8, false);
         assert_eq!(r.mv, MotionVector::new(-4, -2));
         assert_eq!(r.sad, 0);
     }
@@ -598,7 +737,17 @@ mod tests {
     fn search_prefers_center_on_flat_content() {
         let reference = Plane::filled(64, 64, 90);
         let cur = Plane::filled(64, 64, 90);
-        let r = motion_search(&cur, &reference, 16, 16, 16, 16, MotionVector::ZERO, 4);
+        let r = search(
+            &cur,
+            &reference,
+            16,
+            16,
+            16,
+            16,
+            MotionVector::ZERO,
+            4,
+            false,
+        );
         assert_eq!(r.mv, MotionVector::ZERO);
         assert_eq!(r.sad, 0);
     }
@@ -608,7 +757,17 @@ mod tests {
         let reference = patch_plane(20, 20);
         let cur = patch_plane(30, 20);
         // Center the window near the true vector; a small range suffices.
-        let r = motion_search(&cur, &reference, 30, 20, 8, 8, MotionVector::new(-8, 0), 3);
+        let r = search(
+            &cur,
+            &reference,
+            30,
+            20,
+            8,
+            8,
+            MotionVector::new(-8, 0),
+            3,
+            false,
+        );
         assert_eq!(r.mv, MotionVector::new(-10, 0));
     }
 
@@ -673,7 +832,7 @@ mod tests {
                 cur.set(x, y, (a + b).div_ceil(2) as u8);
             }
         }
-        let r = search_sub(
+        let r = search(
             &cur,
             &reference,
             16,
@@ -688,7 +847,7 @@ mod tests {
         // x component must be the half-pel shift.
         assert_eq!(r.mv.x, 1, "mv {:?} sad {}", r.mv, r.sad);
         assert_eq!(r.sad, 0);
-        let full = search_sub(
+        let full = search(
             &cur,
             &reference,
             16,
@@ -725,7 +884,7 @@ mod tests {
         let b = patch_plane(12, 11);
         let pred = mc(&b, 8, 8, 16, 16, MotionVector::ZERO, false);
         assert_eq!(
-            sad_against(&a, 8, 8, 16, 16, &pred),
+            sad_against_bounded(&a, 8, 8, 16, 16, &pred, u64::MAX),
             a.sad(8, 8, 16, 16, &b, 8, 8)
         );
     }

@@ -161,7 +161,13 @@ pub fn dequant_inverse(levels: &Block4x4, qp: u8) -> Block4x4 {
     let t = &qp_tables()[qp as usize];
     let mut deq = [0i32; 16];
     for i in 0..16 {
-        deq[i] = (levels[i] as i64 * t.v[i]) as i32;
+        let product = levels[i] as i64 * t.v[i];
+        debug_assert!(
+            product.abs() < 1 << 26,
+            "fused dequant needs |level * V| < 2^26, got level {} at qp {qp}",
+            levels[i]
+        );
+        deq[i] = product as i32;
     }
     inverse4x4(&deq)
 }

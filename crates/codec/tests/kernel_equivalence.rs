@@ -1,28 +1,33 @@
 //! Property tests pinning the word-parallel codec kernels bit-identical to
 //! their scalar references — the scalar paths stay the specification the
-//! SWAR (and optional intrinsic) kernels must reproduce exactly, across
-//! random blocks, non-multiple-of-8 widths and border geometries. The
-//! decoder's row-slice deblocking filter and windowed arithmetic decoder
-//! are pinned the same way against their per-pixel and bit-serial
-//! originals.
+//! SWAR kernels must reproduce exactly, across random blocks,
+//! non-multiple-of-8 widths and border geometries. The motion search's
+//! padded phase planes and shared partition window are pinned against
+//! clamped scalar sampling and a scalar full search, borders and clamped
+//! vectors included. The decoder's row-slice deblocking filter and windowed
+//! arithmetic decoder are pinned the same way against their per-pixel and
+//! bit-serial originals.
 
 use vapp_check::{RngExt, StdRng};
 use vapp_codec::arith::{ArithDecoder, ArithEncoder, BinContext};
 use vapp_codec::bitstream::BitReader;
 use vapp_codec::deblock::deblock_plane;
-use vapp_codec::inter::{mc_block_halfpel_into, MAX_BLOCK_PIXELS};
-use vapp_codec::quant::{dequantize, forward_quant, quantize, MAX_QP};
+use vapp_codec::inter::{
+    mc_block_halfpel_into, search_sub_stats, RefPlanes, SadGrid, SearchResult, SearchStats,
+    GRID_RANGE, MAX_BLOCK_PIXELS, MV_LIMIT, REF_MARGIN,
+};
+use vapp_codec::quant::{dequant_inverse, dequantize, forward_quant, quantize, MAX_QP};
 use vapp_codec::transform::{forward4x4, inverse4x4, Block4x4};
-use vapp_codec::types::MotionVector;
-use vapp_media::Plane;
+use vapp_codec::types::{BlockGeom, MotionVector, PartShape, PartitionLayout, SubShape};
+use vapp_media::{Plane, MB_SIZE};
 
 fn random_plane(rng: &mut StdRng, w: usize, h: usize) -> Plane {
     let data: Vec<u8> = (0..w * h).map(|_| rng.random::<u64>() as u8).collect();
     Plane::from_data(w, h, data)
 }
 
-/// Clamped scalar SAD — the definition `Plane::sad_bounded` must match
-/// whenever the result is `<=` the bound.
+/// Clamped scalar SAD — the definition every full-pel search SAD must
+/// match.
 #[allow(clippy::too_many_arguments)]
 fn sad_scalar(
     cur: &Plane,
@@ -45,6 +50,17 @@ fn sad_scalar(
     sum
 }
 
+/// SAD between a source block and a prediction buffer.
+fn sad_pred(cur: &Plane, x: usize, y: usize, w: usize, h: usize, pred: &[u8]) -> u64 {
+    let mut sum = 0u64;
+    for dy in 0..h {
+        for dx in 0..w {
+            sum += cur.get(x + dx, y + dy).abs_diff(pred[dy * w + dx]) as u64;
+        }
+    }
+    sum
+}
+
 #[test]
 fn swar_sad_matches_scalar_reference() {
     vapp_check::check("swar_sad_matches_scalar", 64, |rng| {
@@ -52,14 +68,14 @@ fn swar_sad_matches_scalar_reference() {
         let ph = rng.random_range(24..64);
         let cur = random_plane(rng, pw, ph);
         let refp = random_plane(rng, pw, ph);
-        // Deliberately non-multiple-of-8 widths and border-straddling
-        // reference origins.
+        // Deliberately non-multiple-of-8 widths; both blocks interior, the
+        // only geometry `Plane::sad` accepts.
         let w = rng.random_range(1..=16usize.min(pw));
         let h = rng.random_range(1..=16usize.min(ph));
         let x = rng.random_range(0..=pw - w);
         let y = rng.random_range(0..=ph - h);
-        let rx = rng.random_range(0..pw as i64 + 8) as isize - 4;
-        let ry = rng.random_range(0..ph as i64 + 8) as isize - 4;
+        let rx = rng.random_range(0..=pw - w) as isize;
+        let ry = rng.random_range(0..=ph - h) as isize;
         let want = sad_scalar(&cur, x, y, w, h, &refp, rx, ry);
         assert_eq!(
             cur.sad(x, y, w, h, &refp, rx, ry),
@@ -78,6 +94,251 @@ fn swar_sad_matches_scalar_reference() {
     });
 }
 
+/// A vector component that puts a block at `pos` (full-pel) interior,
+/// straddling an edge of a `len`-pixel axis, beyond the padding margin, or
+/// near the `±MV_LIMIT` clamp — in half-pel units when `subpel` is set.
+fn vector_component(rng: &mut StdRng, pos: usize, len: usize, subpel: bool) -> i16 {
+    let scale = if subpel { 2 } else { 1 };
+    let (pos, len, margin) = (pos as i64, len as i64, REF_MARGIN as i64);
+    let full = match rng.random_range(0..4u32) {
+        0 => rng.random_range(0..len as u64) as i64 - pos,
+        1 => {
+            let edge = if rng.random::<bool>() { 0 } else { len };
+            edge + rng.random_range(0..40u64) as i64 - 20 - pos
+        }
+        2 => {
+            let beyond = margin + rng.random_range(0..200u64) as i64;
+            if rng.random::<bool>() {
+                -beyond - pos
+            } else {
+                len + beyond - pos
+            }
+        }
+        _ => {
+            let limit = MV_LIMIT as i64 / scale - rng.random_range(0..8u64) as i64;
+            if rng.random::<bool>() {
+                limit
+            } else {
+                -limit
+            }
+        }
+    };
+    let half = if subpel { rng.random_range(0..2u64) } else { 0 };
+    (full * scale + half as i64) as i16
+}
+
+#[test]
+fn phase_plane_sad_matches_clamped_scalar() {
+    vapp_check::check("phase_plane_sad", 256, |rng| {
+        let pw = rng.random_range(16..64);
+        let ph = rng.random_range(16..64);
+        let cur = random_plane(rng, pw, ph);
+        let refp = random_plane(rng, pw, ph);
+        let refs = RefPlanes::new(refp.clone());
+        let w = rng.random_range(1..=MB_SIZE);
+        let h = rng.random_range(1..=MB_SIZE);
+        let x = rng.random_range(0..=pw - w);
+        let y = rng.random_range(0..=ph - h);
+        // Half-pel vectors reach all four phases; full-pel ones are the
+        // phase-0 plane read as the full-pel search does.
+        let subpel = rng.random::<bool>();
+        let mv = MotionVector::new(
+            vector_component(rng, x, pw, subpel),
+            vector_component(rng, y, ph, subpel),
+        );
+        let want = if subpel {
+            sad_pred(&cur, x, y, w, h, &mc_halfpel_scalar(&refp, x, y, w, h, mv))
+        } else {
+            let (rx, ry) = (x as isize + mv.x as isize, y as isize + mv.y as isize);
+            sad_scalar(&cur, x, y, w, h, &refp, rx, ry)
+        };
+        let what = format!(
+            "w={w} h={h} x={x} y={y} mv=({},{}) subpel={subpel}",
+            mv.x, mv.y
+        );
+        let exact = refs.sad_bounded(&cur, x, y, w, h, mv, subpel, u64::MAX);
+        assert_eq!(exact, want, "{what}");
+        let bound = rng.random_range(0..want + 2);
+        let got = refs.sad_bounded(&cur, x, y, w, h, mv, subpel, bound);
+        if want <= bound {
+            assert_eq!(got, want, "bounded must be exact at/below bound: {what}");
+        } else {
+            assert!(got > bound, "early exit must still report excess: {what}");
+        }
+    });
+}
+
+/// Every distinct block geometry any partition layout produces.
+fn all_block_geometries() -> Vec<BlockGeom> {
+    let mut out: Vec<BlockGeom> = Vec::new();
+    let shapes = [
+        PartShape::P16x16,
+        PartShape::P16x8,
+        PartShape::P8x16,
+        PartShape::P8x8,
+    ];
+    let subs = [
+        SubShape::S8x8,
+        SubShape::S8x4,
+        SubShape::S4x8,
+        SubShape::S4x4,
+    ];
+    for shape in shapes {
+        for sub in subs {
+            let layout = PartitionLayout {
+                shape,
+                subs: [sub; 4],
+            };
+            for g in &layout.blocks() {
+                if !out.contains(g) {
+                    out.push(*g);
+                }
+            }
+        }
+    }
+    out
+}
+
+/// The scalar ±`GRID_RANGE` full search with optional ±1 half-pel
+/// refinement, from clamped per-pixel sampling: the lexicographic
+/// `(sad, distance)` minimum, the centre first and then the window
+/// row-major, then strict improvement over the eight half-pel neighbours.
+#[allow(clippy::too_many_arguments)]
+fn scalar_partition_search(
+    cur: &Plane,
+    refp: &Plane,
+    x: usize,
+    y: usize,
+    w: usize,
+    h: usize,
+    center: MotionVector,
+    subpel: bool,
+) -> SearchResult {
+    let center = if subpel {
+        MotionVector::new(center.x / 2, center.y / 2)
+    } else {
+        center
+    };
+    let clamp = |v: i16, d: i16| (v + d).clamp(-MV_LIMIT, MV_LIMIT);
+    let mut order = vec![(0i16, 0i16)];
+    for dy in -GRID_RANGE..=GRID_RANGE {
+        for dx in -GRID_RANGE..=GRID_RANGE {
+            if (dx, dy) != (0, 0) {
+                order.push((dx, dy));
+            }
+        }
+    }
+    let mut best: Option<(SearchResult, i32)> = None;
+    for (dx, dy) in order {
+        let mv = MotionVector::new(clamp(center.x, dx), clamp(center.y, dy));
+        let (rx, ry) = (x as isize + mv.x as isize, y as isize + mv.y as isize);
+        let sad = sad_scalar(cur, x, y, w, h, refp, rx, ry);
+        let dist = (mv.x as i32 - center.x as i32).abs() + (mv.y as i32 - center.y as i32).abs();
+        if best.is_none_or(|(b, bd)| sad < b.sad || (sad == b.sad && dist < bd)) {
+            best = Some((SearchResult { mv, sad }, dist));
+        }
+    }
+    let full = best.expect("window is non-empty").0;
+    if !subpel {
+        return full;
+    }
+    let base = MotionVector::new(full.mv.x * 2, full.mv.y * 2);
+    let mut best = SearchResult {
+        mv: base,
+        sad: full.sad,
+    };
+    for dy in -1..=1 {
+        for dx in -1..=1 {
+            if (dx, dy) == (0, 0) {
+                continue;
+            }
+            let mv = MotionVector::new(clamp(base.x, dx), clamp(base.y, dy));
+            let sad = sad_pred(cur, x, y, w, h, &mc_halfpel_scalar(refp, x, y, w, h, mv));
+            if sad < best.sad {
+                best = SearchResult { mv, sad };
+            }
+        }
+    }
+    best
+}
+
+#[test]
+fn grid_search_matches_scalar_full_search() {
+    let geoms = all_block_geometries();
+    assert_eq!(
+        geoms.len(),
+        41,
+        "1 + 2 + 2 + 4 + 8 + 8 + 16 block geometries"
+    );
+    vapp_check::check("grid_partition_search", 48, |rng| {
+        let (cols, rows) = (rng.random_range(1..4usize), rng.random_range(1..4usize));
+        let (pw, ph) = (cols * MB_SIZE, rows * MB_SIZE);
+        // Smooth planes make ties (and so the distance tie-break) common;
+        // noise makes every displacement distinct.
+        let (cur, refp) = if rng.random::<bool>() {
+            let smooth = |rng: &mut StdRng| {
+                let data = (0..pw * ph)
+                    .map(|i| {
+                        ((i % pw) / 3 + (i / pw) / 5 + rng.random_range(0..2u64) as usize) as u8
+                    })
+                    .collect();
+                Plane::from_data(pw, ph, data)
+            };
+            (smooth(rng), smooth(rng))
+        } else {
+            (random_plane(rng, pw, ph), random_plane(rng, pw, ph))
+        };
+        let refs = RefPlanes::new(refp.clone());
+        let mb_x = rng.random_range(0..cols) * MB_SIZE;
+        let mb_y = rng.random_range(0..rows) * MB_SIZE;
+        let subpel = rng.random::<bool>();
+        let center = MotionVector::new(
+            vector_component(rng, mb_x, pw, subpel),
+            vector_component(rng, mb_y, ph, subpel),
+        );
+        let grid = SadGrid::new(&cur, &refs, mb_x, mb_y, center, subpel);
+        for g in &geoms {
+            let (x, y) = (mb_x + g.dx, mb_y + g.dy);
+            let want = scalar_partition_search(&cur, &refp, x, y, g.w, g.h, center, subpel);
+            let got = grid.search(g, &mut SearchStats::default());
+            let what = format!(
+                "block {g:?} mb=({mb_x},{mb_y}) center=({},{}) subpel={subpel}",
+                center.x, center.y
+            );
+            assert_eq!(got, want, "{what}");
+            // And the bounded production search over the same window.
+            let mut stats = SearchStats::default();
+            let bounded = search_sub_stats(
+                &cur, &refs, x, y, g.w, g.h, center, GRID_RANGE, subpel, &mut stats,
+            );
+            assert_eq!(bounded, want, "{what}");
+        }
+    });
+}
+
+#[test]
+fn sad_quads16_matches_scalar_sums() {
+    vapp_check::check("sad_quads16", 256, |rng| {
+        let row = |rng: &mut StdRng| -> Vec<u8> {
+            match rng.random_range(0..3u32) {
+                0 => vec![0; 16],
+                1 => vec![255; 16],
+                _ => (0..16).map(|_| rng.random::<u64>() as u8).collect(),
+            }
+        };
+        let (a, b) = (row(rng), row(rng));
+        let lanes = vapp_media::kernels::sad_quads16(&a, &b);
+        for k in 0..4 {
+            let want: u64 = (4 * k..4 * k + 4).map(|i| a[i].abs_diff(b[i]) as u64).sum();
+            assert_eq!(
+                (lanes >> (16 * k)) & 0xFFFF,
+                want,
+                "quad {k} of {a:?} vs {b:?}"
+            );
+        }
+    });
+}
+
 #[test]
 fn sad_slices_matches_scalar_on_ragged_lengths() {
     vapp_check::check("sad_slices_ragged", 64, |rng| {
@@ -91,24 +352,37 @@ fn sad_slices_matches_scalar_on_ragged_lengths() {
 
 #[test]
 fn fused_transform_quant_matches_scalar_pair() {
-    vapp_check::check("fused_forward_quant", 64, |rng| {
-        let qp = rng.random_range(0..=MAX_QP as u64) as u8;
-        let intra = rng.random::<u64>() & 1 == 1;
-        let r: Block4x4 = core::array::from_fn(|_| rng.random_range(0..511) - 255);
-        let want = quantize(&forward4x4(&r), qp, intra);
-        assert_eq!(forward_quant(&r, qp, intra), want, "qp={qp} intra={intra}");
-        // And the fused inverse on the levels the forward pass produced.
-        assert_eq!(
-            vapp_codec::quant::dequant_inverse(&want, qp),
-            inverse4x4(&dequantize(&want, qp)),
-            "qp={qp}"
-        );
+    vapp_check::check("fused_forward_quant", 16, |rng| {
+        // Random 8-bit residuals and saturated ±255 blocks (the largest
+        // coefficients, so the largest levels), at every QP, intra and inter.
+        let r: Block4x4 = match rng.random_range(0..3u32) {
+            0 => core::array::from_fn(|_| rng.random_range(0..511) - 255),
+            1 => core::array::from_fn(|_| if rng.random::<bool>() { 255 } else { -255 }),
+            _ => [if rng.random::<bool>() { 255 } else { -255 }; 16],
+        };
+        for qp in 0..=MAX_QP {
+            for intra in [false, true] {
+                let want = quantize(&forward4x4(&r), qp, intra);
+                let levels = forward_quant(&r, qp, intra);
+                assert_eq!(levels, want, "qp={qp} intra={intra} r={r:?}");
+                // The fused inverse's documented precondition.
+                assert!(
+                    levels.iter().all(|l| l.abs() < 1 << 13),
+                    "qp={qp} intra={intra} levels={levels:?}"
+                );
+                assert_eq!(
+                    dequant_inverse(&levels, qp),
+                    inverse4x4(&dequantize(&levels, qp)),
+                    "qp={qp} intra={intra} r={r:?}"
+                );
+            }
+        }
     });
 }
 
 /// Scalar half-pel motion compensation — clamped bilinear sampling, the
-/// definition `mc_block_halfpel_into`'s word-parallel interior path must
-/// reproduce byte for byte.
+/// definition `mc_block_halfpel_into`'s word-parallel interior path and the
+/// search's phase planes must reproduce byte for byte.
 fn mc_halfpel_scalar(
     reference: &Plane,
     x: usize,

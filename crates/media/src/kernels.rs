@@ -99,6 +99,37 @@ pub fn sad_slices(a: &[u8], b: &[u8]) -> u64 {
     total
 }
 
+/// Per-4-pixel SADs of two 16-pixel rows, one sum per 16-bit lane: lane `k`
+/// (bits `16k..16k + 16`) holds the SAD of pixels `4k..4k + 4`.
+///
+/// This is [`sad_slices`] without the horizontal fold: the per-pair sums of
+/// `abs_diff_lanes` stay in their lanes, adjacent pairs are added into
+/// quads, and the four quads are packed in pixel order. A lane holds at most
+/// `4 * 255 = 1020`, so up to 64 rows accumulate with plain `u64` adds before
+/// a lane could overflow — the motion search sums the rows of each 4x4 cell
+/// of a 16x16 block this way.
+///
+/// # Panics
+///
+/// Panics unless both rows are exactly 16 pixels long.
+#[inline]
+pub fn sad_quads16(a: &[u8], b: &[u8]) -> u64 {
+    assert!(
+        a.len() == 16 && b.len() == 16,
+        "quad SAD rows are 16 pixels"
+    );
+    // Lane k of `pairs` holds |a[2k] - b[2k]| + |a[2k+1] - b[2k+1]|.
+    let pairs = |x: u64, y: u64| {
+        abs_diff_lanes(x & EVEN, y & EVEN) + abs_diff_lanes((x >> 8) & EVEN, (y >> 8) & EVEN)
+    };
+    // Adding each lane's upper neighbour leaves quad sums in lanes 0 and 2.
+    const QUADS: u64 = 0x0000_FFFF_0000_FFFF;
+    let quads = |p: u64| (p + (p >> 16)) & QUADS;
+    let lo = quads(pairs(load8(&a[..8]), load8(&b[..8])));
+    let hi = quads(pairs(load8(&a[8..]), load8(&b[8..])));
+    (lo & 0xFFFF) | ((lo >> 32) << 16) | ((hi & 0xFFFF) << 32) | ((hi >> 32) << 48)
+}
+
 /// Per-byte rounding-up average `(a + b + 1) >> 1` of two equal-length rows.
 ///
 /// Uses the carry-free identity `avg_up(a, b) = (a | b) - ((a ^ b) >> 1)`
@@ -212,6 +243,20 @@ mod tests {
                 let a = pattern(seed * 2 + 1, len);
                 let b = pattern(seed * 2 + 2, len);
                 assert_eq!(sad_slices(&a, &b), sad_scalar(&a, &b), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn sad_quads16_matches_scalar_quads() {
+        let zeros = [0u8; 16];
+        let maxed = [255u8; 16];
+        let rows = (0..8u64).map(|seed| (pattern(seed * 2 + 31, 16), pattern(seed * 2 + 32, 16)));
+        for (a, b) in rows.chain([(zeros.to_vec(), maxed.to_vec())]) {
+            let lanes = sad_quads16(&a, &b);
+            for k in 0..4 {
+                let want = sad_scalar(&a[4 * k..4 * k + 4], &b[4 * k..4 * k + 4]);
+                assert_eq!((lanes >> (16 * k)) & 0xFFFF, want, "quad {k}");
             }
         }
     }

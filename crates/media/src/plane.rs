@@ -185,9 +185,14 @@ impl Plane {
         }
     }
 
-    /// Sum of absolute differences between a block of this plane at `(x, y)`
-    /// and a reference block sampled (with clamping) from `other` at
-    /// `(rx, ry)`. The cost function used by motion estimation.
+    /// Sum of absolute differences between the `w x h` block of this plane
+    /// at `(x, y)` and the block of `other` at `(rx, ry)`. The cost function
+    /// used by motion estimation.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both blocks lie fully inside their planes (see
+    /// [`Plane::sad_bounded`]).
     #[allow(clippy::too_many_arguments)] // block geometry: x, y, w, h + reference
     pub fn sad(
         &self,
@@ -214,9 +219,15 @@ impl Plane {
     /// comparisons against any value `<= bound` come out the same as with the
     /// exact SAD.
     ///
-    /// Interior blocks (fully inside both planes) take a word-parallel row
-    /// path — see [`crate::kernels::sad_slices`]; blocks touching a border
-    /// fall back to clamped per-pixel sampling.
+    /// Both blocks must be interior: rows are borrowed directly and compared
+    /// word-parallel ([`crate::kernels::sad_slices`]). Callers that need
+    /// clamped (edge-extended) reference sampling read an edge-extended copy
+    /// of the reference at a clamped origin instead — the motion search's
+    /// padded reference planes — so no per-pixel clamping path exists here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either block leaves its plane.
     #[allow(clippy::too_many_arguments)] // block geometry + reference + bound
     pub fn sad_bounded(
         &self,
@@ -229,62 +240,16 @@ impl Plane {
         ry: isize,
         bound: u64,
     ) -> u64 {
-        let cur_ok = x + w <= self.width && y + h <= self.height;
-        if cur_ok && other.block_interior(rx, ry, w, h) {
-            let (rx, ry) = (rx as usize, ry as usize);
-            let mut total = 0u64;
-            for by in 0..h {
-                let a = &self.data[(y + by) * self.width + x..][..w];
-                let b = &other.data[(ry + by) * other.width + rx..][..w];
-                total += crate::kernels::sad_slices(a, b);
-                if total > bound {
-                    return total;
-                }
-            }
-            return total;
-        }
-        if cur_ok {
-            // The reference block straddles a border of `other` but the
-            // source block is interior: clamp per row, splitting each row
-            // into a left edge-replicated run, a word-parallel interior
-            // span, and a right edge-replicated run. Exactly the clamped
-            // sampling result, without per-pixel clamps.
-            let rw = other.width as isize;
-            // First dx with rx + dx >= 0, and first dx with rx + dx >= rw.
-            let lo = (-rx).clamp(0, w as isize) as usize;
-            let hi = (rw - rx).clamp(0, w as isize) as usize;
-            let mut total = 0u64;
-            for by in 0..h {
-                let a = &self.data[(y + by) * self.width + x..][..w];
-                let ry_c = (ry + by as isize).clamp(0, other.height as isize - 1) as usize;
-                let b = other.row(ry_c);
-                let left = b[0] as i32;
-                let right = b[other.width - 1] as i32;
-                for &av in &a[..lo] {
-                    total += (av as i32 - left).unsigned_abs() as u64;
-                }
-                if lo < hi {
-                    let start = (rx + lo as isize) as usize;
-                    total += crate::kernels::sad_slices(&a[lo..hi], &b[start..start + hi - lo]);
-                }
-                for &av in &a[hi..] {
-                    total += (av as i32 - right).unsigned_abs() as u64;
-                }
-                if total > bound {
-                    return total;
-                }
-            }
-            return total;
-        }
-        // Source block itself leaves the plane: clamped sampling on both
-        // sides, still row-bounded for early exit.
+        assert!(
+            x + w <= self.width && y + h <= self.height && other.block_interior(rx, ry, w, h),
+            "SAD blocks must be interior: {w}x{h} at ({x}, {y}) against ({rx}, {ry})"
+        );
+        let (rx, ry) = (rx as usize, ry as usize);
         let mut total = 0u64;
         for by in 0..h {
-            for bx in 0..w {
-                let a = self.sample((x + bx) as isize, (y + by) as isize) as i32;
-                let b = other.sample(rx + bx as isize, ry + by as isize) as i32;
-                total += (a - b).unsigned_abs() as u64;
-            }
+            let a = &self.data[(y + by) * self.width + x..][..w];
+            let b = &other.data[(ry + by) * other.width + rx..][..w];
+            total += crate::kernels::sad_slices(a, b);
             if total > bound {
                 return total;
             }
@@ -335,14 +300,14 @@ mod tests {
         w: usize,
         h: usize,
         other: &Plane,
-        rx: isize,
-        ry: isize,
+        rx: usize,
+        ry: usize,
     ) -> u64 {
         let mut total = 0u64;
         for by in 0..h {
             for bx in 0..w {
-                let a = cur.sample((x + bx) as isize, (y + by) as isize) as i32;
-                let b = other.sample(rx + bx as isize, ry + by as isize) as i32;
+                let a = cur.get(x + bx, y + by) as i32;
+                let b = other.get(rx + bx, ry + by) as i32;
                 total += (a - b).unsigned_abs() as u64;
             }
         }
@@ -364,24 +329,23 @@ mod tests {
     }
 
     #[test]
-    fn sad_matches_scalar_reference_interior_and_border() {
+    fn sad_matches_scalar_reference() {
         let cur = textured(40, 24, 1);
         let reference = textured(40, 24, 2);
-        // Interior, border-straddling and fully-clamped geometries, plus
-        // non-multiple-of-8 widths that exercise the SWAR remainder.
-        let cases: &[(usize, usize, usize, usize, isize, isize)] = &[
+        // Interior geometries touching every edge, plus non-multiple-of-8
+        // widths that exercise the SWAR remainder.
+        let cases: &[(usize, usize, usize, usize, usize, usize)] = &[
             (8, 4, 16, 16, 10, 6),
-            (8, 4, 16, 16, -3, -2),
-            (24, 8, 16, 16, 30, 12),
-            (0, 0, 16, 16, -20, -20),
+            (0, 0, 16, 16, 0, 0),
+            (24, 8, 16, 16, 24, 8),
             (5, 3, 13, 7, 4, 2),
-            (5, 3, 13, 7, 39, 23),
-            (32, 16, 8, 8, 35, 17),
+            (5, 3, 13, 7, 27, 17),
+            (32, 16, 8, 8, 31, 15),
             (0, 0, 4, 4, 1, 1),
         ];
         for &(x, y, w, h, rx, ry) in cases {
             assert_eq!(
-                cur.sad(x, y, w, h, &reference, rx, ry),
+                cur.sad(x, y, w, h, &reference, rx as isize, ry as isize),
                 sad_scalar_ref(&cur, x, y, w, h, &reference, rx, ry),
                 "geometry ({x},{y}) {w}x{h} at ({rx},{ry})"
             );
@@ -406,10 +370,20 @@ mod tests {
         let partial = cur.sad_bounded(8, 4, 16, 16, &reference, 11, 7, exact - 1);
         assert!(partial > exact - 1);
         assert!(partial <= exact);
-        // Same contract on the clamped border path.
-        let edge_exact = cur.sad(0, 0, 16, 16, &reference, -5, -4);
-        let edge_partial = cur.sad_bounded(0, 0, 16, 16, &reference, -5, -4, edge_exact / 2);
-        assert!(edge_partial > edge_exact / 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "interior")]
+    fn sad_rejects_a_reference_block_off_the_plane() {
+        let cur = textured(40, 24, 5);
+        let _ = cur.sad(0, 0, 16, 16, &cur.clone(), -3, -2);
+    }
+
+    #[test]
+    #[should_panic(expected = "interior")]
+    fn sad_rejects_a_source_block_off_the_plane() {
+        let cur = textured(40, 24, 6);
+        let _ = cur.sad(30, 0, 16, 16, &cur.clone(), 0, 0);
     }
 
     #[test]

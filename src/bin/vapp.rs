@@ -220,6 +220,11 @@ fn save_video(path: &str, video: &Video) -> Result<(), String> {
     write_file(path, &bytes)
 }
 
+/// Largest clip `generate` builds, in luma samples (1 GiB of pixels —
+/// about 500 frames of 1080p), checked before anything is allocated: each
+/// dimension is bounded on its own, but their product is not.
+const MAX_GENERATE_SAMPLES: usize = 1 << 30;
+
 fn cmd_generate(args: VecDeque<String>) -> Result<(), String> {
     let (mut kind, mut w, mut h, mut n, mut seed, mut fps) = (
         "blocks".to_string(),
@@ -250,6 +255,12 @@ fn cmd_generate(args: VecDeque<String>) -> Result<(), String> {
     }
     if n == 0 {
         return Err("--frames must be >= 1".into());
+    }
+    let samples = w.checked_mul(h).and_then(|px| px.checked_mul(n));
+    if samples.is_none_or(|s| s > MAX_GENERATE_SAMPLES) {
+        return Err(format!(
+            "--width x --height x --frames must be at most {MAX_GENERATE_SAMPLES} luma samples"
+        ));
     }
     if !(fps.is_finite() && fps > 0.0) {
         return Err("--fps must be finite and positive".into());

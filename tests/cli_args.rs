@@ -82,6 +82,14 @@ fn generate_shape_is_bounded() {
         ("32", "0", "2", "50", DIMS),
         ("1000000", "1000000", "1000", "50", DIMS),
         ("32", "32", "0", "50", "--frames must be >= 1"),
+        (
+            "8192",
+            "8192",
+            "100000",
+            "50",
+            "at most 1073741824 luma samples",
+        ),
+        ("1", "1", "18446744073709551615", "50", "luma samples"),
         ("32", "32", "2", "0", "--fps must be finite and positive"),
         ("32", "32", "2", "nan", "--fps must be finite and positive"),
     ] {
