@@ -1,14 +1,16 @@
 //! Codec throughput: encode and decode, CABAC vs CAVLC, decode of a
 //! damaged stream (the concealment path every storage trial runs), plus
-//! the word-parallel inner-loop kernels (SAD, the shared partition-search
-//! window, fused transform/quant, half-pel motion compensation) and an
-//! encoder frames-per-second figure.
+//! the word-parallel inner-loop kernels (SAD, the ±8 macroblock search, the
+//! shared partition-search window, fused transform/quant, half-pel motion
+//! compensation) and an encoder frames-per-second figure.
 
 use std::hint::black_box;
 use vapp_bench::harness::{Criterion, Throughput};
 use vapp_bench::{criterion_group, criterion_main};
 use vapp_codec::bitstream::flip_bit;
-use vapp_codec::inter::{mc_block_halfpel_into, RefPlanes, SadGrid, MAX_BLOCK_PIXELS};
+use vapp_codec::inter::{
+    mc_block_halfpel_into, motion_search_stats, RefPlanes, SadGrid, SearchStats, MAX_BLOCK_PIXELS,
+};
 use vapp_codec::quant::{dequant_inverse, forward_quant};
 use vapp_codec::transform::Block4x4;
 use vapp_codec::types::{MotionVector, PartShape, PartitionLayout, SubShape};
@@ -97,6 +99,38 @@ fn bench_codec_kernels(c: &mut Criterion) {
         b.iter(|| {
             let grid = SadGrid::new(&cur, &refs, 48, 48, MotionVector::new(2, -1), false);
             black_box(cells.iter().map(|g| grid.full_search(g).sad).sum::<u64>())
+        });
+    });
+    // The encoder's 16x16 ±8 full search (successive elimination, then
+    // bounded SADs) for every macroblock of one 112x64 frame against the
+    // previous frame of a moving-blocks clip, so the pruning rate is a
+    // real clip's rather than uncorrelated noise's.
+    let clip = ClipSpec::new(112, 64, 2, SceneKind::MovingBlocks)
+        .seed(1)
+        .generate();
+    let (prev, next) = (clip.frames()[0].plane(), clip.frames()[1].plane());
+    let prev_refs = RefPlanes::new(prev.clone());
+    group.bench_function("motion_search_16x16_pm8", |b| {
+        b.iter(|| {
+            let mut stats = SearchStats::default();
+            let mut total = 0;
+            for mb_y in (0..next.height()).step_by(MB_SIZE) {
+                for mb_x in (0..next.width()).step_by(MB_SIZE) {
+                    total += motion_search_stats(
+                        next,
+                        &prev_refs,
+                        mb_x,
+                        mb_y,
+                        MB_SIZE,
+                        MB_SIZE,
+                        MotionVector::ZERO,
+                        8,
+                        &mut stats,
+                    )
+                    .sad;
+                }
+            }
+            black_box((total, stats))
         });
     });
     // Bounded SAD with a tight bound: measures the early-exit win.

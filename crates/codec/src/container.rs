@@ -23,6 +23,21 @@ pub enum ParseContainerError {
     Header(ParseHeaderError),
     /// A declared size is inconsistent with the buffer.
     InvalidLength,
+    /// The stream header's frame count differs from the number of frame
+    /// records.
+    FrameCount {
+        /// The stream header's `frame_count`.
+        declared: u32,
+        /// Frame records in the container.
+        records: usize,
+    },
+    /// A frame record's reference names no earlier record's coding index.
+    DanglingReference {
+        /// Position of the offending record, in coding order.
+        record: usize,
+        /// The coding index it references.
+        reference: u32,
+    },
 }
 
 impl std::fmt::Display for ParseContainerError {
@@ -31,6 +46,15 @@ impl std::fmt::Display for ParseContainerError {
             ParseContainerError::Truncated => write!(f, "container truncated"),
             ParseContainerError::Header(e) => write!(f, "bad embedded header: {e}"),
             ParseContainerError::InvalidLength => write!(f, "inconsistent length field"),
+            ParseContainerError::FrameCount { declared, records } => write!(
+                f,
+                "stream header declares {declared} frames but the container holds {records}"
+            ),
+            ParseContainerError::DanglingReference { record, reference } => write!(
+                f,
+                "frame record {record} references coding index {reference}, \
+                 which no earlier record holds"
+            ),
         }
     }
 }
@@ -94,6 +118,12 @@ impl EncodedVideo {
     /// Returns [`ParseContainerError`] for truncated or inconsistent
     /// buffers — this is the *precise* part of storage; corruption here is
     /// a hard error, unlike payload corruption which the decoder absorbs.
+    /// Beyond the lengths, the parser enforces what
+    /// [`crate::decoder::decode`] trusts the headers for: the stream
+    /// header's `frame_count` equals the number of records (the encoder
+    /// writes both), and every `ref_fwd`/`ref_bwd` is the coding index of
+    /// an earlier record, below the record count, so the decoder finds each
+    /// reference already decoded.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ParseContainerError> {
         let mut c = Cursor { bytes, pos: 0 };
         let sh_len = c.take_u32()? as usize;
@@ -105,16 +135,29 @@ impl EncodedVideo {
         if count > 10_000_000 {
             return Err(ParseContainerError::InvalidLength);
         }
+        if header.frame_count as usize != count {
+            return Err(ParseContainerError::FrameCount {
+                declared: header.frame_count,
+                records: count,
+            });
+        }
         // The count is untrusted: reserve no more records than the bytes
         // left could hold (each takes at least its two 4-byte lengths).
         let capacity = count.min((bytes.len() - c.pos) / MIN_FRAME_RECORD);
         let mut metas = Vec::with_capacity(capacity);
-        for _ in 0..count {
+        let mut coded = std::collections::HashSet::with_capacity(capacity);
+        for record in 0..count {
             let fh_len = c.take_u32()? as usize;
             if fh_len > 1 << 20 {
                 return Err(ParseContainerError::InvalidLength);
             }
             let fh = FrameHeader::from_bytes(c.take(fh_len)?)?;
+            for reference in fh.ref_fwd.into_iter().chain(fh.ref_bwd) {
+                if reference as usize >= count || !coded.contains(&reference) {
+                    return Err(ParseContainerError::DanglingReference { record, reference });
+                }
+            }
+            coded.insert(fh.coding_index);
             let payload_len = c.take_u32()? as usize;
             metas.push((fh, payload_len));
         }
@@ -194,6 +237,42 @@ mod tests {
             EncodedVideo::from_bytes(&bytes),
             Err(ParseContainerError::InvalidLength)
         );
+    }
+
+    #[test]
+    fn references_must_name_an_earlier_record() {
+        let stream = sample_stream();
+        let later = stream.frames[3].header.coding_index;
+        for (record, reference) in [(1, 999), (1, later), (2, 2)] {
+            let mut bad = stream.clone();
+            let header = &mut bad.frames[record].header;
+            if record == 1 {
+                header.ref_fwd = Some(reference);
+            } else {
+                header.ref_bwd = Some(reference);
+            }
+            assert_eq!(
+                EncodedVideo::from_bytes(&bad.to_bytes()),
+                Err(ParseContainerError::DanglingReference { record, reference }),
+                "record {record} referencing {reference}"
+            );
+        }
+    }
+
+    #[test]
+    fn frame_count_must_match_the_records() {
+        let stream = sample_stream();
+        for declared in [u32::MAX, 4, 6] {
+            let mut bad = stream.clone();
+            bad.header.frame_count = declared;
+            assert_eq!(
+                EncodedVideo::from_bytes(&bad.to_bytes()),
+                Err(ParseContainerError::FrameCount {
+                    declared,
+                    records: 5,
+                })
+            );
+        }
     }
 
     #[test]

@@ -1278,16 +1278,17 @@ fn decide_mode(
     // (`whole.mv` forward, `bwd_whole.mv` backward), so each direction's
     // window is evaluated once, as 4x4-cell SADs, when the macroblock gets
     // this far (skipped macroblocks never build one).
-    let fwd_grid = SadGrid::new(ctx.cur, ref_fwd, mb_x, mb_y, whole.mv, sp);
-    let bwd_grid = ctx
+    let mut fwd_grid = SadGrid::new(ctx.cur, ref_fwd, mb_x, mb_y, whole.mv, sp);
+    let mut bwd_grid = ctx
         .ref_bwd
         .zip(bwd_whole)
         .map(|(rb, bw)| SadGrid::new(ctx.cur, rb, mb_x, mb_y, bw.mv, sp));
     // The P8x8 sub-shape trials and the final P8x8 block list run the same
     // forward grid searches; cache the trial results so the winning
-    // layout's blocks never repeat their half-pel refinement. The search is
-    // deterministic, so replaying a cached result is decision-identical to
-    // recomputing it.
+    // layout's blocks never repeat their half-pel refinement, whose early
+    // exits would otherwise count twice in `codec.sad.early_exit`. The
+    // search is deterministic, so replaying a cached result is
+    // decision-identical to recomputing it.
     let mut p8_cache = [(BlockGeom::default(), whole); 36];
     let mut p8_len = 0usize;
     for shape in shapes {
@@ -1355,7 +1356,7 @@ fn decide_mode(
             let mut dir = PredDir::Forward;
             let mut chosen_sad = fwd.sad;
             let mut mv_b = MotionVector::ZERO;
-            if let (Some(rb), Some(bg)) = (ctx.ref_bwd, &bwd_grid) {
+            if let (Some(rb), Some(bg)) = (ctx.ref_bwd, &mut bwd_grid) {
                 let bwd = bg.search(g, stats);
                 if bwd.sad + lam * 2 < chosen_sad {
                     dir = PredDir::Backward;

@@ -8,9 +8,13 @@
 //! Motion search never samples a reference with clamping. Each reference
 //! frame is prepared once ([`RefPlanes`]: edge-extended full-pel and
 //! half-pel phase planes), so every candidate SAD is an interior row SAD at
-//! a clamped origin; and the partition searches of one macroblock share a
-//! single ±[`GRID_RANGE`] window per direction ([`SadGrid`]), evaluated
-//! once at 4x4-cell granularity.
+//! a clamped origin. The ±8 macroblock search skips most candidates before
+//! their SAD, on exact lower bounds from block sums (successive
+//! elimination over a summed-area table). The partition searches of one
+//! macroblock share a single ±[`GRID_RANGE`] window per direction
+//! ([`SadGrid`]), evaluated once at 4x4-cell granularity, and their
+//! half-pel refinements a lazily filled half-pel window of the same
+//! cells.
 
 use crate::types::{BlockGeom, MotionVector};
 use vapp_media::kernels::{avg4_rounding, avg_rounding, sad_quads16};
@@ -34,14 +38,20 @@ pub struct SearchResult {
 /// are identical at any worker count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// SAD evaluations pruned by the running-best bound: the evaluation
-    /// stopped (possibly mid-block) once its partial sum exceeded the best
-    /// candidate so far, so the block was rejected without a full sum.
+    /// Candidates rejected because their SAD exceeds the best so far: the
+    /// bounded evaluation stopped (possibly mid-block) once its partial sum
+    /// exceeded the best candidate, or — in the ±8 search — a block-sum
+    /// lower bound already exceeded it and the SAD was skipped. A skipped
+    /// candidate is exactly one whose bounded SAD would have come back
+    /// above the bound, so it counts once either way and the total is the
+    /// same as without successive elimination.
     ///
     /// Counted in the 16x16 full searches ([`motion_search_stats`]), the
-    /// ±1 half-pel refinement and the encoder's bi-prediction probe. The
-    /// shared partition window ([`SadGrid`]) evaluates every cell of every
-    /// displacement without a bound, so it contributes nothing.
+    /// ±1 half-pel refinements (bounded SADs in [`search_sub_stats`], cell
+    /// sums in [`SadGrid::search`], counted alike) and the encoder's
+    /// bi-prediction probe. The shared full-pel partition window evaluates
+    /// every cell of every displacement without a bound, so it contributes
+    /// nothing.
     pub early_exits: u64,
 }
 
@@ -61,6 +71,13 @@ impl SearchStats {
 /// to spare. So a block at any origin reads the same pixels as the block at
 /// the origin clamped into the margin, and the padded planes serve every
 /// vector without a per-pixel clamping path.
+///
+/// The full-pel plane also gets a summed-area table ([`RefPlanes::box_sum`]),
+/// kept as wrapping `u32`s: at [`crate::syntax::MAX_DIMENSION`] the plane's
+/// total can pass `2^32`, but every box the search asks for is at most
+/// 16x16 and so sums to at most `256 * 255 = 65_280 < 2^32`. The
+/// four-corner difference is exact modulo `2^32`, and a value below the
+/// modulus is the box sum itself.
 pub const REF_MARGIN: usize = MB_SIZE + 1;
 
 /// A reference frame prepared once for motion search.
@@ -74,11 +91,17 @@ pub const REF_MARGIN: usize = MB_SIZE + 1;
 /// [`mc_block_halfpel_into`] computes per candidate. A search SAD is
 /// therefore [`Plane::sad_bounded`]'s interior row path on one phase plane,
 /// with no interpolation and no border branch.
+///
+/// The full-pel phase also carries a summed-area table, from which the ±8
+/// search takes its lower bounds ([`motion_search_stats`]).
 #[derive(Clone, Debug)]
 pub struct RefPlanes {
     recon: Plane,
     /// Indexed by `fx + 2 * fy`.
     phases: [Plane; 4],
+    /// `(pw + 1) x (ph + 1)` wrapping prefix sums of the full-pel phase:
+    /// entry `(X, Y)` sums the padded pixels above and left of `(X, Y)`.
+    sat: Vec<u32>,
 }
 
 impl RefPlanes {
@@ -117,9 +140,20 @@ impl RefPlanes {
             );
             out[last] = (u16::from(r0[last]) + u16::from(r1[last])).div_ceil(2) as u8;
         }
+        let stride = pw + 1;
+        let mut sat = vec![0u32; stride * (ph + 1)];
+        for py in 0..ph {
+            let (above, below) = sat[py * stride..(py + 2) * stride].split_at_mut(stride);
+            let mut run = 0u32;
+            for (px, &v) in full.row(py).iter().enumerate() {
+                run = run.wrapping_add(u32::from(v));
+                below[px + 1] = above[px + 1].wrapping_add(run);
+            }
+        }
         RefPlanes {
             recon,
             phases: [full, horiz, vert, diag],
+            sat,
         }
     }
 
@@ -161,6 +195,38 @@ impl RefPlanes {
         cur.sad_bounded(x, y, w, h, &self.phases[phase], ox, oy, bound)
     }
 
+    /// Sum of the full-pel phase over the `w x h` box at `(px, py)` in
+    /// padded coordinates (padded pixel `(X, Y)` is the clamped sample at
+    /// `(X - REF_MARGIN, Y - REF_MARGIN)`), from four summed-area corners.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the box is larger than a macroblock (past which the
+    /// wrapping sums are no longer exact; see [`REF_MARGIN`]) or leaves the
+    /// padded plane.
+    pub fn box_sum(&self, px: usize, py: usize, w: usize, h: usize) -> u32 {
+        assert!(
+            w <= MB_SIZE && h <= MB_SIZE,
+            "summed-area boxes are at most a macroblock"
+        );
+        let full = &self.phases[0];
+        assert!(
+            px + w <= full.width() && py + h <= full.height(),
+            "box {w}x{h} at ({px}, {py}) leaves the padded plane"
+        );
+        let stride = self.sat_stride();
+        let corner = |cx: usize, cy: usize| self.sat[cy * stride + cx];
+        corner(px + w, py + h)
+            .wrapping_sub(corner(px, py + h))
+            .wrapping_sub(corner(px + w, py))
+            .wrapping_add(corner(px, py))
+    }
+
+    /// Row stride of the summed-area table: one more than the padded width.
+    fn sat_stride(&self) -> usize {
+        self.phases[0].width() + 1
+    }
+
     /// Where a `w x h` block whose clamped-sampling origin is `(ix, iy)`
     /// sits in the padded planes: the origin clamped into the margin (see
     /// [`REF_MARGIN`]), shifted by it.
@@ -193,6 +259,21 @@ impl RefPlanes {
 /// exact equality, and partial sums only come back when they *exceed* the
 /// bound). The winner's SAD is therefore always the exact value — identical
 /// to the unbounded search, decision for decision.
+///
+/// Before its SAD, each candidate faces multilevel successive elimination
+/// (Li & Salari): by the triangle inequality, `|Σcur − Σref|` over any box
+/// is at most the box's SAD, so summing it over the whole block, then over
+/// its 8x8 quadrants, then over its 4x4 cells gives ever tighter lower
+/// bounds, the reference side read from the summed-area table. A candidate
+/// is skipped once one bound *strictly* exceeds `best.sad` — exactly a
+/// candidate whose bounded SAD would have come back above the bound — and
+/// counts as an early exit, as it would have. A bound equal to `best.sad`
+/// still takes the SAD: the tie-break needs it exact.
+///
+/// # Panics
+///
+/// Panics unless the block is a union of 4x4 cells no larger than a
+/// macroblock (every partition block is), or if it leaves `cur`.
 #[allow(clippy::too_many_arguments)]
 pub fn motion_search_stats(
     cur: &Plane,
@@ -205,6 +286,7 @@ pub fn motion_search_stats(
     range: i16,
     stats: &mut SearchStats,
 ) -> SearchResult {
+    let cells = CellSums::new(cur, reference, x, y, w, h);
     let seed_mv = clamp_mv(center, 0, 0);
     let mut best = SearchResult {
         mv: seed_mv,
@@ -217,7 +299,13 @@ pub fn motion_search_stats(
                 continue;
             }
             let mv = clamp_mv(center, dx, dy);
-            let sad = reference.sad_bounded(cur, x, y, w, h, mv, false, best.sad);
+            let (ox, oy) =
+                reference.origin(x as isize + mv.x as isize, y as isize + mv.y as isize, w, h);
+            if cells.bound_exceeds(reference, ox as usize, oy as usize, best.sad) {
+                stats.early_exits += 1;
+                continue;
+            }
+            let sad = cur.sad_bounded(x, y, w, h, &reference.phases[0], ox, oy, best.sad);
             let dist = l1_dist(mv, center);
             if sad < best.sad || (sad == best.sad && dist < best_dist) {
                 best = SearchResult { mv, sad };
@@ -228,6 +316,85 @@ pub fn motion_search_stats(
         }
     }
     best
+}
+
+/// The 4x4-cell sums of one search block, for [`motion_search_stats`]'s
+/// successive-elimination bounds, and where the block's cell corners sit in
+/// the reference's summed-area table. Cells are row-major at stride 4.
+/// Lattice rows and columns past a block smaller than a macroblock repeat
+/// its last corner, so the cells outside it are empty on both sides and add
+/// nothing to any bound.
+struct CellSums {
+    /// Block size in pixels.
+    w: usize,
+    h: usize,
+    cells: [u32; 16],
+    quads: [u32; 4],
+    total: u32,
+    /// Summed-area offset of lattice corner `(r, c)`, at `r * 5 + c`, from
+    /// the block's origin.
+    corners: [usize; 25],
+}
+
+impl CellSums {
+    fn new(cur: &Plane, reference: &RefPlanes, x: usize, y: usize, w: usize, h: usize) -> Self {
+        assert!(
+            [w, h]
+                .iter()
+                .all(|v| v.is_multiple_of(4) && (4..=MB_SIZE).contains(v)),
+            "search blocks are unions of 4x4 cells: {w}x{h}"
+        );
+        let mut cells = [0u32; 16];
+        for r in 0..h {
+            let row = &cur.row(y + r)[x..x + w];
+            for (c, quad) in row.chunks_exact(4).enumerate() {
+                cells[r / 4 * 4 + c] += quad.iter().map(|&v| u32::from(v)).sum::<u32>();
+            }
+        }
+        let stride = reference.sat_stride();
+        CellSums {
+            w,
+            h,
+            cells,
+            quads: quad_sums(&cells),
+            total: cells.iter().sum(),
+            corners: core::array::from_fn(|k| (4 * (k / 5)).min(h) * stride + (4 * (k % 5)).min(w)),
+        }
+    }
+
+    /// Whether a lower bound on the SAD against the full-pel block at padded
+    /// origin `(ox, oy)` strictly exceeds `best`: the whole block's, then
+    /// the quadrants', then the cells' `Σ|Σcur − Σref|`.
+    fn bound_exceeds(&self, reference: &RefPlanes, ox: usize, oy: usize, best: u64) -> bool {
+        let whole = reference.box_sum(ox, oy, self.w, self.h);
+        if u64::from(self.total.abs_diff(whole)) > best {
+            return true;
+        }
+        let lattice = &reference.sat[oy * reference.sat_stride() + ox..];
+        let corners: [u32; 25] = core::array::from_fn(|k| lattice[self.corners[k]]);
+        let cells: [u32; 16] = core::array::from_fn(|k| {
+            let at = k / 4 * 5 + k % 4;
+            corners[at + 6]
+                .wrapping_sub(corners[at + 5])
+                .wrapping_sub(corners[at + 1])
+                .wrapping_add(corners[at])
+        });
+        let spread = |a: &[u32], b: &[u32]| -> u64 {
+            a.iter()
+                .zip(b)
+                .map(|(&a, &b)| u64::from(a.abs_diff(b)))
+                .sum()
+        };
+        spread(&self.quads, &quad_sums(&cells)) > best || spread(&self.cells, &cells) > best
+    }
+}
+
+/// Sums of row-major 4x4-cell values over each 8x8 quadrant.
+fn quad_sums(cells: &[u32; 16]) -> [u32; 4] {
+    core::array::from_fn(|q| {
+        let at = (q / 2) * 8 + (q % 2) * 2;
+        cells[at] + cells[at + 1] + cells[at + 4] + cells[at + 5]
+    })
 }
 
 /// `center + (dx, dy)`, each component clamped to `±MV_LIMIT`.
@@ -520,6 +687,15 @@ pub const GRID_RANGE: i16 = 2;
 /// Displacements in the shared window.
 const GRID_CANDIDATES: usize = (2 * GRID_RANGE as usize + 1).pow(2);
 
+/// Half-width, in half-pel units, of the window the partition searches'
+/// ±1 half-pel refinements read: a full-pel winner lies within
+/// `±GRID_RANGE` full-pel (`±2 * GRID_RANGE` half-pel) of the centre, and
+/// its refinement one half-pel further.
+const HALF_RANGE: i16 = 2 * GRID_RANGE + 1;
+
+/// Side of the half-pel window.
+const HALF_SIDE: usize = 2 * HALF_RANGE as usize + 1;
+
 /// One macroblock's shared ±[`GRID_RANGE`] partition window against one
 /// reference, evaluated once.
 ///
@@ -530,6 +706,11 @@ const GRID_CANDIDATES: usize = (2 * GRID_RANGE as usize + 1).pow(2);
 /// the same winner as [`search_sub_stats`] at range `GRID_RANGE` would
 /// pick: clamped sampling is per pixel, so a sub-block of the clamped 16x16
 /// prediction is the sub-block's own clamped prediction.
+///
+/// The ±1 half-pel refinements read a second window, ±`2 * GRID_RANGE + 1`
+/// half-pel around the doubled centre, filled lazily: a displacement gets
+/// its sixteen cell SADs on its phase plane the first time any partition's
+/// refinement asks for it, and every later refinement sums cells.
 #[derive(Debug)]
 pub struct SadGrid<'a> {
     cur: &'a Plane,
@@ -545,6 +726,13 @@ pub struct SadGrid<'a> {
     /// Per 4x4 cell — `(col, row)` at `row * 4 + col` — its SAD at each
     /// candidate, so a block's SADs at every candidate sum whole rows.
     cells: [[u16; GRID_CANDIDATES]; 16],
+    /// The half-pel window's first vector: its slot `(kx, ky)` holds
+    /// displacement `half_origin + (kx, ky)`.
+    half_origin: MotionVector,
+    /// Per half-pel slot (`ky * HALF_SIDE + kx`), its sixteen cell SADs.
+    half_cells: [[u16; 16]; HALF_SIDE * HALF_SIDE],
+    /// Bit `k` is set once slot `k` is filled.
+    half_filled: u128,
 }
 
 impl<'a> SadGrid<'a> {
@@ -575,7 +763,6 @@ impl<'a> SadGrid<'a> {
         for (mv, (dx, dy)) in mvs[1..].iter_mut().zip(offsets) {
             *mv = clamp_mv(center, dx, dy);
         }
-        let full = &reference.phases[0];
         let mut cells = [[0u16; GRID_CANDIDATES]; 16];
         for (k, mv) in mvs.iter().enumerate() {
             let (ox, oy) = reference.origin(
@@ -584,22 +771,17 @@ impl<'a> SadGrid<'a> {
                 MB_SIZE,
                 MB_SIZE,
             );
-            let (ox, oy) = (ox as usize, oy as usize);
-            for (cell_row, out) in cells.chunks_exact_mut(4).enumerate() {
-                // Four rows of quad sums: each lane stays below 4 * 1020.
-                let lanes: u64 = (cell_row * 4..cell_row * 4 + 4)
-                    .map(|r| {
-                        sad_quads16(
-                            &cur.row(mb_y + r)[mb_x..mb_x + MB_SIZE],
-                            &full.row(oy + r)[ox..ox + MB_SIZE],
-                        )
-                    })
-                    .sum();
-                for (col, cell) in out.iter_mut().enumerate() {
-                    cell[k] = (lanes >> (16 * col)) as u16;
-                }
+            let sads = mb_cell_sads(cur, mb_x, mb_y, &reference.phases[0], ox, oy);
+            for (cell, sad) in cells.iter_mut().zip(sads) {
+                cell[k] = sad;
             }
         }
+        // A refinement candidate is `clamp(2 * clamp(c + d) + e)` per
+        // component, with `c` the full-pel centre, `|d| <= GRID_RANGE` and
+        // `|e| <= 1`. Clamping is monotone and 1-Lipschitz, so that lies in
+        // `[clamp(2 clamp(c) - HALF_RANGE), clamp(2 clamp(c) + HALF_RANGE)]`,
+        // at most `HALF_SIDE` values starting at `half_origin`.
+        let doubled = MotionVector::new(mvs[0].x * 2, mvs[0].y * 2);
         SadGrid {
             cur,
             reference,
@@ -609,6 +791,9 @@ impl<'a> SadGrid<'a> {
             mvs,
             dists: mvs.map(|mv| l1_dist(mv, center)),
             cells,
+            half_origin: clamp_mv(doubled, -HALF_RANGE, -HALF_RANGE),
+            half_cells: [[0; 16]; HALF_SIDE * HALF_SIDE],
+            half_filled: 0,
         }
     }
 
@@ -648,17 +833,101 @@ impl<'a> SadGrid<'a> {
     }
 
     /// [`SadGrid::full_search`], then — when the grid was built with
-    /// `subpel` — the ±1 half-pel refinement of [`search_sub_stats`].
-    /// Equal to `search_sub_stats` over this block at range
-    /// [`GRID_RANGE`], except that the window adds no early exits.
-    pub fn search(&self, g: &BlockGeom, stats: &mut SearchStats) -> SearchResult {
+    /// `subpel` — the ±1 half-pel refinement of [`search_sub_stats`], from
+    /// the half-pel window's cells. Equal to `search_sub_stats` over this
+    /// block at range [`GRID_RANGE`], early exits included, except that
+    /// the full-pel window adds none: a refinement candidate whose sum
+    /// exceeds the best counts one, exactly as its bounded SAD would.
+    pub fn search(&mut self, g: &BlockGeom, stats: &mut SearchStats) -> SearchResult {
         let full = self.full_search(g);
         if !self.subpel {
             return full;
         }
-        let (x, y) = (self.mb_x + g.dx, self.mb_y + g.dy);
-        refine_halfpel(self.cur, self.reference, x, y, g.w, g.h, full, stats)
+        let base = MotionVector::new(full.mv.x * 2, full.mv.y * 2);
+        let mut best = SearchResult {
+            mv: base,
+            sad: full.sad,
+        };
+        for dy in -1i16..=1 {
+            for dx in -1i16..=1 {
+                if dx == 0 && dy == 0 {
+                    continue;
+                }
+                let mv = clamp_mv(base, dx, dy);
+                let cells = self.half_cells(mv);
+                let sad: u64 = (g.dy / 4..(g.dy + g.h) / 4)
+                    .flat_map(|row| &cells[row * 4 + g.dx / 4..row * 4 + (g.dx + g.w) / 4])
+                    .map(|&v| u64::from(v))
+                    .sum();
+                if sad < best.sad {
+                    best = SearchResult { mv, sad };
+                } else if sad > best.sad {
+                    stats.early_exits += 1;
+                }
+            }
+        }
+        best
     }
+
+    /// The sixteen cell SADs of the macroblock at half-pel displacement
+    /// `mv`, evaluated on first use.
+    fn half_cells(&mut self, mv: MotionVector) -> &[u16; 16] {
+        let kx = (mv.x - self.half_origin.x) as usize;
+        let ky = (mv.y - self.half_origin.y) as usize;
+        debug_assert!(
+            kx < HALF_SIDE && ky < HALF_SIDE,
+            "refinement candidates lie in the half-pel window"
+        );
+        let k = ky * HALF_SIDE + kx;
+        if self.half_filled & (1 << k) == 0 {
+            self.half_filled |= 1 << k;
+            let bx = self.mb_x as isize * 2 + mv.x as isize;
+            let by = self.mb_y as isize * 2 + mv.y as isize;
+            let phase = (bx.rem_euclid(2) + 2 * by.rem_euclid(2)) as usize;
+            let (ox, oy) =
+                self.reference
+                    .origin(bx.div_euclid(2), by.div_euclid(2), MB_SIZE, MB_SIZE);
+            self.half_cells[k] = mb_cell_sads(
+                self.cur,
+                self.mb_x,
+                self.mb_y,
+                &self.reference.phases[phase],
+                ox,
+                oy,
+            );
+        }
+        &self.half_cells[k]
+    }
+}
+
+/// SADs of the sixteen 4x4 cells (row-major) of the macroblock of `cur` at
+/// `(mb_x, mb_y)` against the 16x16 block of a padded phase plane at
+/// `(ox, oy)`.
+fn mb_cell_sads(
+    cur: &Plane,
+    mb_x: usize,
+    mb_y: usize,
+    plane: &Plane,
+    ox: isize,
+    oy: isize,
+) -> [u16; 16] {
+    let (ox, oy) = (ox as usize, oy as usize);
+    let mut out = [0u16; 16];
+    for (cell_row, cells) in out.chunks_exact_mut(4).enumerate() {
+        // Four rows of quad sums: each lane stays below 4 * 1020.
+        let lanes: u64 = (cell_row * 4..cell_row * 4 + 4)
+            .map(|r| {
+                sad_quads16(
+                    &cur.row(mb_y + r)[mb_x..mb_x + MB_SIZE],
+                    &plane.row(oy + r)[ox..ox + MB_SIZE],
+                )
+            })
+            .sum();
+        for (col, cell) in cells.iter_mut().enumerate() {
+            *cell = (lanes >> (16 * col)) as u16;
+        }
+    }
+    out
 }
 
 /// Bi-prediction: the rounds-to-nearest average of forward and backward

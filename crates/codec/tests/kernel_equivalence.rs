@@ -2,19 +2,20 @@
 //! their scalar references — the scalar paths stay the specification the
 //! SWAR kernels must reproduce exactly, across random blocks,
 //! non-multiple-of-8 widths and border geometries. The motion search's
-//! padded phase planes and shared partition window are pinned against
-//! clamped scalar sampling and a scalar full search, borders and clamped
-//! vectors included. The decoder's row-slice deblocking filter and windowed
-//! arithmetic decoder are pinned the same way against their per-pixel and
-//! bit-serial originals.
+//! padded phase planes, summed-area table, successive-elimination ±8 search
+//! and shared partition windows are pinned against clamped scalar sampling
+//! and a scalar full search — winners and early-exit counts — borders and
+//! clamped vectors included. The decoder's row-slice deblocking filter and
+//! windowed arithmetic decoder are pinned the same way against their
+//! per-pixel and bit-serial originals.
 
 use vapp_check::{RngExt, StdRng};
 use vapp_codec::arith::{ArithDecoder, ArithEncoder, BinContext};
 use vapp_codec::bitstream::BitReader;
 use vapp_codec::deblock::deblock_plane;
 use vapp_codec::inter::{
-    mc_block_halfpel_into, search_sub_stats, RefPlanes, SadGrid, SearchResult, SearchStats,
-    GRID_RANGE, MAX_BLOCK_PIXELS, MV_LIMIT, REF_MARGIN,
+    mc_block_halfpel_into, motion_search_stats, search_sub_stats, RefPlanes, SadGrid, SearchResult,
+    SearchStats, GRID_RANGE, MAX_BLOCK_PIXELS, MV_LIMIT, REF_MARGIN,
 };
 use vapp_codec::quant::{dequant_inverse, dequantize, forward_quant, quantize, MAX_QP};
 use vapp_codec::transform::{forward4x4, inverse4x4, Block4x4};
@@ -199,10 +200,49 @@ fn all_block_geometries() -> Vec<BlockGeom> {
     out
 }
 
-/// The scalar ±`GRID_RANGE` full search with optional ±1 half-pel
-/// refinement, from clamped per-pixel sampling: the lexicographic
-/// `(sad, distance)` minimum, the centre first and then the window
-/// row-major, then strict improvement over the eight half-pel neighbours.
+/// The scalar ±`range` full-pel search from clamped per-pixel sampling:
+/// the lexicographic `(sad, distance)` minimum, the centre first and then
+/// the window row-major. Also returns how many candidates lost with a SAD
+/// strictly above the best at their turn — the early exits a bounded
+/// search must count.
+#[allow(clippy::too_many_arguments)]
+fn scalar_full_search(
+    cur: &Plane,
+    refp: &Plane,
+    x: usize,
+    y: usize,
+    w: usize,
+    h: usize,
+    center: MotionVector,
+    range: i16,
+) -> (SearchResult, u64) {
+    let clamp = |v: i16, d: i16| (v + d).clamp(-MV_LIMIT, MV_LIMIT);
+    let mut order = vec![(0i16, 0i16)];
+    for dy in -range..=range {
+        for dx in -range..=range {
+            if (dx, dy) != (0, 0) {
+                order.push((dx, dy));
+            }
+        }
+    }
+    let mut best: Option<(SearchResult, i32)> = None;
+    let mut exits = 0;
+    for (dx, dy) in order {
+        let mv = MotionVector::new(clamp(center.x, dx), clamp(center.y, dy));
+        let (rx, ry) = (x as isize + mv.x as isize, y as isize + mv.y as isize);
+        let sad = sad_scalar(cur, x, y, w, h, refp, rx, ry);
+        let dist = (mv.x as i32 - center.x as i32).abs() + (mv.y as i32 - center.y as i32).abs();
+        if best.is_none_or(|(b, bd)| sad < b.sad || (sad == b.sad && dist < bd)) {
+            best = Some((SearchResult { mv, sad }, dist));
+        } else if best.is_some_and(|(b, _)| sad > b.sad) {
+            exits += 1;
+        }
+    }
+    (best.expect("window is non-empty").0, exits)
+}
+
+/// [`scalar_full_search`] with optional ±1 half-pel refinement: strict
+/// improvement over the eight half-pel neighbours of the full-pel winner.
 #[allow(clippy::too_many_arguments)]
 fn scalar_partition_search(
     cur: &Plane,
@@ -212,6 +252,7 @@ fn scalar_partition_search(
     w: usize,
     h: usize,
     center: MotionVector,
+    range: i16,
     subpel: bool,
 ) -> SearchResult {
     let center = if subpel {
@@ -219,29 +260,11 @@ fn scalar_partition_search(
     } else {
         center
     };
-    let clamp = |v: i16, d: i16| (v + d).clamp(-MV_LIMIT, MV_LIMIT);
-    let mut order = vec![(0i16, 0i16)];
-    for dy in -GRID_RANGE..=GRID_RANGE {
-        for dx in -GRID_RANGE..=GRID_RANGE {
-            if (dx, dy) != (0, 0) {
-                order.push((dx, dy));
-            }
-        }
-    }
-    let mut best: Option<(SearchResult, i32)> = None;
-    for (dx, dy) in order {
-        let mv = MotionVector::new(clamp(center.x, dx), clamp(center.y, dy));
-        let (rx, ry) = (x as isize + mv.x as isize, y as isize + mv.y as isize);
-        let sad = sad_scalar(cur, x, y, w, h, refp, rx, ry);
-        let dist = (mv.x as i32 - center.x as i32).abs() + (mv.y as i32 - center.y as i32).abs();
-        if best.is_none_or(|(b, bd)| sad < b.sad || (sad == b.sad && dist < bd)) {
-            best = Some((SearchResult { mv, sad }, dist));
-        }
-    }
-    let full = best.expect("window is non-empty").0;
+    let full = scalar_full_search(cur, refp, x, y, w, h, center, range).0;
     if !subpel {
         return full;
     }
+    let clamp = |v: i16, d: i16| (v + d).clamp(-MV_LIMIT, MV_LIMIT);
     let base = MotionVector::new(full.mv.x * 2, full.mv.y * 2);
     let mut best = SearchResult {
         mv: base,
@@ -262,6 +285,60 @@ fn scalar_partition_search(
     best
 }
 
+/// A `pw x ph` plane of a smooth ramp with ±1 noise, where many
+/// displacements tie (exercising the distance tie-break) and block sums
+/// track SADs closely, or of pure noise, where every displacement is
+/// distinct.
+fn smooth_or_noisy_plane(rng: &mut StdRng, pw: usize, ph: usize, smooth: bool) -> Plane {
+    if !smooth {
+        return random_plane(rng, pw, ph);
+    }
+    let data = (0..pw * ph)
+        .map(|i| ((i % pw) / 3 + (i / pw) / 5 + rng.random_range(0..2u64) as usize) as u8)
+        .collect();
+    Plane::from_data(pw, ph, data)
+}
+
+#[test]
+fn pm8_search_matches_scalar_full_search() {
+    let geoms = all_block_geometries();
+    vapp_check::check("pm8_full_search", 32, |rng| {
+        let (cols, rows) = (rng.random_range(1..4usize), rng.random_range(1..4usize));
+        let (pw, ph) = (cols * MB_SIZE, rows * MB_SIZE);
+        let smooth = rng.random::<bool>();
+        let cur = smooth_or_noisy_plane(rng, pw, ph, smooth);
+        let refp = smooth_or_noisy_plane(rng, pw, ph, smooth);
+        let refs = RefPlanes::new(refp.clone());
+        let mb_x = rng.random_range(0..cols) * MB_SIZE;
+        let mb_y = rng.random_range(0..rows) * MB_SIZE;
+        // The whole macroblock (what the encoder searches at ±8) and one
+        // partition block (any union of 4x4 cells must be exact too).
+        let part = geoms[rng.random_range(0..geoms.len())];
+        let whole = BlockGeom {
+            dx: 0,
+            dy: 0,
+            w: MB_SIZE,
+            h: MB_SIZE,
+        };
+        for g in [whole, part] {
+            let (x, y) = (mb_x + g.dx, mb_y + g.dy);
+            let center = MotionVector::new(
+                vector_component(rng, x, pw, false),
+                vector_component(rng, y, ph, false),
+            );
+            let (want, want_exits) = scalar_full_search(&cur, &refp, x, y, g.w, g.h, center, 8);
+            let mut stats = SearchStats::default();
+            let got = motion_search_stats(&cur, &refs, x, y, g.w, g.h, center, 8, &mut stats);
+            let what = format!(
+                "block {g:?} mb=({mb_x},{mb_y}) center=({},{}) smooth={smooth}",
+                center.x, center.y
+            );
+            assert_eq!(got, want, "{what}");
+            assert_eq!(stats.early_exits, want_exits, "early exits: {what}");
+        }
+    });
+}
+
 #[test]
 fn grid_search_matches_scalar_full_search() {
     let geoms = all_block_geometries();
@@ -273,21 +350,9 @@ fn grid_search_matches_scalar_full_search() {
     vapp_check::check("grid_partition_search", 48, |rng| {
         let (cols, rows) = (rng.random_range(1..4usize), rng.random_range(1..4usize));
         let (pw, ph) = (cols * MB_SIZE, rows * MB_SIZE);
-        // Smooth planes make ties (and so the distance tie-break) common;
-        // noise makes every displacement distinct.
-        let (cur, refp) = if rng.random::<bool>() {
-            let smooth = |rng: &mut StdRng| {
-                let data = (0..pw * ph)
-                    .map(|i| {
-                        ((i % pw) / 3 + (i / pw) / 5 + rng.random_range(0..2u64) as usize) as u8
-                    })
-                    .collect();
-                Plane::from_data(pw, ph, data)
-            };
-            (smooth(rng), smooth(rng))
-        } else {
-            (random_plane(rng, pw, ph), random_plane(rng, pw, ph))
-        };
+        let smooth = rng.random::<bool>();
+        let cur = smooth_or_noisy_plane(rng, pw, ph, smooth);
+        let refp = smooth_or_noisy_plane(rng, pw, ph, smooth);
         let refs = RefPlanes::new(refp.clone());
         let mb_x = rng.random_range(0..cols) * MB_SIZE;
         let mb_y = rng.random_range(0..rows) * MB_SIZE;
@@ -296,13 +361,22 @@ fn grid_search_matches_scalar_full_search() {
             vector_component(rng, mb_x, pw, subpel),
             vector_component(rng, mb_y, ph, subpel),
         );
-        let grid = SadGrid::new(&cur, &refs, mb_x, mb_y, center, subpel);
-        for g in &geoms {
+        let mut grid = SadGrid::new(&cur, &refs, mb_x, mb_y, center, subpel);
+        let full_center = if subpel {
+            MotionVector::new(center.x / 2, center.y / 2)
+        } else {
+            center
+        };
+        // The window fills lazily, so visit the blocks from a random start.
+        let start = rng.random_range(0..geoms.len());
+        for g in geoms[start..].iter().chain(&geoms[..start]) {
             let (x, y) = (mb_x + g.dx, mb_y + g.dy);
-            let want = scalar_partition_search(&cur, &refp, x, y, g.w, g.h, center, subpel);
-            let got = grid.search(g, &mut SearchStats::default());
+            let want =
+                scalar_partition_search(&cur, &refp, x, y, g.w, g.h, center, GRID_RANGE, subpel);
+            let mut grid_stats = SearchStats::default();
+            let got = grid.search(g, &mut grid_stats);
             let what = format!(
-                "block {g:?} mb=({mb_x},{mb_y}) center=({},{}) subpel={subpel}",
+                "block {g:?} mb=({mb_x},{mb_y}) center=({},{}) subpel={subpel} smooth={smooth}",
                 center.x, center.y
             );
             assert_eq!(got, want, "{what}");
@@ -312,6 +386,63 @@ fn grid_search_matches_scalar_full_search() {
                 &cur, &refs, x, y, g.w, g.h, center, GRID_RANGE, subpel, &mut stats,
             );
             assert_eq!(bounded, want, "{what}");
+            // The grid counts only its half-pel refinement's early exits
+            // (its full-pel window has no bound): exactly the bounded
+            // search's count less its full-pel stage's.
+            let mut full_stats = SearchStats::default();
+            motion_search_stats(
+                &cur,
+                &refs,
+                x,
+                y,
+                g.w,
+                g.h,
+                full_center,
+                GRID_RANGE,
+                &mut full_stats,
+            );
+            assert_eq!(
+                grid_stats.early_exits,
+                stats.early_exits - full_stats.early_exits,
+                "early exits: {what}"
+            );
+        }
+    });
+}
+
+#[test]
+fn summed_area_boxes_match_direct_sums() {
+    vapp_check::check("summed_area_boxes", 12, |rng| {
+        let (w, h) = (rng.random_range(1..40usize), rng.random_range(1..40usize));
+        // Saturated planes reach the largest box sums; noise the rest.
+        let refp = match rng.random_range(0..3u32) {
+            0 => Plane::filled(w, h, 255),
+            _ => random_plane(rng, w, h),
+        };
+        let refs = RefPlanes::new(refp.clone());
+        let m = REF_MARGIN as isize;
+        let (pw, ph) = (w + 2 * REF_MARGIN, h + 2 * REF_MARGIN);
+        for bh in 1..=MB_SIZE {
+            for bw in 1..=MB_SIZE {
+                // The padded plane's first and last box positions, and one
+                // in between, on each axis.
+                let xs = [0, rng.random_range(0..=pw - bw), pw - bw];
+                let ys = [0, rng.random_range(0..=ph - bh), ph - bh];
+                for (&px, &py) in xs.iter().flat_map(|x| ys.iter().map(move |y| (x, y))) {
+                    let mut want = 0u32;
+                    for dy in 0..bh {
+                        for dx in 0..bw {
+                            let (sx, sy) = ((px + dx) as isize - m, (py + dy) as isize - m);
+                            want += u32::from(refp.sample(sx, sy));
+                        }
+                    }
+                    assert_eq!(
+                        refs.box_sum(px, py, bw, bh),
+                        want,
+                        "{bw}x{bh} box at ({px}, {py}) of a {w}x{h} plane"
+                    );
+                }
+            }
         }
     });
 }

@@ -32,3 +32,57 @@ fn encoded_stream_is_thread_count_invariant() {
         );
     }
 }
+
+/// `codec.sad.early_exit` over a fixed clip set, every scene kind at the
+/// default (half-pel, two B frames) configuration and a full-pel CAVLC
+/// one. Search statistics are threaded per macroblock task, so the total
+/// is the same at any worker count; and every pruning step of the motion
+/// search counts the candidates it rejects exactly as an unpruned bounded
+/// search would, so the total is pinned to the value recorded before
+/// successive elimination and the shared half-pel window existed.
+const EARLY_EXIT_TOTAL: u64 = 491_230;
+
+#[test]
+fn early_exit_counter_is_pinned_at_any_worker_count() {
+    use std::sync::Arc;
+    use vapp_obs::registry::{with_registry, Registry};
+    let kinds = [
+        SceneKind::MovingBlocks,
+        SceneKind::FastMotion,
+        SceneKind::Panning,
+        SceneKind::LocalMotion,
+        SceneKind::NoisyStatic,
+        SceneKind::SceneCuts,
+        SceneKind::Breathing,
+    ];
+    let configs = [
+        EncoderConfig {
+            keyint: 8,
+            ..Default::default()
+        },
+        EncoderConfig {
+            keyint: 8,
+            subpel: false,
+            entropy: EntropyMode::Cavlc,
+            ..Default::default()
+        },
+    ];
+    let total_at = |threads: usize| {
+        let reg = Arc::new(Registry::new());
+        with_registry(reg.clone(), || {
+            vapp_par::with_threads(threads, || {
+                for (i, &kind) in kinds.iter().enumerate() {
+                    let video = ClipSpec::new(64, 48, 9, kind)
+                        .seed(40 + i as u64)
+                        .generate();
+                    for cfg in &configs {
+                        Encoder::new(*cfg).encode(&video);
+                    }
+                }
+            })
+        });
+        reg.snapshot().counter("codec.sad.early_exit")
+    };
+    assert_eq!(total_at(1), EARLY_EXIT_TOTAL, "1 worker");
+    assert_eq!(total_at(8), EARLY_EXIT_TOTAL, "8 workers");
+}

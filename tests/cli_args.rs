@@ -110,3 +110,36 @@ fn generate_shape_is_bounded() {
         );
     }
 }
+
+#[test]
+fn decode_rejects_inconsistent_container_headers() {
+    let dir = scratch();
+    let good = dir.join("decode-src.vapp");
+    let out = Command::new(VAPP)
+        .args(["encode", "--bframes", "1", "--keyint", "2"])
+        .arg(dir.join("clip.vraw"))
+        .arg(&good)
+        .output()
+        .expect("vapp runs");
+    assert!(out.status.success(), "fixture stream: {out:?}");
+    let bytes = std::fs::read(&good).expect("encoded stream");
+    let stream = vapp_codec::EncodedVideo::from_bytes(&bytes).expect("valid stream");
+    let mut dangling = stream.clone();
+    dangling.frames[1].header.ref_fwd = Some(999);
+    let mut overcounted = stream;
+    overcounted.header.frame_count = u32::MAX;
+    for (name, bad, needle) in [
+        ("dangling.vapp", dangling, "references coding index 999"),
+        (
+            "overcounted.vapp",
+            overcounted,
+            "declares 4294967295 frames",
+        ),
+    ] {
+        std::fs::write(dir.join(name), bad.to_bytes()).expect("writable temp dir");
+        rejects(
+            &["decode", &format!("{{dir}}/{name}"), "{dir}/decoded.vraw"],
+            needle,
+        );
+    }
+}
