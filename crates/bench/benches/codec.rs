@@ -1,6 +1,6 @@
 //! Codec throughput: encode and decode, CABAC vs CAVLC, decode of a
 //! damaged stream (the concealment path every storage trial runs), plus
-//! the word-parallel inner-loop kernels (SAD, the ±8 macroblock search, the
+//! the inner-loop kernels (SAD, the ±8 macroblock search, the
 //! shared partition-search window, fused transform/quant, half-pel motion
 //! compensation) and an encoder frames-per-second figure.
 
@@ -82,7 +82,7 @@ fn bench_codec_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("codec_kernels");
     group.sample_size(30);
 
-    // 16x16 SAD, footprint fully interior: the word-parallel fast path.
+    // 16x16 SAD, footprint fully interior: one 16-pixel row kernel per row.
     group.bench_function("sad_16x16_interior", |b| {
         b.iter(|| black_box(cur.sad(48, 48, MB_SIZE, MB_SIZE, &refp, 50, 47)));
     });

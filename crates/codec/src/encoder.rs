@@ -1123,16 +1123,12 @@ fn mb_candidates(
                 left: blk % 4 > 0 || avail.left,
                 top: blk / 4 > 0 || avail.top,
             };
+            let mut src = [0u8; 16];
+            ctx.cur.copy_block(bx as isize, by as isize, 4, 4, &mut src);
             let mut best = u64::MAX;
             for m in a4.legal_modes() {
                 let pred = predict_intra4(ctx.cur, bx, by, a4, m);
-                let mut sad = 0u64;
-                for y in 0..4 {
-                    let i = ((blk / 4) * 4 + y) * MB_SIZE + (blk % 4) * 4;
-                    sad +=
-                        vapp_media::kernels::sad_slices(&cur_block[i..i + 4], &pred[y * 4..][..4]);
-                }
-                best = best.min(sad);
+                best = best.min(vapp_media::kernels::sad_slices(&src, &pred));
             }
             total += best;
         }
@@ -1547,18 +1543,14 @@ fn code_intra4_mb<W: SymbolWriter>(
             left: blk % 4 > 0 || avail.left,
             top: blk / 4 > 0 || avail.top,
         };
+        let mut src = [0u8; 16];
+        cur_plane.copy_block(bx as isize, by as isize, 4, 4, &mut src);
         // Choose the best mode against the *reconstruction* (what the
         // decoder will predict from).
         let mut best = (Intra4Mode::Dc, u64::MAX, [0u8; 16]);
         for m in a4.legal_modes() {
             let pred = predict_intra4(recon, bx, by, a4, m);
-            let mut sad = 0u64;
-            for y in 0..4 {
-                for x in 0..4 {
-                    sad += (cur_plane.get(bx + x, by + y) as i32 - pred[y * 4 + x] as i32)
-                        .unsigned_abs() as u64;
-                }
-            }
+            let sad = vapp_media::kernels::sad_slices(&src, &pred);
             if sad < best.1 {
                 best = (m, sad, pred);
             }
@@ -1566,12 +1558,7 @@ fn code_intra4_mb<W: SymbolWriter>(
         w.put_uint(Element::Intra4Mode, 0, best.0.to_index());
 
         // Residual for this block.
-        let mut r: Block4x4 = [0; 16];
-        for y in 0..4 {
-            for x in 0..4 {
-                r[y * 4 + x] = cur_plane.get(bx + x, by + y) as i32 - best.2[y * 4 + x] as i32;
-            }
-        }
+        let r: Block4x4 = std::array::from_fn(|i| src[i] as i32 - best.2[i] as i32);
         let levels = forward_quant(&r, qp, true);
         let coded = levels.iter().any(|&v| v != 0);
         w.put_flag(Element::Blk4, blk % 4, coded);

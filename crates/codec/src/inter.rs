@@ -107,7 +107,7 @@ pub struct RefPlanes {
 impl RefPlanes {
     /// Takes ownership of a reconstruction and builds its phase planes.
     /// Half-pel phases are built from the padded full-pel plane with the
-    /// word-parallel rounding averages, a whole row at a time.
+    /// rounding-average row kernels, a whole row at a time.
     pub fn new(recon: Plane) -> Self {
         let (w, h) = (recon.width(), recon.height());
         let m = REF_MARGIN;
@@ -443,7 +443,7 @@ pub fn mc_block_into(
 /// the complexity).
 ///
 /// Interior blocks (the fractional footprint fully inside the reference)
-/// interpolate whole rows at a time with the word-parallel rounding averages
+/// interpolate whole rows at a time with the rounding-average row kernels
 /// from [`vapp_media::kernels`]; blocks touching a border fall back to the
 /// scalar clamped-sampling loop. Both produce identical bytes (pinned by the
 /// kernel-equivalence property tests).
@@ -588,8 +588,8 @@ pub const MAX_BLOCK_PIXELS: usize = vapp_media::MB_PIXELS;
 /// Sum of absolute differences between the source block and an arbitrary
 /// prediction buffer, with the same early-exit contract as
 /// [`Plane::sad_bounded`]: stops once the running total strictly exceeds
-/// `bound`. Borrowed plane rows are compared against the prediction
-/// word-parallel.
+/// `bound`. Borrowed plane rows are compared against the prediction with
+/// the [`vapp_media::kernels::sad_slices`] row kernel.
 ///
 /// # Panics
 ///
@@ -931,9 +931,8 @@ fn mb_cell_sads(
 }
 
 /// Bi-prediction: the rounds-to-nearest average of forward and backward
-/// compensation, into a caller-provided buffer, averaging 8 pixel pairs
-/// per word (`(a + b).div_ceil(2)` is exactly the half-pel rounding
-/// average).
+/// compensation, into a caller-provided buffer, with the half-pel rounding
+/// average row kernel (`(a + b).div_ceil(2)` is exactly that average).
 ///
 /// # Panics
 ///

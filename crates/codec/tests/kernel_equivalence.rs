@@ -1,7 +1,7 @@
-//! Property tests pinning the word-parallel codec kernels bit-identical to
-//! their scalar references — the scalar paths stay the specification the
-//! SWAR kernels must reproduce exactly, across random blocks,
-//! non-multiple-of-8 widths and border geometries. The motion search's
+//! Property tests pinning the codec's row kernels bit-identical to their
+//! scalar references — the scalar paths stay the specification the
+//! kernels must reproduce exactly, across random blocks, widths that are
+//! not multiples of the 16-pixel chunk, and border geometries. The motion search's
 //! padded phase planes, summed-area table, successive-elimination ±8 search
 //! and shared partition windows are pinned against clamped scalar sampling
 //! and a scalar full search — winners and early-exit counts — borders and
@@ -512,7 +512,7 @@ fn fused_transform_quant_matches_scalar_pair() {
 }
 
 /// Scalar half-pel motion compensation — clamped bilinear sampling, the
-/// definition `mc_block_halfpel_into`'s word-parallel interior path and the
+/// definition `mc_block_halfpel_into`'s row-kernel interior path and the
 /// search's phase planes must reproduce byte for byte.
 fn mc_halfpel_scalar(
     reference: &Plane,

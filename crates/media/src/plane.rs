@@ -220,7 +220,7 @@ impl Plane {
     /// exact SAD.
     ///
     /// Both blocks must be interior: rows are borrowed directly and compared
-    /// word-parallel ([`crate::kernels::sad_slices`]). Callers that need
+    /// 16 pixels at a time ([`crate::kernels::sad_slices`]). Callers that need
     /// clamped (edge-extended) reference sampling read an edge-extended copy
     /// of the reference at a clamped origin instead — the motion search's
     /// padded reference planes — so no per-pixel clamping path exists here.
@@ -289,9 +289,9 @@ impl fmt::Debug for Plane {
 mod tests {
     use super::*;
 
-    /// The original per-pixel SAD, retained as the reference the
-    /// word-parallel implementation must match (same idiom as the storage
-    /// crate's `ScalarBch`).
+    /// The original per-pixel SAD, retained as the reference the row-kernel
+    /// implementation must match (same idiom as the storage crate's
+    /// `ScalarBch`).
     #[allow(clippy::too_many_arguments)]
     fn sad_scalar_ref(
         cur: &Plane,
@@ -332,8 +332,9 @@ mod tests {
     fn sad_matches_scalar_reference() {
         let cur = textured(40, 24, 1);
         let reference = textured(40, 24, 2);
-        // Interior geometries touching every edge, plus non-multiple-of-8
-        // widths that exercise the SWAR remainder.
+        // Interior geometries touching every edge, plus widths that are not
+        // multiples of 16, which exercise the per-pixel remainder after the
+        // 16-pixel chunks (alone, and after one or two chunks).
         let cases: &[(usize, usize, usize, usize, usize, usize)] = &[
             (8, 4, 16, 16, 10, 6),
             (0, 0, 16, 16, 0, 0),
@@ -342,6 +343,9 @@ mod tests {
             (5, 3, 13, 7, 27, 17),
             (32, 16, 8, 8, 31, 15),
             (0, 0, 4, 4, 1, 1),
+            (2, 1, 20, 5, 17, 9),
+            (3, 2, 31, 9, 9, 15),
+            (0, 0, 33, 3, 7, 21),
         ];
         for &(x, y, w, h, rx, ry) in cases {
             assert_eq!(
