@@ -5,38 +5,29 @@
 //! predictive metadata coding, entropy coding) — plus GOP planning (I/P/B),
 //! slices, a CRF-like motion-adaptive quantiser, and dependency recording.
 //!
-//! The **macroblock syntax** written here must match [`crate::decoder`]
-//! symbol for symbol:
-//!
-//! ```text
-//! [P/B] skip flag                      (Element::Skip, inc = non-skip neighbours)
-//! [P/B] intra flag                     (Element::Intra, inc = intra neighbours)
-//! intra:  mode                         (Element::IntraMode)
-//! inter:  partition shape              (Element::PartShape)
-//!         [P8x8] 4 sub-shapes          (Element::SubShape)
-//!         per block:
-//!           [B] prediction direction   (Element::PredDir)
-//!           per used direction: mvd x, y (Element::MvdX/MvdY, inc = neighbour MVD class)
-//! qp delta                             (Element::QpDelta)
-//! 4 cbp flags (8x8 quadrants)          (Element::Cbp, inc = quadrant)
-//! per coded quadrant, per 4x4:
-//!   coded flag                         (Element::Blk4, inc = sub-index)
-//!   if coded: significance/level/last map (Element::Sig/Level/Last)
-//! ```
+//! Each macroblock's mode decision produces a [`crate::mb::MbSyntax`],
+//! which is quantised against the shared prediction, written with
+//! [`write_mb`] and rebuilt with the reconstruction the decoder runs, so
+//! the encoder's reference pixels are the decoder's by construction. The
+//! macroblock syntax itself is documented in [`crate::mb`].
 
 use crate::analysis::{AnalysisRecord, Dependency, FrameAnalysis, MbAnalysis};
-use crate::entropy::{CabacWriter, CavlcWriter, Element, EntropyMode, SymbolWriter};
+use crate::entropy::{CabacWriter, CavlcWriter, EntropyMode, SymbolWriter};
 use crate::inter::{
     bi_average_into, mc_block_sub_into, ref_rect, sad_against_bounded, search_sub_stats, RefPlanes,
-    SadGrid, SearchResult, SearchStats, MAX_BLOCK_PIXELS,
+    SadGrid, SearchStats, MAX_BLOCK_PIXELS,
 };
 use crate::intra::{intra_sources, predict_intra16, predict_intra4, Intra4Avail, IntraAvail};
-use crate::quant::{dequant_inverse, forward_quant, to_zigzag, MAX_QP};
+use crate::mb::{
+    crop, intra4_block, mb_mv_pred, neighbors, predict, put_block4, reconstruct, slice_rows,
+    write_mb, BlockMotion, FrameSyntax, MbPred, MbState, MbSyntax, Refs,
+};
+use crate::quant::{forward_quant, MAX_QP};
 use crate::syntax::{EncodedFrame, EncodedVideo, FrameHeader, StreamHeader};
 use crate::transform::Block4x4;
 use crate::types::{
-    predict_mv, BlockGeom, FrameType, Intra4Mode, IntraMode, MotionVector, PartShape,
-    PartitionLayout, PredDir, SubShape,
+    BlockGeom, FrameType, Intra4Mode, IntraMode, MotionVector, PartShape, PartitionLayout, PredDir,
+    SubShape,
 };
 use vapp_media::{Frame, MbGrid, Plane, Video, MB_SIZE};
 
@@ -409,109 +400,6 @@ pub(crate) fn pad_to_mb(p: &Plane) -> Plane {
     out
 }
 
-/// Crops a padded plane back to display size.
-pub(crate) fn crop(p: &Plane, w: usize, h: usize) -> Plane {
-    if p.width() == w && p.height() == h {
-        return p.clone();
-    }
-    let mut out = Plane::new(w, h);
-    for y in 0..h {
-        for x in 0..w {
-            out.set(x, y, p.get(x, y));
-        }
-    }
-    out
-}
-
-/// Per-macroblock state both codecs track for prediction and contexts.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct MbState {
-    pub coded: bool,
-    pub skip: bool,
-    pub intra: bool,
-    pub mv_fwd: Option<MotionVector>,
-    pub mv_bwd: Option<MotionVector>,
-    /// |mvd.x| + |mvd.y| of the first block (context modelling).
-    pub mvd_mag: u32,
-}
-
-/// Neighbour lookup honouring slice boundaries (prediction and context
-/// modelling never cross a slice, paper §8).
-pub(crate) struct Neighbors {
-    pub left: Option<usize>,
-    pub above: Option<usize>,
-    pub above_right: Option<usize>,
-}
-
-pub(crate) fn neighbors(grid: &MbGrid, mb: usize, slice_top_row: usize) -> Neighbors {
-    let (col, row) = grid.mb_position(mb);
-    let left = (col > 0).then(|| grid.mb_index(col - 1, row));
-    let above = (row > slice_top_row).then(|| grid.mb_index(col, row - 1));
-    let above_right =
-        (row > slice_top_row && col + 1 < grid.mb_cols()).then(|| grid.mb_index(col + 1, row - 1));
-    Neighbors {
-        left,
-        above,
-        above_right,
-    }
-}
-
-/// Context increment helpers shared with the decoder.
-pub(crate) fn skip_ctx_inc(states: &[MbState], nb: &Neighbors) -> usize {
-    let count = |i: Option<usize>| i.map_or(0, |i| (states[i].coded && !states[i].skip) as usize);
-    count(nb.left) + count(nb.above)
-}
-
-pub(crate) fn intra_ctx_inc(states: &[MbState], nb: &Neighbors) -> usize {
-    let count = |i: Option<usize>| i.map_or(0, |i| (states[i].coded && states[i].intra) as usize);
-    count(nb.left) + count(nb.above)
-}
-
-pub(crate) fn mvd_ctx_inc(states: &[MbState], nb: &Neighbors) -> usize {
-    let mag = |i: Option<usize>| i.map_or(0, |i| states[i].mvd_mag);
-    let e = mag(nb.left) + mag(nb.above);
-    if e < 3 {
-        0
-    } else if e < 32 {
-        1
-    } else {
-        2
-    }
-}
-
-/// Motion-vector predictor for the first block of a macroblock, per
-/// direction (`fwd = true` for list 0).
-pub(crate) fn mb_mv_pred(states: &[MbState], nb: &Neighbors, fwd: bool) -> MotionVector {
-    let get = |i: Option<usize>| -> Option<MotionVector> {
-        let s = &states[i?];
-        if !s.coded || s.intra {
-            return None;
-        }
-        Some(if fwd {
-            s.mv_fwd.unwrap_or(MotionVector::ZERO)
-        } else {
-            s.mv_bwd.unwrap_or(MotionVector::ZERO)
-        })
-    };
-    predict_mv(get(nb.left), get(nb.above), get(nb.above_right))
-}
-
-/// The rows of macroblocks covered by each slice: `slices` contiguous,
-/// near-equal groups.
-pub(crate) fn slice_rows(mb_rows: usize, slices: usize) -> Vec<(usize, usize)> {
-    let slices = slices.clamp(1, mb_rows);
-    let base = mb_rows / slices;
-    let extra = mb_rows % slices;
-    let mut out = Vec::with_capacity(slices);
-    let mut row = 0;
-    for s in 0..slices {
-        let rows = base + usize::from(s < extra);
-        out.push((row, row + rows));
-        row += rows;
-    }
-    out
-}
-
 // ------------------------------------------------------ frame encoding --
 
 struct FrameCtx<'a> {
@@ -523,6 +411,25 @@ struct FrameCtx<'a> {
     ref_bwd: Option<&'a RefPlanes>,
 }
 
+impl FrameCtx<'_> {
+    /// What the frame fixes for every macroblock's syntax.
+    fn syntax(&self) -> FrameSyntax {
+        FrameSyntax {
+            inter: self.ref_fwd.is_some(),
+            b: self.plan.frame_type == FrameType::B,
+        }
+    }
+
+    /// The reference reconstructions, as the decoder will see them.
+    fn refs(&self) -> Refs<'_> {
+        Refs {
+            fwd: self.ref_fwd.map(RefPlanes::recon),
+            bwd: self.ref_bwd.map(RefPlanes::recon),
+            subpel: self.cfg.subpel,
+        }
+    }
+}
+
 struct FrameOut {
     payload: Vec<u8>,
     slice_lens: Vec<u32>,
@@ -531,9 +438,7 @@ struct FrameOut {
     /// Entropy-coder binary decisions across all slices (observability).
     bins: u64,
     /// SAD evaluations pruned by the running-best bound, summed over every
-    /// search this frame actually consumed (observability). Candidate-pass
-    /// searches count only when the mode decision uses their result, so the
-    /// total is identical at any worker count.
+    /// search of this frame's mode decisions (observability).
     early_exits: u64,
 }
 
@@ -560,30 +465,6 @@ fn record_frame_metrics(out: &FrameOut) {
     reg.counter("codec.sad.early_exit").add(out.early_exits);
 }
 
-/// The chosen coding mode for one macroblock.
-enum MbMode {
-    Skip {
-        mv: MotionVector,
-    },
-    Intra {
-        mode: IntraMode,
-    },
-    /// Intra 4x4: per-block modes are chosen during coding (they depend
-    /// on the progressive reconstruction).
-    Intra4,
-    Inter {
-        layout: PartitionLayout,
-        blocks: Vec<InterBlock>,
-    },
-}
-
-#[derive(Clone, Copy, Debug)]
-struct InterBlock {
-    dir: PredDir,
-    mv_fwd: MotionVector,
-    mv_bwd: MotionVector,
-}
-
 fn encode_frame<W, F>(ctx: &FrameCtx<'_>, new_writer: F) -> FrameOut
 where
     W: SymbolWriter,
@@ -601,19 +482,18 @@ where
     let slices = slice_rows(grid.mb_rows(), ctx.cfg.slices as usize);
 
     // Parallel candidate pass: every probe that reads only the source and
-    // reference planes (adaptive QP, intra cost probes, the backward full
-    // search) is computed for all macroblocks up front, leaving the
-    // sequential pass below just the state-dependent work. The values are
-    // exactly what the sequential pass would compute inline, so the coded
-    // stream is bit-identical with or without workers.
+    // reference planes (adaptive QP, intra cost probes) is computed for
+    // all macroblocks up front, leaving the sequential pass below just the
+    // state-dependent work. The values are exactly what the sequential
+    // pass would compute inline, so the coded stream is bit-identical with
+    // or without workers.
     let mut slice_top = vec![0usize; grid.mb_rows()];
     for &(row_start, row_end) in &slices {
         slice_top[row_start..row_end].fill(row_start);
     }
-    let with_bwd = ctx.ref_bwd.is_some() && vapp_par::would_parallelize();
     let cands = vapp_par::par_map((0..grid.mb_count()).collect(), |_, mb| {
         let (_, row) = grid.mb_position(mb);
-        mb_candidates(ctx, mb, slice_top[row], base_qp, with_bwd)
+        mb_candidates(ctx, mb, slice_top[row], base_qp)
     });
 
     let mut search_stats = SearchStats::default();
@@ -626,7 +506,7 @@ where
             for col in 0..grid.mb_cols() {
                 let mb = grid.mb_index(col, row);
                 let bit_start = slice_base_bits + w.bit_pos();
-                let (analysis_deps, intra, skip) = encode_mb(
+                let (deps, syn) = encode_mb(
                     ctx,
                     &mut w,
                     &mut recon,
@@ -640,9 +520,9 @@ where
                 mbs[mb] = MbAnalysis {
                     bit_start,
                     bit_end: slice_base_bits + w.bit_pos(),
-                    deps: analysis_deps,
-                    intra,
-                    skip,
+                    deps,
+                    intra: syn.is_intra(),
+                    skip: syn.pred == MbPred::Skip,
                 };
             }
         }
@@ -674,6 +554,9 @@ where
     }
 }
 
+/// Codes one macroblock: decides its syntax, quantises it against the
+/// shared prediction, writes it and rebuilds it exactly as the decoder
+/// will. Returns its compensation dependencies and its syntax.
 #[allow(clippy::too_many_arguments)]
 fn encode_mb<W: SymbolWriter>(
     ctx: &FrameCtx<'_>,
@@ -685,14 +568,11 @@ fn encode_mb<W: SymbolWriter>(
     cand: &MbCandidates,
     prev_qp: &mut u8,
     stats: &mut SearchStats,
-) -> (Vec<Dependency>, bool, bool) {
-    let grid = ctx.grid;
-    let (col, row) = grid.mb_position(mb);
+) -> (Vec<Dependency>, MbSyntax) {
+    let (col, row) = ctx.grid.mb_position(mb);
     let (mb_x, mb_y) = (col * MB_SIZE, row * MB_SIZE);
-    let nb = neighbors(grid, mb, slice_top_row);
-    let is_b = ctx.plan.frame_type == FrameType::B;
-    let inter_allowed = ctx.ref_fwd.is_some();
-
+    let nb = neighbors(ctx.grid, mb, slice_top_row);
+    let avail = nb.intra_avail();
     let mut cur_block = [0u8; 256];
     ctx.cur.copy_block(
         mb_x as isize,
@@ -702,329 +582,145 @@ fn encode_mb<W: SymbolWriter>(
         &mut cur_block,
     );
 
-    // Per-MB QP comes from the candidate pass (CRF-like motion-adaptive
-    // quantisation); only the MV prediction is state-dependent.
-    let qp = cand.qp;
-    let pred_fwd = mb_mv_pred(states, &nb, true);
-    let lam = lambda(qp);
-
-    // --- mode decision ---
-    let mode = {
+    let mut syn = {
         let _search_span = vapp_obs::span!("codec.mb.search");
-        decide_mode(ctx, mb_x, mb_y, &cur_block, cand, qp, lam, pred_fwd, stats)
+        let pred_fwd = mb_mv_pred(states, &nb, true);
+        decide_mode(ctx, mb_x, mb_y, &cur_block, cand, pred_fwd, stats)
     };
-
-    // --- write syntax + reconstruct ---
-    let avail = IntraAvail {
-        left: nb.left.is_some(),
-        top: nb.above.is_some(),
-    };
-    let mut deps = Vec::new();
-    let (intra_flag, skip_flag);
-    match mode {
-        MbMode::Skip { mv } => {
-            w.put_flag(Element::Skip, skip_ctx_inc(states, &nb), true);
-            let mut pred = [0u8; MAX_BLOCK_PIXELS];
-            mc_block_sub_into(
-                ctx.ref_fwd.expect("skip needs a reference").recon(),
-                mb_x,
-                mb_y,
-                MB_SIZE,
-                MB_SIZE,
-                mv,
-                ctx.cfg.subpel,
-                &mut pred,
-            );
-            recon.store_block(mb_x, mb_y, MB_SIZE, MB_SIZE, &pred);
-            push_mc_deps(
-                &mut deps,
-                grid,
-                ctx.plan.ref_fwd.expect("skip ref"),
-                mb_x,
-                mb_y,
-                MB_SIZE,
-                MB_SIZE,
-                mv,
-                1.0,
-                ctx.cfg.subpel,
-            );
-            states[mb] = MbState {
-                coded: true,
-                skip: true,
-                intra: false,
-                mv_fwd: Some(mv),
-                mv_bwd: None,
-                mvd_mag: 0,
-            };
-            intra_flag = false;
-            skip_flag = true;
-            return (deps, intra_flag, skip_flag);
-        }
-        MbMode::Intra { mode: im } => {
-            if inter_allowed {
-                w.put_flag(Element::Skip, skip_ctx_inc(states, &nb), false);
-                w.put_flag(Element::Intra, intra_ctx_inc(states, &nb), true);
-            }
-            w.put_flag(Element::Intra4, 0, false);
-            w.put_uint(Element::IntraMode, 0, im.to_index());
-            let pred = predict_intra16(recon, mb_x, mb_y, avail, im);
-            let frame_ci = ctx.plan.coding;
-            for (src_mb, weight) in intra_sources(grid, mb, avail, im) {
-                deps.push(Dependency {
-                    frame: frame_ci,
-                    mb: src_mb,
-                    weight,
-                });
-            }
-            code_residual_and_recon(w, recon, mb_x, mb_y, &cur_block, &pred, qp, true, prev_qp);
-            states[mb] = MbState {
-                coded: true,
-                skip: false,
-                intra: true,
-                mv_fwd: None,
-                mv_bwd: None,
-                mvd_mag: 0,
-            };
-            intra_flag = true;
-            skip_flag = false;
-        }
-        MbMode::Intra4 => {
-            if inter_allowed {
-                w.put_flag(Element::Skip, skip_ctx_inc(states, &nb), false);
-                w.put_flag(Element::Intra, intra_ctx_inc(states, &nb), true);
-            }
-            w.put_flag(Element::Intra4, 0, true);
-            let frame_ci = ctx.plan.coding;
-            // Spatial dependencies: attributed like a DC intra16 MB (the
-            // 4x4 chain ultimately draws on the same neighbour borders).
-            for (src_mb, weight) in intra_sources(grid, mb, avail, IntraMode::Dc) {
-                deps.push(Dependency {
-                    frame: frame_ci,
-                    mb: src_mb,
-                    weight,
-                });
-            }
-            code_intra4_mb(w, recon, ctx.cur, mb_x, mb_y, avail, qp, prev_qp);
-            states[mb] = MbState {
-                coded: true,
-                skip: false,
-                intra: true,
-                mv_fwd: None,
-                mv_bwd: None,
-                mvd_mag: 0,
-            };
-            intra_flag = true;
-            skip_flag = false;
-        }
-        MbMode::Inter { layout, blocks } => {
-            w.put_flag(Element::Skip, skip_ctx_inc(states, &nb), false);
-            w.put_flag(Element::Intra, intra_ctx_inc(states, &nb), false);
-            w.put_uint(Element::PartShape, 0, layout.shape.to_index());
-            if layout.shape == PartShape::P8x8 {
-                for s in layout.subs {
-                    w.put_uint(Element::SubShape, 0, s.to_index());
-                }
-            }
-            let geoms = layout.blocks();
-            let mvd_inc = mvd_ctx_inc(states, &nb);
-            let mut prev_fwd: Option<MotionVector> = None;
-            let mut prev_bwd: Option<MotionVector> = None;
-            let mut first_mvd_mag = 0u32;
-            let mut pred16 = [0u8; MAX_BLOCK_PIXELS];
-            // Scratch buffers reused by every block of this macroblock: no
-            // per-candidate Vec allocations in the compensation loop.
-            let mut block_pred = [0u8; MAX_BLOCK_PIXELS];
-            let mut bwd_pred = [0u8; MAX_BLOCK_PIXELS];
-            for (i, (g, b)) in geoms.iter().zip(&blocks).enumerate() {
-                if is_b {
-                    w.put_uint(Element::PredDir, 0, b.dir.to_index());
-                }
-                let use_fwd = b.dir != PredDir::Backward;
-                let use_bwd = is_b && b.dir != PredDir::Forward;
-                if use_fwd {
-                    let pred = prev_fwd.unwrap_or(pred_fwd);
-                    let mvd = (b.mv_fwd.x - pred.x, b.mv_fwd.y - pred.y);
-                    w.put_sint(Element::MvdX, mvd_inc, mvd.0 as i32);
-                    w.put_sint(Element::MvdY, mvd_inc, mvd.1 as i32);
-                    if i == 0 {
-                        first_mvd_mag = mvd.0.unsigned_abs() as u32 + mvd.1.unsigned_abs() as u32;
-                    }
-                    prev_fwd = Some(b.mv_fwd);
-                }
-                if use_bwd {
-                    let pred = prev_bwd.unwrap_or_else(|| mb_mv_pred(states, &nb, false));
-                    let mvd = (b.mv_bwd.x - pred.x, b.mv_bwd.y - pred.y);
-                    w.put_sint(Element::MvdX, mvd_inc, mvd.0 as i32);
-                    w.put_sint(Element::MvdY, mvd_inc, mvd.1 as i32);
-                    prev_bwd = Some(b.mv_bwd);
-                }
-                // Build the prediction and record dependencies.
-                let bx = mb_x + g.dx;
-                let by = mb_y + g.dy;
-                let sp = ctx.cfg.subpel;
-                let n = g.w * g.h;
-                let bp = &mut block_pred[..n];
-                match b.dir {
-                    PredDir::Forward => {
-                        push_mc_deps(
-                            &mut deps,
-                            grid,
-                            ctx.plan.ref_fwd.expect("fwd ref"),
-                            bx,
-                            by,
-                            g.w,
-                            g.h,
-                            b.mv_fwd,
-                            area_frac(g.w, g.h),
-                            sp,
-                        );
-                        mc_block_sub_into(
-                            ctx.ref_fwd.expect("fwd ref").recon(),
-                            bx,
-                            by,
-                            g.w,
-                            g.h,
-                            b.mv_fwd,
-                            sp,
-                            bp,
-                        );
-                    }
-                    PredDir::Backward => {
-                        push_mc_deps(
-                            &mut deps,
-                            grid,
-                            ctx.plan.ref_bwd.expect("bwd ref"),
-                            bx,
-                            by,
-                            g.w,
-                            g.h,
-                            b.mv_bwd,
-                            area_frac(g.w, g.h),
-                            sp,
-                        );
-                        mc_block_sub_into(
-                            ctx.ref_bwd.expect("bwd ref").recon(),
-                            bx,
-                            by,
-                            g.w,
-                            g.h,
-                            b.mv_bwd,
-                            sp,
-                            bp,
-                        );
-                    }
-                    PredDir::Bi => {
-                        push_mc_deps(
-                            &mut deps,
-                            grid,
-                            ctx.plan.ref_fwd.expect("fwd ref"),
-                            bx,
-                            by,
-                            g.w,
-                            g.h,
-                            b.mv_fwd,
-                            area_frac(g.w, g.h) * 0.5,
-                            sp,
-                        );
-                        push_mc_deps(
-                            &mut deps,
-                            grid,
-                            ctx.plan.ref_bwd.expect("bwd ref"),
-                            bx,
-                            by,
-                            g.w,
-                            g.h,
-                            b.mv_bwd,
-                            area_frac(g.w, g.h) * 0.5,
-                            sp,
-                        );
-                        let bw = &mut bwd_pred[..n];
-                        mc_block_sub_into(
-                            ctx.ref_bwd.expect("bwd ref").recon(),
-                            bx,
-                            by,
-                            g.w,
-                            g.h,
-                            b.mv_bwd,
-                            sp,
-                            bw,
-                        );
-                        let mut fwd = [0u8; MAX_BLOCK_PIXELS];
-                        mc_block_sub_into(
-                            ctx.ref_fwd.expect("fwd ref").recon(),
-                            bx,
-                            by,
-                            g.w,
-                            g.h,
-                            b.mv_fwd,
-                            sp,
-                            &mut fwd[..n],
-                        );
-                        bi_average_into(&fwd[..n], bw, bp);
-                    }
-                };
-                for y in 0..g.h {
-                    pred16[(g.dy + y) * MB_SIZE + g.dx..][..g.w]
-                        .copy_from_slice(&bp[y * g.w..][..g.w]);
-                }
-            }
-            code_residual_and_recon(
-                w, recon, mb_x, mb_y, &cur_block, &pred16, qp, false, prev_qp,
-            );
-            let rep_fwd = blocks
-                .iter()
-                .find(|b| b.dir != PredDir::Backward)
-                .map(|b| b.mv_fwd);
-            let rep_bwd = blocks
-                .iter()
-                .find(|b| is_b && b.dir != PredDir::Forward)
-                .map(|b| b.mv_bwd);
-            states[mb] = MbState {
-                coded: true,
-                skip: false,
-                intra: false,
-                mv_fwd: rep_fwd,
-                mv_bwd: rep_bwd,
-                mvd_mag: first_mvd_mag,
-            };
-            intra_flag = false;
-            skip_flag = false;
-        }
+    {
+        let skip = syn.pred == MbPred::Skip;
+        let _transform_span = (!skip).then(|| vapp_obs::span!("codec.mb.transform"));
+        let refs = ctx.refs();
+        quantise(&mut syn, &refs, &cur_block, recon, mb_x, mb_y, avail);
+        write_mb(w, &syn, ctx.syntax(), states, mb, &nb, prev_qp);
+        reconstruct(&syn, &refs, recon, mb_x, mb_y, avail);
     }
-    (deps, intra_flag, skip_flag)
+    (mb_deps(ctx, &syn, mb, mb_x, mb_y, avail), syn)
 }
 
-fn area_frac(w: usize, h: usize) -> f64 {
-    (w * h) as f64 / 256.0
-}
-
-/// Records compensation dependencies for one motion-compensated block:
-/// weight `scale` split across the source macroblocks by overlap pixels.
-/// Half-pel vectors widen the referenced footprint by one pixel per
-/// fractional axis; normalising by the rect's own area keeps the incoming
-/// weights summing to `scale`.
-#[allow(clippy::too_many_arguments)]
-fn push_mc_deps(
-    deps: &mut Vec<Dependency>,
-    grid: &MbGrid,
-    src_frame: usize,
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-    mv: MotionVector,
-    scale: f64,
-    subpel: bool,
+/// Fills in the residual of a decided macroblock: its levels and coded
+/// mask, quantised against the prediction the reconstruction will use. An
+/// intra 4x4 macroblock also chooses each block's mode here, against the
+/// progressive reconstruction (what the decoder will predict from), and
+/// rebuilds each block into `recon` before the next one predicts from it.
+fn quantise(
+    syn: &mut MbSyntax,
+    refs: &Refs<'_>,
+    cur: &[u8; 256],
+    recon: &mut Plane,
+    mb_x: usize,
+    mb_y: usize,
+    avail: IntraAvail,
 ) {
-    let rect = ref_rect(x, y, w, h, mv, subpel);
-    let total = rect.area() as f64;
-    for o in grid.overlaps(rect) {
-        deps.push(Dependency {
-            frame: src_frame,
-            mb: o.mb_index,
-            weight: scale * o.pixels as f64 / total,
-        });
+    match syn.pred {
+        MbPred::Skip => {}
+        MbPred::Intra4(_) => {
+            let mut modes = [Intra4Mode::Dc; 16];
+            for (blk, mode) in modes.iter_mut().enumerate() {
+                let (bx, by, a4) = intra4_block(mb_x, mb_y, avail, blk);
+                let src = sub_block(cur, blk);
+                let (best, _, pred) = best_intra4(recon, bx, by, a4, &src);
+                *mode = best;
+                syn.set_levels(blk, forward_quant(&diff(&src, &pred), syn.qp, true));
+                put_block4(recon, bx, by, &pred, syn, blk);
+            }
+            syn.pred = MbPred::Intra4(modes);
+        }
+        MbPred::Intra16(_) | MbPred::Inter(_) => {
+            let pred = predict(syn, refs, recon, mb_x, mb_y, avail);
+            for blk in 0..16 {
+                let residual = diff(&sub_block(cur, blk), &sub_block(&pred, blk));
+                syn.set_levels(blk, forward_quant(&residual, syn.qp, syn.is_intra()));
+            }
+        }
     }
+}
+
+/// The legal intra 4x4 mode whose prediction from `plane` is nearest to
+/// `src` by SAD (the first of equals), with that SAD and prediction.
+fn best_intra4(
+    plane: &Plane,
+    bx: usize,
+    by: usize,
+    a4: Intra4Avail,
+    src: &[u8; 16],
+) -> (Intra4Mode, u64, [u8; 16]) {
+    let mut best = (Intra4Mode::Dc, u64::MAX, [0u8; 16]);
+    for m in a4.legal_modes() {
+        let pred = predict_intra4(plane, bx, by, a4, m);
+        let sad = vapp_media::kernels::sad_slices(src, &pred);
+        if sad < best.1 {
+            best = (m, sad, pred);
+        }
+    }
+    best
+}
+
+/// 4x4 block `blk` (raster order) of a row-major macroblock.
+fn sub_block(mb: &[u8; 256], blk: usize) -> [u8; 16] {
+    let (bx, by) = ((blk % 4) * 4, (blk / 4) * 4);
+    core::array::from_fn(|i| mb[(by + i / 4) * MB_SIZE + bx + i % 4])
+}
+
+/// The residual `cur - pred` of one 4x4 block.
+fn diff(cur: &[u8; 16], pred: &[u8; 16]) -> Block4x4 {
+    core::array::from_fn(|i| cur[i] as i32 - pred[i] as i32)
+}
+
+/// The dependencies one coded macroblock records (paper §4.1): its intra
+/// sources, then each motion-compensated block's reference footprint.
+fn mb_deps(
+    ctx: &FrameCtx<'_>,
+    syn: &MbSyntax,
+    mb: usize,
+    mb_x: usize,
+    mb_y: usize,
+    avail: IntraAvail,
+) -> Vec<Dependency> {
+    let mut deps = Vec::new();
+    // Intra 4x4 is attributed like a DC intra16 macroblock: its 4x4 chain
+    // ultimately draws on the same neighbour borders.
+    let intra_mode = match syn.pred {
+        MbPred::Intra16(mode) => Some(mode),
+        MbPred::Intra4(_) => Some(IntraMode::Dc),
+        MbPred::Skip | MbPred::Inter(_) => None,
+    };
+    if let Some(mode) = intra_mode {
+        for (src_mb, weight) in intra_sources(ctx.grid, mb, avail, mode) {
+            deps.push(Dependency {
+                frame: ctx.plan.coding,
+                mb: src_mb,
+                weight,
+            });
+        }
+    }
+    for (g, m) in syn.motion_blocks() {
+        // Weight `scale` split across the source macroblocks by overlap
+        // pixels. Half-pel vectors widen the referenced footprint by one
+        // pixel per fractional axis; normalising by the rect's own area
+        // keeps the incoming weights summing to `scale`.
+        let mut push = |src_frame: Option<usize>, mv, scale: f64| {
+            let rect = ref_rect(mb_x + g.dx, mb_y + g.dy, g.w, g.h, mv, ctx.cfg.subpel);
+            let total = rect.area() as f64;
+            for o in ctx.grid.overlaps(rect) {
+                deps.push(Dependency {
+                    frame: src_frame.expect("reference coded"),
+                    mb: o.mb_index,
+                    weight: scale * o.pixels as f64 / total,
+                });
+            }
+        };
+        let area = (g.w * g.h) as f64 / 256.0;
+        match m.dir {
+            PredDir::Forward => push(ctx.plan.ref_fwd, m.fwd, area),
+            PredDir::Backward => push(ctx.plan.ref_bwd, m.bwd, area),
+            PredDir::Bi => {
+                push(ctx.plan.ref_fwd, m.fwd, area * 0.5);
+                push(ctx.plan.ref_bwd, m.bwd, area * 0.5);
+            }
+        }
+    }
+    deps
 }
 
 // ------------------------------------------------------- mode decision --
@@ -1040,32 +736,13 @@ struct MbCandidates {
     best_intra: (IntraMode, u64),
     /// Intra-4x4 probe cost at this MB's λ.
     intra4_cost: u64,
-    /// Backward 16x16 full search (B frames), when precomputed. `None`
-    /// means "compute lazily in `decide_mode`" — done when running
-    /// single-threaded, where speculative search for macroblocks that end
-    /// up skipped would be pure overhead.
-    bwd_whole: Option<SearchResult>,
-    /// Early-exit stats of the precomputed backward search. Merged into the
-    /// frame totals only when `decide_mode` consumes `bwd_whole`, so the
-    /// counters match the lazy single-threaded path exactly.
-    bwd_stats: SearchStats,
 }
 
-fn mb_candidates(
-    ctx: &FrameCtx<'_>,
-    mb: usize,
-    slice_top_row: usize,
-    base_qp: u8,
-    with_bwd: bool,
-) -> MbCandidates {
+fn mb_candidates(ctx: &FrameCtx<'_>, mb: usize, slice_top_row: usize, base_qp: u8) -> MbCandidates {
     let grid = ctx.grid;
     let (col, row) = grid.mb_position(mb);
     let (mb_x, mb_y) = (col * MB_SIZE, row * MB_SIZE);
-    let nb = neighbors(grid, mb, slice_top_row);
-    let avail = IntraAvail {
-        left: nb.left.is_some(),
-        top: nb.above.is_some(),
-    };
+    let avail = neighbors(grid, mb, slice_top_row).intra_avail();
     let inter_allowed = ctx.ref_fwd.is_some();
 
     let mut cur_block = [0u8; 256];
@@ -1117,80 +794,47 @@ fn mb_candidates(
     let intra4_cost = {
         let mut total = lam * 16 * 3;
         for blk in 0..16 {
-            let bx = mb_x + (blk % 4) * 4;
-            let by = mb_y + (blk / 4) * 4;
-            let a4 = Intra4Avail {
-                left: blk % 4 > 0 || avail.left,
-                top: blk / 4 > 0 || avail.top,
-            };
-            let mut src = [0u8; 16];
-            ctx.cur.copy_block(bx as isize, by as isize, 4, 4, &mut src);
-            let mut best = u64::MAX;
-            for m in a4.legal_modes() {
-                let pred = predict_intra4(ctx.cur, bx, by, a4, m);
-                best = best.min(vapp_media::kernels::sad_slices(&src, &pred));
-            }
-            total += best;
+            let (bx, by, a4) = intra4_block(mb_x, mb_y, avail, blk);
+            total += best_intra4(ctx.cur, bx, by, a4, &sub_block(&cur_block, blk)).1;
         }
         total
-    };
-
-    // Backward 16x16 full search: centered on the zero vector, so it
-    // reads only the source and backward reference planes.
-    let mut bwd_stats = SearchStats::default();
-    let bwd_whole = if with_bwd {
-        ctx.ref_bwd.map(|rb| {
-            search_sub_stats(
-                ctx.cur,
-                rb,
-                mb_x,
-                mb_y,
-                MB_SIZE,
-                MB_SIZE,
-                MotionVector::ZERO,
-                ctx.cfg.search_range,
-                ctx.cfg.subpel,
-                &mut bwd_stats,
-            )
-        })
-    } else {
-        None
     };
 
     MbCandidates {
         qp,
         best_intra,
         intra4_cost,
-        bwd_whole,
-        bwd_stats,
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Chooses a macroblock's prediction: skip, intra (16x16 or 4x4) or the
+/// cheapest inter partition with per-block directions and vectors. The
+/// returned syntax has no residual yet, and an intra 4x4 choice leaves its
+/// block modes to [`quantise`].
 fn decide_mode(
     ctx: &FrameCtx<'_>,
     mb_x: usize,
     mb_y: usize,
     cur_block: &[u8; 256],
     cand: &MbCandidates,
-    qp: u8,
-    lam: u64,
     pred_fwd: MotionVector,
     stats: &mut SearchStats,
-) -> MbMode {
+) -> MbSyntax {
     let is_b = ctx.plan.frame_type == FrameType::B;
-
-    let best_intra = cand.best_intra;
-    let intra4_cost = cand.intra4_cost;
-    let intra4_better = intra4_cost < best_intra.1;
-    let best_intra_cost = best_intra.1.min(intra4_cost);
+    let qp = cand.qp;
+    let lam = lambda(qp);
+    let intra = MbSyntax::new(
+        if cand.intra4_cost < cand.best_intra.1 {
+            MbPred::Intra4([Intra4Mode::Dc; 16])
+        } else {
+            MbPred::Intra16(cand.best_intra.0)
+        },
+        qp,
+    );
+    let best_intra_cost = cand.best_intra.1.min(cand.intra4_cost);
 
     let Some(ref_fwd) = ctx.ref_fwd else {
-        return if intra4_better {
-            MbMode::Intra4
-        } else {
-            MbMode::Intra { mode: best_intra.0 }
-        };
+        return intra;
     };
 
     // One compensation scratch per macroblock task: every candidate probe
@@ -1220,48 +864,32 @@ fn decide_mode(
             qp
         };
         if sad < 6000 && residual_is_zero(cur_block, &scratch, skip_qp) {
-            return MbMode::Skip { mv: pred_fwd };
+            let mut skip = MbSyntax::new(MbPred::Skip, qp);
+            skip.motion[0].fwd = pred_fwd;
+            return skip;
         }
     }
 
-    // Inter: 16x16 search, then partition refinement.
+    // Inter: 16x16 searches, then partition refinement.
     let sp = ctx.cfg.subpel;
-    let whole = search_sub_stats(
-        ctx.cur,
-        ref_fwd,
-        mb_x,
-        mb_y,
-        MB_SIZE,
-        MB_SIZE,
-        pred_fwd,
-        ctx.cfg.search_range,
-        sp,
-        stats,
-    );
-    // Use the precomputed backward search when the candidate pass ran it
-    // (merging its early-exit stats only now, so skipped macroblocks never
-    // contribute and the counters are worker-count-invariant); fall back to
-    // the identical inline search otherwise.
-    let bwd_whole = match cand.bwd_whole {
-        some @ Some(_) => {
-            stats.merge(cand.bwd_stats);
-            some
-        }
-        None => ctx.ref_bwd.map(|rb| {
-            search_sub_stats(
-                ctx.cur,
-                rb,
-                mb_x,
-                mb_y,
-                MB_SIZE,
-                MB_SIZE,
-                MotionVector::ZERO,
-                ctx.cfg.search_range,
-                sp,
-                stats,
-            )
-        }),
+    let search16 = |refs: &RefPlanes, center: MotionVector, stats: &mut SearchStats| {
+        search_sub_stats(
+            ctx.cur,
+            refs,
+            mb_x,
+            mb_y,
+            MB_SIZE,
+            MB_SIZE,
+            center,
+            ctx.cfg.search_range,
+            sp,
+            stats,
+        )
     };
+    let whole = search16(ref_fwd, pred_fwd, stats);
+    let bwd_whole = ctx
+        .ref_bwd
+        .map(|rb| search16(rb, MotionVector::ZERO, stats));
 
     let shapes = [
         PartShape::P16x16,
@@ -1269,7 +897,7 @@ fn decide_mode(
         PartShape::P8x16,
         PartShape::P8x8,
     ];
-    let mut best_inter: Option<(PartitionLayout, Vec<InterBlock>, u64)> = None;
+    let mut best_inter: Option<(PartitionLayout, [BlockMotion; 16], u64)> = None;
     // Every partition search below runs ±2 around one centre per direction
     // (`whole.mv` forward, `bwd_whole.mv` backward), so each direction's
     // window is evaluated once, as 4x4-cell SADs, when the macroblock gets
@@ -1336,10 +964,9 @@ fn decide_mode(
                 layout.subs[q] = best_sub.0;
             }
         }
-        let geoms = layout.blocks();
-        let mut blocks = Vec::with_capacity(geoms.len());
+        let mut motion = [BlockMotion::default(); 16];
         let mut cost = lam * 4; // shape signalling
-        for g in &geoms {
+        for (g, m) in layout.blocks().iter().zip(&mut motion) {
             let bx = mb_x + g.dx;
             let by = mb_y + g.dy;
             let fwd = if shape == PartShape::P16x16 {
@@ -1349,13 +976,20 @@ fn decide_mode(
             } else {
                 fwd_grid.search(g, stats)
             };
-            let mut dir = PredDir::Forward;
+            *m = BlockMotion {
+                dir: PredDir::Forward,
+                fwd: fwd.mv,
+                bwd: MotionVector::ZERO,
+            };
             let mut chosen_sad = fwd.sad;
-            let mut mv_b = MotionVector::ZERO;
             if let (Some(rb), Some(bg)) = (ctx.ref_bwd, &mut bwd_grid) {
                 let bwd = bg.search(g, stats);
                 if bwd.sad + lam * 2 < chosen_sad {
-                    dir = PredDir::Backward;
+                    *m = BlockMotion {
+                        dir: PredDir::Backward,
+                        fwd: MotionVector::ZERO,
+                        bwd: bwd.mv,
+                    };
                     chosen_sad = bwd.sad;
                 }
                 // Bi-prediction. The decision is `bi_sad + lam*6 <
@@ -1381,25 +1015,23 @@ fn decide_mode(
                 let bi_bound = chosen_sad.saturating_sub(lam * 6);
                 let bi_sad = sad_against_bounded(ctx.cur, bx, by, g.w, g.h, &bi[..n], bi_bound);
                 if bi_sad + lam * 6 < chosen_sad {
-                    dir = PredDir::Bi;
+                    *m = BlockMotion {
+                        dir: PredDir::Bi,
+                        fwd: fwd.mv,
+                        bwd: bwd.mv,
+                    };
                     chosen_sad = bi_sad;
                 } else if bi_sad > bi_bound {
                     stats.early_exits += 1;
                 }
-                mv_b = bwd.mv;
             }
             cost += chosen_sad + lam * (10 + if is_b { 2 } else { 0 });
-            blocks.push(InterBlock {
-                dir,
-                mv_fwd: fwd.mv,
-                mv_bwd: mv_b,
-            });
         }
         if best_inter.as_ref().is_none_or(|b| cost < b.2) {
-            best_inter = Some((layout, blocks, cost));
+            best_inter = Some((layout, motion, cost));
         }
     }
-    let (layout, blocks, inter_cost) = best_inter.expect("at least one shape evaluated");
+    let (layout, motion, inter_cost) = best_inter.expect("at least one shape evaluated");
 
     // Bias against intra in inter frames: intra costs more bits and, for
     // VideoApp, creates in-frame dependency chains. The approximability-
@@ -1411,202 +1043,21 @@ fn decide_mode(
         lam * 8
     };
     if best_intra_cost + intra_penalty < inter_cost {
-        if intra4_better {
-            MbMode::Intra4
-        } else {
-            MbMode::Intra { mode: best_intra.0 }
-        }
+        intra
     } else {
-        MbMode::Inter { layout, blocks }
+        let mut inter = MbSyntax::new(MbPred::Inter(layout), qp);
+        inter.motion = motion;
+        inter
     }
 }
 
 /// Whether the residual between `cur` and `pred` quantises to all-zero at
 /// `qp` (the skip test).
 fn residual_is_zero(cur: &[u8; 256], pred: &[u8; 256], qp: u8) -> bool {
-    for by in 0..4 {
-        for bx in 0..4 {
-            let mut blk: Block4x4 = [0; 16];
-            for y in 0..4 {
-                for x in 0..4 {
-                    let i = (by * 4 + y) * MB_SIZE + bx * 4 + x;
-                    blk[y * 4 + x] = cur[i] as i32 - pred[i] as i32;
-                }
-            }
-            let q = forward_quant(&blk, qp, false);
-            if q.iter().any(|&v| v != 0) {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-// -------------------------------------------------- residual + recon ----
-
-/// Codes the QP delta, CBP and residual blocks, and writes the
-/// reconstruction into `recon`. Shared by intra and inter macroblocks.
-#[allow(clippy::too_many_arguments)]
-fn code_residual_and_recon<W: SymbolWriter>(
-    w: &mut W,
-    recon: &mut Plane,
-    mb_x: usize,
-    mb_y: usize,
-    cur: &[u8; 256],
-    pred: &[u8; 256],
-    qp: u8,
-    intra: bool,
-    prev_qp: &mut u8,
-) {
-    let _transform_span = vapp_obs::span!("codec.mb.transform");
-    // QP delta (predictive metadata coding, paper §2.3.2).
-    let delta = qp as i32 - *prev_qp as i32;
-    w.put_sint(Element::QpDelta, 0, delta);
-    *prev_qp = qp;
-
-    // Transform and quantise all 16 4x4 blocks.
-    let mut levels = [[0i32; 16]; 16];
-    let mut coded4 = [false; 16];
-    for blk in 0..16 {
-        let (bx, by) = (blk % 4, blk / 4);
-        let mut r: Block4x4 = [0; 16];
-        for y in 0..4 {
-            for x in 0..4 {
-                let i = (by * 4 + y) * MB_SIZE + bx * 4 + x;
-                r[y * 4 + x] = cur[i] as i32 - pred[i] as i32;
-            }
-        }
-        let q = forward_quant(&r, qp, intra);
-        coded4[blk] = q.iter().any(|&v| v != 0);
-        levels[blk] = q;
-    }
-
-    // CBP per 8x8 quadrant.
-    for q in 0..4 {
-        let any = quadrant_blocks(q).iter().any(|&b| coded4[b]);
-        w.put_flag(Element::Cbp, q, any);
-    }
-    for q in 0..4 {
-        let blocks = quadrant_blocks(q);
-        if !blocks.iter().any(|&b| coded4[b]) {
-            continue;
-        }
-        for (s, &blk) in blocks.iter().enumerate() {
-            w.put_flag(Element::Blk4, s, coded4[blk]);
-            if coded4[blk] {
-                code_block_coeffs(w, &levels[blk]);
-            }
-        }
-    }
-
-    // Reconstruct.
-    for blk in 0..16 {
-        let (bx, by) = (blk % 4, blk / 4);
-        let res = if coded4[blk] {
-            dequant_inverse(&levels[blk], qp)
-        } else {
-            [0; 16]
-        };
-        for y in 0..4 {
-            for x in 0..4 {
-                let i = (by * 4 + y) * MB_SIZE + bx * 4 + x;
-                let v = (pred[i] as i32 + res[y * 4 + x]).clamp(0, 255) as u8;
-                recon.set(mb_x + bx * 4 + x, mb_y + by * 4 + y, v);
-            }
-        }
-    }
-}
-
-/// Codes an intra 4x4 macroblock: per-block mode choice against the
-/// progressive reconstruction, interleaved residual coding (the next
-/// block predicts from this block's reconstruction).
-#[allow(clippy::too_many_arguments)]
-fn code_intra4_mb<W: SymbolWriter>(
-    w: &mut W,
-    recon: &mut Plane,
-    cur_plane: &Plane,
-    mb_x: usize,
-    mb_y: usize,
-    avail: IntraAvail,
-    qp: u8,
-    prev_qp: &mut u8,
-) {
-    let _transform_span = vapp_obs::span!("codec.mb.transform");
-    let delta = qp as i32 - *prev_qp as i32;
-    w.put_sint(Element::QpDelta, 0, delta);
-    *prev_qp = qp;
-
-    for blk in 0..16 {
-        let bx = mb_x + (blk % 4) * 4;
-        let by = mb_y + (blk / 4) * 4;
-        let a4 = Intra4Avail {
-            left: blk % 4 > 0 || avail.left,
-            top: blk / 4 > 0 || avail.top,
-        };
-        let mut src = [0u8; 16];
-        cur_plane.copy_block(bx as isize, by as isize, 4, 4, &mut src);
-        // Choose the best mode against the *reconstruction* (what the
-        // decoder will predict from).
-        let mut best = (Intra4Mode::Dc, u64::MAX, [0u8; 16]);
-        for m in a4.legal_modes() {
-            let pred = predict_intra4(recon, bx, by, a4, m);
-            let sad = vapp_media::kernels::sad_slices(&src, &pred);
-            if sad < best.1 {
-                best = (m, sad, pred);
-            }
-        }
-        w.put_uint(Element::Intra4Mode, 0, best.0.to_index());
-
-        // Residual for this block.
-        let r: Block4x4 = std::array::from_fn(|i| src[i] as i32 - best.2[i] as i32);
-        let levels = forward_quant(&r, qp, true);
-        let coded = levels.iter().any(|&v| v != 0);
-        w.put_flag(Element::Blk4, blk % 4, coded);
-        if coded {
-            code_block_coeffs(w, &levels);
-        }
-        // Reconstruct immediately so the next block predicts from it.
-        let res = if coded {
-            dequant_inverse(&levels, qp)
-        } else {
-            [0; 16]
-        };
-        for y in 0..4 {
-            for x in 0..4 {
-                let v = (best.2[y * 4 + x] as i32 + res[y * 4 + x]).clamp(0, 255) as u8;
-                recon.set(bx + x, by + y, v);
-            }
-        }
-    }
-}
-
-/// The four 4x4 block indices of 8x8 quadrant `q` (row-major MB layout).
-pub(crate) fn quadrant_blocks(q: usize) -> [usize; 4] {
-    let base = (q / 2) * 8 + (q % 2) * 2;
-    [base, base + 1, base + 4, base + 5]
-}
-
-/// Codes one 4x4 block's coefficients: zigzag significance map with
-/// interleaved levels and last flags.
-fn code_block_coeffs<W: SymbolWriter>(w: &mut W, levels: &Block4x4) {
-    let zz = to_zigzag(levels);
-    let last = (0..16)
-        .rev()
-        .find(|&i| zz[i] != 0)
-        .expect("coded block has a coefficient");
-    for (i, &z) in zz.iter().enumerate() {
-        let sig = z != 0;
-        w.put_flag(Element::Sig, i.min(14), sig);
-        if sig {
-            w.put_uint(Element::Level, usize::from(i != 0), z.unsigned_abs() - 1);
-            w.put_sign(z < 0);
-            let is_last = i == last;
-            w.put_flag(Element::Last, i.min(14), is_last);
-            if is_last {
-                break;
-            }
-        }
-    }
+    (0..16).all(|blk| {
+        let residual = diff(&sub_block(cur, blk), &sub_block(pred, blk));
+        forward_quant(&residual, qp, false).iter().all(|&v| v == 0)
+    })
 }
 
 #[cfg(test)]
@@ -1687,15 +1138,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_rows_partition_evenly() {
-        assert_eq!(slice_rows(6, 1), vec![(0, 6)]);
-        assert_eq!(slice_rows(6, 2), vec![(0, 3), (3, 6)]);
-        assert_eq!(slice_rows(7, 3), vec![(0, 3), (3, 5), (5, 7)]);
-        // More slices than rows: clamped.
-        assert_eq!(slice_rows(2, 5), vec![(0, 1), (1, 2)]);
-    }
-
-    #[test]
     fn pad_and_crop_roundtrip() {
         let mut p = Plane::new(20, 13);
         for y in 0..13 {
@@ -1710,18 +1152,6 @@ mod tests {
         // Padding replicates edges.
         assert_eq!(padded.get(31, 5), p.get(19, 5));
         assert_eq!(padded.get(4, 15), p.get(4, 12));
-    }
-
-    #[test]
-    fn quadrant_blocks_cover_all_sixteen() {
-        let mut seen = [false; 16];
-        for q in 0..4 {
-            for b in quadrant_blocks(q) {
-                assert!(!seen[b]);
-                seen[b] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod entropy;
 pub mod expgolomb;
 pub mod inter;
 pub mod intra;
+pub mod mb;
 pub mod quant;
 pub mod syntax;
 pub mod transform;

@@ -69,6 +69,8 @@ pub fn quantize(coeffs: &Block4x4, qp: u8, intra: bool) -> Block4x4 {
 /// Rescales (dequantises) levels back to transform-domain coefficients,
 /// pre-scaled by 64 for the shift-based inverse transform.
 ///
+/// The scalar reference that [`dequant_inverse`] is tested against.
+///
 /// # Panics
 ///
 /// Panics if `qp > 51`.
@@ -143,15 +145,15 @@ pub fn forward_quant(residual: &Block4x4, qp: u8, intra: bool) -> Block4x4 {
     out
 }
 
-/// Fused `dequantize` → `inverse4x4` for **encoder-produced** levels.
+/// Fused `dequantize` → `inverse4x4`: the one dequantiser of both the
+/// encoder's and the decoder's reconstruction.
 ///
-/// Uses the pre-shifted rescale LUT in 64-bit arithmetic, so it differs from
-/// the scalar `dequantize` (whose `saturating_mul` then shift saturates on
-/// absurd inputs) only when `|level * V|` overflows `i32` — impossible for
-/// levels that came out of [`quantize`]/[`forward_quant`] on 8-bit residuals
-/// (`|level| < 2^13`, `V << shift <= 29 << 8`, product `< 2^26`). The decoder
-/// keeps the scalar pair because corrupt streams *can* carry huge levels and
-/// their saturation behaviour is part of its contract.
+/// Uses the pre-shifted rescale LUT in 64-bit arithmetic, so it equals the
+/// scalar pair wherever the scalar `dequantize` does not saturate. That
+/// covers every level a stream can carry: the decoder clamps
+/// `|level| <= 2^15 + 1`, so `|level * V * 2^(qp / 6)| <= 32769 * 29 * 2^8
+/// < 2^28`, and the inverse transform's sums then stay below `1.82e9 <
+/// 2^31`. A `debug_assert!` guards the 2^28 bound.
 ///
 /// # Panics
 ///
@@ -163,8 +165,8 @@ pub fn dequant_inverse(levels: &Block4x4, qp: u8) -> Block4x4 {
     for i in 0..16 {
         let product = levels[i] as i64 * t.v[i];
         debug_assert!(
-            product.abs() < 1 << 26,
-            "fused dequant needs |level * V| < 2^26, got level {} at qp {qp}",
+            product.abs() < 1 << 28,
+            "fused dequant needs |level * V| < 2^28, got level {} at qp {qp}",
             levels[i]
         );
         deq[i] = product as i32;

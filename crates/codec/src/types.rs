@@ -234,6 +234,23 @@ impl PartitionLayout {
         }
     }
 
+    /// How many prediction blocks [`blocks`](Self::blocks) lists.
+    pub fn block_count(&self) -> usize {
+        match self.shape {
+            PartShape::P16x16 => 1,
+            PartShape::P16x8 | PartShape::P8x16 => 2,
+            PartShape::P8x8 => self
+                .subs
+                .iter()
+                .map(|s| match s {
+                    SubShape::S8x8 => 1,
+                    SubShape::S8x4 | SubShape::S4x8 => 2,
+                    SubShape::S4x4 => 4,
+                })
+                .sum(),
+        }
+    }
+
     /// Lists the prediction blocks of this layout in coding order.
     pub fn blocks(&self) -> BlockList {
         let b = |dx, dy, w, h| BlockGeom { dx, dy, w, h };
@@ -278,9 +295,10 @@ impl PartitionLayout {
 }
 
 /// Prediction direction for one B-frame block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PredDir {
-    /// From the previous anchor.
+    /// From the previous anchor (the only direction outside B frames).
+    #[default]
     Forward,
     /// From the next anchor.
     Backward,

@@ -1,13 +1,15 @@
 //! Property tests pinning the codec's row kernels bit-identical to their
 //! scalar references — the scalar paths stay the specification the
 //! kernels must reproduce exactly, across random blocks, widths that are
-//! not multiples of the 16-pixel chunk, and border geometries. The motion search's
-//! padded phase planes, summed-area table, successive-elimination ±8 search
-//! and shared partition windows are pinned against clamped scalar sampling
-//! and a scalar full search — winners and early-exit counts — borders and
-//! clamped vectors included. The decoder's row-slice deblocking filter and
-//! windowed arithmetic decoder are pinned the same way against their
-//! per-pixel and bit-serial originals.
+//! not multiples of the 16-pixel chunk, and border geometries. The motion
+//! search's padded phase planes, summed-area table, successive-elimination
+//! ±8 search and shared partition windows are pinned against clamped
+//! scalar sampling and a scalar full search — winners and early-exit
+//! counts — borders and clamped vectors included. The fused dequantiser is
+//! pinned to the scalar pair over every level the decoder can parse. The
+//! decoder's row-slice deblocking filter and windowed arithmetic decoder
+//! are pinned the same way against their per-pixel and bit-serial
+//! originals.
 
 use vapp_check::{RngExt, StdRng};
 use vapp_codec::arith::{ArithDecoder, ArithEncoder, BinContext};
@@ -507,6 +509,43 @@ fn fused_transform_quant_matches_scalar_pair() {
                     "qp={qp} intra={intra} r={r:?}"
                 );
             }
+        }
+    });
+}
+
+#[test]
+fn fused_dequant_matches_scalar_pair_on_every_parsable_level() {
+    // The decoder reconstructs through `dequant_inverse` too, so the fused
+    // pair must match the scalar one on every level a damaged stream can
+    // parse: `|level| <= 2^15 + 1`. Random levels, and blocks saturated at
+    // the clamp with random signs (the largest transform sums).
+    const MAX_LEVEL: i32 = (1 << 15) + 1;
+    vapp_check::check("fused_dequant_parsable_levels", 64, |rng| {
+        let levels: Block4x4 = match rng.random_range(0..3u32) {
+            0 => core::array::from_fn(|_| {
+                rng.random_range(0..=2 * MAX_LEVEL as u64) as i32 - MAX_LEVEL
+            }),
+            1 => core::array::from_fn(|_| {
+                if rng.random::<bool>() {
+                    MAX_LEVEL
+                } else {
+                    -MAX_LEVEL
+                }
+            }),
+            _ => {
+                [if rng.random::<bool>() {
+                    MAX_LEVEL
+                } else {
+                    -MAX_LEVEL
+                }; 16]
+            }
+        };
+        for qp in 0..=MAX_QP {
+            assert_eq!(
+                dequant_inverse(&levels, qp),
+                inverse4x4(&dequantize(&levels, qp)),
+                "qp={qp} levels={levels:?}"
+            );
         }
     });
 }

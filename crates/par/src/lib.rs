@@ -108,15 +108,6 @@ pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     f()
 }
 
-/// Whether a parallel region opened here would actually fan out — false
-/// with one effective worker or from inside a worker (nested regions run
-/// inline). Callers use this to gate *speculative* precomputation that
-/// only pays for itself when spread across workers; gating it never
-/// changes results, only where the same values get computed.
-pub fn would_parallelize() -> bool {
-    effective_threads() > 1 && !IN_WORKER.with(Cell::get)
-}
-
 /// The worker count a parallel region opened here would use.
 pub fn effective_threads() -> usize {
     if let Some(n) = SCOPED_THREADS.with(Cell::get) {
