@@ -2,20 +2,24 @@
 //! damaged stream (the concealment path every storage trial runs), plus
 //! the inner-loop kernels (SAD, the ±8 macroblock search, the
 //! shared partition-search window, fused transform/quant, half-pel motion
-//! compensation).
+//! compensation, and the CABAC parse of a real payload).
 
 use std::hint::black_box;
-use vapp_bench::harness::Criterion;
+use std::sync::Arc;
+use vapp_bench::harness::{Criterion, Throughput};
 use vapp_bench::{criterion_group, criterion_main};
 use vapp_codec::bitstream::flip_bit;
+use vapp_codec::entropy::CabacReader;
 use vapp_codec::inter::{
     mc_block_halfpel_into, motion_search_stats, RefPlanes, SadGrid, SearchStats, MAX_BLOCK_PIXELS,
 };
+use vapp_codec::mb::{neighbors, read_mb, FrameSyntax, MbState};
 use vapp_codec::quant::{dequant_inverse, forward_quant};
 use vapp_codec::transform::Block4x4;
 use vapp_codec::types::{MotionVector, PartShape, PartitionLayout, SubShape};
-use vapp_codec::{decode, Encoder, EncoderConfig, EntropyMode};
-use vapp_media::{Plane, MB_SIZE};
+use vapp_codec::{decode, Encoder, EncoderConfig, EntropyMode, FrameType};
+use vapp_media::{MbGrid, Plane, MB_SIZE};
+use vapp_obs::registry::{with_registry, Registry};
 use vapp_rand::{rngs::StdRng, SeedableRng};
 use vapp_workloads::{ClipSpec, SceneKind};
 
@@ -162,6 +166,43 @@ fn bench_codec_kernels(c: &mut Criterion) {
                 &mut pred,
             );
             black_box(pred[0])
+        });
+    });
+
+    // Every bin of one real suite payload: the first suite clip at the
+    // Monte Carlo experiments' geometry and CRF, CABAC coded, parsed
+    // macroblock by macroblock through its real contexts. Throughput is
+    // in bins, so `elements_per_sec` reads as bins per second.
+    let suite_clip = &vapp_workloads::suite(112, 64, 24)[0].video;
+    let cfg = EncoderConfig {
+        crf: 24,
+        keyint: 24,
+        bframes: 2,
+        ..EncoderConfig::default()
+    };
+    let reg = Arc::new(Registry::new());
+    let stream = with_registry(reg.clone(), || Encoder::new(cfg).encode(suite_clip).stream);
+    group.throughput(Throughput::Elements(reg.counter("codec.arith.bins").get()));
+    let grid = MbGrid::for_frame(suite_clip.width(), suite_clip.height());
+    group.bench_function("cabac_decode_payload", |b| {
+        b.iter(|| {
+            let mut states = vec![MbState::default(); grid.mb_count()];
+            let mut last = None;
+            for f in &stream.frames {
+                assert_eq!(f.header.slice_lens.len(), 1, "one slice per frame");
+                let frame = FrameSyntax {
+                    inter: f.header.ref_fwd.is_some(),
+                    b: f.header.frame_type == FrameType::B,
+                };
+                let mut r = CabacReader::new(black_box(&f.payload));
+                let mut qp = f.header.qp;
+                states.fill(MbState::default());
+                for mb in 0..grid.mb_count() {
+                    let nb = neighbors(&grid, mb, 0);
+                    last = Some(read_mb(&mut r, frame, &mut states, mb, &nb, &mut qp));
+                }
+            }
+            black_box(last)
         });
     });
     group.finish();

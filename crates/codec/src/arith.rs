@@ -52,16 +52,18 @@ impl BinContext {
         self.p0
     }
 
+    /// Moves P(0) 1/32 of the way toward the observed bin: down by
+    /// `p0 >> 5` after a one, up by `(4096 - p0) >> 5` after a zero.
     #[inline]
     fn update(&mut self, bin: bool) {
-        if bin {
-            // A one was observed: decrease P(0).
-            self.p0 -= self.p0 >> ADAPT_SHIFT;
-        } else {
-            self.p0 += ((PROB_ONE - self.p0 as u32) >> ADAPT_SHIFT) as u16;
-        }
+        let p0 = u32::from(self.p0);
+        let after_one = p0 - (p0 >> ADAPT_SHIFT);
+        let after_zero = p0 + ((PROB_ONE - p0) >> ADAPT_SHIFT);
+        // Both candidates, then a select: decoded bins are unpredictable.
+        let one = u32::from(bin).wrapping_neg();
+        let p0 = (after_one & one) | (after_zero & !one);
         // Keep probabilities away from 0/1 so the interval split is valid.
-        self.p0 = self.p0.clamp(32, (PROB_ONE - 32) as u16);
+        self.p0 = p0.clamp(32, PROB_ONE - 32) as u16;
     }
 }
 
@@ -170,17 +172,32 @@ impl ArithEncoder {
 /// Mirrors [`ArithEncoder`] exactly when the data is intact; on corrupted
 /// or truncated data it keeps producing deterministic (garbage) bins.
 ///
+/// The state is the interval's `low` end, its width `range` and the offset
+/// `value = code - low` of the code point inside it, an exact rewrite of
+/// the bit-serial Witten–Neal–Cleary loop over `(low, high, code)`:
+///
+/// * the decision `code > low + r0 - 1` is `value >= r0`, where
+///   `r0 = (range * p0) >> 12` is the width of the zero sub-interval;
+/// * every renormalisation step (`high < HALF`, `low >= HALF`, or the
+///   midpoint-straddling `QUARTER` step) subtracts the same amount from
+///   `low` and `code` and then doubles both, so `value` just shifts in
+///   the next input bit and `range` doubles. A run of `s` steps is
+///   `value = (value << s) | next s bits`, `range <<= s`, one read of
+///   `s` input bits per bin.
+///
+/// Only `low` is needed to count the steps: `n` leading bits shared by
+/// `low` and `high = low + range - 1`, then `k` straddling steps, exactly
+/// as the serial loop would take them. After the run the top bit of `low`
+/// is clear (low and high differ there), so the new `low` is the old one
+/// shifted by `s` and masked below `HALF`.
+///
 /// Input bits come from a 64-bit window refilled a byte at a time (bytes
-/// past the end read as zero), and renormalisation shifts whole runs of
-/// bits at once. Both are exact rewrites of the bit-serial
-/// Witten–Neal–Cleary loop: `low <= code <= high` holds throughout, so
-/// `code` shares every leading bit pattern of `low` and `high` the
-/// renormalisation steps test.
+/// past the end read as zero).
 #[derive(Debug)]
 pub struct ArithDecoder<'a> {
     low: u64,
-    high: u64,
-    code: u64,
+    range: u64,
+    value: u64,
     bytes: &'a [u8],
     /// Next byte to load into the window (may run past the end).
     next: usize,
@@ -194,14 +211,14 @@ impl<'a> ArithDecoder<'a> {
     pub fn new(bytes: &'a [u8]) -> Self {
         let mut dec = ArithDecoder {
             low: 0,
-            high: MASK,
-            code: 0,
+            range: TOP,
+            value: 0,
             bytes,
             next: 0,
             window: 0,
             avail: 0,
         };
-        dec.code = dec.take(32);
+        dec.value = dec.take(32);
         dec
     }
 
@@ -236,6 +253,7 @@ impl<'a> ArithDecoder<'a> {
     }
 
     /// Decodes one bypass bin.
+    #[inline]
     pub fn decode_bypass(&mut self) -> bool {
         self.decode_raw((PROB_ONE / 2) as u64)
     }
@@ -243,31 +261,26 @@ impl<'a> ArithDecoder<'a> {
     #[inline]
     fn decode_raw(&mut self, p0: u64) -> bool {
         // Renormalisation leaves `range > QUARTER` and `p0` lies in
-        // [32, 4064], so the scaled split is at least `range / 128` from
-        // either end and the encoder's `clamp(1, range - 1)` never binds.
-        let range = self.high - self.low + 1;
-        debug_assert!(range > QUARTER);
-        let split = self.low + ((range * p0) >> PROB_BITS) - 1;
-        let bin = self.code > split;
-        if bin {
-            self.low = split + 1;
-        } else {
-            self.high = split;
-        }
-        // Renormalise without branching on the data. Leading bits shared by
-        // `low` and `high` (the `high < HALF` / `low >= HALF` steps) are
-        // settled: shift all `n` out at once.
-        let n = ((self.low ^ self.high) as u32).leading_zeros();
-        self.low = (self.low << n) & MASK;
-        self.high = ((self.high << n) & MASK) | ((1 << n) - 1);
-        self.code = ((self.code << n) & MASK) | self.take(n);
-        // Now low = 0.., high = 1..; each midpoint-straddling step (low =
-        // 01.., high = 10..) keeps the top bit and deletes the next one.
-        // The run has one step per leading position with low 1, high 0.
-        let k = (!(((self.low & !self.high) as u32) << 1)).leading_zeros();
-        self.low = (self.low << k) & (HALF - 1);
-        self.high = HALF | ((self.high << k) & (HALF - 1)) | ((1 << k) - 1);
-        self.code = (self.code & HALF) | ((self.code << k) & (HALF - 1)) | self.take(k);
+        // [32, 4064], so `r0` is at least `range / 128` from either end
+        // and the encoder's `clamp(1, range - 1)` never binds.
+        debug_assert!(self.range > QUARTER && self.value < self.range);
+        let r0 = (self.range * p0) >> PROB_BITS;
+        let bin = self.value >= r0;
+        // The bin is a coin flip to a branch predictor: select with masks.
+        let one = (bin as u64).wrapping_neg();
+        self.low += r0 & one;
+        self.value -= r0 & one;
+        self.range = ((self.range - r0) & one) | (r0 & !one);
+        // `n` settled leading bits (the `high < HALF` / `low >= HALF`
+        // steps), then, with low = 0.. and high = 1.., `k` straddling steps:
+        // one per leading position where low has a 1 and high a 0.
+        let high = self.low + self.range - 1;
+        let n = ((self.low ^ high) as u32).leading_zeros();
+        let k = (!(((self.low & !high) << (n + 1)) as u32)).leading_zeros();
+        let s = n + k;
+        self.low = (self.low << s) & (HALF - 1);
+        self.range <<= s;
+        self.value = (self.value << s) | self.take(s);
         bin
     }
 }

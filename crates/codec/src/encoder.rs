@@ -19,8 +19,8 @@ use crate::inter::{
 };
 use crate::intra::{intra_sources, predict_intra16, predict_intra4, Intra4Avail, IntraAvail};
 use crate::mb::{
-    crop, intra4_block, mb_mv_pred, neighbors, predict, put_block4, reconstruct, slice_rows,
-    write_mb, BlockMotion, FrameSyntax, MbPred, MbState, MbSyntax, Refs,
+    crop, intra4_block, mb_mv_pred, neighbors, predict, put_block4, put_mb, slice_rows, write_mb,
+    BlockMotion, FrameSyntax, MbPred, MbState, MbSyntax, Refs,
 };
 use crate::quant::{forward_quant, MAX_QP};
 use crate::syntax::{EncodedFrame, EncodedVideo, FrameHeader, StreamHeader};
@@ -29,7 +29,7 @@ use crate::types::{
     BlockGeom, FrameType, Intra4Mode, IntraMode, MotionVector, PartShape, PartitionLayout, PredDir,
     SubShape,
 };
-use vapp_media::{Frame, MbGrid, Plane, Video, MB_SIZE};
+use vapp_media::{Frame, MbGrid, Plane, Video, MB_PIXELS, MB_SIZE};
 
 /// Encoder configuration.
 ///
@@ -591,18 +591,22 @@ fn encode_mb<W: SymbolWriter>(
         let skip = syn.pred == MbPred::Skip;
         let _transform_span = (!skip).then(|| vapp_obs::span!("codec.mb.transform"));
         let refs = ctx.refs();
-        quantise(&mut syn, &refs, &cur_block, recon, mb_x, mb_y, avail);
+        let pred = quantise(&mut syn, &refs, &cur_block, recon, mb_x, mb_y, avail);
         write_mb(w, &syn, ctx.syntax(), states, mb, &nb, prev_qp);
-        reconstruct(&syn, &refs, recon, mb_x, mb_y, avail);
+        // Intra 4x4 is already rebuilt, block by block, by `quantise`.
+        if let Some(pred) = pred {
+            put_mb(recon, mb_x, mb_y, &pred, &syn);
+        }
     }
     (mb_deps(ctx, &syn, mb, mb_x, mb_y, avail), syn)
 }
 
 /// Fills in the residual of a decided macroblock: its levels and coded
-/// mask, quantised against the prediction the reconstruction will use. An
-/// intra 4x4 macroblock also chooses each block's mode here, against the
-/// progressive reconstruction (what the decoder will predict from), and
-/// rebuilds each block into `recon` before the next one predicts from it.
+/// mask, quantised against the prediction the reconstruction uses, which
+/// it returns for the residual step. An intra 4x4 macroblock also chooses
+/// each block's mode here, against the progressive reconstruction (what
+/// the decoder will predict from), and rebuilds each block into `recon`
+/// before the next one predicts from it; it returns no prediction.
 fn quantise(
     syn: &mut MbSyntax,
     refs: &Refs<'_>,
@@ -611,9 +615,9 @@ fn quantise(
     mb_x: usize,
     mb_y: usize,
     avail: IntraAvail,
-) {
+) -> Option<[u8; MB_PIXELS]> {
     match syn.pred {
-        MbPred::Skip => {}
+        MbPred::Skip => Some(predict(syn, refs, recon, mb_x, mb_y, avail)),
         MbPred::Intra4(_) => {
             let mut modes = [Intra4Mode::Dc; 16];
             for (blk, mode) in modes.iter_mut().enumerate() {
@@ -625,6 +629,7 @@ fn quantise(
                 put_block4(recon, bx, by, &pred, syn, blk);
             }
             syn.pred = MbPred::Intra4(modes);
+            None
         }
         MbPred::Intra16(_) | MbPred::Inter(_) => {
             let pred = predict(syn, refs, recon, mb_x, mb_y, avail);
@@ -632,6 +637,7 @@ fn quantise(
                 let residual = diff(&sub_block(cur, blk), &sub_block(&pred, blk));
                 syn.set_levels(blk, forward_quant(&residual, syn.qp, syn.is_intra()));
             }
+            Some(pred)
         }
     }
 }

@@ -442,15 +442,19 @@ pub fn mc_block_into(
 /// half-pel; bilinear preserves the dependence structure at a fraction of
 /// the complexity).
 ///
-/// Interior blocks (the fractional footprint fully inside the reference)
-/// interpolate whole rows at a time with the rounding-average row kernels
-/// from [`vapp_media::kernels`]; blocks touching a border fall back to the
-/// scalar clamped-sampling loop. Both produce identical bytes (pinned by the
-/// kernel-equivalence property tests).
+/// The block reads a `(w + fx) x (h + fy)` footprint of the reference
+/// (`fx`, `fy` are the fractional phases). When the footprint is interior
+/// its rows are borrowed from the plane; otherwise it is gathered once,
+/// with clamped coordinates, into a stack block. Either way the same
+/// rounding-average row kernels from [`vapp_media::kernels`] interpolate
+/// whole rows, so clamped sampling costs one gather, not a per-pixel loop
+/// (pinned against the per-pixel definition by the kernel-equivalence
+/// property tests).
 ///
 /// # Panics
 ///
-/// Panics if `out.len() != w * h`.
+/// Panics if `out.len() != w * h` or the block is wider or taller than a
+/// macroblock.
 pub fn mc_block_halfpel_into(
     reference: &Plane,
     x: usize,
@@ -461,77 +465,45 @@ pub fn mc_block_halfpel_into(
     out: &mut [u8],
 ) {
     assert_eq!(out.len(), w * h, "prediction buffer size mismatch");
+    assert!(
+        w <= MB_SIZE && h <= MB_SIZE,
+        "{w}x{h} block exceeds a macroblock"
+    );
     let bx = x as isize * 2 + mv.x as isize;
     let by = y as isize * 2 + mv.y as isize;
-    let ix = bx.div_euclid(2);
-    let iy = by.div_euclid(2);
-    let fx = bx.rem_euclid(2) as usize;
-    let fy = by.rem_euclid(2) as usize;
-    // The footprint is (w + fx) x (h + fy): fractional axes read one extra
-    // pixel. When it sits fully inside the plane, rows can be borrowed.
-    if reference.block_interior(ix, iy, w + fx, h + fy) {
-        let (ix, iy) = (ix as usize, iy as usize);
-        match (fx, fy) {
-            (0, 0) => {
-                for oy in 0..h {
-                    out[oy * w..][..w].copy_from_slice(&reference.row(iy + oy)[ix..ix + w]);
-                }
-            }
-            (1, 0) => {
-                for oy in 0..h {
-                    let row = reference.row(iy + oy);
-                    vapp_media::kernels::avg_rounding(
-                        &row[ix..ix + w],
-                        &row[ix + 1..ix + 1 + w],
-                        &mut out[oy * w..][..w],
-                    );
-                }
-            }
-            (0, 1) => {
-                for oy in 0..h {
-                    vapp_media::kernels::avg_rounding(
-                        &reference.row(iy + oy)[ix..ix + w],
-                        &reference.row(iy + oy + 1)[ix..ix + w],
-                        &mut out[oy * w..][..w],
-                    );
-                }
-            }
-            _ => {
-                for oy in 0..h {
-                    let r0 = reference.row(iy + oy);
-                    let r1 = reference.row(iy + oy + 1);
-                    vapp_media::kernels::avg4_rounding(
-                        &r0[ix..ix + w],
-                        &r0[ix + 1..ix + 1 + w],
-                        &r1[ix..ix + w],
-                        &r1[ix + 1..ix + 1 + w],
-                        &mut out[oy * w..][..w],
-                    );
-                }
-            }
-        }
-        return;
-    }
-    for oy in 0..h {
-        for ox in 0..w {
-            let px = ix + ox as isize;
-            let py = iy + oy as isize;
-            let p00 = reference.sample(px, py) as u16;
-            let v = match (fx, fy) {
-                (0, 0) => p00,
-                (1, 0) => (p00 + reference.sample(px + 1, py) as u16 + 1) >> 1,
-                (0, 1) => (p00 + reference.sample(px, py + 1) as u16 + 1) >> 1,
-                _ => {
-                    let p10 = reference.sample(px + 1, py) as u16;
-                    let p01 = reference.sample(px, py + 1) as u16;
-                    let p11 = reference.sample(px + 1, py + 1) as u16;
-                    (p00 + p10 + p01 + p11 + 2) >> 2
-                }
-            };
-            out[oy * w + ox] = v as u8;
-        }
+    let (ix, iy) = (bx.div_euclid(2), by.div_euclid(2));
+    let (fx, fy) = (bx.rem_euclid(2) as usize, by.rem_euclid(2) as usize);
+    let (fw, fh) = (w + fx, h + fy);
+    // The footprint as rows of `fw` pixels, `stride` apart from `start`.
+    let mut gathered;
+    let (src, start, stride) = if reference.block_interior(ix, iy, fw, fh) {
+        let start = iy as usize * reference.width() + ix as usize;
+        (reference.data(), start, reference.width())
+    } else {
+        gathered = [0u8; FOOTPRINT_PIXELS];
+        reference.copy_block(ix, iy, fw, fh, &mut gathered[..fw * fh]);
+        (&gathered[..], 0, fw)
+    };
+    let row = |r: usize| &src[start + r * stride..][..fw];
+    // Output rows (`max(1)`: a zero-width block has none).
+    let rows = out.chunks_exact_mut(w.max(1)).enumerate();
+    match (fx, fy) {
+        (0, 0) => rows.for_each(|(oy, dst)| dst.copy_from_slice(row(oy))),
+        (1, 0) => rows.for_each(|(oy, dst)| {
+            let r0 = row(oy);
+            avg_rounding(&r0[..w], &r0[1..], dst);
+        }),
+        (0, 1) => rows.for_each(|(oy, dst)| avg_rounding(row(oy), row(oy + 1), dst)),
+        _ => rows.for_each(|(oy, dst)| {
+            let (r0, r1) = (row(oy), row(oy + 1));
+            avg4_rounding(&r0[..w], &r0[1..], &r1[..w], &r1[1..], dst);
+        }),
     }
 }
+
+/// Pixels in the largest half-pel footprint: a macroblock plus one column
+/// and one row.
+const FOOTPRINT_PIXELS: usize = (MB_SIZE + 1) * (MB_SIZE + 1);
 
 /// Motion compensation at either precision into a caller-provided buffer:
 /// `mv` is in half-pel units when `subpel` is set, full-pel otherwise.

@@ -6,7 +6,8 @@
 //! frames predict from them. Both sides therefore meet in [`MbSyntax`]:
 //!
 //! * the encoder decides a macroblock's syntax, writes it with
-//!   [`write_mb`] and rebuilds its pixels with `reconstruct`;
+//!   [`write_mb`] and rebuilds its pixels with `reconstruct`'s two steps,
+//!   prediction then residual;
 //! * the decoder reads it with [`read_mb`], which sees only the entropy
 //!   reader and the neighbours' [`MbState`] and never a pixel, then
 //!   rebuilds it with the same `reconstruct`.
@@ -573,8 +574,14 @@ pub(crate) struct Refs<'a> {
     pub subpel: bool,
 }
 
-/// Rebuilds one macroblock's pixels into `recon` at `(mb_x, mb_y)`: its
-/// prediction, then each coded block's residual.
+/// Rebuilds one macroblock's pixels into `recon` at `(mb_x, mb_y)` in two
+/// steps: its prediction ([`predict`]), then each coded block's residual
+/// on top of it ([`put_mb`]). Intra 4x4 takes both steps block by block
+/// ([`predict_intra4`], [`put_block4`]), since each block predicts from
+/// the blocks before it.
+///
+/// The encoder takes the same steps, reusing the prediction it quantised
+/// against instead of building it again.
 pub(crate) fn reconstruct(
     syn: &MbSyntax,
     refs: &Refs<'_>,
@@ -592,7 +599,19 @@ pub(crate) fn reconstruct(
         return;
     }
     let pred = predict(syn, refs, recon, mb_x, mb_y, avail);
-    recon.store_block(mb_x, mb_y, MB_SIZE, MB_SIZE, &pred);
+    put_mb(recon, mb_x, mb_y, &pred, syn);
+}
+
+/// Stores a skip, intra 16x16 or inter macroblock's prediction at
+/// `(mb_x, mb_y)` and adds each coded block's residual.
+pub(crate) fn put_mb(
+    recon: &mut Plane,
+    mb_x: usize,
+    mb_y: usize,
+    pred: &[u8; MB_PIXELS],
+    syn: &MbSyntax,
+) {
+    store_rows::<MB_SIZE>(recon, mb_x, mb_y, pred);
     for blk in 0..16 {
         if let Some(levels) = syn.residual(blk) {
             add_residual(
@@ -686,9 +705,18 @@ pub(crate) fn put_block4(
     syn: &MbSyntax,
     blk: usize,
 ) {
-    recon.store_block(x, y, 4, 4, pred);
+    store_rows::<4>(recon, x, y, pred);
     if let Some(levels) = syn.residual(blk) {
         add_residual(recon, x, y, levels, syn.qp);
+    }
+}
+
+/// Writes a block of `N`-pixel rows at `(x, y)`. Reconstructions are
+/// padded to whole macroblocks, so a macroblock's blocks always fit; the
+/// fixed row width lets each row copy inline.
+fn store_rows<const N: usize>(recon: &mut Plane, x: usize, y: usize, block: &[u8]) {
+    for (r, row) in block.as_chunks::<N>().0.iter().enumerate() {
+        recon.row_mut(y + r)[x..][..N].copy_from_slice(row);
     }
 }
 

@@ -7,9 +7,9 @@
 //! scalar sampling and a scalar full search — winners and early-exit
 //! counts — borders and clamped vectors included. The fused dequantiser is
 //! pinned to the scalar pair over every level the decoder can parse. The
-//! decoder's row-slice deblocking filter and windowed arithmetic decoder
-//! are pinned the same way against their per-pixel and bit-serial
-//! originals.
+//! decoder's row-slice deblocking filter and its arithmetic decoder (bins
+//! and context adaptation) are pinned the same way against their per-pixel
+//! and bit-serial originals.
 
 use vapp_check::{RngExt, StdRng};
 use vapp_codec::arith::{ArithDecoder, ArithEncoder, BinContext};
@@ -551,8 +551,8 @@ fn fused_dequant_matches_scalar_pair_on_every_parsable_level() {
 }
 
 /// Scalar half-pel motion compensation — clamped bilinear sampling, the
-/// definition `mc_block_halfpel_into`'s row-kernel interior path and the
-/// search's phase planes must reproduce byte for byte.
+/// definition `mc_block_halfpel_into` (borrowed or gathered footprint) and
+/// the search's phase planes must reproduce byte for byte.
 fn mc_halfpel_scalar(
     reference: &Plane,
     x: usize,
@@ -590,27 +590,27 @@ fn mc_halfpel_scalar(
 
 #[test]
 fn word_parallel_bilinear_matches_scalar_reference() {
-    vapp_check::check("halfpel_bilinear", 64, |rng| {
-        let pw = rng.random_range(24..64);
-        let ph = rng.random_range(24..64);
+    vapp_check::check("halfpel_bilinear", 256, |rng| {
+        // Planes from a single pixel up to 64 on a side: footprints that
+        // are interior, cross one or two borders, cover the whole plane or
+        // lie fully outside it, up to the `±MV_LIMIT` clamp.
+        let pw = rng.random_range(1..=64usize);
+        let ph = rng.random_range(1..=64usize);
         let refp = random_plane(rng, pw, ph);
-        let w = rng.random_range(1..=16usize.min(pw));
-        let h = rng.random_range(1..=16usize.min(ph));
-        let x = rng.random_range(0..=pw - w);
-        let y = rng.random_range(0..=ph - h);
-        // Half-pel vectors reaching interior, border and out-of-plane
-        // positions, covering all four (fx, fy) phases.
-        let mv = MotionVector::new(
-            rng.random_range(0..24) as i16 - 12,
-            rng.random_range(0..24) as i16 - 12,
-        );
+        let w = rng.random_range(1..=16usize);
+        let h = rng.random_range(1..=16usize);
+        let x = rng.random_range(0..=pw);
+        let y = rng.random_range(0..=ph);
+        let mut component =
+            |pos, len| vector_component(rng, pos, len, true).clamp(-MV_LIMIT, MV_LIMIT);
+        let mv = MotionVector::new(component(x, pw), component(y, ph));
         let want = mc_halfpel_scalar(&refp, x, y, w, h, mv);
         let mut got = [0u8; MAX_BLOCK_PIXELS];
         mc_block_halfpel_into(&refp, x, y, w, h, mv, &mut got[..w * h]);
         assert_eq!(
             &got[..w * h],
             &want[..],
-            "w={w} h={h} x={x} y={y} mv=({},{})",
+            "{pw}x{ph} plane, w={w} h={h} x={x} y={y} mv=({},{})",
             mv.x,
             mv.y
         );
@@ -701,12 +701,24 @@ const HALF: u64 = 1 << 31;
 const QUARTER: u64 = 1 << 30;
 
 /// The bit-serial Witten–Neal–Cleary decoder, one `get_bit` per
-/// renormalisation step — the definition `ArithDecoder` must reproduce.
+/// renormalisation step, over its own adaptive contexts — the definition
+/// `ArithDecoder` and `BinContext` must reproduce.
 struct SerialDecoder<'a> {
     low: u64,
     high: u64,
     code: u64,
     reader: BitReader<'a>,
+}
+
+/// The context adaptation rule, written out: P(0) in 1/4096 units moves
+/// 1/32 of the way toward the observed bin, clamped to [32, 4064].
+fn serial_update(p0: &mut u64, bin: bool) {
+    if bin {
+        *p0 -= *p0 >> 5;
+    } else {
+        *p0 += (4096 - *p0) >> 5;
+    }
+    *p0 = (*p0).clamp(32, 4064);
 }
 
 impl<'a> SerialDecoder<'a> {
@@ -719,6 +731,13 @@ impl<'a> SerialDecoder<'a> {
             code,
             reader,
         }
+    }
+
+    /// Decodes one bin with the adaptive context `p0`, updating it.
+    fn decode_ctx(&mut self, p0: &mut u64) -> bool {
+        let bin = self.decode(*p0);
+        serial_update(p0, bin);
+        bin
     }
 
     fn decode(&mut self, p0: u64) -> bool {
@@ -793,13 +812,22 @@ fn windowed_arith_decoder_matches_bit_serial_reference() {
         let mut fast = ArithDecoder::new(&bytes);
         let mut slow = SerialDecoder::new(&bytes);
         let mut ctxs = vec![BinContext::new(); contexts];
+        let mut serial_ctxs = vec![2048u64; contexts];
         for i in 0..bytes.len() * 16 + 200 {
             let (got, want) = if i % 7 == 3 {
                 (fast.decode_bypass(), slow.decode(2048))
             } else {
-                let ctx = &mut ctxs[i % contexts];
-                let p0 = ctx.p0() as u64;
-                (fast.decode(ctx), slow.decode(p0))
+                let c = i % contexts;
+                let pair = (
+                    fast.decode(&mut ctxs[c]),
+                    slow.decode_ctx(&mut serial_ctxs[c]),
+                );
+                assert_eq!(
+                    ctxs[c].p0() as u64,
+                    serial_ctxs[c],
+                    "context {c} after bin {i}"
+                );
+                pair
             };
             assert_eq!(got, want, "bin {i} of a {}-byte buffer", bytes.len());
             assert_eq!(fast.exhausted(), slow.reader.exhausted(), "bin {i}");

@@ -1,5 +1,5 @@
-//! Pixel kernels: sums of absolute differences and rounding averages over
-//! byte rows.
+//! Pixel kernels: sums of absolute and squared differences and rounding
+//! averages over byte rows.
 //!
 //! The codec's per-macroblock inner loops — SAD for motion estimation and
 //! rounding averages for half-pel interpolation — dominate encode time. Each
@@ -14,7 +14,9 @@
 //! Lane bounds: a 16-byte SAD chunk sums to at most `16 * 255 = 4080`; a
 //! [`sad_quads16`] lane holds at most `4 * 255 = 1020`, so the four rows of a
 //! 4x4 cell add to at most `4080 < 2^16`; the widened average sums peak at
-//! `2 * 255 + 1 = 511` and `4 * 255 + 2 = 1022`.
+//! `2 * 255 + 1 = 511` and `4 * 255 + 2 = 1022`; a 16-byte squared-difference
+//! chunk sums to at most `16 * 255^2 = 1_040_400`, and [`SSE_RUN`] of them
+//! stay below `2^31`.
 
 /// Sum of absolute differences between two equal-length byte slices:
 /// 16-pixel chunks (each at most `16 * 255 = 4080`) plus a per-pixel
@@ -46,6 +48,53 @@ pub fn sad_slices(a: &[u8], b: &[u8]) -> u64 {
         .sum();
     chunks + rest
 }
+
+/// Sum of squared differences between two equal-length byte slices:
+/// 16-pixel chunks plus a per-pixel remainder, the row kernel behind
+/// [`crate::Plane::sse`].
+///
+/// A chunk takes its differences as `i16` and sums their squares in `i32`
+/// (at most `16 * 255^2 = 1_040_400`), the shape the vectoriser lowers to
+/// a multiply-add of 16-bit lanes (`pmaddwd` on x86-64). Chunk sums keep
+/// adding in `i32` for up to [`SSE_RUN`] chunks before they widen to
+/// `u64`. Exact.
+///
+/// # Panics
+///
+/// Panics (in debug builds) if the slices differ in length.
+#[inline]
+pub fn sse_slices(a: &[u8], b: &[u8]) -> u64 {
+    debug_assert_eq!(a.len(), b.len(), "SSE row length mismatch");
+    let (ca, ra) = a.as_chunks::<16>();
+    let (cb, rb) = b.as_chunks::<16>();
+    let sse16 = |x: &[u8; 16], y: &[u8; 16]| -> i32 {
+        x.iter()
+            .zip(y)
+            .map(|(&p, &q)| {
+                let d = i32::from(i16::from(p) - i16::from(q));
+                d * d
+            })
+            .sum()
+    };
+    let run = |xs: &[[u8; 16]], ys: &[[u8; 16]]| -> i32 {
+        xs.iter().zip(ys).map(|(x, y)| sse16(x, y)).sum()
+    };
+    let chunks: u64 = ca
+        .chunks(SSE_RUN)
+        .zip(cb.chunks(SSE_RUN))
+        .map(|(xs, ys)| run(xs, ys) as u64)
+        .sum();
+    let rest: u64 = ra
+        .iter()
+        .zip(rb)
+        .map(|(&p, &q)| u64::from(p.abs_diff(q)).pow(2))
+        .sum();
+    chunks + rest
+}
+
+/// Chunks whose squared differences [`sse_slices`] adds in one `i32`:
+/// `2048 * 1_040_400 < 2^31`.
+pub const SSE_RUN: usize = 2048;
 
 /// Per-4-pixel SADs of two 16-pixel rows, one sum per 16-bit lane: lane `k`
 /// (bits `16k..16k + 16`) holds the SAD of pixels `4k..4k + 4`.

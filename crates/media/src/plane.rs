@@ -139,25 +139,28 @@ impl Plane {
     }
 
     /// Copies a `w x h` block whose top-left corner is `(x, y)` into `out`
-    /// (row-major, clamped at borders).
+    /// (row-major, clamped at borders: every pixel equals [`Plane::sample`]
+    /// at its position).
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != w * h`.
     pub fn copy_block(&self, x: isize, y: isize, w: usize, h: usize, out: &mut [u8]) {
         assert_eq!(out.len(), w * h, "output buffer size mismatch");
-        if self.block_interior(x, y, w, h) {
-            let (x, y) = (x as usize, y as usize);
-            for by in 0..h {
-                let src = &self.data[(y + by) * self.width + x..][..w];
-                out[by * w..][..w].copy_from_slice(src);
-            }
+        if w == 0 {
             return;
         }
-        for by in 0..h {
-            for bx in 0..w {
-                out[by * w + bx] = self.sample(x + bx as isize, y + by as isize);
-            }
+        // Block columns `..left` clamp to the first plane column and
+        // `right..` to the last; `left..right` lie inside the plane.
+        let width = self.width as isize;
+        let left = (-x).clamp(0, w as isize) as usize;
+        let right = (width - x).clamp(left as isize, w as isize) as usize;
+        for (by, dst) in out.chunks_exact_mut(w).enumerate() {
+            let row = self.row((y + by as isize).clamp(0, self.height as isize - 1) as usize);
+            dst[..left].fill(row[0]);
+            let inside = (x + left as isize).clamp(0, width) as usize;
+            dst[left..right].copy_from_slice(&row[inside..][..right - left]);
+            dst[right..].fill(row[self.width - 1]);
         }
     }
 
@@ -166,23 +169,6 @@ impl Plane {
     #[inline]
     pub fn block_interior(&self, x: isize, y: isize, w: usize, h: usize) -> bool {
         x >= 0 && y >= 0 && x as usize + w <= self.width && y as usize + h <= self.height
-    }
-
-    /// Writes a `w x h` block at `(x, y)`; parts outside the plane are
-    /// silently dropped.
-    pub fn store_block(&mut self, x: usize, y: usize, w: usize, h: usize, block: &[u8]) {
-        assert_eq!(block.len(), w * h, "input buffer size mismatch");
-        let cw = w.min(self.width.saturating_sub(x));
-        if cw == 0 {
-            return;
-        }
-        for (by, src) in block
-            .chunks_exact(w)
-            .take(self.height.saturating_sub(y))
-            .enumerate()
-        {
-            self.row_mut(y + by)[x..x + cw].copy_from_slice(&src[..cw]);
-        }
     }
 
     /// Sum of absolute differences between the `w x h` block of this plane
@@ -265,14 +251,7 @@ impl Plane {
     pub fn sse(&self, other: &Plane) -> u64 {
         assert_eq!(self.width, other.width, "plane width mismatch");
         assert_eq!(self.height, other.height, "plane height mismatch");
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(&a, &b)| {
-                let d = a as i64 - b as i64;
-                (d * d) as u64
-            })
-            .sum()
+        crate::kernels::sse_slices(&self.data, &other.data)
     }
 }
 
@@ -391,17 +370,30 @@ mod tests {
     }
 
     #[test]
-    fn copy_block_interior_fast_path_matches_clamped() {
-        let p = textured(20, 12, 5);
-        let mut fast = vec![0u8; 6 * 5];
-        let mut slow = vec![0u8; 6 * 5];
-        p.copy_block(3, 2, 6, 5, &mut fast);
-        for by in 0..5 {
-            for bx in 0..6 {
-                slow[by * 6 + bx] = p.sample(3 + bx as isize, 2 + by as isize);
+    fn copy_block_matches_sample_across_borders() {
+        // Interior blocks, blocks overlapping each border, covering a
+        // plane smaller than themselves, or lying fully outside it: every
+        // pixel is `sample`.
+        for (pw, ph) in [(1, 1), (3, 2), (20, 12)] {
+            let p = textured(pw, ph, 9);
+            for (x, y, w, h) in [
+                (3, 2, 6, 5),
+                (-3, -2, 6, 5),
+                (17, 9, 6, 5),
+                (-30, 4, 5, 3),
+                (40, -20, 4, 4),
+                (-2, -2, 24, 16),
+                (5, 5, 1, 1),
+                (2, 3, 0, 4),
+            ] {
+                let mut got = vec![0u8; w * h];
+                p.copy_block(x, y, w, h, &mut got);
+                let want: Vec<u8> = (0..w * h)
+                    .map(|i| p.sample(x + (i % w) as isize, y + (i / w) as isize))
+                    .collect();
+                assert_eq!(got, want, "{pw}x{ph} plane, {w}x{h} at ({x}, {y})");
             }
         }
-        assert_eq!(fast, slow);
     }
 
     #[test]
@@ -431,37 +423,6 @@ mod tests {
     }
 
     #[test]
-    fn copy_block_roundtrip() {
-        let mut p = Plane::new(8, 8);
-        for y in 0..8 {
-            for x in 0..8 {
-                p.set(x, y, (y * 8 + x) as u8);
-            }
-        }
-        let mut block = vec![0u8; 4 * 4];
-        p.copy_block(2, 3, 4, 4, &mut block);
-        assert_eq!(block[0], p.get(2, 3));
-        assert_eq!(block[15], p.get(5, 6));
-
-        let mut q = Plane::new(8, 8);
-        q.store_block(2, 3, 4, 4, &block);
-        for by in 0..4 {
-            for bx in 0..4 {
-                assert_eq!(q.get(2 + bx, 3 + by), p.get(2 + bx, 3 + by));
-            }
-        }
-    }
-
-    #[test]
-    fn store_block_clips_at_borders() {
-        let mut p = Plane::new(4, 4);
-        let block = vec![5u8; 16];
-        p.store_block(2, 2, 4, 4, &block);
-        assert_eq!(p.get(3, 3), 5);
-        assert_eq!(p.get(1, 1), 0);
-    }
-
-    #[test]
     fn sad_zero_for_identical_blocks() {
         let mut p = Plane::new(16, 16);
         for i in 0..256 {
@@ -476,5 +437,48 @@ mod tests {
         let a = Plane::filled(2, 2, 10);
         let b = Plane::filled(2, 2, 13);
         assert_eq!(a.sse(&b), 4 * 9);
+    }
+
+    /// The per-pixel `i64` definition of the sum of squared errors.
+    fn sse_scalar(a: &[u8], b: &[u8]) -> u64 {
+        a.iter()
+            .zip(b)
+            .map(|(&x, &y)| {
+                let d = x as i64 - y as i64;
+                (d * d) as u64
+            })
+            .sum()
+    }
+
+    #[test]
+    fn sse_matches_scalar_oracle() {
+        // Both sides of every 16-byte chunk boundary up to five chunks,
+        // plus two long rows; textured rows, then all-0 against all-255 in
+        // both orders (the largest chunk sum, 16 * 255^2).
+        for len in (0..=80).chain([100, 256]) {
+            let textured_row = |salt| textured(len.max(1), 1, salt).data()[..len].to_vec();
+            let (zeros, maxed) = (vec![0u8; len], vec![255u8; len]);
+            let pairs = [
+                (textured_row(7), textured_row(8)),
+                (zeros.clone(), maxed.clone()),
+                (maxed, zeros),
+            ];
+            for (a, b) in pairs {
+                let want = sse_scalar(&a, &b);
+                assert_eq!(crate::kernels::sse_slices(&a, &b), want, "len {len}");
+                if len > 0 {
+                    let (pa, pb) = (Plane::from_data(len, 1, a), Plane::from_data(len, 1, b));
+                    assert_eq!(pa.sse(&pb), want, "{len}x1 plane");
+                }
+            }
+        }
+        // A multi-row plane sums across rows, not only within one, and
+        // an all-0 against all-255 plane past one `SSE_RUN` of chunks
+        // fills its `i32` sums to the limit.
+        let (a, b) = (textured(37, 9, 1), textured(37, 9, 2));
+        assert_eq!(a.sse(&b), sse_scalar(a.data(), b.data()));
+        let len = 16 * crate::kernels::SSE_RUN + 40;
+        let (zeros, maxed) = (Plane::filled(len, 2, 0), Plane::filled(len, 2, 255));
+        assert_eq!(zeros.sse(&maxed), 2 * len as u64 * 255 * 255);
     }
 }
