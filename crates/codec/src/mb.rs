@@ -756,4 +756,22 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
     }
+
+    #[test]
+    fn store_rows_writes_only_the_block() {
+        let mut p = Plane::filled(12, 10, 7);
+        let block: Vec<u8> = (100..116).collect();
+        store_rows::<4>(&mut p, 8, 6, &block);
+        for y in 0..10 {
+            for x in 0..12 {
+                let inside = (8..12).contains(&x) && (6..10).contains(&y);
+                let want = if inside {
+                    block[(y - 6) * 4 + (x - 8)]
+                } else {
+                    7
+                };
+                assert_eq!(p.get(x, y), want, "({x}, {y})");
+            }
+        }
+    }
 }

@@ -15,8 +15,8 @@
 //! [`sad_quads16`] lane holds at most `4 * 255 = 1020`, so the four rows of a
 //! 4x4 cell add to at most `4080 < 2^16`; the widened average sums peak at
 //! `2 * 255 + 1 = 511` and `4 * 255 + 2 = 1022`; a 16-byte squared-difference
-//! chunk sums to at most `16 * 255^2 = 1_040_400`, and [`SSE_RUN`] of them
-//! stay below `2^31`.
+//! chunk sums to at most `16 * 255^2 = 1_040_400`, and a run of 2048 of them
+//! stays below `2^31`.
 
 /// Sum of absolute differences between two equal-length byte slices:
 /// 16-pixel chunks (each at most `16 * 255 = 4080`) plus a per-pixel
@@ -56,7 +56,7 @@ pub fn sad_slices(a: &[u8], b: &[u8]) -> u64 {
 /// A chunk takes its differences as `i16` and sums their squares in `i32`
 /// (at most `16 * 255^2 = 1_040_400`), the shape the vectoriser lowers to
 /// a multiply-add of 16-bit lanes (`pmaddwd` on x86-64). Chunk sums keep
-/// adding in `i32` for up to [`SSE_RUN`] chunks before they widen to
+/// adding in `i32` for runs of up to 2048 chunks before they widen to
 /// `u64`. Exact.
 ///
 /// # Panics
@@ -93,8 +93,10 @@ pub fn sse_slices(a: &[u8], b: &[u8]) -> u64 {
 }
 
 /// Chunks whose squared differences [`sse_slices`] adds in one `i32`:
-/// `2048 * 1_040_400 < 2^31`.
-pub const SSE_RUN: usize = 2048;
+/// `2048 * 1_040_400 < 2^31`. Summing a run in `i32` keeps the sums in
+/// vector lanes; widening each chunk's sum to `u64` instead reduces every
+/// chunk across lanes and makes a 112x64 plane ~1.7x slower.
+pub(crate) const SSE_RUN: usize = 2048;
 
 /// Per-4-pixel SADs of two 16-pixel rows, one sum per 16-bit lane: lane `k`
 /// (bits `16k..16k + 16`) holds the SAD of pixels `4k..4k + 4`.

@@ -171,6 +171,23 @@ impl Plane {
         x >= 0 && y >= 0 && x as usize + w <= self.width && y as usize + h <= self.height
     }
 
+    /// Writes a `w x h` block at `(x, y)`; parts outside the plane are
+    /// silently dropped.
+    pub fn store_block(&mut self, x: usize, y: usize, w: usize, h: usize, block: &[u8]) {
+        assert_eq!(block.len(), w * h, "input buffer size mismatch");
+        let cw = w.min(self.width.saturating_sub(x));
+        if cw == 0 {
+            return;
+        }
+        for (by, src) in block
+            .chunks_exact(w)
+            .take(self.height.saturating_sub(y))
+            .enumerate()
+        {
+            self.row_mut(y + by)[x..x + cw].copy_from_slice(&src[..cw]);
+        }
+    }
+
     /// Sum of absolute differences between the `w x h` block of this plane
     /// at `(x, y)` and the block of `other` at `(rx, ry)`. The cost function
     /// used by motion estimation.
@@ -370,6 +387,20 @@ mod tests {
     }
 
     #[test]
+    fn copy_block_interior_fast_path_matches_clamped() {
+        let p = textured(20, 12, 5);
+        let mut fast = vec![0u8; 6 * 5];
+        let mut slow = vec![0u8; 6 * 5];
+        p.copy_block(3, 2, 6, 5, &mut fast);
+        for by in 0..5 {
+            for bx in 0..6 {
+                slow[by * 6 + bx] = p.sample(3 + bx as isize, 2 + by as isize);
+            }
+        }
+        assert_eq!(fast, slow);
+    }
+
+    #[test]
     fn copy_block_matches_sample_across_borders() {
         // Interior blocks, blocks overlapping each border, covering a
         // plane smaller than themselves, or lying fully outside it: every
@@ -420,6 +451,37 @@ mod tests {
         assert_eq!(p.sample(-10, -10), 11);
         assert_eq!(p.sample(100, 100), 22);
         assert_eq!(p.sample(-1, 2), p.get(0, 2));
+    }
+
+    #[test]
+    fn copy_block_roundtrip() {
+        let mut p = Plane::new(8, 8);
+        for y in 0..8 {
+            for x in 0..8 {
+                p.set(x, y, (y * 8 + x) as u8);
+            }
+        }
+        let mut block = vec![0u8; 4 * 4];
+        p.copy_block(2, 3, 4, 4, &mut block);
+        assert_eq!(block[0], p.get(2, 3));
+        assert_eq!(block[15], p.get(5, 6));
+
+        let mut q = Plane::new(8, 8);
+        q.store_block(2, 3, 4, 4, &block);
+        for by in 0..4 {
+            for bx in 0..4 {
+                assert_eq!(q.get(2 + bx, 3 + by), p.get(2 + bx, 3 + by));
+            }
+        }
+    }
+
+    #[test]
+    fn store_block_clips_at_borders() {
+        let mut p = Plane::new(4, 4);
+        let block = vec![5u8; 16];
+        p.store_block(2, 2, 4, 4, &block);
+        assert_eq!(p.get(3, 3), 5);
+        assert_eq!(p.get(1, 1), 0);
     }
 
     #[test]
