@@ -13,10 +13,7 @@
 
 use crate::analysis::{AnalysisRecord, Dependency, FrameAnalysis, MbAnalysis};
 use crate::entropy::{CabacWriter, CavlcWriter, EntropyMode, SymbolWriter};
-use crate::inter::{
-    bi_average_into, mc_block_sub_into, ref_rect, sad_against_bounded, search_sub_stats, RefPlanes,
-    SadGrid, SearchStats, MAX_BLOCK_PIXELS,
-};
+use crate::inter::{bi_average_into, ref_rect, search_sub_stats, RefPlanes, SadGrid, SearchStats};
 use crate::intra::{intra_sources, predict_intra16, predict_intra4, Intra4Avail, IntraAvail};
 use crate::mb::{
     crop, intra4_block, mb_mv_pred, neighbors, predict, put_block4, put_mb, slice_rows, write_mb,
@@ -181,10 +178,9 @@ impl Encoder {
         // Frames encode in coding order, but a run of consecutive B frames
         // only reads anchors already in the DPB (closed GOPs; B frames are
         // never references), so each run encodes as one parallel wave.
-        // Anchors encode alone; their per-macroblock candidate pass
-        // parallelises inside `encode_frame` instead. Each frame's output
-        // is a pure function of its sources and references, so the stream
-        // is byte-identical at any worker count.
+        // Anchors encode alone, their macroblocks in sequence. Each frame's
+        // output is a pure function of its sources and references, so the
+        // stream is byte-identical at any worker count.
         let mut next = 0;
         while next < plans.len() {
             let wave_end = if plans[next].frame_type == FrameType::B {
@@ -481,21 +477,9 @@ where
     let base_qp = frame_qp(ctx.cfg, ctx.plan.frame_type);
     let slices = slice_rows(grid.mb_rows(), ctx.cfg.slices as usize);
 
-    // Parallel candidate pass: every probe that reads only the source and
-    // reference planes (adaptive QP, intra cost probes) is computed for
-    // all macroblocks up front, leaving the sequential pass below just the
-    // state-dependent work. The values are exactly what the sequential
-    // pass would compute inline, so the coded stream is bit-identical with
-    // or without workers.
-    let mut slice_top = vec![0usize; grid.mb_rows()];
-    for &(row_start, row_end) in &slices {
-        slice_top[row_start..row_end].fill(row_start);
-    }
-    let cands = vapp_par::par_map((0..grid.mb_count()).collect(), |_, mb| {
-        let (_, row) = grid.mb_position(mb);
-        mb_candidates(ctx, mb, slice_top[row], base_qp)
-    });
-
+    // Macroblocks code in raster order within each slice: every decision
+    // reads the neighbours' syntax and reconstruction, so the frame is one
+    // sequential pass.
     let mut search_stats = SearchStats::default();
     for &(row_start, row_end) in &slices {
         let mut w = new_writer();
@@ -513,7 +497,7 @@ where
                     &mut states,
                     mb,
                     row_start,
-                    &cands[mb],
+                    base_qp,
                     &mut prev_qp,
                     &mut search_stats,
                 );
@@ -565,7 +549,7 @@ fn encode_mb<W: SymbolWriter>(
     states: &mut [MbState],
     mb: usize,
     slice_top_row: usize,
-    cand: &MbCandidates,
+    base_qp: u8,
     prev_qp: &mut u8,
     stats: &mut SearchStats,
 ) -> (Vec<Dependency>, MbSyntax) {
@@ -582,10 +566,31 @@ fn encode_mb<W: SymbolWriter>(
         &mut cur_block,
     );
 
+    // CRF-like motion-adaptive quantisation: fast motion against the
+    // forward reference costs two QP steps. Only the threshold comparison
+    // matters, so the SAD stops once it exceeds the cutoff.
+    let mut qp = base_qp;
+    if let Some(ref_fwd) = ctx.ref_fwd.filter(|_| ctx.cfg.adaptive_qp) {
+        const ACTIVITY_CUTOFF: u64 = 12 * 256;
+        let activity = ctx.cur.sad_bounded(
+            mb_x,
+            mb_y,
+            MB_SIZE,
+            MB_SIZE,
+            ref_fwd.recon(),
+            mb_x as isize,
+            mb_y as isize,
+            ACTIVITY_CUTOFF,
+        );
+        if activity > ACTIVITY_CUTOFF {
+            qp = (qp + 2).min(MAX_QP);
+        }
+    }
+
     let mut syn = {
         let _search_span = vapp_obs::span!("codec.mb.search");
         let pred_fwd = mb_mv_pred(states, &nb, true);
-        decide_mode(ctx, mb_x, mb_y, &cur_block, cand, pred_fwd, stats)
+        decide_mode(ctx, mb_x, mb_y, &cur_block, qp, avail, pred_fwd, stats)
     };
     {
         let skip = syn.pred == MbPred::Skip;
@@ -731,134 +736,82 @@ fn mb_deps(
 
 // ------------------------------------------------------- mode decision --
 
-/// State-independent per-macroblock probes, computed from the source and
-/// reference planes only — never from neighbouring macroblock decisions —
-/// so a whole frame's worth computes in parallel before the sequential
-/// syntax/reconstruction pass consumes them bit-identically.
-struct MbCandidates {
-    /// Per-MB QP after motion-adaptive quantisation.
-    qp: u8,
-    /// Best intra-16x16 probe: (mode, cost at this MB's λ).
-    best_intra: (IntraMode, u64),
-    /// Intra-4x4 probe cost at this MB's λ.
-    intra4_cost: u64,
-}
-
-fn mb_candidates(ctx: &FrameCtx<'_>, mb: usize, slice_top_row: usize, base_qp: u8) -> MbCandidates {
-    let grid = ctx.grid;
-    let (col, row) = grid.mb_position(mb);
-    let (mb_x, mb_y) = (col * MB_SIZE, row * MB_SIZE);
-    let avail = neighbors(grid, mb, slice_top_row).intra_avail();
-    let inter_allowed = ctx.ref_fwd.is_some();
-
-    let mut cur_block = [0u8; 256];
-    ctx.cur.copy_block(
-        mb_x as isize,
-        mb_y as isize,
-        MB_SIZE,
-        MB_SIZE,
-        &mut cur_block,
-    );
-
-    // --- per-MB QP (CRF-like motion-adaptive quantisation) ---
-    let mut qp = base_qp;
-    if ctx.cfg.adaptive_qp && inter_allowed {
-        // Only the threshold comparison matters, so the SAD can stop as
-        // soon as it exceeds the activity cutoff (decision-identical).
-        const ACTIVITY_CUTOFF: u64 = 12 * 256;
-        let activity = ctx.cur.sad_bounded(
-            mb_x,
-            mb_y,
-            MB_SIZE,
-            MB_SIZE,
-            ctx.ref_fwd.expect("inter_allowed").recon(),
-            mb_x as isize,
-            mb_y as isize,
-            ACTIVITY_CUTOFF,
-        );
-        if activity > ACTIVITY_CUTOFF {
-            qp = (qp + 2).min(MAX_QP);
-        }
-    }
-    let lam = lambda(qp);
-
-    // Intra candidate (always available). The cost probe predicts from the
-    // *source* plane — a standard encoder shortcut (the real prediction in
-    // encode_mb uses the reconstruction); this only affects mode choice,
-    // not correctness.
-    let mut best_intra = (IntraMode::Dc, u64::MAX);
+/// The intra candidate for the macroblock at `(mb_x, mb_y)`: the best
+/// 16x16 mode, or 4x4 when its summed per-block cost is lower, with that
+/// cost at multiplier `lam`. Both probes predict from the *source* plane —
+/// a standard encoder shortcut that affects only the mode choice (the
+/// coded prediction uses the reconstruction).
+///
+/// The result is exact when its cost is below `limit`; otherwise the
+/// returned cost is at least `limit`. The 4x4 sum only grows, so it stops
+/// once it reaches the 16x16 cost or `limit`: past either, 4x4 can change
+/// neither the 16x16/4x4 choice nor a `cost < limit` test.
+fn intra_probe(
+    cur: &Plane,
+    mb_x: usize,
+    mb_y: usize,
+    cur_block: &[u8; 256],
+    avail: IntraAvail,
+    lam: u64,
+    limit: u64,
+) -> (MbPred, u64) {
+    let mut best16 = (IntraMode::Dc, u64::MAX);
     for m in avail.legal_modes() {
-        let pred = predict_intra16(ctx.cur, mb_x, mb_y, avail, m);
-        let sad = vapp_media::kernels::sad_slices(&cur_block, &pred);
+        let pred = predict_intra16(cur, mb_x, mb_y, avail, m);
+        let sad = vapp_media::kernels::sad_slices(cur_block, &pred);
         let cost = sad + lam * if m == IntraMode::Dc { 4 } else { 6 };
-        if cost < best_intra.1 {
-            best_intra = (m, cost);
+        if cost < best16.1 {
+            best16 = (m, cost);
         }
     }
-    // Intra 4x4 candidate: per-block best mode against source neighbours,
-    // plus the signalling cost of 16 mode symbols.
-    let intra4_cost = {
-        let mut total = lam * 16 * 3;
-        for blk in 0..16 {
-            let (bx, by, a4) = intra4_block(mb_x, mb_y, avail, blk);
-            total += best_intra4(ctx.cur, bx, by, a4, &sub_block(&cur_block, blk)).1;
+    // Per-block best mode against source neighbours, plus the signalling
+    // cost of 16 mode symbols.
+    let stop = best16.1.min(limit);
+    let mut cost4 = lam * 16 * 3;
+    for blk in 0..16 {
+        if cost4 >= stop {
+            break;
         }
-        total
-    };
-
-    MbCandidates {
-        qp,
-        best_intra,
-        intra4_cost,
+        let (bx, by, a4) = intra4_block(mb_x, mb_y, avail, blk);
+        cost4 += best_intra4(cur, bx, by, a4, &sub_block(cur_block, blk)).1;
+    }
+    if cost4 < best16.1 {
+        (MbPred::Intra4([Intra4Mode::Dc; 16]), cost4)
+    } else {
+        (MbPred::Intra16(best16.0), best16.1)
     }
 }
 
 /// Chooses a macroblock's prediction: skip, intra (16x16 or 4x4) or the
-/// cheapest inter partition with per-block directions and vectors. The
-/// returned syntax has no residual yet, and an intra 4x4 choice leaves its
-/// block modes to [`quantise`].
+/// cheapest inter partition with per-block directions and vectors, at
+/// quantiser `qp`. The returned syntax has no residual yet, and an intra
+/// 4x4 choice leaves its block modes to [`quantise`].
+#[allow(clippy::too_many_arguments)]
 fn decide_mode(
     ctx: &FrameCtx<'_>,
     mb_x: usize,
     mb_y: usize,
     cur_block: &[u8; 256],
-    cand: &MbCandidates,
+    qp: u8,
+    avail: IntraAvail,
     pred_fwd: MotionVector,
     stats: &mut SearchStats,
 ) -> MbSyntax {
     let is_b = ctx.plan.frame_type == FrameType::B;
-    let qp = cand.qp;
     let lam = lambda(qp);
-    let intra = MbSyntax::new(
-        if cand.intra4_cost < cand.best_intra.1 {
-            MbPred::Intra4([Intra4Mode::Dc; 16])
-        } else {
-            MbPred::Intra16(cand.best_intra.0)
-        },
-        qp,
-    );
-    let best_intra_cost = cand.best_intra.1.min(cand.intra4_cost);
-
     let Some(ref_fwd) = ctx.ref_fwd else {
-        return intra;
+        let (pred, _) = intra_probe(ctx.cur, mb_x, mb_y, cur_block, avail, lam, u64::MAX);
+        return MbSyntax::new(pred, qp);
     };
 
-    // One compensation scratch per macroblock task: every candidate probe
-    // below reuses it instead of allocating a Vec per candidate.
-    let mut scratch = [0u8; MAX_BLOCK_PIXELS];
-
-    // Skip candidate: prediction with the predicted MV and zero residual.
+    // Skip candidate: prediction with the predicted MV and zero residual,
+    // its rows read straight from the reference's phase plane.
     {
-        mc_block_sub_into(
-            ref_fwd.recon(),
-            mb_x,
-            mb_y,
-            MB_SIZE,
-            MB_SIZE,
-            pred_fwd,
-            ctx.cfg.subpel,
-            &mut scratch,
-        );
+        let (plane, ox, oy) = ref_fwd.block(mb_x, mb_y, MB_SIZE, MB_SIZE, pred_fwd, ctx.cfg.subpel);
+        let mut scratch = [0u8; MB_PIXELS];
+        for (r, dst) in scratch.chunks_exact_mut(MB_SIZE).enumerate() {
+            dst.copy_from_slice(&plane.row(oy + r)[ox..ox + MB_SIZE]);
+        }
         let sad = vapp_media::kernels::sad_slices(cur_block, &scratch);
         // The approximability-aware decision (paper §8) skips whenever the
         // residual would quantise to zero at a *coarser* QP — unreferenced
@@ -998,28 +951,25 @@ fn decide_mode(
                     };
                     chosen_sad = bwd.sad;
                 }
-                // Bi-prediction. The decision is `bi_sad + lam*6 <
+                // Bi-prediction, averaged row by row from both references'
+                // phase planes. The decision is `bi_sad + lam*6 <
                 // chosen_sad`, so the SAD may stop once it exceeds
                 // `chosen_sad - lam*6`: past that the comparison is already
                 // lost (and when `lam*6 >= chosen_sad` it is unwinnable, so
                 // any partial value keeps the decision identical).
-                let n = g.w * g.h;
-                let mut fwd_pred = [0u8; MAX_BLOCK_PIXELS];
-                let mut bi = [0u8; MAX_BLOCK_PIXELS];
-                mc_block_sub_into(
-                    ref_fwd.recon(),
-                    bx,
-                    by,
-                    g.w,
-                    g.h,
-                    fwd.mv,
-                    sp,
-                    &mut fwd_pred[..n],
-                );
-                mc_block_sub_into(rb.recon(), bx, by, g.w, g.h, bwd.mv, sp, &mut scratch[..n]);
-                bi_average_into(&fwd_pred[..n], &scratch[..n], &mut bi[..n]);
+                let (pf, fx, fy) = ref_fwd.block(bx, by, g.w, g.h, fwd.mv, sp);
+                let (pb, bwx, bwy) = rb.block(bx, by, g.w, g.h, bwd.mv, sp);
                 let bi_bound = chosen_sad.saturating_sub(lam * 6);
-                let bi_sad = sad_against_bounded(ctx.cur, bx, by, g.w, g.h, &bi[..n], bi_bound);
+                let (mut bi_sad, mut bi) = (0u64, [0u8; MB_SIZE]);
+                for r in 0..g.h {
+                    let (f, b) = (&pf.row(fy + r)[fx..][..g.w], &pb.row(bwy + r)[bwx..][..g.w]);
+                    bi_average_into(f, b, &mut bi[..g.w]);
+                    let src = &ctx.cur.row(by + r)[bx..][..g.w];
+                    bi_sad += vapp_media::kernels::sad_slices(src, &bi[..g.w]);
+                    if bi_sad > bi_bound {
+                        break;
+                    }
+                }
                 if bi_sad + lam * 6 < chosen_sad {
                     *m = BlockMotion {
                         dir: PredDir::Bi,
@@ -1042,19 +992,24 @@ fn decide_mode(
     // Bias against intra in inter frames: intra costs more bits and, for
     // VideoApp, creates in-frame dependency chains. The approximability-
     // aware mode penalises intra harder (spatial dependencies raise the
-    // importance of every preceding macroblock).
+    // importance of every preceding macroblock). Intra wins only when its
+    // cost is below `inter_cost - intra_penalty`, so the probe runs only
+    // when that is positive, bounded by it.
     let intra_penalty = if ctx.cfg.approx_bias {
         lam * 48
     } else {
         lam * 8
     };
-    if best_intra_cost + intra_penalty < inter_cost {
-        intra
-    } else {
-        let mut inter = MbSyntax::new(MbPred::Inter(layout), qp);
-        inter.motion = motion;
-        inter
+    if inter_cost > intra_penalty {
+        let limit = inter_cost - intra_penalty;
+        let (pred, cost) = intra_probe(ctx.cur, mb_x, mb_y, cur_block, avail, lam, limit);
+        if cost < limit {
+            return MbSyntax::new(pred, qp);
+        }
     }
+    let mut inter = MbSyntax::new(MbPred::Inter(layout), qp);
+    inter.motion = motion;
+    inter
 }
 
 /// Whether the residual between `cur` and `pred` quantises to all-zero at
@@ -1069,6 +1024,7 @@ fn residual_is_zero(cur: &[u8; 256], pred: &[u8; 256], qp: u8) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vapp_check::RngExt;
 
     #[test]
     fn gop_all_p_when_no_bframes() {
@@ -1158,6 +1114,89 @@ mod tests {
         // Padding replicates edges.
         assert_eq!(padded.get(31, 5), p.get(19, 5));
         assert_eq!(padded.get(4, 15), p.get(4, 12));
+    }
+
+    /// The intra probe without bounds: every legal 16x16 mode and every
+    /// 4x4 block's every legal mode, summed in full.
+    fn intra_probe_reference(
+        cur: &Plane,
+        mb_x: usize,
+        mb_y: usize,
+        block: &[u8; 256],
+        avail: IntraAvail,
+        lam: u64,
+    ) -> (MbPred, u64) {
+        let sad = |a: &[u8], b: &[u8]| -> u64 {
+            a.iter()
+                .zip(b)
+                .map(|(&a, &b)| u64::from(a.abs_diff(b)))
+                .sum()
+        };
+        let (mode16, cost16) = avail
+            .legal_modes()
+            .into_iter()
+            .map(|m| {
+                let pred = predict_intra16(cur, mb_x, mb_y, avail, m);
+                (
+                    m,
+                    sad(block, &pred) + lam * if m == IntraMode::Dc { 4 } else { 6 },
+                )
+            })
+            .min_by_key(|&(_, cost)| cost)
+            .expect("DC is always legal");
+        let cost4 = lam * 48
+            + (0..16)
+                .map(|blk| {
+                    let (bx, by, a4) = intra4_block(mb_x, mb_y, avail, blk);
+                    let src = sub_block(block, blk);
+                    a4.legal_modes()
+                        .into_iter()
+                        .map(|m| sad(&src, &predict_intra4(cur, bx, by, a4, m)))
+                        .min()
+                        .expect("DC is always legal")
+                })
+                .sum::<u64>();
+        if cost4 < cost16 {
+            (MbPred::Intra4([Intra4Mode::Dc; 16]), cost4)
+        } else {
+            (MbPred::Intra16(mode16), cost16)
+        }
+    }
+
+    #[test]
+    fn bounded_intra_probe_is_exact_below_its_limit() {
+        vapp_check::check("bounded_intra_probe", 96, |rng| {
+            let (cols, rows) = (rng.random_range(1..4usize), rng.random_range(1..4usize));
+            let (w, h) = (cols * MB_SIZE, rows * MB_SIZE);
+            // Smooth ramps (where 16x16 modes and low costs win) under
+            // noise from none to full range (where 4x4 often wins).
+            let (sx, sy) = (rng.random_range(0..6usize), rng.random_range(0..6usize));
+            let noise = [1, 8, 256][rng.random_range(0..3usize)];
+            let data = (0..w * h)
+                .map(|i| ((i % w) * sx + (i / w) * sy + rng.random_range(0..noise)) as u8)
+                .collect();
+            let cur = Plane::from_data(w, h, data);
+            let (col, row) = (rng.random_range(0..cols), rng.random_range(0..rows));
+            let (mb_x, mb_y) = (col * MB_SIZE, row * MB_SIZE);
+            let avail = IntraAvail {
+                left: col > 0 && rng.random::<bool>(),
+                top: row > 0 && rng.random::<bool>(),
+            };
+            let lam = lambda(rng.random_range(0..=u64::from(MAX_QP)) as u8);
+            let mut block = [0u8; 256];
+            cur.copy_block(mb_x as isize, mb_y as isize, MB_SIZE, MB_SIZE, &mut block);
+            let want = intra_probe_reference(&cur, mb_x, mb_y, &block, avail, lam);
+            let random = rng.random_range(0..=want.1.saturating_mul(2));
+            for limit in [0, 1, random, u64::MAX] {
+                let got = intra_probe(&cur, mb_x, mb_y, &block, avail, lam, limit);
+                let what = format!("avail {avail:?}, lam {lam}, limit {limit}, want {want:?}");
+                if want.1 < limit {
+                    assert_eq!(got, want, "{what}");
+                } else {
+                    assert!(got.1 >= limit, "{what}: got {got:?}");
+                }
+            }
+        });
     }
 
     #[test]

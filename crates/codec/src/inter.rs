@@ -183,6 +183,28 @@ impl RefPlanes {
         subpel: bool,
         bound: u64,
     ) -> u64 {
+        let (plane, ox, oy) = self.block(x, y, w, h, mv, subpel);
+        cur.sad_bounded(x, y, w, h, plane, ox as isize, oy as isize, bound)
+    }
+
+    /// Where the `w x h` block at `(x, y)` displaced by `mv` — in half-pel
+    /// units when `subpel` is set — lies in the prepared planes: its phase
+    /// plane and padded origin `(ox, oy)`. Rows `plane.row(oy + r)[ox..ox +
+    /// w]` are the rows of [`mc_block_sub_into`]'s prediction, with no
+    /// interpolation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the block is larger than a macroblock.
+    pub fn block(
+        &self,
+        x: usize,
+        y: usize,
+        w: usize,
+        h: usize,
+        mv: MotionVector,
+        subpel: bool,
+    ) -> (&Plane, usize, usize) {
         let (ix, iy, phase) = if subpel {
             let bx = x as isize * 2 + mv.x as isize;
             let by = y as isize * 2 + mv.y as isize;
@@ -192,7 +214,7 @@ impl RefPlanes {
             (x as isize + mv.x as isize, y as isize + mv.y as isize, 0)
         };
         let (ox, oy) = self.origin(ix, iy, w, h);
-        cur.sad_bounded(x, y, w, h, &self.phases[phase], ox, oy, bound)
+        (&self.phases[phase], ox, oy)
     }
 
     /// Sum of the full-pel phase over the `w x h` box at `(px, py)` in
@@ -230,14 +252,15 @@ impl RefPlanes {
     /// Where a `w x h` block whose clamped-sampling origin is `(ix, iy)`
     /// sits in the padded planes: the origin clamped into the margin (see
     /// [`REF_MARGIN`]), shifted by it.
-    fn origin(&self, ix: isize, iy: isize, w: usize, h: usize) -> (isize, isize) {
+    fn origin(&self, ix: isize, iy: isize, w: usize, h: usize) -> (usize, usize) {
         assert!(
             w <= MB_SIZE && h <= MB_SIZE,
             "search blocks are at most a macroblock"
         );
         let m = REF_MARGIN as isize;
-        let clamp =
-            |v: isize, len: usize, size: usize| v.clamp(-m, (len + REF_MARGIN - size) as isize) + m;
+        let clamp = |v: isize, len: usize, size: usize| {
+            (v.clamp(-m, (len + REF_MARGIN - size) as isize) + m) as usize
+        };
         (
             clamp(ix, self.recon.width(), w),
             clamp(iy, self.recon.height(), h),
@@ -301,10 +324,11 @@ pub fn motion_search_stats(
             let mv = clamp_mv(center, dx, dy);
             let (ox, oy) =
                 reference.origin(x as isize + mv.x as isize, y as isize + mv.y as isize, w, h);
-            if cells.bound_exceeds(reference, ox as usize, oy as usize, best.sad) {
+            if cells.bound_exceeds(reference, ox, oy, best.sad) {
                 stats.early_exits += 1;
                 continue;
             }
+            let (ox, oy) = (ox as isize, oy as isize);
             let sad = cur.sad_bounded(x, y, w, h, &reference.phases[0], ox, oy, best.sad);
             let dist = l1_dist(mv, center);
             if sad < best.sad || (sad == best.sad && dist < best_dist) {
@@ -413,7 +437,7 @@ fn l1_dist(a: MotionVector, b: MotionVector) -> i32 {
 /// Motion-compensates a `w x h` block into a caller-provided buffer: copies
 /// the block at `(x + mv.x, y + mv.y)` from the reference (clamped at
 /// borders). Allocation-free, like every compensation entry point: the
-/// encoder's candidate loops and the decoder pass fixed scratch buffers.
+/// shared macroblock reconstruction passes fixed scratch buffers.
 ///
 /// # Panics
 ///
@@ -556,38 +580,6 @@ pub fn ref_rect(
 /// Pixels in the largest block any search or compensation call handles
 /// (one 16x16 macroblock) — the size of the reusable scratch buffers.
 pub const MAX_BLOCK_PIXELS: usize = vapp_media::MB_PIXELS;
-
-/// Sum of absolute differences between the source block and an arbitrary
-/// prediction buffer, with the same early-exit contract as
-/// [`Plane::sad_bounded`]: stops once the running total strictly exceeds
-/// `bound`. Borrowed plane rows are compared against the prediction with
-/// the [`vapp_media::kernels::sad_slices`] row kernel.
-///
-/// # Panics
-///
-/// Panics if the source block leaves `cur` (the encoder's source planes
-/// are padded to whole macroblocks).
-#[allow(clippy::too_many_arguments)] // block geometry + prediction + bound
-pub fn sad_against_bounded(
-    cur: &Plane,
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-    pred: &[u8],
-    bound: u64,
-) -> u64 {
-    debug_assert_eq!(pred.len(), w * h);
-    let mut total = 0u64;
-    for oy in 0..h {
-        let a = &cur.row(y + oy)[x..x + w];
-        total += vapp_media::kernels::sad_slices(a, &pred[oy * w..][..w]);
-        if total > bound {
-            return total;
-        }
-    }
-    total
-}
 
 /// Two-stage motion search with early-exit accounting: full-pel full
 /// search around `center` (given in the unit implied by `subpel`), then —
@@ -853,20 +845,10 @@ impl<'a> SadGrid<'a> {
         let k = ky * HALF_SIDE + kx;
         if self.half_filled & (1 << k) == 0 {
             self.half_filled |= 1 << k;
-            let bx = self.mb_x as isize * 2 + mv.x as isize;
-            let by = self.mb_y as isize * 2 + mv.y as isize;
-            let phase = (bx.rem_euclid(2) + 2 * by.rem_euclid(2)) as usize;
-            let (ox, oy) =
-                self.reference
-                    .origin(bx.div_euclid(2), by.div_euclid(2), MB_SIZE, MB_SIZE);
-            self.half_cells[k] = mb_cell_sads(
-                self.cur,
-                self.mb_x,
-                self.mb_y,
-                &self.reference.phases[phase],
-                ox,
-                oy,
-            );
+            let (plane, ox, oy) = self
+                .reference
+                .block(self.mb_x, self.mb_y, MB_SIZE, MB_SIZE, mv, true);
+            self.half_cells[k] = mb_cell_sads(self.cur, self.mb_x, self.mb_y, plane, ox, oy);
         }
         &self.half_cells[k]
     }
@@ -880,10 +862,9 @@ fn mb_cell_sads(
     mb_x: usize,
     mb_y: usize,
     plane: &Plane,
-    ox: isize,
-    oy: isize,
+    ox: usize,
+    oy: usize,
 ) -> [u16; 16] {
-    let (ox, oy) = (ox as usize, oy as usize);
     let mut out = [0u16; 16];
     for (cell_row, cells) in out.chunks_exact_mut(4).enumerate() {
         // Four rows of quad sums: each lane stays below 4 * 1020.
@@ -1116,17 +1097,6 @@ mod tests {
         assert_eq!((r.x, r.y, r.w, r.h), (20, 20, 9, 8));
         let r = ref_rect(16, 16, 8, 8, MotionVector::new(-1, -3), true);
         assert_eq!((r.x, r.y, r.w, r.h), (15, 14, 9, 9));
-    }
-
-    #[test]
-    fn sad_against_matches_plane_sad() {
-        let a = patch_plane(10, 10);
-        let b = patch_plane(12, 11);
-        let pred = mc(&b, 8, 8, 16, 16, MotionVector::ZERO, false);
-        assert_eq!(
-            sad_against_bounded(&a, 8, 8, 16, 16, &pred, u64::MAX),
-            a.sad(8, 8, 16, 16, &b, 8, 8)
-        );
     }
 
     #[test]

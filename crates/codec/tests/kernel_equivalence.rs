@@ -2,7 +2,8 @@
 //! scalar references — the scalar paths stay the specification the
 //! kernels must reproduce exactly, across random blocks, widths that are
 //! not multiples of the 16-pixel chunk, and border geometries. The motion
-//! search's padded phase planes, summed-area table, successive-elimination
+//! search's padded phase planes (their SADs and the rows the encoder's
+//! skip and bi-prediction probes read), summed-area table, successive-elimination
 //! ±8 search and shared partition windows are pinned against clamped
 //! scalar sampling and a scalar full search — winners and early-exit
 //! counts — borders and clamped vectors included. The fused dequantiser is
@@ -16,8 +17,8 @@ use vapp_codec::arith::{ArithDecoder, ArithEncoder, BinContext};
 use vapp_codec::bitstream::BitReader;
 use vapp_codec::deblock::deblock_plane;
 use vapp_codec::inter::{
-    mc_block_halfpel_into, motion_search_stats, search_sub_stats, RefPlanes, SadGrid, SearchResult,
-    SearchStats, GRID_RANGE, MAX_BLOCK_PIXELS, MV_LIMIT, REF_MARGIN,
+    mc_block_halfpel_into, mc_block_sub_into, motion_search_stats, search_sub_stats, RefPlanes,
+    SadGrid, SearchResult, SearchStats, GRID_RANGE, MAX_BLOCK_PIXELS, MV_LIMIT, REF_MARGIN,
 };
 use vapp_codec::quant::{dequant_inverse, dequantize, forward_quant, quantize, MAX_QP};
 use vapp_codec::transform::{forward4x4, inverse4x4, Block4x4};
@@ -167,6 +168,39 @@ fn phase_plane_sad_matches_clamped_scalar() {
             assert_eq!(got, want, "bounded must be exact at/below bound: {what}");
         } else {
             assert!(got > bound, "early exit must still report excess: {what}");
+        }
+    });
+}
+
+#[test]
+fn phase_plane_rows_match_compensation() {
+    vapp_check::check("phase_plane_rows", 256, |rng| {
+        let pw = rng.random_range(16..64);
+        let ph = rng.random_range(16..64);
+        let refp = random_plane(rng, pw, ph);
+        let refs = RefPlanes::new(refp.clone());
+        // Every partition block side, at every phase, with displaced
+        // origins inside, across and beyond the padding margin, up to the
+        // `±MV_LIMIT` clamp.
+        let w = [4, 8, 16][rng.random_range(0..3usize)];
+        let h = [4, 8, 16][rng.random_range(0..3usize)];
+        let x = rng.random_range(0..=pw - w);
+        let y = rng.random_range(0..=ph - h);
+        let subpel = rng.random::<bool>();
+        let mut component =
+            |pos, len| vector_component(rng, pos, len, subpel).clamp(-MV_LIMIT, MV_LIMIT);
+        let mv = MotionVector::new(component(x, pw), component(y, ph));
+        let mut want = [0u8; MAX_BLOCK_PIXELS];
+        mc_block_sub_into(&refp, x, y, w, h, mv, subpel, &mut want[..w * h]);
+        let (plane, ox, oy) = refs.block(x, y, w, h, mv, subpel);
+        for r in 0..h {
+            assert_eq!(
+                &plane.row(oy + r)[ox..ox + w],
+                &want[r * w..(r + 1) * w],
+                "{pw}x{ph} plane, w={w} h={h} x={x} y={y} mv=({},{}) subpel={subpel} row {r}",
+                mv.x,
+                mv.y
+            );
         }
     });
 }
