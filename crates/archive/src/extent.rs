@@ -50,11 +50,6 @@ impl ExtentAllocator {
         ExtentAllocator { total, free }
     }
 
-    /// Total blocks managed.
-    pub fn total_blocks(&self) -> u64 {
-        self.total
-    }
-
     /// Blocks currently free.
     pub fn free_blocks(&self) -> u64 {
         self.free.iter().map(|e| e.blocks).sum()

@@ -101,7 +101,7 @@ fn bench_codec_kernels(c: &mut Criterion) {
     .blocks();
     group.bench_function("sad_grid_16x16_pm2", |b| {
         b.iter(|| {
-            let grid = SadGrid::new(&cur, &refs, 48, 48, MotionVector::new(2, -1), false);
+            let grid = SadGrid::new(&cur, &refs, 48, 48, MotionVector::new(4, -2));
             black_box(cells.iter().map(|g| grid.full_search(g).sad).sum::<u64>())
         });
     });

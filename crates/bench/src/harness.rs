@@ -3,9 +3,9 @@
 //! `bench_function`, `Bencher::iter`, `criterion_group!`/
 //! `criterion_main!`) so the bench files changed imports only.
 //!
-//! Each `bench_function` runs one warmup call to size the batch, then
-//! times `sample_size` batches and reports per-iteration statistics.
-//! Every group writes `BENCH_<group>.json` with machine-readable
+//! Each `bench_function` runs one warmup call and sizes the batch from a
+//! second, warm call, then times `sample_size` batches and reports
+//! per-iteration statistics. Every group writes `BENCH_<group>.json` with machine-readable
 //! timings — the benchmark trajectory across PRs is diffed from these
 //! files, so the JSON shape is a compatibility surface:
 //!
@@ -245,14 +245,17 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Runs the benchmark body: one warmup call to size the batch, then
-    /// `sample_size` timed batches.
+    /// Runs the benchmark body: one warmup call, a second call to size the
+    /// batch, then `sample_size` timed batches.
     pub fn iter<T>(&mut self, mut f: impl FnMut() -> T) {
         let budget_ms: u64 = std::env::var("VAPP_BENCH_MS")
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(10);
-        // Warmup + batch sizing: aim for ~budget per batch.
+        // The first call pays cold caches, page faults and lazy set-up, so
+        // sizing from it would leave each batch far short of the budget.
+        // Size from the second, warm call: aim for ~budget per batch.
+        black_box(f());
         let t0 = Instant::now();
         black_box(f());
         let once_ns = t0.elapsed().as_nanos().max(1);

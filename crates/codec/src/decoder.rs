@@ -53,12 +53,9 @@ pub fn decode(stream: &EncodedVideo) -> Video {
         let refs = Refs {
             fwd: f.header.ref_fwd.map(|r| reference(r, "forward")),
             bwd: f.header.ref_bwd.map(|r| reference(r, "backward")),
-            subpel: stream.header.subpel,
         };
         let mut recon = decode_frame(stream.header.entropy, f, &grid, &refs);
-        if stream.header.deblock {
-            crate::deblock::deblock_plane(&mut recon, f.header.qp.min(MAX_QP));
-        }
+        crate::deblock::deblock_plane(&mut recon, f.header.qp.min(MAX_QP));
         recons.push(recon);
         if let Some(slot) = display.get_mut(f.header.display_index as usize) {
             *slot = Some(recons.len() - 1);

@@ -32,12 +32,16 @@ use vapp_media::{Frame, MbGrid, Plane, Video, MB_PIXELS, MB_SIZE};
 ///
 /// Defaults mirror the paper's "standard quality" setting (§6.3):
 /// CRF 24, one slice per frame, CABAC, an I frame every 48 display frames
-/// and two B frames between anchors.
+/// and two B frames between anchors. The x264 tools that setting encodes
+/// with are always on: half-pel motion compensation (bilinear, a ±1
+/// half-pel refinement after a ±8 full-pel search, vectors coded in
+/// half-pel units), the in-loop deblocking filter and the motion-adaptive
+/// macroblock QP.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EncoderConfig {
     /// Constant-rate-factor quality target, 0–51 (lower = better). Maps to
     /// the base QP; frame types apply offsets (I: −2, B: +2) and fast
-    /// motion adds +2 per macroblock when `adaptive_qp` is on.
+    /// motion adds +2 per macroblock.
     pub crf: u8,
     /// I-frame interval in display frames (≥ 1).
     pub keyint: u16,
@@ -48,17 +52,6 @@ pub struct EncoderConfig {
     pub slices: u8,
     /// Entropy coder.
     pub entropy: EntropyMode,
-    /// Motion search range in pixels (±).
-    pub search_range: i16,
-    /// Motion-adaptive per-macroblock QP (the CRF-style behaviour of §6.3).
-    pub adaptive_qp: bool,
-    /// In-loop deblocking filter on the reconstruction (applied after
-    /// each frame, before it is referenced — H.264 semantics).
-    pub deblock: bool,
-    /// Half-pel motion compensation (bilinear interpolation, ±1 half-pel
-    /// refinement after the full-pel search). Motion vectors are stored
-    /// and coded in half-pel units when enabled.
-    pub subpel: bool,
     /// Approximability-aware mode decision (the paper's §8 open question):
     /// biases the encoder toward skips and away from intra macroblocks in
     /// predicted frames, polarising the stream into important and
@@ -74,10 +67,6 @@ impl Default for EncoderConfig {
             bframes: 2,
             slices: 1,
             entropy: EntropyMode::Cabac,
-            search_range: 8,
-            adaptive_qp: true,
-            deblock: true,
-            subpel: true,
             approx_bias: false,
         }
     }
@@ -99,8 +88,6 @@ impl EncoderConfig {
             Err("at most 3 B frames between anchors")
         } else if self.slices < 1 {
             Err("at least one slice per frame")
-        } else if !(1..=64).contains(&self.search_range) {
-            Err("search range must be 1..=64")
         } else {
             Ok(())
         }
@@ -214,9 +201,7 @@ impl Encoder {
                     EntropyMode::Cabac => encode_frame(&fctx, CabacWriter::new),
                     EntropyMode::Cavlc => encode_frame(&fctx, CavlcWriter::new),
                 };
-                if self.cfg.deblock {
-                    crate::deblock::deblock_plane(&mut out.recon, frame_qp(&self.cfg, frame_type));
-                }
+                crate::deblock::deblock_plane(&mut out.recon, frame_qp(&self.cfg, frame_type));
                 out
             });
             for (plan, out) in plans[next..wave_end].iter().zip(outs) {
@@ -264,8 +249,6 @@ impl Encoder {
                 frame_count: plans.len() as u32,
                 entropy: self.cfg.entropy,
                 slices: self.cfg.slices,
-                subpel: self.cfg.subpel,
-                deblock: self.cfg.deblock,
                 crf: self.cfg.crf,
                 keyint: self.cfg.keyint,
                 bframes: self.cfg.bframes,
@@ -299,6 +282,9 @@ pub(crate) fn frame_qp(cfg: &EncoderConfig, ft: FrameType) -> u8 {
     };
     qp.clamp(0, MAX_QP as i32) as u8
 }
+
+/// Half-width of the 16x16 macroblock motion search, in full pixels.
+const SEARCH_RANGE: i16 = 8;
 
 /// Lagrangian multiplier for mode decisions (~0.85·2^((QP−12)/3)).
 fn lambda(qp: u8) -> u64 {
@@ -421,7 +407,6 @@ impl FrameCtx<'_> {
         Refs {
             fwd: self.ref_fwd.map(RefPlanes::recon),
             bwd: self.ref_bwd.map(RefPlanes::recon),
-            subpel: self.cfg.subpel,
         }
     }
 }
@@ -570,7 +555,7 @@ fn encode_mb<W: SymbolWriter>(
     // forward reference costs two QP steps. Only the threshold comparison
     // matters, so the SAD stops once it exceeds the cutoff.
     let mut qp = base_qp;
-    if let Some(ref_fwd) = ctx.ref_fwd.filter(|_| ctx.cfg.adaptive_qp) {
+    if let Some(ref_fwd) = ctx.ref_fwd {
         const ACTIVITY_CUTOFF: u64 = 12 * 256;
         let activity = ctx.cur.sad_bounded(
             mb_x,
@@ -711,7 +696,7 @@ fn mb_deps(
         // pixel per fractional axis; normalising by the rect's own area
         // keeps the incoming weights summing to `scale`.
         let mut push = |src_frame: Option<usize>, mv, scale: f64| {
-            let rect = ref_rect(mb_x + g.dx, mb_y + g.dy, g.w, g.h, mv, ctx.cfg.subpel);
+            let rect = ref_rect(mb_x + g.dx, mb_y + g.dy, g.w, g.h, mv);
             let total = rect.area() as f64;
             for o in ctx.grid.overlaps(rect) {
                 deps.push(Dependency {
@@ -807,7 +792,7 @@ fn decide_mode(
     // Skip candidate: prediction with the predicted MV and zero residual,
     // its rows read straight from the reference's phase plane.
     {
-        let (plane, ox, oy) = ref_fwd.block(mb_x, mb_y, MB_SIZE, MB_SIZE, pred_fwd, ctx.cfg.subpel);
+        let (plane, ox, oy) = ref_fwd.block(mb_x, mb_y, MB_SIZE, MB_SIZE, pred_fwd);
         let mut scratch = [0u8; MB_PIXELS];
         for (r, dst) in scratch.chunks_exact_mut(MB_SIZE).enumerate() {
             dst.copy_from_slice(&plane.row(oy + r)[ox..ox + MB_SIZE]);
@@ -830,7 +815,6 @@ fn decide_mode(
     }
 
     // Inter: 16x16 searches, then partition refinement.
-    let sp = ctx.cfg.subpel;
     let search16 = |refs: &RefPlanes, center: MotionVector, stats: &mut SearchStats| {
         search_sub_stats(
             ctx.cur,
@@ -840,8 +824,7 @@ fn decide_mode(
             MB_SIZE,
             MB_SIZE,
             center,
-            ctx.cfg.search_range,
-            sp,
+            SEARCH_RANGE,
             stats,
         )
     };
@@ -861,11 +844,11 @@ fn decide_mode(
     // (`whole.mv` forward, `bwd_whole.mv` backward), so each direction's
     // window is evaluated once, as 4x4-cell SADs, when the macroblock gets
     // this far (skipped macroblocks never build one).
-    let mut fwd_grid = SadGrid::new(ctx.cur, ref_fwd, mb_x, mb_y, whole.mv, sp);
+    let mut fwd_grid = SadGrid::new(ctx.cur, ref_fwd, mb_x, mb_y, whole.mv);
     let mut bwd_grid = ctx
         .ref_bwd
         .zip(bwd_whole)
-        .map(|(rb, bw)| SadGrid::new(ctx.cur, rb, mb_x, mb_y, bw.mv, sp));
+        .map(|(rb, bw)| SadGrid::new(ctx.cur, rb, mb_x, mb_y, bw.mv));
     // The P8x8 sub-shape trials and the final P8x8 block list run the same
     // forward grid searches; cache the trial results so the winning
     // layout's blocks never repeat their half-pel refinement, whose early
@@ -957,8 +940,8 @@ fn decide_mode(
                 // `chosen_sad - lam*6`: past that the comparison is already
                 // lost (and when `lam*6 >= chosen_sad` it is unwinnable, so
                 // any partial value keeps the decision identical).
-                let (pf, fx, fy) = ref_fwd.block(bx, by, g.w, g.h, fwd.mv, sp);
-                let (pb, bwx, bwy) = rb.block(bx, by, g.w, g.h, bwd.mv, sp);
+                let (pf, fx, fy) = ref_fwd.block(bx, by, g.w, g.h, fwd.mv);
+                let (pb, bwx, bwy) = rb.block(bx, by, g.w, g.h, bwd.mv);
                 let bi_bound = chosen_sad.saturating_sub(lam * 6);
                 let (mut bi_sad, mut bi) = (0u64, [0u8; MB_SIZE]);
                 for r in 0..g.h {

@@ -39,27 +39,6 @@ pub fn read_ue(r: &mut BitReader<'_>) -> u32 {
     (v - 1).min(u32::MAX as u64) as u32
 }
 
-/// Writes a signed Exp-Golomb code (`se(v)`), H.264 mapping:
-/// `0, 1, -1, 2, -2, …`.
-pub fn write_se(w: &mut BitWriter, value: i32) {
-    let mapped = if value > 0 {
-        (value as u32) * 2 - 1
-    } else {
-        (-(value as i64) as u32) * 2
-    };
-    write_ue(w, mapped);
-}
-
-/// Reads a signed Exp-Golomb code.
-pub fn read_se(r: &mut BitReader<'_>) -> i32 {
-    let v = read_ue(r);
-    if v % 2 == 1 {
-        ((v / 2) + 1) as i32
-    } else {
-        -((v / 2) as i32)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,20 +71,6 @@ mod tests {
         let mut r = BitReader::new(&b);
         for &v in &values {
             assert_eq!(read_ue(&mut r), v);
-        }
-    }
-
-    #[test]
-    fn se_roundtrip() {
-        let values = [0i32, 1, -1, 2, -2, 77, -1000, i32::MAX / 4];
-        let mut w = BitWriter::new();
-        for &v in &values {
-            write_se(&mut w, v);
-        }
-        let b = w.finish();
-        let mut r = BitReader::new(&b);
-        for &v in &values {
-            assert_eq!(read_se(&mut r), v);
         }
     }
 

@@ -1,9 +1,11 @@
 //! Inter prediction: motion estimation and compensation.
 //!
-//! Integer-pel block matching with a full search around the predicted
-//! vector, per-partition refinement, and bi-prediction for B frames. The
-//! referenced pixel rectangles double as the temporal compensation
-//! dependencies VideoApp records (paper §4.1).
+//! Half-pel motion: a full-pel full search around the predicted vector,
+//! then a ±1 half-pel refinement of its winner; per-partition refinement;
+//! and bi-prediction for B frames. Vectors are in half-pel units and
+//! compensation interpolates bilinearly. The referenced pixel rectangles
+//! double as the temporal compensation dependencies VideoApp records
+//! (paper §4.1).
 //!
 //! Motion search never samples a reference with clamping. Each reference
 //! frame is prepared once ([`RefPlanes`]: edge-extended full-pel and
@@ -163,15 +165,15 @@ impl RefPlanes {
     }
 
     /// SAD between the `w x h` block of `cur` at `(x, y)` and the reference
-    /// block `mv` points at — in half-pel units when `subpel` is set — with
-    /// clamped (and at half-pel, bilinear) sampling of the reference.
-    /// Exactly the SAD against [`mc_block_sub_into`]'s prediction, with
+    /// block the half-pel vector `mv` points at, with clamped bilinear
+    /// sampling of the reference. Exactly the SAD against
+    /// [`mc_block_halfpel_into`]'s prediction, with
     /// [`Plane::sad_bounded`]'s early-exit contract.
     ///
     /// # Panics
     ///
     /// Panics if the block is larger than a macroblock or leaves `cur`.
-    #[allow(clippy::too_many_arguments)] // block geometry + vector + precision + bound
+    #[allow(clippy::too_many_arguments)] // block geometry + vector + bound
     pub fn sad_bounded(
         &self,
         cur: &Plane,
@@ -180,18 +182,16 @@ impl RefPlanes {
         w: usize,
         h: usize,
         mv: MotionVector,
-        subpel: bool,
         bound: u64,
     ) -> u64 {
-        let (plane, ox, oy) = self.block(x, y, w, h, mv, subpel);
+        let (plane, ox, oy) = self.block(x, y, w, h, mv);
         cur.sad_bounded(x, y, w, h, plane, ox as isize, oy as isize, bound)
     }
 
-    /// Where the `w x h` block at `(x, y)` displaced by `mv` — in half-pel
-    /// units when `subpel` is set — lies in the prepared planes: its phase
-    /// plane and padded origin `(ox, oy)`. Rows `plane.row(oy + r)[ox..ox +
-    /// w]` are the rows of [`mc_block_sub_into`]'s prediction, with no
-    /// interpolation.
+    /// Where the `w x h` block at `(x, y)` displaced by the half-pel vector
+    /// `mv` lies in the prepared planes: its phase plane and padded origin
+    /// `(ox, oy)`. Rows `plane.row(oy + r)[ox..ox + w]` are the rows of
+    /// [`mc_block_halfpel_into`]'s prediction, with no interpolation.
     ///
     /// # Panics
     ///
@@ -203,18 +203,26 @@ impl RefPlanes {
         w: usize,
         h: usize,
         mv: MotionVector,
-        subpel: bool,
     ) -> (&Plane, usize, usize) {
-        let (ix, iy, phase) = if subpel {
-            let bx = x as isize * 2 + mv.x as isize;
-            let by = y as isize * 2 + mv.y as isize;
-            let phase = bx.rem_euclid(2) + 2 * by.rem_euclid(2);
-            (bx.div_euclid(2), by.div_euclid(2), phase as usize)
-        } else {
-            (x as isize + mv.x as isize, y as isize + mv.y as isize, 0)
-        };
-        let (ox, oy) = self.origin(ix, iy, w, h);
+        let bx = x as isize * 2 + mv.x as isize;
+        let by = y as isize * 2 + mv.y as isize;
+        let phase = (bx.rem_euclid(2) + 2 * by.rem_euclid(2)) as usize;
+        let (ox, oy) = self.origin(bx.div_euclid(2), by.div_euclid(2), w, h);
         (&self.phases[phase], ox, oy)
+    }
+
+    /// Padded origin, on the full-pel phase, of the `w x h` block at
+    /// `(x, y)` displaced by the full-pel vector `mv`: where the full-pel
+    /// search stage reads its candidates.
+    fn full_pel_origin(
+        &self,
+        x: usize,
+        y: usize,
+        w: usize,
+        h: usize,
+        mv: MotionVector,
+    ) -> (usize, usize) {
+        self.origin(x as isize + mv.x as isize, y as isize + mv.y as isize, w, h)
     }
 
     /// Sum of the full-pel phase over the `w x h` box at `(px, py)` in
@@ -268,9 +276,10 @@ impl RefPlanes {
     }
 }
 
-/// Full search in a `±range` window around `center` for the `w x h` block
-/// of `cur` at `(x, y)`, matching against `reference`, with early-exit
-/// accounting.
+/// Full-pel full search in a `±range` window around the full-pel `center`
+/// for the `w x h` block of `cur` at `(x, y)`, matching against the
+/// full-pel phase of `reference`, with early-exit accounting: the first
+/// stage of [`search_sub_stats`]. The returned vector is full-pel.
 ///
 /// Ties break toward the vector closest to `center` (cheaper to code), and
 /// among equally close ones toward the first evaluated: the centre — first
@@ -310,10 +319,12 @@ pub fn motion_search_stats(
     stats: &mut SearchStats,
 ) -> SearchResult {
     let cells = CellSums::new(cur, reference, x, y, w, h);
+    let full = &reference.phases[0];
     let seed_mv = clamp_mv(center, 0, 0);
+    let (ox, oy) = reference.full_pel_origin(x, y, w, h, seed_mv);
     let mut best = SearchResult {
         mv: seed_mv,
-        sad: reference.sad_bounded(cur, x, y, w, h, seed_mv, false, u64::MAX),
+        sad: cur.sad(x, y, w, h, full, ox as isize, oy as isize),
     };
     let mut best_dist = l1_dist(seed_mv, center);
     for dy in -range..=range {
@@ -322,14 +333,13 @@ pub fn motion_search_stats(
                 continue;
             }
             let mv = clamp_mv(center, dx, dy);
-            let (ox, oy) =
-                reference.origin(x as isize + mv.x as isize, y as isize + mv.y as isize, w, h);
+            let (ox, oy) = reference.full_pel_origin(x, y, w, h, mv);
             if cells.bound_exceeds(reference, ox, oy, best.sad) {
                 stats.early_exits += 1;
                 continue;
             }
             let (ox, oy) = (ox as isize, oy as isize);
-            let sad = cur.sad_bounded(x, y, w, h, &reference.phases[0], ox, oy, best.sad);
+            let sad = cur.sad_bounded(x, y, w, h, full, ox, oy, best.sad);
             let dist = l1_dist(mv, center);
             if sad < best.sad || (sad == best.sad && dist < best_dist) {
                 best = SearchResult { mv, sad };
@@ -434,37 +444,12 @@ fn l1_dist(a: MotionVector, b: MotionVector) -> i32 {
     (a.x as i32 - b.x as i32).abs() + (a.y as i32 - b.y as i32).abs()
 }
 
-/// Motion-compensates a `w x h` block into a caller-provided buffer: copies
-/// the block at `(x + mv.x, y + mv.y)` from the reference (clamped at
-/// borders). Allocation-free, like every compensation entry point: the
-/// shared macroblock reconstruction passes fixed scratch buffers.
-///
-/// # Panics
-///
-/// Panics if `out.len() != w * h`.
-pub fn mc_block_into(
-    reference: &Plane,
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-    mv: MotionVector,
-    out: &mut [u8],
-) {
-    reference.copy_block(
-        x as isize + mv.x as isize,
-        y as isize + mv.y as isize,
-        w,
-        h,
-        out,
-    );
-}
-
-/// Motion-compensates a block with **half-pel** precision into a
+/// Motion-compensates a block with half-pel precision into a
 /// caller-provided buffer: `mv` is in half-pel units; fractional positions
 /// are bilinearly interpolated (H.264 uses a 6-tap filter for luma
 /// half-pel; bilinear preserves the dependence structure at a fraction of
-/// the complexity).
+/// the complexity). Allocation-free: the shared macroblock reconstruction
+/// passes fixed scratch buffers.
 ///
 /// The block reads a `(w + fx) x (h + fy)` footprint of the reference
 /// (`fx`, `fy` are the fractional phases). When the footprint is interior
@@ -529,44 +514,10 @@ pub fn mc_block_halfpel_into(
 /// and one row.
 const FOOTPRINT_PIXELS: usize = (MB_SIZE + 1) * (MB_SIZE + 1);
 
-/// Motion compensation at either precision into a caller-provided buffer:
-/// `mv` is in half-pel units when `subpel` is set, full-pel otherwise.
-///
-/// # Panics
-///
-/// Panics if `out.len() != w * h`.
-#[allow(clippy::too_many_arguments)] // block geometry + vector + precision + buffer
-pub fn mc_block_sub_into(
-    reference: &Plane,
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-    mv: MotionVector,
-    subpel: bool,
-    out: &mut [u8],
-) {
-    if subpel {
-        mc_block_halfpel_into(reference, x, y, w, h, mv, out);
-    } else {
-        mc_block_into(reference, x, y, w, h, mv, out);
-    }
-}
-
 /// The reference rectangle a compensated block reads, for dependency
 /// recording: half-pel vectors widen the footprint by one pixel along
 /// each fractional axis.
-pub fn ref_rect(
-    x: usize,
-    y: usize,
-    w: usize,
-    h: usize,
-    mv: MotionVector,
-    subpel: bool,
-) -> vapp_media::Rect {
-    if !subpel {
-        return vapp_media::Rect::new(x as isize + mv.x as isize, y as isize + mv.y as isize, w, h);
-    }
+pub fn ref_rect(x: usize, y: usize, w: usize, h: usize, mv: MotionVector) -> vapp_media::Rect {
     let bx = x as isize * 2 + mv.x as isize;
     let by = y as isize * 2 + mv.y as isize;
     vapp_media::Rect::new(
@@ -581,10 +532,10 @@ pub fn ref_rect(
 /// (one 16x16 macroblock) — the size of the reusable scratch buffers.
 pub const MAX_BLOCK_PIXELS: usize = vapp_media::MB_PIXELS;
 
-/// Two-stage motion search with early-exit accounting: full-pel full
-/// search around `center` (given in the unit implied by `subpel`), then —
-/// with `subpel` — a ±1 half-pel refinement around the winner. The
-/// returned vector is in half-pel units when `subpel` is set.
+/// Two-stage motion search with early-exit accounting: a full-pel full
+/// search around the half-pel `center` halved (with truncation), then a
+/// ±1 half-pel refinement around the winner. The returned vector is in
+/// half-pel units.
 #[allow(clippy::too_many_arguments)]
 pub fn search_sub_stats(
     cur: &Plane,
@@ -595,12 +546,8 @@ pub fn search_sub_stats(
     h: usize,
     center: MotionVector,
     range: i16,
-    subpel: bool,
     stats: &mut SearchStats,
 ) -> SearchResult {
-    if !subpel {
-        return motion_search_stats(cur, reference, x, y, w, h, center, range, stats);
-    }
     let full_center = MotionVector::new(center.x / 2, center.y / 2);
     let full = motion_search_stats(cur, reference, x, y, w, h, full_center, range, stats);
     refine_halfpel(cur, reference, x, y, w, h, full, stats)
@@ -633,7 +580,7 @@ fn refine_halfpel(
                 continue;
             }
             let mv = clamp_mv(base, dx, dy);
-            let sad = reference.sad_bounded(cur, x, y, w, h, mv, true, best.sad);
+            let sad = reference.sad_bounded(cur, x, y, w, h, mv, best.sad);
             if sad < best.sad {
                 best = SearchResult { mv, sad };
             } else if sad > best.sad {
@@ -667,7 +614,7 @@ const HALF_SIDE: usize = 2 * HALF_RANGE as usize + 1;
 /// the SADs of its sixteen 4x4 cells are kept ([`sad_quads16`]). Any
 /// partition block — every [`crate::types::PartitionLayout`] block is a
 /// union of cells — then gets its full-pel search by summing cells, with
-/// the same winner as [`search_sub_stats`] at range `GRID_RANGE` would
+/// the same winner as [`motion_search_stats`] at range `GRID_RANGE` would
 /// pick: clamped sampling is per pixel, so a sub-block of the clamped 16x16
 /// prediction is the sub-block's own clamped prediction.
 ///
@@ -681,7 +628,6 @@ pub struct SadGrid<'a> {
     reference: &'a RefPlanes,
     mb_x: usize,
     mb_y: usize,
-    subpel: bool,
     /// Candidate vectors (full-pel, clamped) in the order the full search
     /// evaluates them: the centre first, then the window row-major.
     mvs: [MotionVector; GRID_CANDIDATES],
@@ -700,9 +646,9 @@ pub struct SadGrid<'a> {
 }
 
 impl<'a> SadGrid<'a> {
-    /// Evaluates the window around `center` (in half-pel units when
-    /// `subpel` is set, halved with truncation exactly as
-    /// [`search_sub_stats`] does) for the macroblock at `(mb_x, mb_y)`.
+    /// Evaluates the window around the half-pel `center` (halved with
+    /// truncation exactly as [`search_sub_stats`] does) for the macroblock
+    /// at `(mb_x, mb_y)`.
     ///
     /// # Panics
     ///
@@ -713,13 +659,8 @@ impl<'a> SadGrid<'a> {
         mb_x: usize,
         mb_y: usize,
         center: MotionVector,
-        subpel: bool,
     ) -> Self {
-        let center = if subpel {
-            MotionVector::new(center.x / 2, center.y / 2)
-        } else {
-            center
-        };
+        let center = MotionVector::new(center.x / 2, center.y / 2);
         let mut mvs = [clamp_mv(center, 0, 0); GRID_CANDIDATES];
         let offsets = (-GRID_RANGE..=GRID_RANGE)
             .flat_map(|dy| (-GRID_RANGE..=GRID_RANGE).map(move |dx| (dx, dy)))
@@ -729,12 +670,7 @@ impl<'a> SadGrid<'a> {
         }
         let mut cells = [[0u16; GRID_CANDIDATES]; 16];
         for (k, mv) in mvs.iter().enumerate() {
-            let (ox, oy) = reference.origin(
-                mb_x as isize + mv.x as isize,
-                mb_y as isize + mv.y as isize,
-                MB_SIZE,
-                MB_SIZE,
-            );
+            let (ox, oy) = reference.full_pel_origin(mb_x, mb_y, MB_SIZE, MB_SIZE, *mv);
             let sads = mb_cell_sads(cur, mb_x, mb_y, &reference.phases[0], ox, oy);
             for (cell, sad) in cells.iter_mut().zip(sads) {
                 cell[k] = sad;
@@ -751,7 +687,6 @@ impl<'a> SadGrid<'a> {
             reference,
             mb_x,
             mb_y,
-            subpel,
             mvs,
             dists: mvs.map(|mv| l1_dist(mv, center)),
             cells,
@@ -796,17 +731,14 @@ impl<'a> SadGrid<'a> {
         }
     }
 
-    /// [`SadGrid::full_search`], then — when the grid was built with
-    /// `subpel` — the ±1 half-pel refinement of [`search_sub_stats`], from
-    /// the half-pel window's cells. Equal to `search_sub_stats` over this
-    /// block at range [`GRID_RANGE`], early exits included, except that
-    /// the full-pel window adds none: a refinement candidate whose sum
-    /// exceeds the best counts one, exactly as its bounded SAD would.
+    /// [`SadGrid::full_search`], then the ±1 half-pel refinement of
+    /// [`search_sub_stats`], from the half-pel window's cells. Equal to
+    /// `search_sub_stats` over this block at range [`GRID_RANGE`], early
+    /// exits included, except that the full-pel window adds none: a
+    /// refinement candidate whose sum exceeds the best counts one, exactly
+    /// as its bounded SAD would.
     pub fn search(&mut self, g: &BlockGeom, stats: &mut SearchStats) -> SearchResult {
         let full = self.full_search(g);
-        if !self.subpel {
-            return full;
-        }
         let base = MotionVector::new(full.mv.x * 2, full.mv.y * 2);
         let mut best = SearchResult {
             mv: base,
@@ -847,7 +779,7 @@ impl<'a> SadGrid<'a> {
             self.half_filled |= 1 << k;
             let (plane, ox, oy) = self
                 .reference
-                .block(self.mb_x, self.mb_y, MB_SIZE, MB_SIZE, mv, true);
+                .block(self.mb_x, self.mb_y, MB_SIZE, MB_SIZE, mv);
             self.half_cells[k] = mb_cell_sads(self.cur, self.mb_x, self.mb_y, plane, ox, oy);
         }
         &self.half_cells[k]
@@ -901,17 +833,9 @@ mod tests {
     use super::*;
 
     /// Compensates into a fresh buffer (tests only; callers pass scratch).
-    fn mc(
-        reference: &Plane,
-        x: usize,
-        y: usize,
-        w: usize,
-        h: usize,
-        mv: MotionVector,
-        subpel: bool,
-    ) -> Vec<u8> {
+    fn mc(reference: &Plane, x: usize, y: usize, w: usize, h: usize, mv: MotionVector) -> Vec<u8> {
         let mut out = vec![0u8; w * h];
-        mc_block_sub_into(reference, x, y, w, h, mv, subpel, &mut out);
+        mc_block_halfpel_into(reference, x, y, w, h, mv, &mut out);
         out
     }
 
@@ -927,11 +851,10 @@ mod tests {
         h: usize,
         center: MotionVector,
         range: i16,
-        subpel: bool,
     ) -> SearchResult {
         let refs = RefPlanes::new(reference.clone());
         let mut stats = SearchStats::default();
-        search_sub_stats(cur, &refs, x, y, w, h, center, range, subpel, &mut stats)
+        search_sub_stats(cur, &refs, x, y, w, h, center, range, &mut stats)
     }
 
     /// A plane with a distinctive patch at a given offset.
@@ -949,8 +872,8 @@ mod tests {
     fn search_finds_known_translation() {
         let reference = patch_plane(20, 24);
         let cur = patch_plane(24, 26); // moved by (+4, +2)
-        let r = search(&cur, &reference, 24, 26, 8, 8, MotionVector::ZERO, 8, false);
-        assert_eq!(r.mv, MotionVector::new(-4, -2));
+        let r = search(&cur, &reference, 24, 26, 8, 8, MotionVector::ZERO, 8);
+        assert_eq!(r.mv, MotionVector::new(-8, -4));
         assert_eq!(r.sad, 0);
     }
 
@@ -958,17 +881,7 @@ mod tests {
     fn search_prefers_center_on_flat_content() {
         let reference = Plane::filled(64, 64, 90);
         let cur = Plane::filled(64, 64, 90);
-        let r = search(
-            &cur,
-            &reference,
-            16,
-            16,
-            16,
-            16,
-            MotionVector::ZERO,
-            4,
-            false,
-        );
+        let r = search(&cur, &reference, 16, 16, 16, 16, MotionVector::ZERO, 4);
         assert_eq!(r.mv, MotionVector::ZERO);
         assert_eq!(r.sad, 0);
     }
@@ -978,24 +891,14 @@ mod tests {
         let reference = patch_plane(20, 20);
         let cur = patch_plane(30, 20);
         // Center the window near the true vector; a small range suffices.
-        let r = search(
-            &cur,
-            &reference,
-            30,
-            20,
-            8,
-            8,
-            MotionVector::new(-8, 0),
-            3,
-            false,
-        );
-        assert_eq!(r.mv, MotionVector::new(-10, 0));
+        let r = search(&cur, &reference, 30, 20, 8, 8, MotionVector::new(-16, 0), 3);
+        assert_eq!(r.mv, MotionVector::new(-20, 0));
     }
 
     #[test]
     fn mc_block_reproduces_reference() {
         let reference = patch_plane(20, 24);
-        let got = mc(&reference, 4, 4, 8, 8, MotionVector::new(16, 20), false);
+        let got = mc(&reference, 4, 4, 8, 8, MotionVector::new(32, 40));
         for y in 0..8 {
             for x in 0..8 {
                 assert_eq!(got[y * 8 + x], reference.get(20 + x, 24 + y));
@@ -1006,16 +909,8 @@ mod tests {
     #[test]
     fn mc_block_clamps_outside_frame() {
         let reference = patch_plane(0, 0);
-        let got = mc(&reference, 0, 0, 4, 4, MotionVector::new(-100, -100), false);
+        let got = mc(&reference, 0, 0, 4, 4, MotionVector::new(-200, -200));
         assert!(got.iter().all(|&v| v == reference.get(0, 0)));
-    }
-
-    #[test]
-    fn halfpel_integer_positions_match_fullpel() {
-        let reference = patch_plane(20, 24);
-        let full = mc(&reference, 4, 4, 8, 8, MotionVector::new(3, -2), false);
-        let half = mc(&reference, 4, 4, 8, 8, MotionVector::new(6, -4), true);
-        assert_eq!(full, half);
     }
 
     #[test]
@@ -1027,10 +922,10 @@ mod tests {
             }
         }
         // Sampling at x=15.5: average of 100 and 200 → 150.
-        let half = mc(&reference, 15, 8, 1, 1, MotionVector::new(1, 0), true);
+        let half = mc(&reference, 15, 8, 1, 1, MotionVector::new(1, 0));
         assert_eq!(half[0], 150);
         // Diagonal half position averages four pixels.
-        let diag = mc(&reference, 15, 8, 1, 1, MotionVector::new(1, 1), true);
+        let diag = mc(&reference, 15, 8, 1, 1, MotionVector::new(1, 1));
         assert_eq!(diag[0], 150);
     }
 
@@ -1053,32 +948,14 @@ mod tests {
                 cur.set(x, y, (a + b).div_ceil(2) as u8);
             }
         }
-        let r = search(
-            &cur,
-            &reference,
-            16,
-            16,
-            16,
-            16,
-            MotionVector::ZERO,
-            4,
-            true,
-        );
+        let r = search(&cur, &reference, 16, 16, 16, 16, MotionVector::ZERO, 4);
         // The ramp is constant vertically, so any y half-offset ties; the
         // x component must be the half-pel shift.
         assert_eq!(r.mv.x, 1, "mv {:?} sad {}", r.mv, r.sad);
         assert_eq!(r.sad, 0);
-        let full = search(
-            &cur,
-            &reference,
-            16,
-            16,
-            16,
-            16,
-            MotionVector::ZERO,
-            4,
-            false,
-        );
+        let refs = RefPlanes::new(reference);
+        let (zero, mut stats) = (MotionVector::ZERO, SearchStats::default());
+        let full = motion_search_stats(&cur, &refs, 16, 16, 16, 16, zero, 4, &mut stats);
         assert!(
             r.sad < full.sad,
             "half-pel must win: {} vs {}",
@@ -1089,13 +966,11 @@ mod tests {
 
     #[test]
     fn ref_rect_widens_on_fractional_axes() {
-        let r = ref_rect(16, 16, 8, 8, MotionVector::new(4, 4), false);
+        let r = ref_rect(16, 16, 8, 8, MotionVector::new(8, 8));
         assert_eq!((r.x, r.y, r.w, r.h), (20, 20, 8, 8));
-        let r = ref_rect(16, 16, 8, 8, MotionVector::new(8, 8), true);
-        assert_eq!((r.x, r.y, r.w, r.h), (20, 20, 8, 8));
-        let r = ref_rect(16, 16, 8, 8, MotionVector::new(9, 8), true);
+        let r = ref_rect(16, 16, 8, 8, MotionVector::new(9, 8));
         assert_eq!((r.x, r.y, r.w, r.h), (20, 20, 9, 8));
-        let r = ref_rect(16, 16, 8, 8, MotionVector::new(-1, -3), true);
+        let r = ref_rect(16, 16, 8, 8, MotionVector::new(-1, -3));
         assert_eq!((r.x, r.y, r.w, r.h), (15, 14, 9, 9));
     }
 

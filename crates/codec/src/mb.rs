@@ -41,7 +41,7 @@
 //! damaged payload parses into some valid [`MbSyntax`].
 
 use crate::entropy::{Element, SymbolReader, SymbolWriter};
-use crate::inter::{bi_average_into, mc_block_sub_into, MAX_BLOCK_PIXELS, MV_LIMIT};
+use crate::inter::{bi_average_into, mc_block_halfpel_into, MAX_BLOCK_PIXELS, MV_LIMIT};
 use crate::intra::{predict_intra16, predict_intra4, Intra4Avail, IntraAvail};
 use crate::quant::{dequant_inverse, from_zigzag, to_zigzag, MAX_QP};
 use crate::transform::Block4x4;
@@ -565,13 +565,11 @@ fn read_block<R: SymbolReader>(r: &mut R, syn: &mut MbSyntax, blk: usize, inc: u
 
 // ---------------------------------------------------------- reconstruct --
 
-/// The reference planes and vector precision a frame's macroblocks
-/// predict with.
+/// The reference planes a frame's macroblocks predict with.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Refs<'a> {
     pub fwd: Option<&'a Plane>,
     pub bwd: Option<&'a Plane>,
-    pub subpel: bool,
 }
 
 /// Rebuilds one macroblock's pixels into `recon` at `(mb_x, mb_y)` in two
@@ -663,7 +661,7 @@ pub(crate) fn predict(
 /// missing (a damaged direction in a frame without that reference).
 fn compensate(refs: &Refs<'_>, x: usize, y: usize, g: &BlockGeom, m: BlockMotion, out: &mut [u8]) {
     let mc = |reference: &Plane, mv: MotionVector, out: &mut [u8]| {
-        mc_block_sub_into(reference, x, y, g.w, g.h, mv, refs.subpel, out)
+        mc_block_halfpel_into(reference, x, y, g.w, g.h, mv, out)
     };
     match (m.dir, refs.fwd, refs.bwd) {
         (PredDir::Forward, Some(rf), _) => mc(rf, m.fwd, out),

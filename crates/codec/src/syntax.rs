@@ -32,6 +32,11 @@ impl std::error::Error for ParseHeaderError {}
 
 const MAGIC: u32 = 0x5641_5031; // "VAP1"
 
+/// The stream header's flags byte: half-pel motion vectors (bit 0) and the
+/// in-loop deblocking filter (bit 1). Every stream uses both, so this is
+/// the only value a header may hold.
+const FLAGS: u32 = 0b11;
+
 /// Largest frame width or height a stream header may declare. The decoder
 /// allocates a reconstruction plane per frame from these fields, so a
 /// parsed header bounds them: 8192 covers every H.264 level (8K UHD).
@@ -58,10 +63,6 @@ pub struct StreamHeader {
     pub keyint: u16,
     /// Number of B frames between anchors.
     pub bframes: u8,
-    /// Whether motion vectors are in half-pel units.
-    pub subpel: bool,
-    /// Whether the in-loop deblocking filter is applied.
-    pub deblock: bool,
 }
 
 impl StreamHeader {
@@ -84,8 +85,7 @@ impl StreamHeader {
         w.put_bits(self.crf as u32, 8);
         w.put_bits(self.keyint as u32, 16);
         w.put_bits(self.bframes as u32, 8);
-        // Flags byte: bit 0 subpel, bit 1 deblock.
-        w.put_bits(self.subpel as u32 | (self.deblock as u32) << 1, 8);
+        w.put_bits(FLAGS, 8);
         w.finish()
     }
 
@@ -93,8 +93,10 @@ impl StreamHeader {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseHeaderError`] when the magic or a field is invalid,
-    /// including a width or height of zero or above [`MAX_DIMENSION`].
+    /// Returns [`ParseHeaderError`] when the magic or a field is invalid:
+    /// a width or height of zero or above [`MAX_DIMENSION`], a frame rate
+    /// or frame count of zero, or a flags byte other than half-pel motion
+    /// with deblocking.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ParseHeaderError> {
         let mut r = BitReader::new(bytes);
         if r.get_bits(32) != MAGIC {
@@ -113,11 +115,19 @@ impl StreamHeader {
         let crf = r.get_bits(8) as u8;
         let keyint = r.get_bits(16) as u16;
         let bframes = r.get_bits(8) as u8;
-        let flags = r.get_bits(8);
-        let subpel = flags & 1 == 1;
-        let deblock = flags & 2 == 2;
+        if r.get_bits(8) != FLAGS {
+            return Err(ParseHeaderError::InvalidField("flags"));
+        }
         if !(1..=MAX_DIMENSION).contains(&width) || !(1..=MAX_DIMENSION).contains(&height) {
             return Err(ParseHeaderError::InvalidField("dimensions"));
+        }
+        // The decoder builds a video of `frame_count` frames at `fps`, and a
+        // video needs at least one frame and a positive rate.
+        if fps == 0.0 {
+            return Err(ParseHeaderError::InvalidField("fps"));
+        }
+        if frame_count == 0 {
+            return Err(ParseHeaderError::InvalidField("frame_count"));
         }
         if slices == 0 || keyint == 0 {
             return Err(ParseHeaderError::InvalidField("structure"));
@@ -132,8 +142,6 @@ impl StreamHeader {
             crf,
             keyint,
             bframes,
-            subpel,
-            deblock,
         })
     }
 }
@@ -288,8 +296,6 @@ mod tests {
             crf: 24,
             keyint: 48,
             bframes: 2,
-            subpel: true,
-            deblock: true,
         }
     }
 
@@ -336,6 +342,21 @@ mod tests {
             ..base
         };
         assert_eq!(StreamHeader::from_bytes(&largest.to_bytes()), Ok(largest));
+    }
+
+    #[test]
+    fn stream_header_rejects_every_other_flags_byte() {
+        let mut bytes = sample_stream_header().to_bytes();
+        let flags = bytes.len() - 1;
+        assert_eq!(bytes[flags], 0b11);
+        for other in [0, 1, 2, 0b111, 0xFF] {
+            bytes[flags] = other;
+            assert_eq!(
+                StreamHeader::from_bytes(&bytes),
+                Err(ParseHeaderError::InvalidField("flags")),
+                "flags {other:#04b}"
+            );
+        }
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Container bytes are untrusted: a frame count the buffer cannot back must
 //! fail with a typed error before anything is sized from it. A tracking
 //! global allocator records the largest single request made while parsing.
+//! Header values the decoder cannot build a video from (no frames, a zero
+//! frame rate) fail with typed errors too, instead of panicking in
+//! `decode`.
 
 // A `GlobalAlloc` impl is unsafe by definition; this forwarding allocator is
 // the workspace's only exception to the `unsafe_code = "deny"` lint.
@@ -8,7 +11,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use vapp_codec::{EncodedVideo, EntropyMode, StreamHeader};
+use vapp_codec::syntax::ParseHeaderError;
+use vapp_codec::{
+    EncodedFrame, EncodedVideo, EntropyMode, FrameHeader, FrameType, ParseContainerError,
+    StreamHeader,
+};
 
 /// The system allocator, remembering the largest request it has seen.
 struct LargestRequest;
@@ -31,22 +38,24 @@ unsafe impl GlobalAlloc for LargestRequest {
 #[global_allocator]
 static ALLOCATOR: LargestRequest = LargestRequest;
 
-#[test]
-fn huge_frame_count_over_twelve_bytes_fails_without_sizing_from_it() {
-    let header = StreamHeader {
+/// A 48x32 CABAC stream header declaring `frame_count` frames at `fps`.
+fn stream_header(frame_count: u32, fps: f64) -> StreamHeader {
+    StreamHeader {
         width: 48,
         height: 32,
-        fps: 25.0,
-        frame_count: 10_000_000,
+        fps,
+        frame_count,
         entropy: EntropyMode::Cabac,
         slices: 1,
         crf: 24,
         keyint: 48,
         bframes: 2,
-        subpel: true,
-        deblock: true,
     }
-    .to_bytes();
+}
+
+#[test]
+fn huge_frame_count_over_twelve_bytes_fails_without_sizing_from_it() {
+    let header = stream_header(10_000_000, 25.0).to_bytes();
     let mut bytes = (header.len() as u32).to_be_bytes().to_vec();
     bytes.extend_from_slice(&header);
     bytes.extend_from_slice(&10_000_000u32.to_be_bytes());
@@ -64,4 +73,33 @@ fn huge_frame_count_over_twelve_bytes_fails_without_sizing_from_it() {
         largest < 4096,
         "parsing made a {largest}-byte allocation from the untrusted count"
     );
+}
+
+#[test]
+fn zero_frames_or_zero_fps_fail_with_typed_errors() {
+    let record = EncodedFrame {
+        header: FrameHeader {
+            coding_index: 0,
+            display_index: 0,
+            frame_type: FrameType::I,
+            qp: 22,
+            ref_fwd: None,
+            ref_bwd: None,
+            slice_lens: vec![2],
+        },
+        payload: vec![0xA5, 0x5A],
+    };
+    for (header, frames, field) in [
+        (stream_header(0, 25.0), vec![], "frame_count"),
+        (stream_header(1, 0.0), vec![record], "fps"),
+    ] {
+        let bytes = EncodedVideo { header, frames }.to_bytes();
+        assert_eq!(
+            EncodedVideo::from_bytes(&bytes),
+            Err(ParseContainerError::Header(ParseHeaderError::InvalidField(
+                field
+            ))),
+            "{field}"
+        );
+    }
 }

@@ -81,7 +81,10 @@ fn damaged_variants(clean: &EncodedVideo, seed: u64) -> Vec<EncodedVideo> {
     out
 }
 
-/// Configuration `i` of the 16-way cross product the pins cover.
+/// Configuration `i`: bit 0 of the index selects CAVLC, bit 2 three
+/// slices. (Indices 2, 3, 6, 7 and 8–15 named full-pel and no-deblocking
+/// configurations, which the codec no longer has; the kept indices still
+/// pick the same clips and damage seeds.)
 fn config(i: usize) -> EncoderConfig {
     EncoderConfig {
         entropy: if i & 1 == 0 {
@@ -89,9 +92,7 @@ fn config(i: usize) -> EncoderConfig {
         } else {
             EntropyMode::Cavlc
         },
-        subpel: i & 2 == 0,
         slices: if i & 4 == 0 { 1 } else { 3 },
-        deblock: i & 8 == 0,
         keyint: 4,
         bframes: 1,
         ..EncoderConfig::default()
@@ -123,36 +124,23 @@ fn digest(i: usize) -> u64 {
     h.0
 }
 
-/// Captured from the per-pixel reference decoder; bit `0` of the index
-/// selects CAVLC, bit 1 full-pel, bit 2 three slices, bit 3 no deblocking.
-const PINNED: [u64; 16] = [
-    0xe4b425d02b10147d,
-    0x405200f979a77a14,
-    0x5202aa69c6c7365e,
-    0x059d14d9e396f84c,
-    0xf5d43fa3a1da686e,
-    0xfc4ecae6a3931b1b,
-    0x2f94a739cd552eb0,
-    0xa070a9d6ffcebba5,
-    0x49721895ffc8a801,
-    0xf436a6a036be1fb8,
-    0x093a9f2c3fd058c3,
-    0xb35cbee991b86fee,
-    0x6210089184f631b5,
-    0x9b6b3bd4e1013442,
-    0x332872e2ee9beefb,
-    0xfdbbf0b83c1383f7,
+/// `(config index, digest)`, captured from the per-pixel reference decoder.
+const PINNED: [(usize, u64); 4] = [
+    (0, 0xe4b425d02b10147d),
+    (1, 0x405200f979a77a14),
+    (4, 0xf5d43fa3a1da686e),
+    (5, 0xfc4ecae6a3931b1b),
 ];
 
 #[test]
 fn damaged_stream_decodes_are_pinned() {
-    let got: Vec<u64> = (0..16).map(digest).collect();
-    for (i, (&g, &want)) in got.iter().zip(PINNED.iter()).enumerate() {
+    let got: Vec<u64> = PINNED.iter().map(|&(i, _)| digest(i)).collect();
+    for (&(i, want), &g) in PINNED.iter().zip(&got) {
         let cfg = config(i);
         assert_eq!(
             g, want,
-            "config {i} ({:?}, subpel {}, slices {}, deblock {}): {g:#018x} != {want:#018x}\nall: {got:#018x?}",
-            cfg.entropy, cfg.subpel, cfg.slices, cfg.deblock
+            "config {i} ({:?}, slices {}): {g:#018x} != {want:#018x}\nall: {got:#018x?}",
+            cfg.entropy, cfg.slices
         );
     }
 }

@@ -17,8 +17,8 @@ use vapp_codec::arith::{ArithDecoder, ArithEncoder, BinContext};
 use vapp_codec::bitstream::BitReader;
 use vapp_codec::deblock::deblock_plane;
 use vapp_codec::inter::{
-    mc_block_halfpel_into, mc_block_sub_into, motion_search_stats, search_sub_stats, RefPlanes,
-    SadGrid, SearchResult, SearchStats, GRID_RANGE, MAX_BLOCK_PIXELS, MV_LIMIT, REF_MARGIN,
+    mc_block_halfpel_into, motion_search_stats, search_sub_stats, RefPlanes, SadGrid, SearchResult,
+    SearchStats, GRID_RANGE, MAX_BLOCK_PIXELS, MV_LIMIT, REF_MARGIN,
 };
 use vapp_codec::quant::{dequant_inverse, dequantize, forward_quant, quantize, MAX_QP};
 use vapp_codec::transform::{forward4x4, inverse4x4, Block4x4};
@@ -98,11 +98,11 @@ fn swar_sad_matches_scalar_reference() {
     });
 }
 
-/// A vector component that puts a block at `pos` (full-pel) interior,
-/// straddling an edge of a `len`-pixel axis, beyond the padding margin, or
-/// near the `±MV_LIMIT` clamp — in half-pel units when `subpel` is set.
-fn vector_component(rng: &mut StdRng, pos: usize, len: usize, subpel: bool) -> i16 {
-    let scale = if subpel { 2 } else { 1 };
+/// A half-pel vector component that puts a block at `pos` (full-pel)
+/// interior, straddling an edge of a `len`-pixel axis, beyond the padding
+/// margin, or near the `±MV_LIMIT` clamp. Half the draws are even, so the
+/// full-pel phase is covered too.
+fn vector_component(rng: &mut StdRng, pos: usize, len: usize) -> i16 {
     let (pos, len, margin) = (pos as i64, len as i64, REF_MARGIN as i64);
     let full = match rng.random_range(0..4u32) {
         0 => rng.random_range(0..len as u64) as i64 - pos,
@@ -119,7 +119,7 @@ fn vector_component(rng: &mut StdRng, pos: usize, len: usize, subpel: bool) -> i
             }
         }
         _ => {
-            let limit = MV_LIMIT as i64 / scale - rng.random_range(0..8u64) as i64;
+            let limit = MV_LIMIT as i64 / 2 - rng.random_range(0..8u64) as i64;
             if rng.random::<bool>() {
                 limit
             } else {
@@ -127,8 +127,7 @@ fn vector_component(rng: &mut StdRng, pos: usize, len: usize, subpel: bool) -> i
             }
         }
     };
-    let half = if subpel { rng.random_range(0..2u64) } else { 0 };
-    (full * scale + half as i64) as i16
+    (full * 2 + rng.random_range(0..2u64) as i64) as i16
 }
 
 #[test]
@@ -143,27 +142,14 @@ fn phase_plane_sad_matches_clamped_scalar() {
         let h = rng.random_range(1..=MB_SIZE);
         let x = rng.random_range(0..=pw - w);
         let y = rng.random_range(0..=ph - h);
-        // Half-pel vectors reach all four phases; full-pel ones are the
-        // phase-0 plane read as the full-pel search does.
-        let subpel = rng.random::<bool>();
-        let mv = MotionVector::new(
-            vector_component(rng, x, pw, subpel),
-            vector_component(rng, y, ph, subpel),
-        );
-        let want = if subpel {
-            sad_pred(&cur, x, y, w, h, &mc_halfpel_scalar(&refp, x, y, w, h, mv))
-        } else {
-            let (rx, ry) = (x as isize + mv.x as isize, y as isize + mv.y as isize);
-            sad_scalar(&cur, x, y, w, h, &refp, rx, ry)
-        };
-        let what = format!(
-            "w={w} h={h} x={x} y={y} mv=({},{}) subpel={subpel}",
-            mv.x, mv.y
-        );
-        let exact = refs.sad_bounded(&cur, x, y, w, h, mv, subpel, u64::MAX);
+        // Half-pel vectors reach all four phases.
+        let mv = MotionVector::new(vector_component(rng, x, pw), vector_component(rng, y, ph));
+        let want = sad_pred(&cur, x, y, w, h, &mc_halfpel_scalar(&refp, x, y, w, h, mv));
+        let what = format!("w={w} h={h} x={x} y={y} mv=({},{})", mv.x, mv.y);
+        let exact = refs.sad_bounded(&cur, x, y, w, h, mv, u64::MAX);
         assert_eq!(exact, want, "{what}");
         let bound = rng.random_range(0..want + 2);
-        let got = refs.sad_bounded(&cur, x, y, w, h, mv, subpel, bound);
+        let got = refs.sad_bounded(&cur, x, y, w, h, mv, bound);
         if want <= bound {
             assert_eq!(got, want, "bounded must be exact at/below bound: {what}");
         } else {
@@ -186,18 +172,16 @@ fn phase_plane_rows_match_compensation() {
         let h = [4, 8, 16][rng.random_range(0..3usize)];
         let x = rng.random_range(0..=pw - w);
         let y = rng.random_range(0..=ph - h);
-        let subpel = rng.random::<bool>();
-        let mut component =
-            |pos, len| vector_component(rng, pos, len, subpel).clamp(-MV_LIMIT, MV_LIMIT);
+        let mut component = |pos, len| vector_component(rng, pos, len).clamp(-MV_LIMIT, MV_LIMIT);
         let mv = MotionVector::new(component(x, pw), component(y, ph));
         let mut want = [0u8; MAX_BLOCK_PIXELS];
-        mc_block_sub_into(&refp, x, y, w, h, mv, subpel, &mut want[..w * h]);
-        let (plane, ox, oy) = refs.block(x, y, w, h, mv, subpel);
+        mc_block_halfpel_into(&refp, x, y, w, h, mv, &mut want[..w * h]);
+        let (plane, ox, oy) = refs.block(x, y, w, h, mv);
         for r in 0..h {
             assert_eq!(
                 &plane.row(oy + r)[ox..ox + w],
                 &want[r * w..(r + 1) * w],
-                "{pw}x{ph} plane, w={w} h={h} x={x} y={y} mv=({},{}) subpel={subpel} row {r}",
+                "{pw}x{ph} plane, w={w} h={h} x={x} y={y} mv=({},{}) row {r}",
                 mv.x,
                 mv.y
             );
@@ -277,8 +261,9 @@ fn scalar_full_search(
     (best.expect("window is non-empty").0, exits)
 }
 
-/// [`scalar_full_search`] with optional ±1 half-pel refinement: strict
-/// improvement over the eight half-pel neighbours of the full-pel winner.
+/// [`scalar_full_search`] around the half-pel `center` halved, then the ±1
+/// half-pel refinement: strict improvement over the eight half-pel
+/// neighbours of the full-pel winner.
 #[allow(clippy::too_many_arguments)]
 fn scalar_partition_search(
     cur: &Plane,
@@ -289,17 +274,9 @@ fn scalar_partition_search(
     h: usize,
     center: MotionVector,
     range: i16,
-    subpel: bool,
 ) -> SearchResult {
-    let center = if subpel {
-        MotionVector::new(center.x / 2, center.y / 2)
-    } else {
-        center
-    };
+    let center = MotionVector::new(center.x / 2, center.y / 2);
     let full = scalar_full_search(cur, refp, x, y, w, h, center, range).0;
-    if !subpel {
-        return full;
-    }
     let clamp = |v: i16, d: i16| (v + d).clamp(-MV_LIMIT, MV_LIMIT);
     let base = MotionVector::new(full.mv.x * 2, full.mv.y * 2);
     let mut best = SearchResult {
@@ -358,9 +335,11 @@ fn pm8_search_matches_scalar_full_search() {
         };
         for g in [whole, part] {
             let (x, y) = (mb_x + g.dx, mb_y + g.dy);
+            // The full-pel stage's centre: a half-pel vector halved, as
+            // `search_sub_stats` passes it.
             let center = MotionVector::new(
-                vector_component(rng, x, pw, false),
-                vector_component(rng, y, ph, false),
+                vector_component(rng, x, pw) / 2,
+                vector_component(rng, y, ph) / 2,
             );
             let (want, want_exits) = scalar_full_search(&cur, &refp, x, y, g.w, g.h, center, 8);
             let mut stats = SearchStats::default();
@@ -392,35 +371,28 @@ fn grid_search_matches_scalar_full_search() {
         let refs = RefPlanes::new(refp.clone());
         let mb_x = rng.random_range(0..cols) * MB_SIZE;
         let mb_y = rng.random_range(0..rows) * MB_SIZE;
-        let subpel = rng.random::<bool>();
         let center = MotionVector::new(
-            vector_component(rng, mb_x, pw, subpel),
-            vector_component(rng, mb_y, ph, subpel),
+            vector_component(rng, mb_x, pw),
+            vector_component(rng, mb_y, ph),
         );
-        let mut grid = SadGrid::new(&cur, &refs, mb_x, mb_y, center, subpel);
-        let full_center = if subpel {
-            MotionVector::new(center.x / 2, center.y / 2)
-        } else {
-            center
-        };
+        let mut grid = SadGrid::new(&cur, &refs, mb_x, mb_y, center);
+        let full_center = MotionVector::new(center.x / 2, center.y / 2);
         // The window fills lazily, so visit the blocks from a random start.
         let start = rng.random_range(0..geoms.len());
         for g in geoms[start..].iter().chain(&geoms[..start]) {
             let (x, y) = (mb_x + g.dx, mb_y + g.dy);
-            let want =
-                scalar_partition_search(&cur, &refp, x, y, g.w, g.h, center, GRID_RANGE, subpel);
+            let want = scalar_partition_search(&cur, &refp, x, y, g.w, g.h, center, GRID_RANGE);
             let mut grid_stats = SearchStats::default();
             let got = grid.search(g, &mut grid_stats);
             let what = format!(
-                "block {g:?} mb=({mb_x},{mb_y}) center=({},{}) subpel={subpel} smooth={smooth}",
+                "block {g:?} mb=({mb_x},{mb_y}) center=({},{}) smooth={smooth}",
                 center.x, center.y
             );
             assert_eq!(got, want, "{what}");
             // And the bounded production search over the same window.
             let mut stats = SearchStats::default();
-            let bounded = search_sub_stats(
-                &cur, &refs, x, y, g.w, g.h, center, GRID_RANGE, subpel, &mut stats,
-            );
+            let bounded =
+                search_sub_stats(&cur, &refs, x, y, g.w, g.h, center, GRID_RANGE, &mut stats);
             assert_eq!(bounded, want, "{what}");
             // The grid counts only its half-pel refinement's early exits
             // (its full-pel window has no bound): exactly the bounded
@@ -635,8 +607,7 @@ fn word_parallel_bilinear_matches_scalar_reference() {
         let h = rng.random_range(1..=16usize);
         let x = rng.random_range(0..=pw);
         let y = rng.random_range(0..=ph);
-        let mut component =
-            |pos, len| vector_component(rng, pos, len, true).clamp(-MV_LIMIT, MV_LIMIT);
+        let mut component = |pos, len| vector_component(rng, pos, len).clamp(-MV_LIMIT, MV_LIMIT);
         let mv = MotionVector::new(component(x, pw), component(y, ph));
         let want = mc_halfpel_scalar(&refp, x, y, w, h, mv);
         let mut got = [0u8; MAX_BLOCK_PIXELS];

@@ -33,13 +33,13 @@ fn encoded_stream_is_thread_count_invariant() {
 }
 
 /// `codec.sad.early_exit` over a fixed clip set, every scene kind at the
-/// default (half-pel, two B frames) configuration and a full-pel CAVLC
-/// one. Search statistics are threaded per macroblock task, so the total
-/// is the same at any worker count; and every pruning step of the motion
-/// search counts the candidates it rejects exactly as an unpruned bounded
-/// search would, so the total is pinned to the value recorded before
-/// successive elimination and the shared half-pel window existed.
-const EARLY_EXIT_TOTAL: u64 = 491_230;
+/// default (CABAC, two B frames) configuration and a CAVLC one. Search
+/// statistics are threaded per macroblock task, so the total is the same
+/// at any worker count; and every pruning step of the motion search counts
+/// the candidates it rejects exactly as an unpruned bounded search would,
+/// so only a search change that alters which candidates lose can change
+/// the pinned total.
+const EARLY_EXIT_TOTAL: u64 = 600_282;
 
 #[test]
 fn early_exit_counter_is_pinned_at_any_worker_count() {
@@ -61,7 +61,6 @@ fn early_exit_counter_is_pinned_at_any_worker_count() {
         },
         EncoderConfig {
             keyint: 8,
-            subpel: false,
             entropy: EntropyMode::Cavlc,
             ..Default::default()
         },

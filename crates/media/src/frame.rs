@@ -58,11 +58,6 @@ impl Frame {
     pub fn plane_mut(&mut self) -> &mut Plane {
         &mut self.plane
     }
-
-    /// Consumes the frame and returns the underlying plane.
-    pub fn into_plane(self) -> Plane {
-        self.plane
-    }
 }
 
 /// A raw video: an ordered sequence of equally-sized frames plus a frame

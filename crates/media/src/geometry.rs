@@ -116,23 +116,6 @@ impl MbGrid {
         (index % self.mb_cols, index / self.mb_cols)
     }
 
-    /// Top-left pixel coordinate of macroblock `index`.
-    #[inline]
-    pub fn mb_origin(&self, index: usize) -> (usize, usize) {
-        let (c, r) = self.mb_position(index);
-        (c * MB_SIZE, r * MB_SIZE)
-    }
-
-    /// Index of the macroblock containing pixel `(x, y)`, or `None` when the
-    /// pixel lies outside the frame.
-    #[inline]
-    pub fn mb_containing(&self, x: isize, y: isize) -> Option<usize> {
-        if x < 0 || y < 0 || x as usize >= self.width || y as usize >= self.height {
-            return None;
-        }
-        Some(self.mb_index(x as usize / MB_SIZE, y as usize / MB_SIZE))
-    }
-
     /// Computes, for a referenced pixel rectangle, every overlapped
     /// macroblock and the per-macroblock overlap pixel count.
     ///
@@ -213,17 +196,6 @@ mod tests {
             let (c, r) = g.mb_position(i);
             assert_eq!(g.mb_index(c, r), i);
         }
-        assert_eq!(g.mb_origin(5), (16, 16)); // 4 cols: index 5 = (1,1)
-    }
-
-    #[test]
-    fn containing_pixel() {
-        let g = MbGrid::for_frame(64, 64);
-        assert_eq!(g.mb_containing(0, 0), Some(0));
-        assert_eq!(g.mb_containing(16, 0), Some(1));
-        assert_eq!(g.mb_containing(15, 17), Some(4));
-        assert_eq!(g.mb_containing(-1, 0), None);
-        assert_eq!(g.mb_containing(64, 0), None);
     }
 
     #[test]

@@ -63,22 +63,6 @@ impl QualityChange {
         self.samples.iter().sum::<f64>() / self.samples.len() as f64
     }
 
-    /// Scales every statistic by the probability that any error occurs, for
-    /// the paper's very-low-error-rate protocol (§6.4: force at least one
-    /// flip, then multiply the loss by the probability that a flip happens
-    /// within a video of this size).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `probability` is outside `[0, 1]`.
-    pub fn scaled_worst(&self, probability: f64) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&probability),
-            "probability must be in [0,1]"
-        );
-        self.worst() * probability
-    }
-
     /// The recorded samples.
     pub fn samples(&self) -> &[f64] {
         &self.samples
@@ -113,19 +97,6 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.worst(), -3.0);
         assert!((q.mean() + 4.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scaling_rule() {
-        let mut q = QualityChange::new();
-        q.record(-4.0);
-        assert_eq!(q.scaled_worst(0.25), -1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "probability")]
-    fn invalid_probability_rejected() {
-        QualityChange::new().scaled_worst(1.5);
     }
 
     #[test]

@@ -80,21 +80,6 @@ impl Bank {
         out.extend_from_slice(&self.data[start..start + len]);
     }
 
-    /// Moves `n_blocks` blocks from `src_block` to `dst_block`
-    /// (compaction primitive; overlapping moves are handled like
-    /// `memmove`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either range runs past the end of the bank.
-    pub fn move_blocks(&mut self, src_block: u64, dst_block: u64, n_blocks: u64) {
-        let n = n_blocks as usize * BLOCK_BYTES;
-        let src = src_block as usize * BLOCK_BYTES;
-        let dst = dst_block as usize * BLOCK_BYTES;
-        assert!(src + n <= self.data.len() && dst + n <= self.data.len());
-        self.data.copy_within(src..src + n, dst);
-    }
-
     /// Runs the bank's error channel over a read-back buffer: `bits`
     /// live payload bits protected at strength `t`, damage drawn from
     /// `seed`. Always takes the exact block machinery (the batch-BCH
@@ -129,17 +114,6 @@ mod tests {
         let mut tail = Vec::new();
         bank.read_into(2, 2 * BLOCK_BYTES, &mut tail);
         assert!(tail[100..].iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn move_blocks_preserves_bytes() {
-        let mut bank = Bank::new(16, mlc_pcm(0.0));
-        let payload = bytes(3 * BLOCK_BYTES, 2);
-        bank.write(10, &payload);
-        bank.move_blocks(10, 1, 3);
-        let mut back = Vec::new();
-        bank.read_into(1, payload.len(), &mut back);
-        assert_eq!(back, payload);
     }
 
     #[test]

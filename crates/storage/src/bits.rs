@@ -259,31 +259,9 @@ impl BitBuf {
         out
     }
 
-    /// XORs `other` into `self`, word by word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn xor_with(&mut self, other: &BitBuf) {
-        assert_eq!(self.len, other.len, "length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a ^= b;
-        }
-    }
-
     /// Number of set bits (word-level popcount).
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Iterates over the indices of set bits via `trailing_zeros`, so the
-    /// cost scales with the popcount, not the length.
-    pub fn iter_ones(&self) -> IterOnes<'_> {
-        IterOnes {
-            words: &self.words,
-            word_idx: 0,
-            cur: self.words.first().copied().unwrap_or(0),
-        }
     }
 
     /// Number of bits that differ from `other` (vectorized xor+popcount;
@@ -333,30 +311,6 @@ pub fn transpose64(m: &mut [u64; 64]) {
         }
         j >>= 1;
         mask ^= mask << j;
-    }
-}
-
-/// Iterator over set-bit indices of a [`BitBuf`].
-pub struct IterOnes<'a> {
-    words: &'a [u64],
-    word_idx: usize,
-    cur: u64,
-}
-
-impl Iterator for IterOnes<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        while self.cur == 0 {
-            self.word_idx += 1;
-            if self.word_idx >= self.words.len() {
-                return None;
-            }
-            self.cur = self.words[self.word_idx];
-        }
-        let tz = self.cur.trailing_zeros() as usize;
-        self.cur &= self.cur - 1;
-        Some(self.word_idx * 64 + tz)
     }
 }
 
@@ -478,18 +432,13 @@ mod tests {
     }
 
     #[test]
-    fn xor_count_and_iter_ones() {
+    fn count_ones_spans_words() {
         let mut a = BitBuf::zeroed(130);
-        let mut b = BitBuf::zeroed(130);
         a.set(0, true);
         a.set(64, true);
         a.set(129, true);
-        b.set(64, true);
         assert_eq!(a.count_ones(), 3);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![0, 64, 129]);
-        a.xor_with(&b);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![0, 129]);
-        assert_eq!(BitBuf::zeroed(70).iter_ones().next(), None);
+        assert_eq!(BitBuf::zeroed(70).count_ones(), 0);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! patterns*: syndromes are linear and vanish on codewords, so
 //! `synd(cw + e) = synd(e)` and outcomes depend only on the pattern.
 
-use crate::bch::DecodeOutcome;
+use crate::bch::{berlekamp_massey, DecodeOutcome};
 use crate::gf::{Gf1024, GF_ORDER};
 
 /// Symbol width in bits (GF(2^10)).
@@ -199,7 +199,7 @@ impl Rs {
         // Forney syndromes T = S·Γ mod x^p expose the unknown errors.
         let t_synd = poly_mul_mod(&synd, &gamma, p);
         // Berlekamp–Massey on T_{E}..T_{p-1} finds the error locator Λ.
-        let lambda = berlekamp_massey(&t_synd[n_eras..]);
+        let lambda = berlekamp_massey(&t_synd[n_eras..], gf);
         let n_errs = lambda.len() - 1;
         if 2 * n_errs + n_eras > p {
             return DecodeOutcome::Uncorrectable;
@@ -305,47 +305,6 @@ fn poly_eval_deriv_log(gf: &Gf1024, p: &[u16], log_x: usize) -> u16 {
     // in x²; no further x factor is needed because consecutive odd
     // degrees differ by 2 and the lowest odd degree contributes x^0.
     acc
-}
-
-/// Standard Berlekamp–Massey over GF(2^10): minimal LFSR `Λ` (constant
-/// term 1, low-to-high) generating the sequence `s`.
-fn berlekamp_massey(s: &[u16]) -> Vec<u16> {
-    let gf = Gf1024::get();
-    let mut lambda = vec![0u16; s.len() + 1];
-    let mut prev = vec![0u16; s.len() + 1];
-    lambda[0] = 1;
-    prev[0] = 1;
-    let mut l = 0usize;
-    let mut m = 1usize;
-    let mut b = 1u16;
-    for r in 0..s.len() {
-        let mut delta = s[r];
-        for j in 1..=l {
-            delta ^= gf.mul(lambda[j], s[r - j]);
-        }
-        if delta == 0 {
-            m += 1;
-            continue;
-        }
-        let coef = gf.mul(delta, gf.inv(b));
-        if 2 * l <= r {
-            let snapshot = lambda.clone();
-            for j in 0..lambda.len() - m {
-                lambda[j + m] ^= gf.mul(coef, prev[j]);
-            }
-            prev = snapshot;
-            l = r + 1 - l;
-            b = delta;
-            m = 1;
-        } else {
-            for j in 0..lambda.len() - m {
-                lambda[j + m] ^= gf.mul(coef, prev[j]);
-            }
-            m += 1;
-        }
-    }
-    lambda.truncate(l + 1);
-    lambda
 }
 
 #[cfg(test)]
