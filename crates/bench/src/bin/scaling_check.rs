@@ -26,69 +26,7 @@
 use std::process::ExitCode;
 use vapp_bench::harness::load_medians;
 use vapp_obs::Snapshot;
-
-/// One worker's utilization, read from the `par.worker.<w>.*` counters.
-#[derive(Debug, PartialEq)]
-struct WorkerUtil {
-    worker: usize,
-    tasks: u64,
-    busy_ns: u64,
-    idle_ns: u64,
-}
-
-impl WorkerUtil {
-    fn busy_fraction(&self) -> f64 {
-        let wall = self.busy_ns + self.idle_ns;
-        if wall == 0 {
-            0.0
-        } else {
-            self.busy_ns as f64 / wall as f64
-        }
-    }
-}
-
-/// Extracts per-worker utilization rows from a snapshot's counters.
-fn worker_utilization(snap: &Snapshot) -> Vec<WorkerUtil> {
-    let mut out = Vec::new();
-    for (name, tasks) in &snap.counters {
-        let Some(rest) = name.strip_prefix("par.worker.") else {
-            continue;
-        };
-        let Some(w) = rest.strip_suffix(".tasks") else {
-            continue;
-        };
-        let Ok(worker) = w.parse::<usize>() else {
-            continue;
-        };
-        out.push(WorkerUtil {
-            worker,
-            tasks: *tasks,
-            busy_ns: snap.counter(&format!("par.worker.{worker}.busy_ns")),
-            idle_ns: snap.counter(&format!("par.worker.{worker}.idle_ns")),
-        });
-    }
-    out.sort_by_key(|u| u.worker);
-    out
-}
-
-/// Renders the utilization table (empty string when the snapshot has no
-/// worker counters, e.g. a single-threaded run).
-fn render_utilization(utils: &[WorkerUtil]) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    for u in utils {
-        let _ = writeln!(
-            out,
-            "  worker {:>2}: {:>6} tasks, busy {:>6.1}% ({:.1} ms busy / {:.1} ms idle)",
-            u.worker,
-            u.tasks,
-            100.0 * u.busy_fraction(),
-            u.busy_ns as f64 / 1e6,
-            u.idle_ns as f64 / 1e6,
-        );
-    }
-    out
-}
+use vapp_par::{render_utilization, worker_utilization};
 
 /// How the scaling assertion resolved.
 #[derive(Debug, PartialEq)]
@@ -270,38 +208,5 @@ mod tests {
         let only_w1 = vec![("loss_curve_w1".to_string(), 1000.0)];
         let err = evaluate(&only_w1, 1.5, 8).expect_err("must fail");
         assert!(err.contains("loss_curve_w4"), "{err}");
-    }
-
-    #[test]
-    fn worker_utilization_reads_counters_and_renders_fractions() {
-        let snap = Snapshot {
-            counters: vec![
-                ("core.flips.injected".to_string(), 5),
-                ("par.worker.0.busy_ns".to_string(), 3_000_000),
-                ("par.worker.0.idle_ns".to_string(), 1_000_000),
-                ("par.worker.0.tasks".to_string(), 12),
-                ("par.worker.1.busy_ns".to_string(), 2_000_000),
-                ("par.worker.1.idle_ns".to_string(), 2_000_000),
-                ("par.worker.1.tasks".to_string(), 9),
-                ("par.worker.bogus.tasks".to_string(), 1),
-            ],
-            ..Snapshot::default()
-        };
-        let utils = worker_utilization(&snap);
-        assert_eq!(utils.len(), 2, "non-numeric worker ids are skipped");
-        assert_eq!(utils[0].worker, 0);
-        assert_eq!(utils[0].tasks, 12);
-        assert!((utils[0].busy_fraction() - 0.75).abs() < 1e-12);
-        assert!((utils[1].busy_fraction() - 0.50).abs() < 1e-12);
-        let table = render_utilization(&utils);
-        assert!(table.contains("worker  0"), "{table}");
-        assert!(table.contains("75.0%"), "{table}");
-        assert!(table.contains("12 tasks"), "{table}");
-    }
-
-    #[test]
-    fn empty_snapshot_yields_no_utilization() {
-        assert!(worker_utilization(&Snapshot::default()).is_empty());
-        assert_eq!(render_utilization(&[]), "");
     }
 }

@@ -89,11 +89,6 @@ impl AnalysisRecord {
     pub fn node_id(&self, frame: usize, mb: usize) -> usize {
         frame * self.mbs_per_frame() + mb
     }
-
-    /// Inverse of [`AnalysisRecord::node_id`].
-    pub fn node_location(&self, node: usize) -> (usize, usize) {
-        (node / self.mbs_per_frame(), node % self.mbs_per_frame())
-    }
 }
 
 #[cfg(test)]
@@ -101,19 +96,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn node_id_roundtrip() {
+    fn node_ids_are_dense_in_coding_order() {
         let rec = AnalysisRecord {
             grid: MbGrid::for_frame(64, 48),
             frames: Vec::new(),
         };
         let per = rec.mbs_per_frame();
         assert_eq!(per, 12);
-        for frame in 0..5 {
-            for mb in 0..per {
-                let id = rec.node_id(frame, mb);
-                assert_eq!(rec.node_location(id), (frame, mb));
-            }
-        }
+        let ids: Vec<usize> = (0..5)
+            .flat_map(|frame| (0..per).map(move |mb| (frame, mb)))
+            .map(|(frame, mb)| rec.node_id(frame, mb))
+            .collect();
+        assert_eq!(ids, (0..5 * per).collect::<Vec<_>>());
     }
 
     #[test]

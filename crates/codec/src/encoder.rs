@@ -146,8 +146,7 @@ impl Encoder {
             self.cfg.bframes as usize,
         );
         let grid = MbGrid::for_frame(video.width(), video.height());
-        let padded: Vec<Plane> =
-            vapp_par::par_map(video.iter().collect(), |_, f| pad_to_mb(f.plane()));
+        let padded: Vec<Plane> = video.iter().map(|f| pad_to_mb(f.plane())).collect();
 
         // Reference frames by coding index, prepared for motion search when
         // they enter; each is dropped after the last wave that reads it.

@@ -15,7 +15,7 @@
 //! simulator draws block failures from the binomial-tail failure rate —
 //! statistically equivalent and faster: the committed `BENCH_pipeline.json`
 //! records medians of 13.4 vs 41.2 µs per `store_load` (3×), and reruns of
-//! that bench on a 2-vCPU VM read ~210 vs ~260 µs (1.2×). That matters at
+//! that bench on a 2-vCPU VM read 9–14 vs 32–40 µs (3–4×). That matters at
 //! 30 Monte Carlo trials per data point (§6.4).
 
 use crate::assignment::{Assignment, EcScheme};
@@ -29,7 +29,7 @@ use vapp_metrics::{prob_any_flip, video_psnr};
 use vapp_rand::rngs::StdRng;
 use vapp_rand::RngExt;
 use vapp_sim::{derive_subseeds, pick_positions_forced};
-use vapp_storage::channel::{mlc_pcm, CorruptTally, Substrate};
+use vapp_storage::channel::{mlc_pcm, Substrate};
 use vapp_storage::density;
 
 /// How and where the payload is stored: the protection ladder plus the
@@ -166,24 +166,19 @@ impl ApproxStore {
         let mut streams = split_streams(stream, table);
         // One sub-seed per protection level, derived up front from a
         // single master draw: each level's corruption is a pure function
-        // of `(master, level)`, so the levels can run on any number of
-        // workers — and in any order — with byte-identical results. The
+        // of `(master, level)`, independent of the other levels. The
         // substrate contract (see `vapp_storage::channel`) extends the
         // same rule inside each level.
         let master = rng.random::<u64>();
         let level_seeds = derive_subseeds(master, streams.level_data.len());
-        let level_bits = streams.level_bits.clone();
-        let stats: Vec<CorruptTally> = vapp_par::par_map(
-            streams.level_data.iter_mut().enumerate().collect(),
-            |_, (level, data)| {
-                let scheme = self.policy.scheme_for_level(level);
-                let bits = level_bits[level];
+        let reg = vapp_obs::current();
+        for (level, data) in streams.level_data.iter_mut().enumerate() {
+            let scheme = self.policy.scheme_for_level(level);
+            let bits = streams.level_bits[level];
+            let st = {
                 let _lvl_span = vapp_obs::span!("core.level.corrupt", level, scheme, bits);
                 substrate.corrupt_stream(data, bits, scheme.t(), exact_bch, level_seeds[level])
-            },
-        );
-        let reg = vapp_obs::current();
-        for (level, st) in stats.iter().enumerate() {
+            };
             let extra; // fallback for pivot levels beyond the ladder
             let names = match self.level_names.get(level) {
                 Some(n) => n,
@@ -192,7 +187,7 @@ impl ApproxStore {
                     &extra
                 }
             };
-            reg.counter(&names.stored_bits).add(level_bits[level]);
+            reg.counter(&names.stored_bits).add(bits);
             reg.counter(&names.flips).add(st.flips);
             reg.counter(&names.corrected).add(st.corrected);
             reg.counter(&names.uncorrectable).add(st.uncorrectable);

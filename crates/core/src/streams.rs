@@ -138,38 +138,27 @@ pub fn split_streams(stream: &EncodedVideo, table: &PivotTable) -> ProtectedStre
     );
     let levels = table.levels as usize;
     let _span = vapp_obs::span!("core.streams.split", levels);
-    // Levels extract independently: each worker walks the span list once,
-    // copying its own level's bits and skipping foreign spans in O(1), so
-    // the per-worker cost is its stream's bits plus the span count.
-    let per_level = vapp_par::par_map((0..levels).collect(), |_, li| {
-        // Size first, then move whole spans with 48-bit word copies.
-        let mut nbits = 0u64;
-        for fp in &table.frames {
-            for (range, level) in fp.level_spans() {
-                if (level as usize).min(levels - 1) == li {
-                    nbits += range.end - range.start;
-                }
-            }
+    // Size every stream first, then walk the span list once, moving each
+    // span to its level's cursor with 48-bit word copies.
+    let level_bits = table.level_bits();
+    let mut level_data: Vec<Vec<u8>> = level_bits
+        .iter()
+        .map(|&nbits| vec![0u8; (nbits as usize).div_ceil(8)])
+        .collect();
+    let mut cursors = vec![0u64; levels];
+    for (frame, fp) in stream.frames.iter().zip(&table.frames) {
+        for (range, level) in fp.level_spans() {
+            let li = (level as usize).min(levels - 1);
+            let count = range.end - range.start;
+            copy_bits(
+                &mut level_data[li],
+                cursors[li],
+                &frame.payload,
+                range.start,
+                count,
+            );
+            cursors[li] += count;
         }
-        let mut bytes = vec![0u8; (nbits as usize).div_ceil(8)];
-        let mut out = 0u64;
-        for (frame, fp) in stream.frames.iter().zip(&table.frames) {
-            for (range, level) in fp.level_spans() {
-                if (level as usize).min(levels - 1) != li {
-                    continue;
-                }
-                let count = range.end - range.start;
-                copy_bits(&mut bytes, out, &frame.payload, range.start, count);
-                out += count;
-            }
-        }
-        (bytes, nbits)
-    });
-    let mut level_data = Vec::with_capacity(levels);
-    let mut level_bits = Vec::with_capacity(levels);
-    for (bytes, nbits) in per_level {
-        level_data.push(bytes);
-        level_bits.push(nbits);
     }
     ProtectedStreams {
         level_data,
@@ -198,45 +187,28 @@ pub fn merge_streams(
     let levels = table.levels as usize;
     assert_eq!(streams.level_data.len(), levels, "level count mismatch");
     let _span = vapp_obs::span!("core.streams.merge", levels);
-    // Frames write disjoint payloads, so they merge in parallel once a
-    // cheap sequential prefix pass has fixed each frame's starting cursor
-    // into every level stream.
-    let mut cursors = vec![0u64; levels];
-    let mut frame_starts = Vec::with_capacity(table.frames.len());
-    for fp in &table.frames {
-        frame_starts.push(cursors.clone());
-        for (range, level) in fp.level_spans() {
-            cursors[(level as usize).min(levels - 1)] += range.end - range.start;
-        }
-    }
-    for (li, &used) in cursors.iter().enumerate() {
+    for (li, used) in table.level_bits().into_iter().enumerate() {
         assert_eq!(
             used, streams.level_bits[li],
             "stream {li} length mismatch on merge"
         );
     }
     let mut out = template.clone();
-    vapp_par::par_map(
-        out.frames
-            .iter_mut()
-            .zip(&table.frames)
-            .zip(frame_starts)
-            .collect(),
-        |_, ((frame, fp), mut cur)| {
-            for (range, level) in fp.level_spans() {
-                let li = (level as usize).min(levels - 1);
-                let count = range.end - range.start;
-                copy_bits(
-                    &mut frame.payload,
-                    range.start,
-                    &streams.level_data[li],
-                    cur[li],
-                    count,
-                );
-                cur[li] += count;
-            }
-        },
-    );
+    let mut cursors = vec![0u64; levels];
+    for (frame, fp) in out.frames.iter_mut().zip(&table.frames) {
+        for (range, level) in fp.level_spans() {
+            let li = (level as usize).min(levels - 1);
+            let count = range.end - range.start;
+            copy_bits(
+                &mut frame.payload,
+                range.start,
+                &streams.level_data[li],
+                cursors[li],
+                count,
+            );
+            cursors[li] += count;
+        }
+    }
     out
 }
 

@@ -10,8 +10,9 @@
 //! * [`video_ms_ssim`] — a multi-scale SSIM variant (dyadic downsampling,
 //!   standard five-scale weights),
 //! * [`video_vifp`] — pixel-domain Visual Information Fidelity,
-//! * [`QualityChange`] — the "quality change in dB" bookkeeping that
-//!   Figures 9–11 of the paper are expressed in.
+//! * [`prob_any_flip`] — the forced-flip scale factor behind the
+//!   "quality change in dB" that Figures 9–11 of the paper are
+//!   expressed in.
 //!
 //! # Example
 //!
@@ -32,6 +33,6 @@ mod ssim;
 mod vif;
 
 pub use psnr::{frame_psnr, video_psnr, video_psnr_per_frame, PSNR_CAP};
-pub use quality::{prob_any_flip, QualityChange};
+pub use quality::prob_any_flip;
 pub use ssim::{frame_ssim, video_ms_ssim, video_ssim};
 pub use vif::{frame_vifp, video_vifp};

@@ -1,11 +1,18 @@
 //! Deterministic data parallelism on `std::thread::scope`.
 //!
-//! Every hot loop in this workspace fans out through [`par_map`] /
-//! [`par_chunks`]: order-preserving, panic-propagating, and — because the
-//! units they run are seeded with sub-seeds derived *up front* — the
-//! results are a pure function of the inputs, byte-identical at any
-//! worker count. Parallelism here changes wall-clock only, never output;
-//! the tier-1 determinism tests lock that invariant in.
+//! [`par_map`] is the one primitive: order-preserving, panic-propagating,
+//! and — because the units it runs are seeded with sub-seeds derived
+//! *up front* — its results are a pure function of the inputs,
+//! byte-identical at any worker count. Parallelism here changes
+//! wall-clock only, never output; the tier-1 determinism tests lock that
+//! invariant in.
+//!
+//! # Where regions open
+//!
+//! At the unit of work — a clip, a Monte Carlo trial, a B-frame wave, an
+//! archive read's miss batch — never inside a stage: a region spawns its
+//! workers afresh, which costs more than a stage such as a stream split
+//! takes. DESIGN.md §8 lists the regions and their cost.
 //!
 //! # Worker count
 //!
@@ -39,11 +46,11 @@
 //! When a region actually fans out, each worker additionally records
 //! utilization counters — `par.worker.<w>.tasks` (units claimed),
 //! `par.worker.<w>.busy_ns` (time inside units) and
-//! `par.worker.<w>.idle_ns` (region wall minus busy) — consumed by
-//! `obs_report` and `scaling_check --obs`. These are wall-clock-derived
-//! and scheduling-dependent, so snapshot diffing treats the `par.`
-//! namespace as unstable; none are recorded on the inline (1-worker)
-//! path.
+//! `par.worker.<w>.idle_ns` (region wall minus busy) — read back by
+//! [`worker_utilization`] for `obs_report` and `scaling_check --obs`.
+//! These are wall-clock-derived and scheduling-dependent, so snapshot
+//! diffing treats the `par.` namespace as unstable; none are recorded on
+//! the inline (1-worker) path.
 //!
 //! # Nesting
 //!
@@ -223,23 +230,70 @@ where
         .collect()
 }
 
-/// Splits `data` into disjoint chunks of `chunk_size` (the last may be
-/// shorter) and maps `f` over them in parallel, returning per-chunk
-/// results in chunk order. `f` receives the chunk index and the chunk.
-///
-/// # Panics
-///
-/// Panics if `chunk_size` is zero.
-pub fn par_chunks<T, R, F>(data: &mut [T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, &mut [T]) -> R + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    par_map(data.chunks_mut(chunk_size).collect(), |i, chunk| {
-        f(i, chunk)
-    })
+/// One worker's utilization, read from the `par.worker.<w>.*` counters
+/// [`par_map`] records when a region fans out.
+#[derive(Debug, PartialEq)]
+pub struct WorkerUtil {
+    pub worker: usize,
+    pub tasks: u64,
+    pub busy_ns: u64,
+    pub idle_ns: u64,
+}
+
+impl WorkerUtil {
+    /// Busy share of the worker's region wall time (0 when it has none).
+    pub fn busy_fraction(&self) -> f64 {
+        let wall = self.busy_ns + self.idle_ns;
+        if wall == 0 {
+            0.0
+        } else {
+            self.busy_ns as f64 / wall as f64
+        }
+    }
+}
+
+/// Extracts per-worker utilization rows from a snapshot's counters,
+/// sorted by worker index (non-numeric worker ids are skipped).
+pub fn worker_utilization(snap: &vapp_obs::Snapshot) -> Vec<WorkerUtil> {
+    let mut out = Vec::new();
+    for (name, tasks) in &snap.counters {
+        let Some(rest) = name.strip_prefix("par.worker.") else {
+            continue;
+        };
+        let Some(w) = rest.strip_suffix(".tasks") else {
+            continue;
+        };
+        let Ok(worker) = w.parse::<usize>() else {
+            continue;
+        };
+        out.push(WorkerUtil {
+            worker,
+            tasks: *tasks,
+            busy_ns: snap.counter(&format!("par.worker.{worker}.busy_ns")),
+            idle_ns: snap.counter(&format!("par.worker.{worker}.idle_ns")),
+        });
+    }
+    out.sort_by_key(|u| u.worker);
+    out
+}
+
+/// Renders the utilization table, one line per worker (empty string when
+/// there are no rows, e.g. a single-threaded run).
+pub fn render_utilization(utils: &[WorkerUtil]) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for u in utils {
+        let _ = writeln!(
+            out,
+            "  worker {:>2}: {:>6} tasks, busy {:>6.1}% ({:.1} ms busy / {:.1} ms idle)",
+            u.worker,
+            u.tasks,
+            100.0 * u.busy_fraction(),
+            u.busy_ns as f64 / 1e6,
+            u.idle_ns as f64 / 1e6,
+        );
+    }
+    out
 }
 
 #[cfg(test)]
@@ -260,23 +314,6 @@ mod tests {
             });
             assert_eq!(got, expect, "threads {threads}");
         }
-    }
-
-    #[test]
-    fn par_chunks_sees_disjoint_chunks_in_order() {
-        let mut data: Vec<u32> = (0..100).collect();
-        let sums = with_threads(4, || {
-            par_chunks(&mut data, 7, |i, chunk| {
-                for v in chunk.iter_mut() {
-                    *v += 1;
-                }
-                (i, chunk.iter().map(|&v| u64::from(v)).sum::<u64>())
-            })
-        });
-        assert_eq!(sums.len(), 100usize.div_ceil(7));
-        assert!(sums.iter().enumerate().all(|(i, &(j, _))| i == j));
-        let expect: Vec<u32> = (1..101).collect();
-        assert_eq!(data, expect);
     }
 
     #[test]
@@ -413,5 +450,38 @@ mod tests {
             with_threads(8, || par_map(vec![9], |i, x| (i, x))),
             vec![(0, 9)]
         );
+    }
+
+    #[test]
+    fn worker_utilization_reads_counters_and_renders_fractions() {
+        let snap = vapp_obs::Snapshot {
+            counters: vec![
+                ("core.flips.injected".to_string(), 5),
+                ("par.worker.0.busy_ns".to_string(), 3_000_000),
+                ("par.worker.0.idle_ns".to_string(), 1_000_000),
+                ("par.worker.0.tasks".to_string(), 12),
+                ("par.worker.1.busy_ns".to_string(), 2_000_000),
+                ("par.worker.1.idle_ns".to_string(), 2_000_000),
+                ("par.worker.1.tasks".to_string(), 9),
+                ("par.worker.bogus.tasks".to_string(), 1),
+            ],
+            ..vapp_obs::Snapshot::default()
+        };
+        let utils = worker_utilization(&snap);
+        assert_eq!(utils.len(), 2, "non-numeric worker ids are skipped");
+        assert_eq!(utils[0].worker, 0);
+        assert_eq!(utils[0].tasks, 12);
+        assert!((utils[0].busy_fraction() - 0.75).abs() < 1e-12);
+        assert!((utils[1].busy_fraction() - 0.50).abs() < 1e-12);
+        let table = render_utilization(&utils);
+        assert!(table.contains("worker  0"), "{table}");
+        assert!(table.contains("75.0%"), "{table}");
+        assert!(table.contains("12 tasks"), "{table}");
+    }
+
+    #[test]
+    fn empty_snapshot_yields_no_utilization() {
+        assert!(worker_utilization(&vapp_obs::Snapshot::default()).is_empty());
+        assert_eq!(render_utilization(&[]), "");
     }
 }

@@ -32,9 +32,10 @@
 //! `corrupt_stream` MUST be a pure function of `(data, bits, t, exact,
 //! seed)` — independent of thread count, call order, and global state.
 //! The pipeline derives one sub-seed per protection level up front
-//! (`vapp_sim::derive_subseeds`) and fans levels out on `vapp-par`;
-//! any internal parallelism must likewise derive per-unit sub-seeds
-//! before fanning out. Implementations may *ignore* the seed when the
+//! (`vapp_sim::derive_subseeds`); an implementation that splits a
+//! stream into units (the exact MLC arm's 512-bit blocks) likewise
+//! derives one sub-seed per unit, so no unit's draws depend on another
+//! unit's. Implementations may *ignore* the seed when the
 //! channel is intrinsically deterministic (`DataInVideo`'s damage is a
 //! function of the carrier content alone), but must never draw from
 //! ambient randomness. Every RNG an implementation runs must be seeded
@@ -68,15 +69,6 @@ pub struct CorruptTally {
     pub corrected: u64,
     /// Blocks/codewords past the realization's correction radius.
     pub uncorrectable: u64,
-}
-
-impl CorruptTally {
-    fn absorb(&mut self, other: CorruptTally) {
-        self.flips += other.flips;
-        self.clean += other.clean;
-        self.corrected += other.corrected;
-        self.uncorrectable += other.uncorrectable;
-    }
 }
 
 /// An error substrate: the physical medium's density surface, its
@@ -231,10 +223,10 @@ fn corrupt_iid_bch(
         let block_seeds = derive_subseeds(seed, blocks);
         let used = (bits.div_ceil(8) as usize).min(data.len());
         let group_bytes = (DATA_BITS / 8) * batch::LANES;
-        let per_group = vapp_par::par_chunks(&mut data[..used], group_bytes, |g, chunk| {
+        let mut flip_free = 0u64;
+        for (g, chunk) in data[..used].chunks_mut(group_bytes).enumerate() {
             let base = g * batch::LANES;
             let group_blocks = (blocks - base).min(batch::LANES);
-            let mut st = CorruptTally::default();
             // Flip positions depend only on each block's sub-seed,
             // never its contents, so they draw first: blocks with no
             // flips (the common case at realistic BERs) round-trip
@@ -244,17 +236,14 @@ fn corrupt_iid_bch(
                 let mut rng = StdRng::seed_from_u64(block_seeds[base + lb]);
                 let flips = pick_positions(&[0..code.codeword_bits() as u64], raw_ber, &mut rng);
                 if flips.is_empty() {
-                    st.clean += 1;
+                    flip_free += 1;
                 } else {
-                    st.flips += flips.len() as u64;
+                    stats.flips += flips.len() as u64;
                     dirty.push((lb, flips));
                 }
             }
-            if st.clean > 0 {
-                vapp_obs::counter!("storage.bch.clean", st.clean);
-            }
             if dirty.is_empty() {
-                return st;
+                continue;
             }
             // One batch lane per dirty block, holding just its error
             // pattern; the batch decoder tallies the `storage.bch.*`
@@ -268,10 +257,10 @@ fn corrupt_iid_bch(
             let outcomes = code.decode_batch(&mut errs);
             for ((lb, flips), outcome) in dirty.iter().zip(&outcomes) {
                 match outcome {
-                    DecodeOutcome::Clean => st.clean += 1,
-                    DecodeOutcome::Corrected(_) => st.corrected += 1,
+                    DecodeOutcome::Clean => stats.clean += 1,
+                    DecodeOutcome::Corrected(_) => stats.corrected += 1,
                     DecodeOutcome::Uncorrectable => {
-                        st.uncorrectable += 1;
+                        stats.uncorrectable += 1;
                         // Deliver the damage as read: injected flips in
                         // the block's live data bits (MSB-first stream
                         // byte order); parity-region and padding flips
@@ -287,11 +276,11 @@ fn corrupt_iid_bch(
                     }
                 }
             }
-            st
-        });
-        for st in per_group {
-            stats.absorb(st);
         }
+        if flip_free > 0 {
+            vapp_obs::counter!("storage.bch.clean", flip_free);
+        }
+        stats.clean += flip_free;
     }
     stats
 }

@@ -169,32 +169,10 @@ fn render_report(run: &str, snap: &Snapshot, top: usize) -> String {
         out.push('\n');
         out.push_str(&vapp_obs::profile::render_self_table(&snap.profile, top));
     }
-    let workers: Vec<&(String, u64)> = snap
-        .counters
-        .iter()
-        .filter(|(n, _)| n.starts_with("par.worker.") && n.ends_with(".tasks"))
-        .collect();
+    let workers = vapp_par::worker_utilization(snap);
     if !workers.is_empty() {
         out.push_str("\nworker utilization:\n");
-        for (name, tasks) in workers {
-            let w = name
-                .trim_start_matches("par.worker.")
-                .trim_end_matches(".tasks");
-            let busy = snap.counter(&format!("par.worker.{w}.busy_ns"));
-            let idle = snap.counter(&format!("par.worker.{w}.idle_ns"));
-            let wall = busy + idle;
-            let frac = if wall == 0 {
-                0.0
-            } else {
-                100.0 * busy as f64 / wall as f64
-            };
-            let _ = writeln!(
-                out,
-                "  worker {w:>2}: {tasks:>6} tasks, busy {frac:>5.1}% ({:.1} ms busy / {:.1} ms idle)",
-                busy as f64 / 1e6,
-                idle as f64 / 1e6,
-            );
-        }
+        out.push_str(&vapp_par::render_utilization(&workers));
     }
     if !snap.histograms.is_empty() {
         out.push_str("\nhistograms (count, mean, p50/p95/p99, min..max):\n");
@@ -445,6 +423,22 @@ mod tests {
         assert!(report.contains("worker  0"), "{report}");
         assert!(report.contains("75.0%"), "{report}");
         assert!(report.contains("p95"), "{report}");
+    }
+
+    #[test]
+    fn report_lists_workers_in_numeric_order() {
+        let reg = Registry::new();
+        for w in [10u64, 2] {
+            reg.counter(&format!("par.worker.{w}.tasks")).add(w);
+            reg.counter(&format!("par.worker.{w}.busy_ns"))
+                .add(1_000_000);
+            reg.counter(&format!("par.worker.{w}.idle_ns"))
+                .add(1_000_000);
+        }
+        let report = render_report("unit", &reg.snapshot(), 10);
+        let two = report.find("worker  2:").expect("worker 2 listed");
+        let ten = report.find("worker 10:").expect("worker 10 listed");
+        assert!(two < ten, "workers out of numeric order:\n{report}");
     }
 
     #[test]

@@ -233,6 +233,39 @@ fn worker_utilization_reconciles_with_the_unit_count() {
 }
 
 #[test]
+fn store_load_stages_run_inline_at_any_worker_count() {
+    // Split, merge and the per-level corruption are stages of one unit of
+    // work (a trial, a clip, an archive read): they never open a parallel
+    // region of their own, so no worker counter appears even at 8 workers.
+    let (_video, result, table) = fixture();
+    let reg = Arc::new(Registry::new());
+    with_registry(reg.clone(), || {
+        vapp_par::with_threads(8, || {
+            let streams = videoapp::split_streams(&result.stream, &table);
+            let merged = videoapp::merge_streams(&result.stream, &table, &streams);
+            assert_eq!(merged, result.stream);
+            for exact_bch in [false, true] {
+                let store = ApproxStore::new(StoragePolicy {
+                    exact_bch,
+                    ..exact_policy()
+                });
+                let mut rng = StdRng::seed_from_u64(7);
+                let _ = store.store_load(&result.stream, &table, &mut rng);
+            }
+        })
+    });
+    let snap = reg.snapshot();
+    assert!(snap.counter("storage.bch.blocks") > 0, "both arms ran");
+    let workers: Vec<&String> = snap
+        .counters
+        .iter()
+        .map(|(n, _)| n)
+        .filter(|n| n.starts_with("par.worker."))
+        .collect();
+    assert!(workers.is_empty(), "stages fanned out: {workers:?}");
+}
+
+#[test]
 fn sketch_quantiles_track_exact_order_statistics_within_two_percent() {
     vapp_check::check("sketch_quantile_accuracy", 60, |rng| {
         let n = 50 + (rng.random::<u64>() % 2000) as usize;
