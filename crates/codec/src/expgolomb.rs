@@ -11,7 +11,14 @@ use crate::bitstream::{BitReader, BitWriter};
 const MAX_PREFIX: u32 = 32;
 
 /// Writes an unsigned Exp-Golomb code (`ue(v)`).
+///
+/// # Panics
+///
+/// Panics on `u32::MAX`: its 33-bit code has a 32-zero prefix, which
+/// [`read_ue`]'s corrupt-prefix clamp cuts short, so it would read back
+/// wrong. `u32::MAX - 1` is the largest value written.
 pub fn write_ue(w: &mut BitWriter, value: u32) {
+    assert!(value < u32::MAX, "ue(v) codes values up to u32::MAX - 1");
     let v = value as u64 + 1;
     let bits = 64 - v.leading_zeros();
     for _ in 0..bits - 1 {
@@ -72,6 +79,12 @@ mod tests {
         for &v in &values {
             assert_eq!(read_ue(&mut r), v);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ue(v) codes values up to u32::MAX - 1")]
+    fn ue_rejects_the_value_the_reader_clamps() {
+        write_ue(&mut BitWriter::new(), u32::MAX);
     }
 
     #[test]

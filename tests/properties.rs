@@ -31,8 +31,9 @@ fn bitstream_roundtrip() {
 #[test]
 fn expgolomb_roundtrip() {
     check("expgolomb_roundtrip", 64, |rng| {
-        // Every magnitude below `u32::MAX`, whose 32-zero prefix the
-        // decoder's corrupt-prefix clamp cuts short.
+        // Every magnitude up to `u32::MAX - 1`, the writer's maximum:
+        // `write_ue` rejects `u32::MAX`, whose 32-zero prefix the decoder's
+        // corrupt-prefix clamp cuts short.
         let values = gen::vec_of(rng, 0..200, |r| {
             (r.random::<u32>() >> r.random_range(0..32u32)).min(u32::MAX - 1)
         });
