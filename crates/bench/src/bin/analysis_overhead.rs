@@ -3,25 +3,14 @@
 //! dependency structures an order of magnitude smaller than the raw
 //! video.
 
-use vapp_bench::{prepare, print_header, print_row, ExpConfig};
+use vapp_bench::{prepare, table, ExpConfig};
 
 fn main() {
     let cfg = ExpConfig::from_env();
     println!("== §4.3.1: analysis time and space overhead ==\n");
     let prepared = prepare(&cfg, 24);
 
-    let widths = [16usize, 12, 12, 10, 14, 14];
-    print_header(
-        &[
-            "clip",
-            "encode s",
-            "analysis s",
-            "time %",
-            "graph bytes",
-            "raw bytes",
-        ],
-        &widths,
-    );
+    let mut rows = Vec::new();
     for p in &prepared {
         // Space: dependency records ≈ deps * 24B + spans * 16B per MB.
         let mut dep_edges = 0usize;
@@ -32,18 +21,15 @@ fn main() {
         }
         let graph_bytes = dep_edges * 24 + p.result.analysis.total_mbs() * 16;
         let raw_bytes = p.original.total_pixels();
-        print_row(
-            &[
-                p.name.to_string(),
-                format!("{:.3}", p.encode_seconds),
-                format!("{:.3}", p.analysis_seconds),
-                format!("{:.1}", 100.0 * p.analysis_seconds / p.encode_seconds),
-                format!("{graph_bytes}"),
-                format!("{raw_bytes}"),
-            ],
-            &widths,
-        );
+        let (enc, ana) = (p.encode_seconds, p.analysis_seconds);
+        let pct = 100.0 * ana / enc;
+        let name = p.name;
+        rows.push(format!(
+            "{name}|{enc:.3}|{ana:.3}|{pct:.1}|{graph_bytes}|{raw_bytes}"
+        ));
     }
+    let header = "clip|encode s|analysis s|time %|graph bytes|raw bytes";
+    print!("{}", table(&[16, 12, 12, 10, 14, 14], &[header], &rows));
     println!(
         "\n(paper §4.3.1: 2-3% time overhead; graph structures an order of \
          magnitude smaller than the raw video; per-GOP streaming evaluation \

@@ -4,19 +4,14 @@
 //! 0.4–0.6 dB and sizes the approximation budget at 0.3 dB so that
 //! approximation always wins.
 
-use vapp_bench::{prepare, print_header, print_row, ExpConfig};
+use vapp_bench::{prepare, table, ExpConfig};
 use vapp_metrics::video_psnr;
 
 fn main() {
     let cfg = ExpConfig::from_env();
     println!("== Compression baseline: dB lost per % of storage saved ==\n");
-    let widths = [10usize, 12, 14, 14];
-    print_header(
-        &["CRF step", "bits saved %", "PSNR loss dB", "dB per 10%"],
-        &widths,
-    );
-
     let base = prepare(&cfg, 24);
+    let mut rows = Vec::new();
     for &delta in &[1u8, 2, 3] {
         let tighter = prepare(&cfg, 24 + delta);
         let mut saved = 0.0;
@@ -32,16 +27,11 @@ fn main() {
         let n = base.len() as f64;
         let saved_pct = 100.0 * saved / n;
         let loss_db = loss / n;
-        print_row(
-            &[
-                format!("+{delta}"),
-                format!("{saved_pct:.1}"),
-                format!("{loss_db:.2}"),
-                format!("{:.2}", loss_db * 10.0 / saved_pct.max(0.1)),
-            ],
-            &widths,
-        );
+        let per_10 = loss_db * 10.0 / saved_pct.max(0.1);
+        rows.push(format!("+{delta}|{saved_pct:.1}|{loss_db:.2}|{per_10:.2}"));
     }
+    let header = "CRF step|bits saved %|PSNR loss dB|dB per 10%";
+    print!("{}", table(&[10, 12, 14, 14], &[header], &rows));
     println!(
         "\n(paper: 10-15% storage via compression costs 0.4-0.6 dB; hence the 0.3 dB \
          approximation budget guarantees approximation beats compression)"

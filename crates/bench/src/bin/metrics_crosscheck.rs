@@ -4,7 +4,7 @@
 //! experiment injects flips at increasing rates and shows all four
 //! metrics degrading monotonically, and in agreement.
 
-use vapp_bench::{prepare, print_header, print_row, ExpConfig};
+use vapp_bench::{prepare, table, ExpConfig};
 use vapp_codec::decode;
 use vapp_metrics::{video_ms_ssim, video_psnr, video_ssim, video_vifp};
 use vapp_rand::rngs::StdRng;
@@ -18,8 +18,7 @@ fn main() {
     let p = &prepared[0];
     let error_free = decode(&p.result.stream);
 
-    let widths = [10usize, 10, 10, 10, 10];
-    print_header(&["rate", "PSNR dB", "SSIM", "MS-SSIM", "VIF-P"], &widths);
+    let mut rows = Vec::new();
     let mut last = (f64::MAX, f64::MAX, f64::MAX, f64::MAX);
     let mut monotone = true;
     for &rate in &[0.0, 1e-6, 1e-5, 1e-4, 1e-3] {
@@ -37,21 +36,17 @@ fn main() {
             video_ms_ssim(&error_free, &decoded),
             video_vifp(&error_free, &decoded),
         );
-        print_row(
-            &[
-                format!("{rate:.0e}"),
-                format!("{:.2}", m.0),
-                format!("{:.4}", m.1),
-                format!("{:.4}", m.2),
-                format!("{:.4}", m.3),
-            ],
-            &widths,
-        );
+        let (psnr, ssim, ms_ssim, vifp) = m;
+        rows.push(format!(
+            "{rate:.0e}|{psnr:.2}|{ssim:.4}|{ms_ssim:.4}|{vifp:.4}"
+        ));
         if m.0 > last.0 + 0.5 || m.1 > last.1 + 0.01 || m.3 > last.3 + 0.02 {
             monotone = false;
         }
         last = m;
     }
+    let header = "rate|PSNR dB|SSIM|MS-SSIM|VIF-P";
+    print!("{}", table(&[10; 5], &[header], &rows));
     println!(
         "\nall four metrics degrade together: {}",
         if monotone {

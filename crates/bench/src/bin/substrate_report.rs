@@ -15,37 +15,17 @@
 //! i.i.d.?
 
 use std::sync::Arc;
-use vapp_bench::{print_header, print_row};
+use vapp_bench::{channels, table};
 use vapp_codec::{decode, Encoder, EncoderConfig};
 use vapp_metrics::video_psnr;
 use vapp_rand::rngs::StdRng;
 use vapp_rand::SeedableRng;
 use vapp_storage::array::CellArray;
 use vapp_storage::bits::BitBuf;
-use vapp_storage::channel::{
-    burst_erasure, data_in_video, mlc_pcm, BurstConfig, Substrate, VideoChannelConfig,
-};
+use vapp_storage::channel::Substrate;
 use vapp_storage::mlc::{MlcConfig, MlcSubstrate, DEFAULT_SCRUB_DAYS, TARGET_RAW_BER};
 use vapp_workloads::{ClipSpec, SceneKind};
 use videoapp::{ApproxStore, DependencyGraph, EcScheme, ImportanceMap, PivotTable, StoragePolicy};
-
-fn substrates_for(name: &str) -> Vec<(&'static str, Arc<dyn Substrate>)> {
-    let mlc: (&'static str, Arc<dyn Substrate>) = ("mlc", mlc_pcm(TARGET_RAW_BER));
-    let burst: (&'static str, Arc<dyn Substrate>) =
-        ("burst", burst_erasure(BurstConfig::default()));
-    let video: (&'static str, Arc<dyn Substrate>) =
-        ("video", data_in_video(VideoChannelConfig::default()));
-    match name {
-        "mlc" => vec![mlc],
-        "burst" => vec![burst],
-        "video" => vec![video],
-        "all" => vec![mlc, burst, video],
-        other => {
-            eprintln!("unknown substrate `{other}` (expected mlc, burst, video or all)");
-            std::process::exit(2);
-        }
-    }
-}
 
 /// The §6.2 MLC PCM deep-dive (calibration, drift, cell-array check).
 fn mlc_deep_dive() {
@@ -65,18 +45,13 @@ fn mlc_deep_dive() {
         ..Default::default()
     });
     println!("(a) raw BER over the scrub window:");
-    let widths = [10usize, 14, 14];
-    print_header(&["t (days)", "optimised", "naive"], &widths);
-    for t in [0.0f64, 10.0, 30.0, 60.0, 90.0, 180.0] {
-        print_row(
-            &[
-                format!("{t:.0}"),
-                format!("{:.2e}", tuned.raw_ber(t)),
-                format!("{:.2e}", naive.raw_ber(t)),
-            ],
-            &widths,
-        );
-    }
+    let rows: Vec<String> = [0.0f64, 10.0, 30.0, 60.0, 90.0, 180.0]
+        .map(|t| format!("{t:.0}|{:.2e}|{:.2e}", tuned.raw_ber(t), naive.raw_ber(t)))
+        .into();
+    print!(
+        "{}",
+        table(&[10, 14, 14], &["t (days)|optimised|naive"], &rows)
+    );
     println!(
         "(the optimised substrate equalises start-of-life and scrub-time error\n\
          rates; the naive one explodes as resistance drifts — Guo et al.'s\n\
@@ -120,11 +95,11 @@ fn mlc_deep_dive() {
 }
 
 /// Partitioned-vs-uniform EC overhead + worst quality change, rerun on
-/// one substrate. The ladder is the paper-shaped [None, BCH-6, BCH-10]
-/// assignment; uniform is precise strength-16 everywhere. Each
-/// substrate realizes the strengths with its own code, so the overhead
-/// columns are the channel's actual parity cost.
-fn headline_on(name: &str, substrate: Arc<dyn Substrate>, widths: &[usize]) {
+/// one substrate, as a table row. The ladder is the paper-shaped
+/// [None, BCH-6, BCH-10] assignment; uniform is precise strength-16
+/// everywhere. Each substrate realizes the strengths with its own code,
+/// so the overhead columns are the channel's actual parity cost.
+fn headline_on(name: &str, substrate: Arc<dyn Substrate>) -> String {
     let video = ClipSpec::new(96, 64, 8, SceneKind::MovingBlocks)
         .seed(23)
         .generate();
@@ -157,17 +132,12 @@ fn headline_on(name: &str, substrate: Arc<dyn Substrate>, widths: &[usize]) {
         worst = worst.min(video_psnr(&video, &decoded) - base_psnr);
     }
 
-    print_row(
-        &[
-            name.to_string(),
-            format!("{:.1e}", substrate.raw_ber()),
-            format!("{:.2}", report.precise_overhead * 100.0),
-            format!("{:.2}", report.avg_payload_overhead * 100.0),
-            format!("{:.0}%", report.ec_overhead_reduction() * 100.0),
-            format!("{worst:.2}"),
-        ],
-        widths,
+    let (ber, cut) = (substrate.raw_ber(), report.ec_overhead_reduction() * 100.0);
+    let (uniform, partitioned) = (
+        report.precise_overhead * 100.0,
+        report.avg_payload_overhead * 100.0,
     );
+    format!("{name}|{ber:.1e}|{uniform:.2}|{partitioned:.2}|{cut:.0}%|{worst:.2}")
 }
 
 fn main() {
@@ -185,6 +155,13 @@ fn main() {
         }
     }
     let selection = substrate_arg.unwrap_or_else(|| "mlc".to_string());
+    let picked: Vec<_> = (channels().into_iter())
+        .filter(|(name, _)| selection == "all" || *name == selection)
+        .collect();
+    if picked.is_empty() {
+        eprintln!("unknown substrate `{selection}` (expected mlc, burst, video or all)");
+        std::process::exit(2);
+    }
     if selection == "mlc" || selection == "all" {
         mlc_deep_dive();
     }
@@ -192,21 +169,11 @@ fn main() {
     println!("== partitioned vs uniform EC overhead, per error channel ==");
     println!("(ladder [None, BCH-6, BCH-10] over thresholds [4, 64] vs uniform t=16;");
     println!(" each substrate realizes strength t with its own code)\n");
-    let widths = [8usize, 10, 13, 13, 9, 11];
-    print_header(
-        &[
-            "channel",
-            "raw BER",
-            "uniform ov%",
-            "partit. ov%",
-            "EC cut",
-            "worst dPSNR",
-        ],
-        &widths,
-    );
-    for (name, substrate) in substrates_for(&selection) {
-        headline_on(name, substrate, &widths);
-    }
+    let rows: Vec<String> = (picked.into_iter())
+        .map(|(name, substrate)| headline_on(name, substrate))
+        .collect();
+    let header = "channel|raw BER|uniform ov%|partit. ov%|EC cut|worst dPSNR";
+    print!("{}", table(&[8, 10, 13, 13, 9, 11], &[header], &rows));
     println!();
     println!(
         "(uniform ov% is the substrate's precise strength-16 realization —\n\

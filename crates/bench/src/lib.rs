@@ -1,21 +1,25 @@
-//! Shared machinery for the experiment regenerators (one binary per paper
-//! figure/table — see `DESIGN.md` §5) and the [`harness`]-driven benches.
+//! Shared machinery for the paper's experiments ([`experiments`]: one
+//! `run` + `render` per figure or table, printed and checked by the
+//! `experiments` binary — see `DESIGN.md` §5), the other report binaries
+//! and the [`harness`]-driven benches.
 //!
-//! Every binary honours the `VAPP_SCALE` environment variable:
+//! Every experiment honours the `VAPP_SCALE` environment variable:
 //!
 //! * `small` (default) — minutes-scale runs: reduced resolution, frame
 //!   counts and trial counts. Shapes hold; absolute values are noisier.
 //! * `full`  — closer to the paper's methodology (more frames, 30 trials).
 
+pub mod experiments;
 pub mod harness;
 
+use std::sync::Arc;
 use std::time::Instant;
 use vapp_codec::{EncodeResult, Encoder, EncoderConfig};
 use vapp_media::Video;
-use vapp_sim::Trials;
+use vapp_storage::channel::{burst_erasure, data_in_video, mlc_pcm, Substrate};
+use vapp_storage::mlc::TARGET_RAW_BER;
 use vapp_workloads::{suite, NamedClip};
-use videoapp::pipeline::measure_loss_curve;
-use videoapp::{importance_classes, Assignment, DependencyGraph, ImportanceMap, LossCurve};
+use videoapp::{DependencyGraph, ImportanceMap};
 
 /// Experiment scale knobs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,6 +37,15 @@ pub struct ExpConfig {
 }
 
 impl ExpConfig {
+    /// The default scale, which EXPERIMENTS.md records.
+    pub const SMALL: ExpConfig = ExpConfig {
+        width: 112,
+        height: 64,
+        frames: 24,
+        trials: 5,
+        clips: 3,
+    };
+
     /// Reads the scale from `VAPP_SCALE` (`small` default, `full`).
     pub fn from_env() -> Self {
         match std::env::var("VAPP_SCALE").as_deref() {
@@ -43,13 +56,7 @@ impl ExpConfig {
                 trials: 30,
                 clips: 7,
             },
-            _ => ExpConfig {
-                width: 112,
-                height: 64,
-                frames: 24,
-                trials: 5,
-                clips: 3,
-            },
+            _ => Self::SMALL,
         }
     }
 
@@ -79,8 +86,6 @@ pub struct PreparedClip {
     pub original: Video,
     /// Encoder outputs.
     pub result: EncodeResult,
-    /// The dependency graph.
-    pub graph: DependencyGraph,
     /// Macroblock importances.
     pub importance: ImportanceMap,
     /// Encode wall time (for the §4.3.1 overhead claim).
@@ -106,14 +111,12 @@ pub fn prepare_with(cfg: &ExpConfig, enc_cfg: EncoderConfig) -> Vec<PreparedClip
         let result = encoder.encode(&clip.video);
         let encode_seconds = t0.elapsed().as_secs_f64();
         let t1 = Instant::now();
-        let graph = DependencyGraph::from_analysis(&result.analysis);
-        let importance = ImportanceMap::compute(&graph);
+        let importance = ImportanceMap::compute(&DependencyGraph::from_analysis(&result.analysis));
         let analysis_seconds = t1.elapsed().as_secs_f64();
         PreparedClip {
             name: clip.name,
             original: clip.video,
             result,
-            graph,
             importance,
             encode_seconds,
             analysis_seconds,
@@ -127,87 +130,38 @@ pub fn rate_sweep(from_exp: i32, to_exp: i32) -> Vec<f64> {
     (to_exp..=from_exp).map(|e| 10f64.powi(-e)).rev().collect()
 }
 
-/// Prints a fixed-width table row.
-pub fn print_row(cells: &[String], widths: &[usize]) {
-    let line: Vec<String> = cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = *w))
-        .collect();
-    println!("{}", line.join("  "));
+/// The pluggable error channels at their default settings: i.i.d. MLC PCM
+/// flips at raw BER 1e-3, bursty page erasure and the lossy video channel.
+pub fn channels() -> [(&'static str, Arc<dyn Substrate>); 3] {
+    [
+        ("mlc", mlc_pcm(TARGET_RAW_BER)),
+        ("burst", burst_erasure(Default::default())),
+        ("video", data_in_video(Default::default())),
+    ]
 }
 
-/// Prints a table header followed by a rule.
-pub fn print_header(cells: &[&str], widths: &[usize]) {
-    print_row(
-        &cells.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
-        widths,
-    );
-    let total: usize = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
-    println!("{}", "-".repeat(total));
-}
-
-/// Measures the cumulative loss curve of every importance class of one
-/// clip (the Fig. 10 machinery shared by Table 1 and Fig. 11).
-pub fn class_curves(p: &PreparedClip, rates: &[f64], trials: Trials) -> Vec<(u32, u64, LossCurve)> {
-    let classes = importance_classes(&p.result.analysis, &p.importance);
-    let mut out = Vec::with_capacity(classes.len());
-    for (i, c) in classes.iter().enumerate() {
-        let ranges: Vec<_> = classes[..=i]
-            .iter()
-            .flat_map(|cc| cc.ranges.iter().cloned())
+/// Renders a fixed-width text table. Each header line and row is a list of
+/// cells separated by `|`; cells are right-aligned to their column widths
+/// (the last width repeats for any further columns) and two spaces apart,
+/// and each header line is followed by a rule as wide as the first.
+pub fn table(widths: &[usize], headers: &[&str], rows: &[String]) -> String {
+    let width = |i: usize| widths[i.min(widths.len() - 1)];
+    let line = |cells: &str| {
+        let cells: Vec<String> = (cells.split('|').enumerate())
+            .map(|(i, c)| format!("{c:>w$}", w = width(i)))
             .collect();
-        let curve = measure_loss_curve(&p.result.stream, &p.original, &ranges, rates, trials);
-        out.push((c.exp, c.bits, curve));
+        cells.join("  ") + "\n"
+    };
+    let columns = headers[0].split('|').count();
+    let rule = "-".repeat((0..columns).map(|i| width(i) + 2).sum::<usize>() - 2) + "\n";
+    let mut out = String::new();
+    for header in headers {
+        out += &(line(header) + &rule);
+    }
+    for row in rows {
+        out += &line(row);
     }
     out
-}
-
-/// Pools per-clip class curves across the suite (bits summed per class
-/// exponent, worst loss per rate — the paper's conservative "across a wide
-/// range of videos" empirical relationship) and runs the §7.2 assignment.
-pub fn pooled_assignment(
-    prepared: &[PreparedClip],
-    rates: &[f64],
-    trials: Trials,
-    budget_db: f64,
-    raw_ber: f64,
-) -> Assignment {
-    use std::collections::BTreeMap;
-    let mut bits_by_exp: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut loss_by_exp: BTreeMap<u32, Vec<f64>> = BTreeMap::new();
-    // Per-clip curves are independent; the pooling fold below is ordered
-    // and stays sequential.
-    let per_clip = vapp_par::par_map(prepared.iter().collect(), |_, p| {
-        class_curves(p, rates, trials)
-    });
-    for clip_curves in per_clip {
-        for (exp, bits, curve) in clip_curves {
-            *bits_by_exp.entry(exp).or_insert(0) += bits;
-            let entry = loss_by_exp
-                .entry(exp)
-                .or_insert_with(|| vec![0.0; rates.len()]);
-            for (ri, &r) in rates.iter().enumerate() {
-                entry[ri] = entry[ri].min(curve.loss_at(r));
-            }
-        }
-    }
-    // Cumulative curves must be monotone in class: pool then re-cumulate
-    // (a higher class's cumulative loss includes all lower classes).
-    let exps: Vec<u32> = bits_by_exp.keys().copied().collect();
-    let mut pooled_curves = Vec::with_capacity(exps.len());
-    let mut running = vec![0.0f64; rates.len()];
-    for exp in &exps {
-        let l = &loss_by_exp[exp];
-        for (ri, &v) in l.iter().enumerate() {
-            running[ri] = running[ri].min(v);
-        }
-        pooled_curves.push(LossCurve::new(
-            rates.iter().copied().zip(running.iter().copied()).collect(),
-        ));
-    }
-    let classes: Vec<(u32, u64)> = exps.iter().map(|e| (*e, bits_by_exp[e])).collect();
-    Assignment::compute(&classes, &pooled_curves, budget_db, raw_ber)
 }
 
 #[cfg(test)]
@@ -221,6 +175,14 @@ mod tests {
         assert!((r[0] - 1e-10).abs() < 1e-22);
         assert!((r.last().unwrap() - 1e-2).abs() < 1e-12);
         assert!(r.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn table_rules_each_header_line_and_right_aligns_cells() {
+        let t = table(&[4, 3], &["a|bc", "|d"], &["1|22".to_string()]);
+        assert_eq!(t, "   a   bc\n---------\n        d\n---------\n   1   22\n");
+        let t = table(&[2, 3], &["x|a|b"], &["1|2|3".to_string()]);
+        assert_eq!(t, " x    a    b\n------------\n 1    2    3\n");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The encoder's parallel paths (frame padding, B-frame waves) must never
-//! change the coded stream: one worker or eight, the bytes are identical.
+//! The encoder's parallel path (B-frame waves) must never change the coded
+//! stream: one worker or eight, the bytes are identical.
 
 use vapp_codec::{Encoder, EncoderConfig, EntropyMode};
 use vapp_workloads::{ClipSpec, SceneKind};
