@@ -17,6 +17,7 @@ enum ExpError {
     UnknownExperiment(String),
     Usage(String),
     MissingBlock(&'static str),
+    /// `--check`: blocks that differ from the output or are missing.
     Stale(Vec<&'static str>),
     Io(std::io::Error),
 }
@@ -35,13 +36,11 @@ impl std::fmt::Display for ExpError {
 }
 
 fn main() -> ExitCode {
-    run().map_or_else(
-        |e| {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        },
-        |()| ExitCode::SUCCESS,
-    )
+    let Err(e) = run() else {
+        return ExitCode::SUCCESS;
+    };
+    eprintln!("error: {e}");
+    ExitCode::FAILURE
 }
 
 fn run() -> Result<(), ExpError> {
@@ -79,8 +78,10 @@ fn run() -> Result<(), ExpError> {
     let mut doc = std::fs::read_to_string(DOC).map_err(ExpError::Io)?;
     let mut stale = Vec::new();
     for (name, render) in &chosen {
-        if update_block(&mut doc, name, &render(&cfg))? {
-            stale.push(*name);
+        match update_block(&mut doc, name, &render(&cfg)) {
+            Ok(false) => {}
+            Err(e) if write => return Err(e),
+            _ => stale.push(*name),
         }
     }
     if write {
@@ -88,7 +89,8 @@ fn run() -> Result<(), ExpError> {
     } else if !stale.is_empty() {
         return Err(ExpError::Stale(stale));
     }
-    println!("{} EXPERIMENTS.md blocks current", chosen.len());
+    let state = if write { "written" } else { "current" };
+    println!("{} EXPERIMENTS.md blocks {state}", chosen.len());
     Ok(())
 }
 

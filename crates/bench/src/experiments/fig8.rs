@@ -16,7 +16,7 @@ const CODES: [usize; 7] = [6, 7, 8, 9, 10, 11, 16];
 /// protected block fails)`.
 pub type Strength = (usize, f64, f64);
 
-/// Each strength of [`CODES`] on i.i.d. MLC flips at raw BER 1e-3, which
+/// Each strength of `CODES` on i.i.d. MLC flips at raw BER 1e-3, which
 /// BCH protects, and strengths 6, 10 and 16 on every channel, with the
 /// channel's name and raw BER.
 pub struct Fig8Result {

@@ -7,7 +7,8 @@
 
 use super::worst_loss;
 use crate::{prepare_with, rate_sweep, table, ExpConfig};
-use vapp_codec::{EncoderConfig, EntropyMode, EntropyMode::*};
+use vapp_codec::EncoderConfig;
+use vapp_codec::EntropyMode::{self, Cabac, Cavlc};
 use videoapp::payload_layout;
 
 /// Payload bits per pixel (mean over the suite) and the worst
