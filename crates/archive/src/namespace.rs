@@ -109,6 +109,11 @@ impl Namespace {
         self.objects.get(&id)
     }
 
+    /// Looks up an object for update (compaction rewrites its extents).
+    pub fn get_mut(&mut self, id: ObjectId) -> Option<&mut ObjectMeta> {
+        self.objects.get_mut(&id)
+    }
+
     /// Inserts a new object; returns `false` (and changes nothing) if
     /// the id already exists.
     pub fn insert(&mut self, id: ObjectId, meta: ObjectMeta) -> bool {
@@ -127,11 +132,6 @@ impl Namespace {
     /// Iterates live objects in id order.
     pub fn iter(&self) -> impl Iterator<Item = (&ObjectId, &ObjectMeta)> {
         self.objects.iter()
-    }
-
-    /// Mutable iteration in id order (compaction rewrites extents).
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&ObjectId, &mut ObjectMeta)> {
-        self.objects.iter_mut()
     }
 }
 

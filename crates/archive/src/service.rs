@@ -233,7 +233,7 @@ impl ArchiveService {
         // Pass 1 (sequential): answer from cache, collect misses.
         enum Slot {
             Hit(CachedObject),
-            Miss(usize),
+            Miss,
         }
         let mut slots = Vec::with_capacity(ids.len());
         let mut misses = Vec::new();
@@ -246,22 +246,23 @@ impl ArchiveService {
                 slots.push(Slot::Hit(obj));
             } else {
                 vapp_obs::counter!("archive.cache.misses");
-                slots.push(Slot::Miss(misses.len()));
+                slots.push(Slot::Miss);
                 misses.push(id);
             }
         }
         // Pass 2 (parallel): decode the misses against the immutable
         // archive. par_map preserves order and propagates panics.
         let archive = &self.archive;
-        let decoded = vapp_par::par_map(misses.clone(), |_, id| {
+        let decoded = vapp_par::par_map(misses, |_, id| {
             let start = Instant::now();
             let r = archive.read(id);
             vapp_obs::histogram!("archive.op.read_miss.ns", elapsed_ns(start));
-            r
+            (id, r)
         });
         // Pass 3 (sequential): fill the cache in request order so
-        // evictions are deterministic, then emit completions.
-        for (id, result) in misses.iter().zip(decoded.iter()) {
+        // evictions are deterministic, then emit completions. The cache
+        // gets the one copy; the decoded bytes move into the completion.
+        for (id, result) in &decoded {
             if let Some(r) = result {
                 let evicted = self.cache.insert(
                     *id,
@@ -273,6 +274,7 @@ impl ArchiveService {
                 vapp_obs::counter!("archive.cache.evictions", evicted);
             }
         }
+        let mut decoded = decoded.into_iter().map(|(_, r)| r);
         for (&id, slot) in ids.iter().zip(slots) {
             let completion = match slot {
                 Slot::Hit(obj) => Completion::ReadDone {
@@ -281,14 +283,14 @@ impl ArchiveService {
                     cache_hit: true,
                     degraded: obj.degraded,
                 },
-                Slot::Miss(k) => match &decoded[k] {
+                Slot::Miss => match decoded.next().expect("one decode per miss") {
                     Some(r) => {
                         if r.degraded {
                             vapp_obs::counter!("archive.read.degraded");
                         }
                         Completion::ReadDone {
                             id,
-                            bytes: Some(r.bytes.clone()),
+                            bytes: Some(r.bytes),
                             cache_hit: false,
                             degraded: r.degraded,
                         }

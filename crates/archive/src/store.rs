@@ -291,12 +291,7 @@ impl Archive {
         for (id, k, buf) in staged {
             let blocks = (buf.len().div_ceil(BLOCK_BYTES)) as u64;
             self.banks[bank].write(cursor, &buf);
-            let meta = self
-                .namespace
-                .iter_mut()
-                .find(|(&oid, _)| oid == id)
-                .map(|(_, m)| m)
-                .expect("staged object is live");
+            let meta = self.namespace.get_mut(id).expect("staged object is live");
             let stream = &mut meta.streams[k];
             if !(stream.extents.len() == 1 && stream.extents[0].start == cursor) {
                 moved += blocks;

@@ -1,6 +1,7 @@
 //! Container bytes are untrusted: a frame count the buffer cannot back must
 //! fail with a typed error before anything is sized from it. A tracking
-//! global allocator records the largest single request made while parsing.
+//! global allocator records the largest single request the measuring
+//! thread makes while parsing; other test threads are not counted.
 //! Header values the decoder cannot build a video from (no frames, a zero
 //! frame rate) fail with typed errors too, instead of panicking in
 //! `decode`.
@@ -10,6 +11,7 @@
 #![allow(unsafe_code)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use vapp_codec::syntax::ParseHeaderError;
 use vapp_codec::{
@@ -17,14 +19,23 @@ use vapp_codec::{
     StreamHeader,
 };
 
-/// The system allocator, remembering the largest request it has seen.
+/// The system allocator, remembering the largest request made by a
+/// thread that has set `MEASURING`.
 struct LargestRequest;
 
 static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
+thread_local! {
+    // `const`-initialised and drop-free, so reading it from inside the
+    // allocator never allocates or registers a destructor.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+}
+
 unsafe impl GlobalAlloc for LargestRequest {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        if MEASURING.try_with(Cell::get).unwrap_or(false) {
+            LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        }
         // SAFETY: forwards the caller's layout contract unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -63,7 +74,9 @@ fn huge_frame_count_over_twelve_bytes_fails_without_sizing_from_it() {
     bytes.extend_from_slice(&[0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 9]);
 
     LARGEST.store(0, Ordering::Relaxed);
+    MEASURING.with(|m| m.set(true));
     let parsed = EncodedVideo::from_bytes(&bytes);
+    MEASURING.with(|m| m.set(false));
     let largest = LARGEST.load(Ordering::Relaxed);
     assert!(
         parsed.is_err(),

@@ -191,7 +191,7 @@ impl ApproxStore {
             reg.counter(&names.flips).add(st.flips);
             reg.counter(&names.corrected).add(st.corrected);
             reg.counter(&names.uncorrectable).add(st.uncorrectable);
-            reg.counter("core.flips.injected").add(st.flips);
+            vapp_obs::counter!("core.flips.injected", st.flips);
         }
         merge_streams(stream, table, &streams)
     }

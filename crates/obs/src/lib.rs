@@ -18,9 +18,13 @@
 //!   registry of named monotonic counters and histograms backed by a
 //!   mergeable log-bucketed quantile sketch ([`sketch`], ~1% relative
 //!   error, constant memory) that answers p50/p90/p95/p99/p999. Values
-//!   are atomics; the name → handle maps are the only locks and handles
-//!   can be hoisted out of hot loops via [`Registry::counter`] /
-//!   [`Registry::histogram`].
+//!   are atomics. The macros take literal names only and cache their
+//!   handle per call site, per thread and per registry, so a warm call
+//!   is a thread-local id check plus the atomic adds; the name → handle
+//!   map lock is taken only on a miss (first call, another
+//!   [`registry::with_registry`] scope, a new worker thread). Computed
+//!   names go through [`Registry::counter`] / [`Registry::histogram`],
+//!   one locked lookup each.
 //! * **Events** — [`event!`] and the leveled shorthands ([`error!`],
 //!   [`warn!`], [`info!`], [`debug!`], [`trace!`]) replace ad-hoc
 //!   `eprintln!` diagnostics. They format and print *only* when enabled
@@ -127,31 +131,54 @@ macro_rules! span {
 
 /// Increments a named monotonic counter (by 1, or by an explicit amount).
 ///
+/// The name must be a string literal: each expansion caches its handle
+/// per thread and per registry ([`registry::CachedHandle`]), so a warm
+/// call does no lock and no map lookup, and one cached handle must never
+/// stand for several names.
+///
 /// ```
 /// vapp_obs::counter!("storage.bch.uncorrectable");
 /// vapp_obs::counter!("core.flips.injected", 17u64);
 /// ```
+///
+/// A computed name goes through [`Registry::counter`] instead:
+///
+/// ```compile_fail
+/// let level = 2;
+/// vapp_obs::counter!(&format!("core.level.{level}.flips"), 1u64);
+/// ```
 #[macro_export]
 macro_rules! counter {
-    ($name:expr) => {
-        $crate::registry::current().counter($name).add(1)
+    ($name:literal) => {
+        $crate::counter!($name, 1u64)
     };
-    ($name:expr, $amount:expr) => {
-        $crate::registry::current().counter($name).add($amount)
-    };
+    ($name:literal, $amount:expr) => {{
+        let amount: u64 = $amount;
+        ::std::thread_local! {
+            static SITE: $crate::registry::CachedHandle<$crate::registry::Counter> =
+                const { $crate::registry::CachedHandle::new() };
+        }
+        $crate::registry::add_cached(&SITE, $name, amount)
+    }};
 }
 
 /// Records a value into a named histogram (log-bucketed quantile
-/// sketch; see [`sketch`]).
+/// sketch; see [`sketch`]). The name must be a string literal; the
+/// handle is cached per call site like [`counter!`]'s.
 ///
 /// ```
 /// vapp_obs::histogram!("sim.flips.per_draw", 12u64);
 /// ```
 #[macro_export]
 macro_rules! histogram {
-    ($name:expr, $value:expr) => {
-        $crate::registry::current().histogram($name).record($value)
-    };
+    ($name:literal, $value:expr) => {{
+        let value: u64 = $value;
+        ::std::thread_local! {
+            static SITE: $crate::registry::CachedHandle<$crate::registry::Histogram> =
+                const { $crate::registry::CachedHandle::new() };
+        }
+        $crate::registry::record_cached(&SITE, $name, value)
+    }};
 }
 
 /// Emits a leveled event to the stderr sink. No formatting happens when

@@ -2,11 +2,16 @@
 //! profile and the span timeline.
 //!
 //! Values are plain atomics — recording never blocks on other recorders.
-//! The only locks are the name → handle maps (taken once per lookup;
-//! hot loops should hoist the [`Counter`] / [`Histogram`] handle out of
-//! the loop, see [`Registry::counter`]) and the one span lock over the
+//! The locks are the name → handle maps and the one span lock over the
 //! profile and the timeline (taken once per *span close*, which is
-//! coarse by design).
+//! coarse by design). The [`crate::counter!`] and [`crate::histogram!`]
+//! macros take the map lock only on a cache miss: each call site keeps a
+//! per-thread [`CachedHandle`] tagged with the id of the registry it came
+//! from, and a warm call compares that id with this thread's current one
+//! and then does plain atomic adds. Ids are never reused, so a handle of
+//! a dropped or inactive registry is never used for another. Dynamic names (per-level, per-worker counters) go through
+//! [`Registry::counter`] / [`Registry::histogram`], one locked lookup
+//! each; hoist such handles out of loops.
 //!
 //! Lock poisoning is survivable by construction: a worker thread that
 //! panics while a span guard is live drops that span during unwinding,
@@ -21,10 +26,11 @@
 //! can observe their own isolated metrics while the rest of the process
 //! keeps using the global one.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::thread::LocalKey;
 use std::time::Instant;
 
 use crate::profile::ProfileEntry;
@@ -88,8 +94,15 @@ impl Histogram {
         self.buckets[sketch::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        // `min` only falls and `max` only rises, so a value that cannot
+        // move the loaded bound cannot move the live one either: skip
+        // the locked read-modify-write.
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// The recorded distribution as a mergeable [`Sketch`].
@@ -191,6 +204,8 @@ struct Spans {
 /// and the span timeline.
 #[derive(Debug)]
 pub struct Registry {
+    /// Unique in the process and never reused: tags cached handles.
+    id: u64,
     epoch: Instant,
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
@@ -206,7 +221,12 @@ impl Default for Registry {
 impl Registry {
     /// Creates an empty registry; its epoch (timeline zero) is now.
     pub fn new() -> Self {
+        Self::with_id(NEXT_ID.fetch_add(1, Ordering::Relaxed))
+    }
+
+    fn with_id(id: u64) -> Self {
         Registry {
+            id,
             epoch: Instant::now(),
             counters: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
@@ -285,13 +305,20 @@ impl Registry {
 
 static GLOBAL: OnceLock<Arc<Registry>> = OnceLock::new();
 
+/// The global registry's id; [`Registry::new`] hands out the ones above.
+const GLOBAL_ID: u64 = 0;
+static NEXT_ID: AtomicU64 = AtomicU64::new(GLOBAL_ID + 1);
+
 thread_local! {
     static SCOPED: RefCell<Vec<Arc<Registry>>> = const { RefCell::new(Vec::new()) };
+    /// The id of `current()`, kept in step with `SCOPED` so a warm
+    /// cached call reads one `Cell` instead of cloning the `Arc`.
+    static CURRENT_ID: Cell<u64> = const { Cell::new(GLOBAL_ID) };
 }
 
 /// The process-global registry (created on first use).
 pub fn global() -> Arc<Registry> {
-    Arc::clone(GLOBAL.get_or_init(|| Arc::new(Registry::new())))
+    Arc::clone(GLOBAL.get_or_init(|| Arc::new(Registry::with_id(GLOBAL_ID))))
 }
 
 /// The registry recording calls on this thread: the innermost
@@ -299,8 +326,15 @@ pub fn global() -> Arc<Registry> {
 /// otherwise.
 pub fn current() -> Arc<Registry> {
     SCOPED
-        .with(|stack| stack.borrow().last().cloned())
+        .try_with(|stack| stack.borrow().last().cloned())
+        .ok()
+        .flatten()
         .unwrap_or_else(global)
+}
+
+/// The id of [`current`], without touching the registry.
+fn current_id() -> u64 {
+    CURRENT_ID.try_with(Cell::get).unwrap_or(GLOBAL_ID)
 }
 
 /// Runs `f` with `reg` installed as this thread's current registry.
@@ -308,17 +342,97 @@ pub fn current() -> Arc<Registry> {
 /// panic (so a failing test case's metrics stay inspectable by the
 /// caller that catches the panic).
 pub fn with_registry<T>(reg: Arc<Registry>, f: impl FnOnce() -> T) -> T {
-    struct PopGuard;
+    struct PopGuard(u64);
     impl Drop for PopGuard {
         fn drop(&mut self) {
             SCOPED.with(|stack| {
                 stack.borrow_mut().pop();
             });
+            CURRENT_ID.with(|id| id.set(self.0));
         }
     }
+    let outer = CURRENT_ID.with(|id| id.replace(reg.id));
     SCOPED.with(|stack| stack.borrow_mut().push(reg));
-    let _guard = PopGuard;
+    let _guard = PopGuard(outer);
     f()
+}
+
+/// One call site's handle for this thread, tagged with the id of the
+/// registry it was looked up in. [`crate::counter!`] and
+/// [`crate::histogram!`] declare one `thread_local!` slot per expansion;
+/// a call whose current registry id matches the tag uses the handle
+/// through a borrow, with no lock, map lookup or `Arc` clone. Any other
+/// call (the first one, another scope, a fresh `par_map` worker) looks
+/// the name up in [`current`] and re-tags the slot.
+#[derive(Debug)]
+pub struct CachedHandle<T> {
+    slot: RefCell<Option<(u64, Arc<T>)>>,
+}
+
+impl<T> CachedHandle<T> {
+    /// An empty slot; the first use fills it.
+    pub const fn new() -> Self {
+        CachedHandle {
+            slot: RefCell::new(None),
+        }
+    }
+
+    /// Runs `use_handle` on the handle for the current registry,
+    /// fetching it with `lookup` when the slot is empty or tagged with
+    /// another registry.
+    #[inline]
+    fn with(&self, lookup: impl FnOnce(&Registry) -> Arc<T>, use_handle: impl FnOnce(&T)) {
+        let id = current_id();
+        let mut slot = self.slot.borrow_mut();
+        match &*slot {
+            Some((tag, handle)) if *tag == id => use_handle(handle),
+            _ => {
+                let handle = lookup(&current());
+                use_handle(&handle);
+                *slot = Some((id, handle));
+            }
+        }
+    }
+}
+
+impl<T> Default for CachedHandle<T> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// [`crate::counter!`]'s body: adds `n` through the call site's cached
+/// handle. At thread teardown, once the slot is gone, it falls back to an
+/// uncached lookup.
+#[doc(hidden)]
+#[inline]
+pub fn add_cached(site: &'static LocalKey<CachedHandle<Counter>>, name: &'static str, n: u64) {
+    let lookup = |reg: &Registry| reg.counter(name);
+    if site
+        .try_with(|cached| cached.with(lookup, |c| c.add(n)))
+        .is_err()
+    {
+        current().counter(name).add(n);
+    }
+}
+
+/// [`crate::histogram!`]'s body: records `value` through the call
+/// site's cached handle, with the same teardown fallback as
+/// [`add_cached`].
+#[doc(hidden)]
+#[inline]
+pub fn record_cached(
+    site: &'static LocalKey<CachedHandle<Histogram>>,
+    name: &'static str,
+    value: u64,
+) {
+    let lookup = |reg: &Registry| reg.histogram(name);
+    if site
+        .try_with(|cached| cached.with(lookup, |h| h.record(value)))
+        .is_err()
+    {
+        current().histogram(name).record(value);
+    }
 }
 
 #[cfg(test)]

@@ -573,7 +573,9 @@ mod tests {
         let reg = Arc::new(Registry::new());
         with_registry(reg.clone(), || {
             for i in 0..50 {
-                crate::counter!(&format!("many.counter.{i:02}"), 1u64);
+                crate::current()
+                    .counter(&format!("many.counter.{i:02}"))
+                    .add(1);
             }
         });
         let text = reg.snapshot().render_text(10);

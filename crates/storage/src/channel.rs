@@ -200,12 +200,10 @@ fn corrupt_iid_bch(
         stats.corrected =
             ((blocks as f64 * p_corr).round() as u64).min(blocks - stats.uncorrectable);
         stats.clean = blocks - stats.uncorrectable - stats.corrected;
-        let reg = vapp_obs::current();
-        reg.counter("storage.bch.blocks").add(blocks);
-        reg.counter("storage.bch.clean").add(stats.clean);
-        reg.counter("storage.bch.corrected").add(stats.corrected);
-        reg.counter("storage.bch.uncorrectable")
-            .add(stats.uncorrectable);
+        vapp_obs::counter!("storage.bch.blocks", blocks);
+        vapp_obs::counter!("storage.bch.clean", stats.clean);
+        vapp_obs::counter!("storage.bch.corrected", stats.corrected);
+        vapp_obs::counter!("storage.bch.uncorrectable", stats.uncorrectable);
     } else {
         // Exact model, bitsliced: sub-seeds stay per 512-bit block, but
         // blocks decode in 64-lane batches on the batch engine, fed the
@@ -447,12 +445,9 @@ impl RsStream {
                 }
             }
         }
-        let reg = vapp_obs::current();
-        reg.counter("storage.substrate.rs.clean").add(tally.clean);
-        reg.counter("storage.substrate.rs.corrected")
-            .add(tally.corrected);
-        reg.counter("storage.substrate.rs.uncorrectable")
-            .add(tally.uncorrectable);
+        vapp_obs::counter!("storage.substrate.rs.clean", tally.clean);
+        vapp_obs::counter!("storage.substrate.rs.corrected", tally.corrected);
+        vapp_obs::counter!("storage.substrate.rs.uncorrectable", tally.uncorrectable);
         tally
     }
 }
