@@ -158,7 +158,12 @@ macro_rules! counter {
             static SITE: $crate::registry::CachedHandle<$crate::registry::Counter> =
                 const { $crate::registry::CachedHandle::new() };
         }
-        $crate::registry::add_cached(&SITE, $name, amount)
+        $crate::registry::record_cached(
+            &SITE,
+            $name,
+            $crate::registry::Registry::counter,
+            |c: &$crate::registry::Counter| c.add(amount),
+        )
     }};
 }
 
@@ -177,7 +182,12 @@ macro_rules! histogram {
             static SITE: $crate::registry::CachedHandle<$crate::registry::Histogram> =
                 const { $crate::registry::CachedHandle::new() };
         }
-        $crate::registry::record_cached(&SITE, $name, value)
+        $crate::registry::record_cached(
+            &SITE,
+            $name,
+            $crate::registry::Registry::histogram,
+            |h: &$crate::registry::Histogram| h.record(value),
+        )
     }};
 }
 

@@ -376,23 +376,6 @@ impl<T> CachedHandle<T> {
             slot: RefCell::new(None),
         }
     }
-
-    /// Runs `use_handle` on the handle for the current registry,
-    /// fetching it with `lookup` when the slot is empty or tagged with
-    /// another registry.
-    #[inline]
-    fn with(&self, lookup: impl FnOnce(&Registry) -> Arc<T>, use_handle: impl FnOnce(&T)) {
-        let id = current_id();
-        let mut slot = self.slot.borrow_mut();
-        match &*slot {
-            Some((tag, handle)) if *tag == id => use_handle(handle),
-            _ => {
-                let handle = lookup(&current());
-                use_handle(&handle);
-                *slot = Some((id, handle));
-            }
-        }
-    }
 }
 
 impl<T> Default for CachedHandle<T> {
@@ -401,37 +384,33 @@ impl<T> Default for CachedHandle<T> {
     }
 }
 
-/// [`crate::counter!`]'s body: adds `n` through the call site's cached
-/// handle. At thread teardown, once the slot is gone, it falls back to an
-/// uncached lookup.
+/// The body of [`crate::counter!`] and [`crate::histogram!`]: runs
+/// `record` on the call site's handle for the current registry, fetching
+/// it with `lookup` (`Registry::counter` or `Registry::histogram`) when
+/// the slot is empty or tagged with another registry. At thread
+/// teardown, once the slot is gone, it falls back to an uncached lookup.
 #[doc(hidden)]
 #[inline]
-pub fn add_cached(site: &'static LocalKey<CachedHandle<Counter>>, name: &'static str, n: u64) {
-    let lookup = |reg: &Registry| reg.counter(name);
-    if site
-        .try_with(|cached| cached.with(lookup, |c| c.add(n)))
-        .is_err()
-    {
-        current().counter(name).add(n);
-    }
-}
-
-/// [`crate::histogram!`]'s body: records `value` through the call
-/// site's cached handle, with the same teardown fallback as
-/// [`add_cached`].
-#[doc(hidden)]
-#[inline]
-pub fn record_cached(
-    site: &'static LocalKey<CachedHandle<Histogram>>,
+pub fn record_cached<T>(
+    site: &'static LocalKey<CachedHandle<T>>,
     name: &'static str,
-    value: u64,
+    lookup: fn(&Registry, &str) -> Arc<T>,
+    record: impl Fn(&T),
 ) {
-    let lookup = |reg: &Registry| reg.histogram(name);
-    if site
-        .try_with(|cached| cached.with(lookup, |h| h.record(value)))
-        .is_err()
-    {
-        current().histogram(name).record(value);
+    let cached = site.try_with(|site| {
+        let id = current_id();
+        let mut slot = site.slot.borrow_mut();
+        match &*slot {
+            Some((tag, handle)) if *tag == id => record(handle),
+            _ => {
+                let handle = lookup(&current(), name);
+                record(&handle);
+                *slot = Some((id, handle));
+            }
+        }
+    });
+    if cached.is_err() {
+        record(&lookup(&current(), name));
     }
 }
 
