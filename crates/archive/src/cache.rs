@@ -1,7 +1,7 @@
 //! A bounded hot-object cache of *corrected* bytes.
 //!
-//! The archive's read path is expensive (substrate damage + batch-BCH
-//! decode per stream), so the service keeps the most-recently-served
+//! The archive's read path is expensive (substrate damage drawn and
+//! decoded per stream), so the service keeps the most-recently-served
 //! objects' corrected payloads in memory. Eviction is LRU by a logical
 //! access tick — no wall clocks anywhere — so the cache's contents, and
 //! therefore the hit/miss counters, are a pure function of the access

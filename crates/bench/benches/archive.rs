@@ -34,8 +34,10 @@ fn bench_archive(c: &mut Criterion) {
         });
     });
 
-    // The miss path alone: substrate damage + batch-BCH decode of a
-    // three-tier object mix, no queue/cache machinery.
+    // The miss path alone: substrate damage of a three-tier object mix,
+    // no queue/cache machinery. Most blocks draw no flips or at most t,
+    // which the BCH radius settles without decoding; only the rest reach
+    // the batch decoder.
     let mut archive = Archive::new(2, 8192, mlc_pcm(1e-3), TenantPolicy::default_tiers(), 5);
     for id in 0..24u64 {
         archive

@@ -22,7 +22,6 @@
 //! assert!(flips.iter().all(|&p| p < 10_000));
 //! ```
 
-use std::collections::BTreeSet;
 use std::ops::Range;
 use vapp_rand::rngs::StdRng;
 use vapp_rand::{RngCore, RngExt, SeedableRng, SplitMix64};
@@ -112,16 +111,23 @@ pub fn pick_positions(ranges: &[Range<u64>], rate: f64, rng: &mut StdRng) -> Vec
     pick_k_positions(ranges, k, rng)
 }
 
-/// Picks exactly `k` distinct positions uniformly inside `ranges`.
+/// Picks exactly `k` distinct positions uniformly inside `ranges`
+/// (sorted): the distinct values of the shortest prefix of the draw
+/// sequence that holds `k` of them.
 pub fn pick_k_positions(ranges: &[Range<u64>], k: u64, rng: &mut StdRng) -> Vec<u64> {
     let n = total_bits(ranges);
-    let k = k.min(n);
-    let mut chosen = BTreeSet::new();
-    while (chosen.len() as u64) < k {
-        let idx = rng.random_range(0..n);
-        chosen.insert(index_to_position(ranges, idx));
+    let k = k.min(n) as usize;
+    let mut chosen = Vec::with_capacity(k);
+    while chosen.len() < k {
+        // Each draw adds at most one new position, so drawing exactly
+        // the shortfall never reads past that prefix.
+        for _ in chosen.len()..k {
+            chosen.push(index_to_position(ranges, rng.random_range(0..n)));
+        }
+        chosen.sort_unstable();
+        chosen.dedup();
     }
-    chosen.into_iter().collect()
+    chosen
 }
 
 /// Result of a forced-flip draw (paper §6.4's very-low-rate protocol).
@@ -263,6 +269,32 @@ mod tests {
         let pos = pick_k_positions(&[0..50], 50, &mut rng);
         assert_eq!(pos.len(), 50);
         assert!(pos.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn k_positions_match_one_draw_at_a_time_insertion() {
+        // The reference: insert draws one at a time until k are distinct.
+        // Same positions, and the RNG left at the same point.
+        for (n, k) in [
+            (1u64, 1u64),
+            (50, 50),
+            (612, 3),
+            (612, 17),
+            (10_000, 400),
+            (64, 40),
+        ] {
+            for seed in 0..8u64 {
+                let mut a = StdRng::seed_from_u64(seed);
+                let mut b = StdRng::seed_from_u64(seed);
+                let got = pick_k_positions(&[5..5 + n], k, &mut a);
+                let mut want = std::collections::BTreeSet::new();
+                while (want.len() as u64) < k {
+                    want.insert(5 + b.random_range(0..n));
+                }
+                assert_eq!(got, want.into_iter().collect::<Vec<_>>(), "n={n} k={k}");
+                assert_eq!(a.random::<u64>(), b.random::<u64>(), "n={n} k={k}");
+            }
+        }
     }
 
     #[test]

@@ -82,9 +82,10 @@ impl Bank {
 
     /// Runs the bank's error channel over a read-back buffer: `bits`
     /// live payload bits protected at strength `t`, damage drawn from
-    /// `seed`. Always takes the exact block machinery (the batch-BCH
-    /// engine on i.i.d. substrates), never the analytic shortcut — a
-    /// bank read returns real decoded bytes, not a statistical model.
+    /// `seed`. Always takes the exact block machinery (per-block flip
+    /// draws on i.i.d. substrates, batch-BCH decoding for the blocks past
+    /// the code's radius), never the analytic shortcut — a bank read
+    /// returns real decoded bytes, not a statistical model.
     pub fn decode_read(&self, data: &mut [u8], bits: u64, t: usize, seed: u64) -> CorruptTally {
         self.substrate.corrupt_stream(data, bits, t, true, seed)
     }

@@ -106,6 +106,16 @@ impl BlockBatch {
         (self.planes[bit] >> lane) & 1 == 1
     }
 
+    /// Codeword bit `bit` of every lane at once: bit `b` is lane `b`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit` is out of range.
+    #[inline]
+    pub fn plane(&self, bit: usize) -> u64 {
+        self.planes[bit]
+    }
+
     /// Transposes the planes back into per-lane codewords, overwriting
     /// `cws` (which must have one entry per active lane).
     ///
@@ -490,6 +500,50 @@ mod tests {
                     })
                     .collect();
                 assert_sparse_matches_shifted(t, &patterns, rng.random());
+            });
+        }
+    }
+
+    /// The BCH bound the exact store path relies on to skip decoding:
+    /// any pattern of weight 1 ≤ w ≤ t is `Corrected(w)` and decodes to
+    /// zero, through the batch engine and through the scalar oracle.
+    #[test]
+    fn patterns_within_the_radius_decode_to_zero() {
+        for t in [1usize, 2, 3, 6, 10, 16] {
+            let code = Bch::cached(t);
+            let oracle = ScalarBch::new(t);
+            let n = code.codeword_bits();
+            vapp_check::check(&format!("within_radius_t{t}"), 6, |rng| {
+                let lanes = rng.random_range(1..=LANES);
+                let patterns: Vec<Vec<usize>> = (0..lanes)
+                    .map(|_| {
+                        let w = rng.random_range(1..=t);
+                        vapp_check::gen::distinct(rng, 0..n, w)
+                            .into_iter()
+                            .collect()
+                    })
+                    .collect();
+                let mut batch = BlockBatch::zeroed(code, lanes);
+                for (lane, flips) in patterns.iter().enumerate() {
+                    for &f in flips {
+                        batch.flip(lane, f);
+                    }
+                }
+                let outcomes = code.decode_batch(&mut batch);
+                for (lane, flips) in patterns.iter().enumerate() {
+                    let want = DecodeOutcome::Corrected(flips.len());
+                    assert_eq!(outcomes[lane], want, "t={t} batch lane {lane}");
+                    let mut cw = BitBuf::zeroed(n);
+                    for &f in flips {
+                        cw.flip(f);
+                    }
+                    assert_eq!(oracle.decode(&mut cw), want, "t={t} scalar lane {lane}");
+                    assert_eq!(cw.count_ones(), 0, "t={t} scalar residual, lane {lane}");
+                }
+                assert!(
+                    (0..n).all(|bit| batch.plane(bit) == 0),
+                    "t={t} batch residual"
+                );
             });
         }
     }

@@ -149,11 +149,9 @@ fn stream_bit(bytes: &[u8], bit_index: u64) -> bool {
 
 /// The i.i.d.-flip + BCH corruption engine behind [`MlcPcm`].
 ///
-/// This is the pipeline's original `corrupt_stream_bits`, moved here
-/// verbatim (dispatching on `t` instead of `EcScheme`): RNG construction,
-/// draw order, block grouping and counter emission are unchanged, so
-/// seeded outputs stay byte-identical to the pre-trait pipeline at any
-/// worker count.
+/// RNG construction, draw order, block grouping and counter totals are
+/// those of the pipeline's original `corrupt_stream_bits`, so seeded
+/// outputs are a pure function of the arguments at any worker count.
 fn corrupt_iid_bch(
     data: &mut [u8],
     bits: u64,
@@ -205,82 +203,106 @@ fn corrupt_iid_bch(
         vapp_obs::counter!("storage.bch.corrected", stats.corrected);
         vapp_obs::counter!("storage.bch.uncorrectable", stats.uncorrectable);
     } else {
-        // Exact model, bitsliced: sub-seeds stay per 512-bit block, but
-        // blocks decode in 64-lane batches on the batch engine, fed the
-        // bare injected *error patterns*. That is outcome-equivalent to
-        // encode+flip+decode of the real content: syndromes are linear
-        // and vanish on codewords, so syndromes(cw + e) = syndromes(e),
-        // decode outcomes depend only on syndromes, and the stream bytes
-        // change only on Uncorrectable — where the decoder applies no
-        // corrections and the damage delivered is exactly the injected
-        // flips that land inside the block's live data bits
-        // (property-pinned in `tests/batch_equivalence.rs`).
+        // Exact model on bare error patterns. Sub-seeds stay per 512-bit
+        // block, and a block's flips depend only on its sub-seed, never
+        // its contents. Its outcome follows from the pattern's weight w:
+        //
+        // * w = 0 (the common case at realistic BERs): clean;
+        // * 1 ≤ w ≤ t: `Corrected(w)` without decoding. The designed
+        //   distance is 2t + 1, so the bounded-distance decoder returns
+        //   exactly the drawn pattern and leaves nothing behind
+        //   (property-pinned against `decode_batch` and `ScalarBch`);
+        // * w > t: decoded in 64-lane batches on the batch engine. That
+        //   is outcome-equivalent to encode+flip+decode of the real
+        //   content: syndromes are linear and vanish on codewords, so
+        //   syndromes(cw + e) = syndromes(e) and the decoder makes the
+        //   same corrections. The block reads back with the residual
+        //   (pattern ⊕ corrections) in its live data bits — the whole
+        //   pattern when Uncorrectable, the wrong codeword's bits on a
+        //   miscorrection ([`deliver_residual`]).
         let code = Bch::cached(t);
         let blocks = bits.div_ceil(DATA_BITS as u64) as usize;
         vapp_obs::counter!("storage.bch.blocks", blocks as u64);
         let block_seeds = derive_subseeds(seed, blocks);
         let used = (bits.div_ceil(8) as usize).min(data.len());
         let group_bytes = (DATA_BITS / 8) * batch::LANES;
-        let mut flip_free = 0u64;
+        let (mut flip_free, mut within, mut within_bits) = (0u64, 0u64, 0u64);
         for (g, chunk) in data[..used].chunks_mut(group_bytes).enumerate() {
             let base = g * batch::LANES;
             let group_blocks = (blocks - base).min(batch::LANES);
-            // Flip positions depend only on each block's sub-seed,
-            // never its contents, so they draw first: blocks with no
-            // flips (the common case at realistic BERs) round-trip
-            // clean without touching the code at all.
-            let mut dirty: Vec<(usize, Vec<u64>)> = Vec::new();
+            let mut heavy: Vec<(usize, Vec<u64>)> = Vec::new();
             for lb in 0..group_blocks {
                 let mut rng = StdRng::seed_from_u64(block_seeds[base + lb]);
                 let flips = pick_positions(&[0..code.codeword_bits() as u64], raw_ber, &mut rng);
-                if flips.is_empty() {
+                let w = flips.len() as u64;
+                stats.flips += w;
+                if w == 0 {
                     flip_free += 1;
+                } else if w <= t as u64 {
+                    within += 1;
+                    within_bits += w;
                 } else {
-                    stats.flips += flips.len() as u64;
-                    dirty.push((lb, flips));
+                    heavy.push((lb, flips));
                 }
             }
-            if dirty.is_empty() {
+            if heavy.is_empty() {
                 continue;
             }
-            // One batch lane per dirty block, holding just its error
-            // pattern; the batch decoder tallies the `storage.bch.*`
-            // outcome counters itself.
-            let mut errs = BlockBatch::zeroed(code, dirty.len());
-            for (lane, (_, flips)) in dirty.iter().enumerate() {
+            // One batch lane per block past the radius, holding just its
+            // error pattern; the batch decoder tallies these lanes'
+            // `storage.bch.*` outcome counters itself.
+            let mut errs = BlockBatch::zeroed(code, heavy.len());
+            for (lane, (_, flips)) in heavy.iter().enumerate() {
                 for &f in flips {
                     errs.flip(lane, f as usize);
                 }
             }
-            let outcomes = code.decode_batch(&mut errs);
-            for ((lb, flips), outcome) in dirty.iter().zip(&outcomes) {
+            for outcome in code.decode_batch(&mut errs) {
                 match outcome {
                     DecodeOutcome::Clean => stats.clean += 1,
                     DecodeOutcome::Corrected(_) => stats.corrected += 1,
-                    DecodeOutcome::Uncorrectable => {
-                        stats.uncorrectable += 1;
-                        // Deliver the damage as read: injected flips in
-                        // the block's live data bits (MSB-first stream
-                        // byte order); parity-region and padding flips
-                        // are never part of the stored payload.
-                        let start = (base + lb) as u64 * DATA_BITS as u64;
-                        let nbits = (start + DATA_BITS as u64).min(bits) - start;
-                        let block = &mut chunk[lb * (DATA_BITS / 8)..];
-                        for &f in flips {
-                            if f < nbits {
-                                block[(f / 8) as usize] ^= 0x80u8 >> (f % 8);
-                            }
-                        }
-                    }
+                    DecodeOutcome::Uncorrectable => stats.uncorrectable += 1,
                 }
             }
+            let lane_blocks: Vec<usize> = heavy.iter().map(|&(lb, _)| lb).collect();
+            deliver_residual(&errs, &lane_blocks, chunk, base, bits);
         }
         if flip_free > 0 {
             vapp_obs::counter!("storage.bch.clean", flip_free);
         }
+        if within > 0 {
+            vapp_obs::counter!("storage.bch.corrected", within);
+            vapp_obs::counter!("storage.bch.bits_corrected", within_bits);
+        }
         stats.clean += flip_free;
+        stats.corrected += within;
     }
     stats
+}
+
+/// Applies what decoding left of each batch lane's error pattern to the
+/// stream: lane `i` holds block `lane_blocks[i]` of the 64-block group
+/// `chunk` (whose first block is stream block `base`), and every data
+/// bit still set in it flips that bit of the block, MSB-first. Bits past
+/// the stream's live `bits`, and parity-region bits, are never part of
+/// the stored payload.
+fn deliver_residual(
+    errs: &BlockBatch,
+    lane_blocks: &[usize],
+    chunk: &mut [u8],
+    base: usize,
+    bits: u64,
+) {
+    for bit in 0..DATA_BITS {
+        let mut lanes = errs.plane(bit);
+        while lanes != 0 {
+            let lb = lane_blocks[lanes.trailing_zeros() as usize];
+            lanes &= lanes - 1;
+            if (((base + lb) * DATA_BITS + bit) as u64) < bits {
+                chunk[lb * (DATA_BITS / 8) + bit / 8] ^= 0x80u8 >> (bit % 8);
+            }
+        }
+    }
 }
 
 /// The paper's multi-level-cell PCM substrate: 3 bits/cell, i.i.d. bit
@@ -400,14 +422,17 @@ impl RsStream {
         })
     }
 
-    /// Decodes each codeword's error pattern and delivers the damage of
-    /// the uncorrectable ones to the stream. `erasures[c]` lists the
-    /// erased symbols of codeword `c`; a channel without erasure
-    /// knowledge passes an empty slice. Syndromes are linear, so
-    /// decoding the bare pattern gives the outcome of decoding the
-    /// damaged codeword, and an uncorrectable codeword reads back with
-    /// its pattern still applied: data-symbol damage reaches the stream,
-    /// parity and padding damage does not.
+    /// Decodes each codeword's error pattern and delivers what decoding
+    /// leaves of it to the stream. `erasures[c]` lists the erased
+    /// symbols of codeword `c`; a channel without erasure knowledge
+    /// passes an empty slice. Syndromes are linear, so decoding the bare
+    /// pattern gives the outcome — and the corrections — of decoding the
+    /// damaged codeword. A codeword within the radius `2·errors +
+    /// erasures ≤ parity` that [`Rs::decode`] guarantees decodes to a
+    /// zero pattern (Clean if the erased symbols' garbage matched), so it
+    /// counts as corrected without running the decoder. Any other reads
+    /// back with its residual: the whole pattern when Uncorrectable, the
+    /// wrong codeword's symbols on a miscorrection ([`Self::deliver`]).
     fn decode_and_deliver(
         &self,
         data: &mut [u8],
@@ -417,6 +442,7 @@ impl RsStream {
         let mut tally = CorruptTally::default();
         let p = self.code.parity_syms();
         vapp_obs::counter!("storage.substrate.rs.codewords", self.cws as u64);
+        let mut erased = vec![false; self.code.codeword_syms()];
         for (c, pattern) in patterns.iter_mut().enumerate() {
             tally.flips += pattern.iter().map(|&v| v.count_ones() as u64).sum::<u64>();
             let eras = erasures.get(c).map_or(&[][..], Vec::as_slice);
@@ -424,31 +450,52 @@ impl RsStream {
                 tally.clean += 1;
                 continue;
             }
-            match self.code.decode(pattern, eras) {
-                // Clean despite damage means the erased symbols' garbage
-                // matched the original (zero pattern): nothing to deliver.
-                DecodeOutcome::Clean | DecodeOutcome::Corrected(_) => tally.corrected += 1,
-                DecodeOutcome::Uncorrectable => {
-                    tally.uncorrectable += 1;
-                    for (j, &v) in pattern.iter().enumerate().skip(p) {
-                        let gs = c * RS_DATA_SYMS + (j - p);
-                        if v == 0 || gs >= self.total_syms {
-                            continue;
-                        }
-                        for b in 0..SYM_BITS {
-                            let pos = (gs * SYM_BITS + b) as u64;
-                            if (v >> (SYM_BITS - 1 - b)) & 1 == 1 && pos < self.bits {
-                                flip_stream_bit(data, pos);
-                            }
-                        }
-                    }
-                }
+            let mut distinct = 0;
+            for &e in eras {
+                distinct += usize::from(!erased[e]);
+                erased[e] = true;
             }
+            let errors = pattern
+                .iter()
+                .zip(&erased)
+                .filter(|&(&v, &x)| v != 0 && !x)
+                .count();
+            for &e in eras {
+                erased[e] = false;
+            }
+            if 2 * errors + distinct <= p {
+                tally.corrected += 1;
+                continue;
+            }
+            match self.code.decode(pattern, eras) {
+                DecodeOutcome::Clean | DecodeOutcome::Corrected(_) => tally.corrected += 1,
+                DecodeOutcome::Uncorrectable => tally.uncorrectable += 1,
+            }
+            self.deliver(data, c, pattern);
         }
         vapp_obs::counter!("storage.substrate.rs.clean", tally.clean);
         vapp_obs::counter!("storage.substrate.rs.corrected", tally.corrected);
         vapp_obs::counter!("storage.substrate.rs.uncorrectable", tally.uncorrectable);
         tally
+    }
+
+    /// Flips the stream bits that codeword `c`'s (decoded) error
+    /// `pattern` still holds in its data symbols; parity and padding
+    /// damage is never part of the stored payload.
+    fn deliver(&self, data: &mut [u8], c: usize, pattern: &[u16]) {
+        let p = self.code.parity_syms();
+        for (j, &v) in pattern.iter().enumerate().skip(p) {
+            let gs = c * RS_DATA_SYMS + (j - p);
+            if v == 0 || gs >= self.total_syms {
+                continue;
+            }
+            for b in 0..SYM_BITS {
+                let pos = (gs * SYM_BITS + b) as u64;
+                if (v >> (SYM_BITS - 1 - b)) & 1 == 1 && pos < self.bits {
+                    flip_stream_bit(data, pos);
+                }
+            }
+        }
     }
 }
 
@@ -561,6 +608,18 @@ impl BurstErasure {
     /// space of the stream's codewords ([`RsStream`]) and decode each
     /// codeword's *error pattern* with the lost symbols as erasures.
     fn corrupt_rs(&self, data: &mut [u8], bits: u64, t: usize, seed: u64) -> CorruptTally {
+        let (rs, patterns, erasures) = self.draw_rs_patterns(bits, t, seed);
+        rs.decode_and_deliver(data, patterns, &erasures)
+    }
+
+    /// The stream's RS layout, each codeword's error pattern and each
+    /// codeword's erased symbols, drawn from `seed` alone.
+    fn draw_rs_patterns(
+        &self,
+        bits: u64,
+        t: usize,
+        seed: u64,
+    ) -> (RsStream, Vec<Vec<u16>>, Vec<Vec<usize>>) {
         let rs = RsStream::new(bits, t);
         let phys_syms = rs.phys_syms();
         let phys_bits = (phys_syms * SYM_BITS) as u64;
@@ -600,7 +659,7 @@ impl BurstErasure {
             let (c, j) = rs.locate((pos as usize) / SYM_BITS);
             patterns[c][j] ^= 1 << (SYM_BITS - 1 - (pos as usize) % SYM_BITS);
         }
-        rs.decode_and_deliver(data, patterns, &erasures)
+        (rs, patterns, erasures)
     }
 }
 
@@ -941,6 +1000,200 @@ mod tests {
         let tb = corrupt_iid_bch(&mut b, bits, 6, true, 2e-2, 42);
         assert_eq!(a, b);
         assert_eq!(ta, tb);
+    }
+
+    /// The counters a corruption call leaves, read from a fresh registry.
+    fn with_counters<T>(names: &[&str], f: impl FnOnce() -> T) -> (T, Vec<u64>) {
+        let reg = Arc::new(vapp_obs::Registry::new());
+        let out = vapp_obs::registry::with_registry(reg.clone(), f);
+        (out, names.iter().map(|n| reg.counter(n).get()).collect())
+    }
+
+    const BCH_COUNTERS: [&str; 5] = [
+        "storage.bch.blocks",
+        "storage.bch.clean",
+        "storage.bch.corrected",
+        "storage.bch.bits_corrected",
+        "storage.bch.uncorrectable",
+    ];
+
+    /// Each block's drawn flips, exactly as the exact arm draws them.
+    fn block_flips(bits: u64, t: usize, raw_ber: f64, seed: u64) -> Vec<Vec<u64>> {
+        let n = Bch::cached(t).codeword_bits() as u64;
+        derive_subseeds(seed, bits.div_ceil(DATA_BITS as u64) as usize)
+            .into_iter()
+            .map(|s| pick_positions(&[0..n], raw_ber, &mut StdRng::seed_from_u64(s)))
+            .collect()
+    }
+
+    /// The exact arm as it was before the radius rule: every block with
+    /// a flip goes through `decode_batch`, whatever its weight.
+    fn always_decode(
+        data: &mut [u8],
+        bits: u64,
+        t: usize,
+        raw_ber: f64,
+        seed: u64,
+    ) -> CorruptTally {
+        let code = Bch::cached(t);
+        let flips = block_flips(bits, t, raw_ber, seed);
+        vapp_obs::counter!("storage.bch.blocks", flips.len() as u64);
+        let mut stats = CorruptTally::default();
+        let used = bits.div_ceil(8) as usize;
+        let groups = data[..used].chunks_mut((DATA_BITS / 8) * batch::LANES);
+        for ((g, chunk), group) in groups.enumerate().zip(flips.chunks(batch::LANES)) {
+            let dirty: Vec<usize> = (0..group.len())
+                .filter(|&lb| !group[lb].is_empty())
+                .collect();
+            stats.flips += group.iter().map(|f| f.len() as u64).sum::<u64>();
+            let flip_free = (group.len() - dirty.len()) as u64;
+            vapp_obs::counter!("storage.bch.clean", flip_free);
+            stats.clean += flip_free;
+            if dirty.is_empty() {
+                continue;
+            }
+            let mut errs = BlockBatch::zeroed(code, dirty.len());
+            for (lane, &lb) in dirty.iter().enumerate() {
+                for &f in &group[lb] {
+                    errs.flip(lane, f as usize);
+                }
+            }
+            for outcome in code.decode_batch(&mut errs) {
+                match outcome {
+                    DecodeOutcome::Clean => stats.clean += 1,
+                    DecodeOutcome::Corrected(_) => stats.corrected += 1,
+                    DecodeOutcome::Uncorrectable => stats.uncorrectable += 1,
+                }
+            }
+            deliver_residual(&errs, &dirty, chunk, g * batch::LANES, bits);
+        }
+        stats
+    }
+
+    #[test]
+    fn exact_arm_matches_the_always_decode_oracle() {
+        // Ragged stream lengths exercise the partial last block and group.
+        for (i, &ber) in [1e-3, 5e-3, 1e-2, 2e-2].iter().enumerate() {
+            for t in [1usize, 2, 3, 6, 10, 16] {
+                for (j, bits) in [4096u64, 40_003, 70_000].into_iter().enumerate() {
+                    let seed = (i * 100 + t * 10 + j) as u64;
+                    let orig = pattern_bytes(bits.div_ceil(8) as usize, seed);
+                    let (mut a, mut b) = (orig.clone(), orig.clone());
+                    let (ta, ca) = with_counters(&BCH_COUNTERS, || {
+                        corrupt_iid_bch(&mut a, bits, t, true, ber, seed)
+                    });
+                    let (tb, cb) =
+                        with_counters(&BCH_COUNTERS, || always_decode(&mut b, bits, t, ber, seed));
+                    let at = format!("ber {ber} t {t} bits {bits}");
+                    assert_eq!(ta, tb, "tally, {at}");
+                    assert_eq!(ca, cb, "storage.bch.* counters, {at}");
+                    assert!(a == b, "bytes, {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_arm_reads_back_what_real_decoding_leaves() {
+        // Encode the real content, apply each block's drawn flips, run
+        // the scalar oracle decoder and read the data bits back: that is
+        // what the stream must hold. At t = 1 and ~3 flips per block,
+        // many blocks land within one flip of a wrong codeword and
+        // miscorrect; their damage must reach the stream.
+        use crate::bch::reference::ScalarBch;
+        let (t, ber, bits, seed) = (1usize, 6e-3, 64 * DATA_BITS as u64 - 77, 11u64);
+        let oracle = ScalarBch::new(t);
+        let orig = pattern_bytes(bits.div_ceil(8) as usize, 3);
+        let mut got = orig.clone();
+        corrupt_iid_bch(&mut got, bits, t, true, ber, seed);
+        let mut miscorrected_triples = 0;
+        for (b, flips) in block_flips(bits, t, ber, seed).iter().enumerate() {
+            let start = (b * DATA_BITS) as u64;
+            let live = (bits - start).min(DATA_BITS as u64) as usize;
+            let mut block = BitBuf::zeroed(DATA_BITS);
+            for i in 0..live {
+                block.set(i, stream_bit(&orig, start + i as u64));
+            }
+            let clean = oracle.encode(&block);
+            let mut cw = clean.clone();
+            for &f in flips {
+                cw.flip(f as usize);
+            }
+            let outcome = oracle.decode(&mut cw);
+            if flips.len() == 3 && outcome == DecodeOutcome::Corrected(1) && cw != clean {
+                miscorrected_triples += 1;
+            }
+            for i in 0..live {
+                assert_eq!(
+                    stream_bit(&got, start + i as u64),
+                    cw.get(i),
+                    "block {b} bit {i} ({} flips, {outcome:?})",
+                    flips.len()
+                );
+            }
+        }
+        assert!(
+            miscorrected_triples > 0,
+            "the fixture must miscorrect a 3-flip block"
+        );
+    }
+
+    #[test]
+    fn rs_delivery_matches_the_always_decode_oracle() {
+        // Burst patterns straddle the radius: mixes of erasures (lost
+        // pages) and unknown symbol errors (the i.i.d. floor).
+        let counters = [
+            "storage.substrate.rs.clean",
+            "storage.substrate.rs.corrected",
+            "storage.substrate.rs.uncorrectable",
+        ];
+        let mut overall = CorruptTally::default();
+        for (page_loss, iid_ber) in [(1e-3, 1e-5), (1e-2, 1e-3), (3e-2, 5e-3), (6e-2, 2e-2)] {
+            let sub = BurstErasure::new(BurstConfig {
+                page_loss,
+                iid_ber,
+                ..BurstConfig::default()
+            });
+            for t in [1usize, 2, 3, 6, 10] {
+                let (bits, seed) = (30_011u64, (t as u64) << 8 ^ (page_loss * 1e4) as u64);
+                let orig = pattern_bytes(bits.div_ceil(8) as usize, seed);
+                let (mut a, mut b) = (orig.clone(), orig.clone());
+                let (ta, ca) = with_counters(&counters, || {
+                    sub.corrupt_stream(&mut a, bits, t, true, seed)
+                });
+                let (rs, patterns, erasures) = sub.draw_rs_patterns(bits, t, seed);
+                let (tb, cb) = with_counters(&counters, || {
+                    let mut tally = CorruptTally::default();
+                    for (c, mut pattern) in patterns.into_iter().enumerate() {
+                        tally.flips += pattern.iter().map(|&v| v.count_ones() as u64).sum::<u64>();
+                        let eras = &erasures[c];
+                        if eras.is_empty() && pattern.iter().all(|&v| v == 0) {
+                            tally.clean += 1;
+                            continue;
+                        }
+                        match rs.code.decode(&mut pattern, eras) {
+                            DecodeOutcome::Uncorrectable => tally.uncorrectable += 1,
+                            _ => tally.corrected += 1,
+                        }
+                        rs.deliver(&mut b, c, &pattern);
+                    }
+                    vapp_obs::counter!("storage.substrate.rs.clean", tally.clean);
+                    vapp_obs::counter!("storage.substrate.rs.corrected", tally.corrected);
+                    vapp_obs::counter!("storage.substrate.rs.uncorrectable", tally.uncorrectable);
+                    tally
+                });
+                let at = format!("page_loss {page_loss} iid {iid_ber} t {t}");
+                assert_eq!(ta, tb, "tally, {at}");
+                assert_eq!(ca, cb, "counters, {at}");
+                assert!(a == b, "bytes, {at}");
+                overall.corrected += ta.corrected;
+                overall.uncorrectable += ta.uncorrectable;
+            }
+        }
+        assert!(
+            overall.corrected > 0 && overall.uncorrectable > 0,
+            "both sides of the radius: {overall:?}"
+        );
     }
 
     #[test]
