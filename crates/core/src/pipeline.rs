@@ -10,13 +10,14 @@
 //! under bursty and content-dependent damage.
 //!
 //! On the i.i.d. channels, storage simulation runs per protection stream
-//! in 512-bit blocks with two simulators: `exact` drives the real BCH
-//! encoder/decoder (used in tests and small runs), while the analytic
-//! simulator draws block failures from the binomial-tail failure rate —
-//! statistically equivalent and faster: the committed `BENCH_pipeline.json`
-//! records medians of 13.4 vs 41.2 µs per `store_load` (3×), and reruns of
-//! that bench on a 2-vCPU VM read 9–14 vs 32–40 µs (3–4×). That matters at
-//! 30 Monte Carlo trials per data point (§6.4).
+//! in 512-bit blocks with two simulators: `exact` draws every block's
+//! error pattern, counts one of at most t flips as corrected (it is
+//! within the code's radius) and runs the rest through the real BCH
+//! decoder, while the analytic simulator draws block failures from the
+//! binomial-tail failure rate — statistically equivalent. Since the
+//! exact arm stopped decoding blocks within the radius, the two cost
+//! about the same: the committed `BENCH_pipeline.json` records medians
+//! of 7.1 µs (analytic) vs 9.6 µs (exact) per `store_load`.
 
 use crate::assignment::{Assignment, EcScheme};
 use crate::pivots::PivotTable;

@@ -1,41 +1,38 @@
-//! Bitsliced batch BCH kernels: 64 blocks per `u64` op.
+//! Bitsliced batch BCH decoding: 64 error patterns per `u64` op.
 //!
-//! This is the crate's only BCH engine: the per-block [`Bch::encode`] /
-//! [`Bch::decode`] are one-lane calls into it. It pivots the problem
-//! into a struct-of-arrays layout (`BlockBatch`): up to 64 codewords are
-//! transposed into one bit-*plane* per codeword bit position, so bit `b`
-//! of plane `k` is bit `k` of block `b`. Over the planes, using the
-//! tables [`Bch::new`] builds,
+//! This is the crate's only BCH decoder, and it decodes bare error
+//! patterns, never stored codewords: syndromes are linear and vanish on
+//! codewords, so a pattern `e` and any `codeword + e` get the same
+//! outcome and the same corrections. A [`BlockBatch`] holds up to 64
+//! patterns as one bit-*plane* per codeword bit position, so bit `b` of
+//! plane `k` is bit `k` of lane `b`. Over the planes, using the tables
+//! [`Bch::new`] builds, [`Bch::decode_batch`]
 //!
-//! * **encode** and **clean detection** derive every block's parity in
-//!   one pass (plane `k` XORs into the parity rows selected by
-//!   `R_k = x^{parity+k} mod g`); decode diffs that against the stored
-//!   parity planes — the OR of the diffs is a 64-bit dirty-lane mask,
-//! * **syndromes** accumulate bitsliced for the *odd* powers
-//!   (`S_j += α^{j·deg(k)}` per set plane, as 10 accumulator planes per
-//!   syndrome) and derive the even powers by the Frobenius identity
-//!   `S_2j = S_j²` — squaring is GF(2)-linear, a fixed 10×10 bit matrix
-//!   applied plane-wise,
-//! * only **dirty lanes** fall back to the scalar Berlekamp–Massey /
-//!   closed-form locators / Chien search in [`crate::bch`], reading their
-//!   2t syndromes straight out of the planes.
+//! * accumulates the **odd syndromes** bitsliced (`S_j += α^{j·deg(k)}`
+//!   per set plane, as 10 accumulator planes per syndrome),
+//! * ORs those planes into the **dirty-lane mask**: a word is a codeword
+//!   iff `S_1 … S_2t` all vanish, and `S_2j = S_j²`, so the odd ones
+//!   decide,
+//! * derives the **even syndromes** by that Frobenius identity — squaring
+//!   is GF(2)-linear, a fixed 10×10 bit matrix applied plane-wise,
+//! * runs the scalar Berlekamp–Massey / closed-form locators / Chien
+//!   search in [`crate::bch`] on the dirty lanes only, reading their 2t
+//!   syndromes straight out of the planes.
 //!
-//! Zero planes are skipped everywhere, so the same engine is fast both
-//! for dense content batches (throughput benches) and for the pipeline's
-//! sparse error-pattern batches. The test-only scalar oracle
-//! `bch::reference::ScalarBch` pins it to byte-identical behavior.
+//! Zero planes are skipped, so a sparse pattern costs only its set bits.
+//! The test-only scalar oracle `bch::reference::ScalarBch` (a real
+//! encoder and decoder) pins it bit for bit.
 
 use crate::bch::{
     berlekamp_massey, chien_search, locate_deg1, locate_deg2, Bch, DecodeOutcome, DATA_BITS,
     GF_BITS,
 };
-use crate::bits::{transpose64, words_for, BitBuf};
 use crate::gf::Gf1024;
 
 /// Blocks per batch: one lane per bit of the plane words.
 pub const LANES: usize = 64;
 
-/// Up to 64 codewords of one code, stored as bit-planes.
+/// Up to 64 error patterns of one code, stored as bit-planes.
 #[derive(Clone, Debug)]
 pub struct BlockBatch {
     /// One `u64` per codeword bit position; bit `b` = that bit of lane `b`.
@@ -44,7 +41,7 @@ pub struct BlockBatch {
 }
 
 impl BlockBatch {
-    /// An all-zero batch of `lanes` codewords (each the zero codeword).
+    /// An all-zero batch of `lanes` error patterns.
     ///
     /// # Panics
     ///
@@ -57,34 +54,7 @@ impl BlockBatch {
         }
     }
 
-    /// Transposes up to 64 codewords into planes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cws` is empty, longer than [`LANES`], or any codeword
-    /// has the wrong length for `code`.
-    pub fn from_codewords(code: &Bch, cws: &[BitBuf]) -> Self {
-        let n = code.codeword_bits();
-        let mut batch = BlockBatch::zeroed(code, cws.len());
-        for (w, planes) in batch.planes.chunks_mut(64).enumerate() {
-            let mut m = [0u64; 64];
-            for (lane, cw) in cws.iter().enumerate() {
-                assert_eq!(cw.len(), n, "codeword length mismatch");
-                m[lane] = cw.words()[w];
-            }
-            transpose64(&mut m);
-            planes.copy_from_slice(&m[..planes.len()]);
-        }
-        batch
-    }
-
-    /// Number of active lanes.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Flips codeword bit `bit` of lane `lane` — how the pipeline builds
-    /// sparse error-pattern batches without materializing codewords.
+    /// Flips codeword bit `bit` of lane `lane` (layout as in [`Bch`]).
     ///
     /// # Panics
     ///
@@ -93,17 +63,6 @@ impl BlockBatch {
     pub fn flip(&mut self, lane: usize, bit: usize) {
         assert!(lane < self.lanes, "lane out of range");
         self.planes[bit] ^= 1u64 << lane;
-    }
-
-    /// Reads codeword bit `bit` of lane `lane`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lane` or `bit` is out of range.
-    #[inline]
-    pub fn get(&self, lane: usize, bit: usize) -> bool {
-        assert!(lane < self.lanes, "lane out of range");
-        (self.planes[bit] >> lane) & 1 == 1
     }
 
     /// Codeword bit `bit` of every lane at once: bit `b` is lane `b`'s.
@@ -115,80 +74,16 @@ impl BlockBatch {
     pub fn plane(&self, bit: usize) -> u64 {
         self.planes[bit]
     }
-
-    /// Transposes the planes back into per-lane codewords, overwriting
-    /// `cws` (which must have one entry per active lane).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cws.len()` differs from the active lane count.
-    pub fn write_codewords(&self, code: &Bch, cws: &mut [BitBuf]) {
-        assert_eq!(cws.len(), self.lanes, "lane count mismatch");
-        let n = code.codeword_bits();
-        let wpl = words_for(n);
-        let mut words = vec![vec![0u64; wpl]; self.lanes];
-        for (w, planes) in self.planes.chunks(64).enumerate() {
-            let mut m = [0u64; 64];
-            m[..planes.len()].copy_from_slice(planes);
-            transpose64(&mut m);
-            for (lane, lw) in words.iter_mut().enumerate() {
-                lw[w] = m[lane];
-            }
-        }
-        for (cw, lw) in cws.iter_mut().zip(words) {
-            *cw = BitBuf::from_words(lw, n);
-        }
-    }
 }
 
 impl Bch {
-    /// Encodes up to 64 data blocks per transpose through the bitsliced
-    /// parity kernel. Accepts any number of blocks (chunked internally).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any block is not exactly 512 bits.
-    pub fn encode_batch(&self, blocks: &[BitBuf]) -> Vec<BitBuf> {
-        let parity = self.parity_bits();
-        let mut out = Vec::with_capacity(blocks.len());
-        for chunk in blocks.chunks(LANES) {
-            // Transpose the data words into 512 planes.
-            let mut planes = [0u64; DATA_BITS];
-            for (w, group) in planes.chunks_mut(64).enumerate() {
-                let mut m = [0u64; 64];
-                for (lane, data) in chunk.iter().enumerate() {
-                    assert_eq!(data.len(), DATA_BITS, "data must be 512 bits");
-                    m[lane] = data.words()[w];
-                }
-                transpose64(&mut m);
-                group.copy_from_slice(&m);
-            }
-            let par = self.parity_planes(&planes);
-            // Assemble codewords: original data words + transposed parity.
-            let pw = parity.div_ceil(64);
-            let mut pwords = vec![[0u64; 64]; pw];
-            for (w, m) in pwords.iter_mut().enumerate() {
-                let avail = (parity - w * 64).min(64);
-                m[..avail].copy_from_slice(&par[w * 64..w * 64 + avail]);
-                transpose64(m);
-            }
-            for (lane, data) in chunk.iter().enumerate() {
-                let mut words = Vec::with_capacity(DATA_BITS / 64 + pw);
-                words.extend_from_slice(data.words());
-                for m in &pwords {
-                    words.push(m[lane]);
-                }
-                out.push(BitBuf::from_words(words, self.codeword_bits()));
-            }
-        }
-        out
-    }
-
-    /// Decodes a batch in place: bitsliced clean detection and syndrome
-    /// accumulation across all lanes, scalar locator fallback only for
-    /// the dirty ones. Corrections are applied to the planes; each lane's
-    /// outcome is tallied in the `storage.bch.clean` / `.corrected` /
-    /// `.uncorrectable` counters (plus `storage.bch.bits_corrected`).
+    /// Decodes a batch of error patterns in place: bitsliced syndromes
+    /// and dirty-lane detection across all lanes, scalar locator fallback
+    /// only for the dirty ones. Corrections are applied to the planes,
+    /// so each lane is left holding its residual (zero after a true
+    /// correction). Each lane's outcome is tallied in the
+    /// `storage.bch.clean` / `.corrected` / `.uncorrectable` counters
+    /// (plus `storage.bch.bits_corrected`).
     ///
     /// # Panics
     ///
@@ -205,22 +100,8 @@ impl Bch {
             (1u64 << lanes) - 1
         };
 
-        // Bitsliced clean check: recompute every lane's parity from the
-        // data planes and diff against the stored parity planes. A lane
-        // is dirty iff any diff bit is set — iff it is not a codeword.
-        let data: &[u64; DATA_BITS] = batch.planes[..DATA_BITS].try_into().expect("plane layout");
-        let par = self.parity_planes(data);
-        let dirty = or_diff(&par, &batch.planes[DATA_BITS..]) & active;
-        // Per-batch dirty-lane distribution: deterministic at a fixed
-        // seed, so it doubles as a drift-gate signal for obs_report.
-        vapp_obs::histogram!("storage.batch.dirty_lanes", u64::from(dirty.count_ones()));
-        if dirty == 0 {
-            vapp_obs::counter!("storage.bch.clean", lanes as u64);
-            return vec![DecodeOutcome::Clean; lanes];
-        }
-
-        // Bitsliced syndromes: odd powers by table accumulation over the
-        // nonzero planes, even powers by plane-wise Frobenius squaring.
+        // Bitsliced odd syndromes by table accumulation over the nonzero
+        // planes; syndrome j = 2i+1 lives at slot j-1.
         let t = self.t();
         let t2 = 2 * t;
         let mut sp = vec![0u64; t2 * GF_BITS];
@@ -229,7 +110,7 @@ impl Bch {
                 continue;
             }
             for (i, &c) in self.syn_const[k * t..(k + 1) * t].iter().enumerate() {
-                let base = 2 * i * GF_BITS; // syndrome j = 2i+1 lives at slot j-1
+                let base = 2 * i * GF_BITS;
                 let mut c = c;
                 while c != 0 {
                     sp[base + c.trailing_zeros() as usize] ^= p;
@@ -237,6 +118,24 @@ impl Bch {
                 }
             }
         }
+
+        // A lane is dirty iff it is not a codeword, iff one of its odd
+        // syndromes is nonzero (the even ones are their squares).
+        let dirty = sp
+            .chunks(GF_BITS)
+            .step_by(2)
+            .flatten()
+            .fold(0u64, |acc, &p| acc | p)
+            & active;
+        // Per-batch dirty-lane distribution: deterministic at a fixed
+        // seed, so it doubles as a drift-gate signal for obs_report.
+        vapp_obs::histogram!("storage.batch.dirty_lanes", u64::from(dirty.count_ones()));
+        if dirty == 0 {
+            vapp_obs::counter!("storage.bch.clean", lanes as u64);
+            return vec![DecodeOutcome::Clean; lanes];
+        }
+
+        // Even syndromes by plane-wise Frobenius squaring.
         for j2 in (2..=t2).step_by(2) {
             let (src, dst) = sp.split_at_mut((j2 - 1) * GF_BITS);
             let src = &src[(j2 / 2 - 1) * GF_BITS..(j2 / 2 - 1) * GF_BITS + GF_BITS];
@@ -268,11 +167,6 @@ impl Bch {
                     v |= (((p >> lane) & 1) as u16) << u;
                 }
                 *s = v;
-            }
-            // Parity mismatch implies nonzero syndromes; stay defensive
-            // regardless.
-            if syn.iter().all(|&s| s == 0) {
-                continue;
             }
             let sigma = berlekamp_massey(&syn, gf);
             let deg = sigma.len() - 1;
@@ -320,52 +214,13 @@ impl Bch {
         }
         outcomes
     }
-
-    /// Batch decode over owned codewords: transposes in, runs
-    /// [`Bch::decode_batch`], transposes the (corrected) codewords back
-    /// out. Chunked by [`LANES`], so any number of codewords works.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any codeword has the wrong length.
-    pub fn decode_blocks(&self, cws: &mut [BitBuf]) -> Vec<DecodeOutcome> {
-        let mut out = Vec::with_capacity(cws.len());
-        for chunk in cws.chunks_mut(LANES) {
-            let mut batch = BlockBatch::from_codewords(self, chunk);
-            out.extend(self.decode_batch(&mut batch));
-            batch.write_codewords(self, chunk);
-        }
-        out
-    }
-
-    /// Recomputed parity planes for a batch's 512 data planes: plane `j`
-    /// collects `Σ_k data[k]·R_k[j]` over the nonzero data planes.
-    fn parity_planes(&self, data: &[u64; DATA_BITS]) -> Vec<u64> {
-        let mut par = vec![0u64; self.parity_bits()];
-        for (k, &p) in data.iter().enumerate() {
-            if p == 0 {
-                continue;
-            }
-            let row = &self.par_pos[self.par_off[k] as usize..self.par_off[k + 1] as usize];
-            for &j in row {
-                par[j as usize] ^= p;
-            }
-        }
-        par
-    }
-}
-
-/// OR-reduction of the element-wise XOR of two plane slices — the
-/// dirty-lane mask of the clean check. The slices must have equal lengths.
-fn or_diff(a: &[u64], b: &[u64]) -> u64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).fold(0u64, |acc, (&x, &y)| acc | (x ^ y))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bch::reference::ScalarBch;
+    use crate::bch::reference::{batch_decode, ScalarBch};
+    use crate::bits::BitBuf;
     use crate::interleave::Interleaver;
     use vapp_check::RngExt;
 
@@ -381,73 +236,69 @@ mod tests {
         d
     }
 
-    #[test]
-    fn or_diff_dispatch_matches_scalar() {
-        let a: Vec<u64> = (0..67u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .collect();
-        let mut b = a.clone();
-        assert_eq!(or_diff(&a, &b), 0);
-        b[13] ^= 1 << 7;
-        b[66] ^= 1 << 63;
-        assert_eq!(or_diff(&a, &b), (1 << 7) | (1 << 63));
-    }
-
-    #[test]
-    fn codeword_transpose_round_trips() {
-        let code = Bch::cached(6);
-        let cws: Vec<BitBuf> = (0..17).map(|i| code.encode(&pattern_data(i))).collect();
-        let batch = BlockBatch::from_codewords(code, &cws);
-        assert_eq!(batch.lanes(), 17);
-        assert_eq!(batch.get(3, 0), cws[3].get(0));
-        let mut out = vec![BitBuf::new(); 17];
-        batch.write_codewords(code, &mut out);
-        assert_eq!(out, cws);
+    /// A pattern of `n` bits with the given positions flipped.
+    fn pattern(n: usize, flips: impl IntoIterator<Item = usize>) -> BitBuf {
+        let mut p = BitBuf::zeroed(n);
+        for f in flips {
+            p.flip(f);
+        }
+        p
     }
 
     #[test]
     fn all_clean_batch_short_circuits() {
         let code = Bch::cached(6);
-        let mut cws: Vec<BitBuf> = (0..5).map(|i| code.encode(&pattern_data(i + 40))).collect();
-        let expect = cws.clone();
-        let outcomes = code.decode_blocks(&mut cws);
-        assert!(outcomes.iter().all(|&o| o == DecodeOutcome::Clean));
-        assert_eq!(cws, expect);
+        let mut batch = BlockBatch::zeroed(code, 5);
+        let outcomes = code.decode_batch(&mut batch);
+        assert_eq!(outcomes, vec![DecodeOutcome::Clean; 5]);
+        assert!((0..code.codeword_bits()).all(|bit| batch.plane(bit) == 0));
     }
 
     #[test]
     fn mixed_batch_corrects_dirty_lanes_only() {
         let code = Bch::cached(10);
-        let clean: Vec<BitBuf> = (0..LANES)
-            .map(|i| code.encode(&pattern_data(i as u64)))
-            .collect();
-        let mut cws = clean.clone();
+        let oracle = ScalarBch::new(10);
+        let n = code.codeword_bits();
+        let parity = code.parity_bits();
+        let mut patterns = vec![BitBuf::zeroed(n); LANES];
         // Lanes 0, 7, 63: correctable; lane 20: beyond the radius.
         for (lane, errs) in [(0usize, 1usize), (7, 2), (63, 10)] {
-            for e in 0..errs {
-                cws[lane].flip((e * 101 + 17) % code.codeword_bits());
+            patterns[lane] = pattern(n, (0..errs).map(|e| (e * 101 + 17) % n));
+        }
+        patterns[20] = pattern(n, (0..25).map(|e| (e * 37 + 3) % n));
+        // Lane 42: x^95·m1(x), m1 = x^10 + x^3 + 1 the minimal polynomial
+        // of α (the field's primitive polynomial). S_1 and its conjugates
+        // vanish but S_3 does not: not a codeword, so the lane is dirty
+        // only if the mask looks past S_1.
+        let gf = crate::gf::Gf1024::get();
+        assert_eq!(gf.alpha_pow(10) ^ gf.alpha_pow(3) ^ 1, 0, "m1(α) = 0");
+        let coeff_bit = |d: usize| {
+            if d < parity {
+                DATA_BITS + d
+            } else {
+                d - parity
             }
-        }
-        let n = code.codeword_bits();
-        let mut reference = cws[20].clone();
-        for e in 0..25 {
-            cws[20].flip((e * 37 + 3) % n);
-            reference.flip((e * 37 + 3) % n);
-        }
-        let outcomes = code.decode_blocks(&mut cws);
+        };
+        patterns[42] = pattern(n, [95, 98, 105].map(coeff_bit));
+
+        let mut residual = patterns.clone();
+        let outcomes = batch_decode(code, &mut residual);
         assert_eq!(outcomes[0], DecodeOutcome::Corrected(1));
         assert_eq!(outcomes[7], DecodeOutcome::Corrected(2));
         assert_eq!(outcomes[63], DecodeOutcome::Corrected(10));
-        for lane in [0usize, 7, 63] {
-            assert_eq!(cws[lane], clean[lane], "lane {lane} not restored");
+        assert_eq!(outcomes[42], DecodeOutcome::Corrected(3));
+        for lane in [0usize, 7, 42, 63] {
+            assert_eq!(residual[lane].count_ones(), 0, "lane {lane} not cleared");
         }
-        // The overloaded lane must behave exactly like the oracle.
-        let expect_out = ScalarBch::new(10).decode(&mut reference);
-        assert_eq!(outcomes[20], expect_out);
-        assert_eq!(cws[20], reference);
-        for lane in (1..LANES).filter(|&l| ![7, 20, 63].contains(&l)) {
+        // The dirty lanes must behave exactly like the oracle.
+        for lane in [20usize, 42] {
+            let mut want = patterns[lane].clone();
+            assert_eq!(outcomes[lane], oracle.decode(&mut want), "lane {lane}");
+            assert_eq!(residual[lane], want, "lane {lane} residual");
+        }
+        for lane in (1..LANES).filter(|l| ![7, 20, 42, 63].contains(l)) {
             assert_eq!(outcomes[lane], DecodeOutcome::Clean);
-            assert_eq!(cws[lane], clean[lane], "clean lane {lane} moved");
+            assert_eq!(residual[lane].count_ones(), 0, "clean lane {lane} moved");
         }
     }
 
@@ -588,7 +439,7 @@ mod tests {
                 let mut reference = patterns.clone();
                 let ref_outcomes: Vec<DecodeOutcome> =
                     reference.iter_mut().map(|p| oracle.decode(p)).collect();
-                let batch_outcomes = code.decode_blocks(&mut patterns);
+                let batch_outcomes = batch_decode(code, &mut patterns);
                 assert_eq!(batch_outcomes, ref_outcomes, "t={t} outcomes diverge");
                 for (i, (got, want)) in patterns.iter().zip(&reference).enumerate() {
                     assert_eq!(got, want, "t={t} pattern {i} diverges after decode");

@@ -4,36 +4,31 @@
 //! codes protecting 512-bit blocks: X correctable errors cost exactly
 //! 10·X parity bits (11.7% overhead for BCH-6 up to 31.3% for BCH-16).
 //! This module implements the real thing: generator synthesis from
-//! cyclotomic cosets, systematic encoding, and syndrome /
+//! cyclotomic cosets (which fixes the parity length) and syndrome /
 //! Berlekamp–Massey / Chien-search decoding. The codes are
 //! *self-correcting* — parity bits are part of the protected codeword.
 //!
-//! There is one engine (see DESIGN.md, "Storage kernels"). [`Bch::new`]
-//! builds the code's bitslicing tables; the kernels that read them live
-//! in [`crate::batch`] and encode or decode up to 64 blocks per pass.
-//! [`Bch::encode`] and [`Bch::decode`] are one-lane calls into that
-//! engine. This module also holds the scalar algebra the batch decoder
-//! runs on its dirty lanes: Berlekamp–Massey, closed-form locators for
-//! one and two errors, and an incremental Chien search.
+//! No codeword is ever stored: syndromes are linear and vanish on
+//! codewords, so every caller decodes a block's bare error pattern (see
+//! DESIGN.md, "Storage kernels"). [`Bch::new`] builds the code's
+//! bitslicing tables; [`Bch::decode_batch`] in [`crate::batch`] reads
+//! them to decode up to 64 patterns per pass, and is the only decode
+//! entry point. This module holds the scalar algebra that decoder runs
+//! on its dirty lanes: Berlekamp–Massey, closed-form locators for one
+//! and two errors, and an incremental Chien search.
 //!
-//! The test-only `reference::ScalarBch` is a scalar bit-at-a-time
-//! implementation; property tests pin the engine to it byte for byte.
+//! The test-only `reference::ScalarBch` is a bit-at-a-time systematic
+//! encoder and decoder; property tests pin the engine to it bit for bit.
 
-use std::slice;
-
-use crate::bits::BitBuf;
 use crate::gf::{Gf1024, GF_ORDER};
 
 /// Data bits per protected block (the paper's 512-bit PCM block).
 pub const DATA_BITS: usize = 512;
 
-/// Data words per block.
-const DATA_WORDS: usize = DATA_BITS / 64;
-
 /// GF(2^10) elements are 10 bits wide: planes per syndrome.
 pub(crate) const GF_BITS: usize = 10;
 
-/// Outcome of decoding one codeword.
+/// Outcome of decoding one block's error pattern.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DecodeOutcome {
     /// No errors detected.
@@ -46,30 +41,30 @@ pub enum DecodeOutcome {
 
 /// A BCH-X code over a 512-bit data block.
 ///
+/// Codeword layout, for the bit positions of a
+/// [`BlockBatch`](crate::batch::BlockBatch): bits `0..512` are data (bit
+/// `i` = coefficient of `x^(parity + i)`), bits `512..` parity (bit `j` =
+/// coefficient of `x^j`).
+///
 /// # Example
 ///
 /// ```
-/// use vapp_storage::bch::{Bch, DATA_BITS};
-/// use vapp_storage::bits::BitBuf;
+/// use vapp_storage::batch::BlockBatch;
+/// use vapp_storage::bch::{Bch, DecodeOutcome};
 ///
 /// let code = Bch::new(6);
-/// let mut data = BitBuf::zeroed(DATA_BITS);
-/// data.set(3, true);
-/// let mut cw = code.encode(&data);
-/// cw.flip(100);
-/// cw.flip(400);
-/// let out = code.decode(&mut cw);
-/// assert_eq!(out, vapp_storage::bch::DecodeOutcome::Corrected(2));
-/// assert_eq!(code.extract_data(&cw), data);
+/// // Two blocks' error patterns: none, and two flipped bits.
+/// let mut errs = BlockBatch::zeroed(&code, 2);
+/// errs.flip(1, 100);
+/// errs.flip(1, 540);
+/// let out = code.decode_batch(&mut errs);
+/// assert_eq!(out, [DecodeOutcome::Clean, DecodeOutcome::Corrected(2)]);
+/// assert_eq!(errs.plane(100) | errs.plane(540), 0); // nothing left
 /// ```
 #[derive(Clone, Debug)]
 pub struct Bch {
     t: usize,
     parity: usize,
-    /// CSR over data bits: `par_pos[par_off[k]..par_off[k+1]]` lists the
-    /// parity-bit positions set in `R_k = x^{parity+k} mod g`.
-    pub(crate) par_off: Vec<u32>,
-    pub(crate) par_pos: Vec<u16>,
     /// `α^{j·deg(k)}` for the odd syndromes `j = 2i+1`, laid out
     /// `[k][i]` over all `n` codeword bit positions.
     pub(crate) syn_const: Vec<u16>,
@@ -86,35 +81,14 @@ impl Bch {
     /// data bits.
     pub fn new(t: usize) -> Self {
         assert!(t >= 1, "t must be at least 1");
-        let generator = generator_poly(t);
-        let parity = generator.len() - 1;
+        let parity = generator_poly(t).len() - 1;
         assert!(
             DATA_BITS + parity <= GF_ORDER,
             "code too strong for 512-bit blocks"
         );
 
-        // R_k by repeated ·x (mod g), emitted as a CSR of set positions.
-        // g is monic, so R_0 = x^parity ≡ g minus its top term.
-        let mut par_off = Vec::with_capacity(DATA_BITS + 1);
-        let mut par_pos = Vec::new();
-        let mut r = generator[..parity].to_vec();
-        for _ in 0..DATA_BITS {
-            par_off.push(par_pos.len() as u32);
-            par_pos.extend((0..parity).filter(|&j| r[j]).map(|j| j as u16));
-            let carry = r[parity - 1];
-            r.rotate_right(1);
-            r[0] = false;
-            if carry {
-                for (rj, &gj) in r.iter_mut().zip(&generator) {
-                    *rj ^= gj;
-                }
-            }
-        }
-        par_off.push(par_pos.len() as u32);
-
-        // Odd-syndrome constants per codeword bit. Bit k of the BitBuf
-        // layout is polynomial degree `parity + k` (data) or `k - 512`
-        // (parity bits).
+        // Odd-syndrome constants per codeword bit. Bit k of the layout is
+        // polynomial degree `parity + k` (data) or `k - 512` (parity).
         let gf = Gf1024::get();
         let mut syn_const = Vec::with_capacity((DATA_BITS + parity) * t);
         for k in 0..DATA_BITS + parity {
@@ -129,8 +103,6 @@ impl Bch {
         Bch {
             t,
             parity,
-            par_off,
-            par_pos,
             syn_const,
             sq: std::array::from_fn(|u| gf.square(1 << u)),
         }
@@ -168,35 +140,6 @@ impl Bch {
     /// Storage overhead relative to the data (paper Fig. 8 x-axis).
     pub fn overhead(&self) -> f64 {
         self.parity_bits() as f64 / DATA_BITS as f64
-    }
-
-    /// Systematically encodes a 512-bit block into a codeword: a one-lane
-    /// [`Bch::encode_batch`].
-    ///
-    /// Codeword layout: bits `0..512` data (bit i = coefficient of
-    /// x^(parity + i)), bits `512..` parity (bit j = coefficient of x^j).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data` is not exactly 512 bits.
-    pub fn encode(&self, data: &BitBuf) -> BitBuf {
-        let mut cws = self.encode_batch(slice::from_ref(data));
-        cws.pop().expect("one block in, one codeword out")
-    }
-
-    /// Decodes in place, correcting up to `t` errors anywhere in the
-    /// codeword (data or parity): a one-lane [`Bch::decode_blocks`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cw` is not [`Bch::codeword_bits`] long.
-    pub fn decode(&self, cw: &mut BitBuf) -> DecodeOutcome {
-        self.decode_blocks(slice::from_mut(cw))[0]
-    }
-
-    /// Extracts the 512 data bits from a codeword.
-    pub fn extract_data(&self, cw: &BitBuf) -> BitBuf {
-        BitBuf::from_words(cw.words()[..DATA_WORDS].to_vec(), DATA_BITS)
     }
 }
 
@@ -264,6 +207,12 @@ pub(crate) fn chien_search(sigma: &[u16], n: usize, gf: &Gf1024) -> Option<Vec<u
 }
 
 /// Berlekamp–Massey over GF(2^10): returns σ(x) coefficients, σ[0] = 1.
+///
+/// `#[inline]` because the RS decoder in `rs.rs` calls it too: without
+/// the hint, whether it inlines there depends on how rustc splits the
+/// crate into codegen units, which moved the burst channel's
+/// `corrupt_stream` by ~4%.
+#[inline]
 pub(crate) fn berlekamp_massey(syndromes: &[u16], gf: &Gf1024) -> Vec<u16> {
     let mut sigma = vec![1u16];
     let mut b = vec![1u16];
@@ -368,11 +317,36 @@ fn generator_poly(t: usize) -> Vec<bool> {
     g
 }
 
-/// The scalar bit-at-a-time implementation, kept as the single oracle
-/// for the engine's equivalence property tests.
+/// The scalar bit-at-a-time encoder and decoder, kept as the single
+/// oracle for the engine's equivalence property tests.
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
+    use crate::batch::{BlockBatch, LANES};
+    use crate::bits::BitBuf;
+
+    /// Runs [`Bch::decode_batch`] over per-block error patterns, 64 lanes
+    /// per batch, and writes each lane's residual back into its pattern.
+    pub fn batch_decode(code: &Bch, patterns: &mut [BitBuf]) -> Vec<DecodeOutcome> {
+        let n = code.codeword_bits();
+        let mut out = Vec::with_capacity(patterns.len());
+        for chunk in patterns.chunks_mut(LANES) {
+            let mut batch = BlockBatch::zeroed(code, chunk.len());
+            for (lane, p) in chunk.iter().enumerate() {
+                assert_eq!(p.len(), n, "pattern length mismatch");
+                for bit in (0..n).filter(|&bit| p.get(bit)) {
+                    batch.flip(lane, bit);
+                }
+            }
+            out.extend(code.decode_batch(&mut batch));
+            for (lane, p) in chunk.iter_mut().enumerate() {
+                for bit in 0..n {
+                    p.set(bit, (batch.plane(bit) >> lane) & 1 == 1);
+                }
+            }
+        }
+        out
+    }
 
     pub struct ScalarBch {
         t: usize,
@@ -493,18 +467,18 @@ pub(crate) mod reference {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{batch_decode, ScalarBch};
     use super::*;
+    use crate::batch::{BlockBatch, LANES};
+    use crate::bits::BitBuf;
 
-    fn pattern_data(seed: u64) -> BitBuf {
-        let mut d = BitBuf::zeroed(DATA_BITS);
-        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        for i in 0..DATA_BITS {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            d.set(i, (s >> 60) & 1 == 1);
+    /// A pattern for `code` with the given positions flipped.
+    fn pattern(code: &Bch, flips: &[usize]) -> BitBuf {
+        let mut p = BitBuf::zeroed(code.codeword_bits());
+        for &f in flips {
+            p.flip(f);
         }
-        d
+        p
     }
 
     #[test]
@@ -529,156 +503,114 @@ mod tests {
     }
 
     #[test]
-    fn clean_codeword_decodes_clean() {
-        let code = Bch::new(6);
-        let data = pattern_data(1);
-        let mut cw = code.encode(&data);
-        assert_eq!(code.decode(&mut cw), DecodeOutcome::Clean);
-        assert_eq!(code.extract_data(&cw), data);
+    fn zero_pattern_decodes_clean() {
+        for t in [6usize, 8] {
+            let code = Bch::new(t);
+            let mut p = [pattern(&code, &[])];
+            assert_eq!(batch_decode(&code, &mut p), [DecodeOutcome::Clean]);
+            assert_eq!(p[0].count_ones(), 0);
+        }
+        // First data bit and a parity bit at t = 8.
+        let code = Bch::new(8);
+        let mut p = [pattern(&code, &[0, 550])];
+        assert_eq!(batch_decode(&code, &mut p), [DecodeOutcome::Corrected(2)]);
+        assert_eq!(p[0].count_ones(), 0);
     }
 
     #[test]
     fn corrects_up_to_t_errors_anywhere() {
         for t in [6usize, 10, 16] {
             let code = Bch::new(t);
-            let data = pattern_data(t as u64);
-            let clean = code.encode(&data);
             // Spread errors over data and parity regions.
             let n = code.codeword_bits();
-            let mut cw = clean.clone();
             let mut flipped = Vec::new();
             for e in 0..t {
                 let pos = (e * 97 + 13) % n;
                 if !flipped.contains(&pos) {
-                    cw.flip(pos);
                     flipped.push(pos);
                 }
             }
-            let out = code.decode(&mut cw);
-            assert_eq!(out, DecodeOutcome::Corrected(flipped.len()), "t = {t}");
-            assert_eq!(cw, clean, "t = {t}: codeword not restored");
+            let mut p = [pattern(&code, &flipped)];
+            let out = batch_decode(&code, &mut p);
+            assert_eq!(out, [DecodeOutcome::Corrected(flipped.len())], "t = {t}");
+            assert_eq!(p[0].count_ones(), 0, "t = {t}: pattern not cleared");
         }
     }
 
     #[test]
     fn single_error_in_parity_corrected() {
         let code = Bch::new(6);
-        let data = pattern_data(9);
-        let clean = code.encode(&data);
-        let mut cw = clean.clone();
-        cw.flip(DATA_BITS + 5);
-        assert_eq!(code.decode(&mut cw), DecodeOutcome::Corrected(1));
-        assert_eq!(cw, clean);
+        let mut p = [pattern(&code, &[DATA_BITS + 5])];
+        assert_eq!(batch_decode(&code, &mut p), [DecodeOutcome::Corrected(1)]);
+        assert_eq!(p[0].count_ones(), 0);
     }
 
     #[test]
     fn more_than_t_errors_detected_as_uncorrectable_or_miscorrected() {
-        // With t+1 ... 2t errors, BCH must not silently "correct" back to
-        // the original; it either flags uncorrectable or lands on a
-        // different codeword. We check it never restores the clean data.
+        // With t+1 errors, BCH must not silently "correct" back to the
+        // original: it either flags uncorrectable or lands on a different
+        // codeword. Either way a nonzero residual is left.
         let code = Bch::new(6);
-        let data = pattern_data(3);
-        let clean = code.encode(&data);
-        let mut wrong_restores = 0;
+        let mut patterns = Vec::new();
         for trial in 0..10u64 {
-            let mut cw = clean.clone();
             let mut s = trial.wrapping_mul(0x12345) | 1;
-            let mut flipped = std::collections::HashSet::new();
+            let mut flipped = std::collections::BTreeSet::new();
             while flipped.len() < 7 {
                 s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
                 flipped.insert((s >> 33) as usize % code.codeword_bits());
             }
-            for &p in &flipped {
-                cw.flip(p);
-            }
-            match code.decode(&mut cw) {
-                DecodeOutcome::Uncorrectable => {}
-                _ => {
-                    if code.extract_data(&cw) == data && cw == clean {
-                        wrong_restores += 1;
-                    }
-                }
-            }
+            patterns.push(pattern(&code, &flipped.into_iter().collect::<Vec<_>>()));
         }
-        assert_eq!(wrong_restores, 0, "7 errors must never restore silently");
+        let outcomes = batch_decode(&code, &mut patterns);
+        for (trial, (out, p)) in outcomes.iter().zip(&patterns).enumerate() {
+            assert_ne!(*out, DecodeOutcome::Clean, "trial {trial}");
+            assert_ne!(
+                p.count_ones(),
+                0,
+                "trial {trial}: 7 errors restored silently"
+            );
+        }
     }
 
     #[test]
-    fn all_zero_data_roundtrip() {
-        let code = Bch::new(8);
-        let data = BitBuf::zeroed(DATA_BITS);
-        let mut cw = code.encode(&data);
-        assert_eq!(code.decode(&mut cw), DecodeOutcome::Clean);
-        cw.flip(0);
-        cw.flip(550);
-        assert_eq!(code.decode(&mut cw), DecodeOutcome::Corrected(2));
-        assert_eq!(code.extract_data(&cw), data);
-    }
-
-    #[test]
-    #[should_panic(expected = "512 bits")]
-    fn wrong_data_length_rejected() {
-        Bch::new(6).encode(&BitBuf::zeroed(100));
-    }
-
-    #[test]
-    #[should_panic(expected = "codeword length mismatch")]
-    fn wrong_codeword_length_rejected() {
-        let code = Bch::new(6);
-        code.decode(&mut BitBuf::zeroed(code.codeword_bits() - 1));
+    #[should_panic(expected = "batch built for a different code")]
+    fn batch_of_another_code_rejected() {
+        let mut batch = BlockBatch::zeroed(Bch::cached(6), 1);
+        Bch::cached(10).decode_batch(&mut batch);
     }
 
     #[test]
     fn fast_kernels_match_scalar_reference() {
         // The batch engine against the scalar oracle: 1..2·LANES+10
-        // blocks of random data (partial tails and multi-batch inputs),
-        // each with 0..=t+2 random error positions (clean, correctable
-        // and beyond-radius lanes mixed in one batch), for the three code
-        // strengths the figures use. Outcomes and the resulting codeword
-        // bytes must agree exactly, through the batch calls and through
-        // the one-lane wrappers.
-        use crate::batch::LANES;
+        // error patterns (partial tails and multi-batch inputs), each
+        // with 0..=t+2 random flips (clean, correctable and beyond-radius
+        // lanes mixed in one batch), for the three code strengths the
+        // figures use. Outcomes and the residual each lane is left with
+        // must agree exactly.
         use vapp_check::RngExt;
         for t in [6usize, 10, 16] {
             let fast = Bch::cached(t);
-            let slow = reference::ScalarBch::new(t);
+            let slow = ScalarBch::new(t);
+            let n = fast.codeword_bits();
             vapp_check::check(&format!("bch_fast_matches_scalar_t{t}"), 12, |rng| {
                 let blocks = rng.random_range(1..2 * LANES + 10);
-                let data: Vec<BitBuf> = (0..blocks)
+                let mut got: Vec<BitBuf> = (0..blocks)
                     .map(|_| {
-                        let mut d = BitBuf::zeroed(DATA_BITS);
-                        for w in 0..DATA_WORDS {
-                            d.set_bits(w * 64, 64, rng.random::<u64>());
-                        }
-                        d
+                        let errors = rng.random_range(0..=t + 2);
+                        let flips: Vec<usize> = vapp_check::gen::distinct(rng, 0..n, errors)
+                            .into_iter()
+                            .collect();
+                        pattern(fast, &flips)
                     })
                     .collect();
-                let mut got = fast.encode_batch(&data);
-                let mut want: Vec<BitBuf> = data.iter().map(|d| slow.encode(d)).collect();
-                assert_eq!(got, want, "t = {t}: encode mismatch");
-                assert_eq!(fast.encode(&data[0]), want[0], "t = {t}: one-lane encode");
-
-                for (a, b) in got.iter_mut().zip(&mut want) {
-                    let errors = rng.random_range(0..=t + 2);
-                    for pos in vapp_check::gen::distinct(rng, 0..fast.codeword_bits(), errors) {
-                        a.flip(pos);
-                        b.flip(pos);
-                    }
-                }
-                let mut first = got[0].clone();
-                let out_fast = fast.decode_blocks(&mut got);
+                let mut want = got.clone();
+                let out_fast = batch_decode(fast, &mut got);
                 let out_slow: Vec<DecodeOutcome> =
-                    want.iter_mut().map(|cw| slow.decode(cw)).collect();
+                    want.iter_mut().map(|p| slow.decode(p)).collect();
                 assert_eq!(out_fast, out_slow, "t = {t}: outcomes diverge");
                 for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(a, b, "t = {t} block {i}: codeword mismatch");
+                    assert_eq!(a, b, "t = {t} block {i}: residual mismatch");
                 }
-                assert_eq!(
-                    fast.decode(&mut first),
-                    out_slow[0],
-                    "t = {t}: one-lane decode"
-                );
-                assert_eq!(first, want[0], "t = {t}: one-lane codeword");
             });
         }
     }

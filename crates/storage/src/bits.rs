@@ -1,31 +1,16 @@
-//! The word-backed [`BitBuf`] (LSB-first within a word) plus size and
-//! transpose helpers.
+//! The word-backed [`BitBuf`] (LSB-first within a word).
 //!
 //! The storage stack moves data around as packed bit vectors: BCH
 //! codewords are not byte multiples (512 data + 10·X parity bits), and MLC
 //! cells hold three bits each. `BitBuf` is backed by `Vec<u64>` so the hot
-//! paths (BCH encode/decode, hamming distances, cell packing) run on
-//! machine words: 64 bits per shift/xor/popcount instead of one bit per
-//! loop iteration.
+//! paths (cell packing, hamming distances) run on machine words: 64 bits
+//! per shift/xor/popcount instead of one bit per loop iteration.
 
-/// Number of bytes needed for `bits` bits.
-#[inline]
-pub fn bytes_for(bits: usize) -> usize {
-    bits.div_ceil(8)
-}
-
-/// Number of 64-bit words needed for `bits` bits.
-#[inline]
-pub fn words_for(bits: usize) -> usize {
-    bits.div_ceil(64)
-}
-
-/// A growable, bit-addressed buffer backed by 64-bit words.
+/// A fixed-length, bit-addressed buffer backed by 64-bit words.
 ///
-/// Bit `i` lives in word `i / 64` at position `i % 64` (LSB-first), which
-/// byte-for-byte matches the old `Vec<u8>` LSB-first layout on any
-/// little-endian serialization. Invariant: bits at or past `len` in the
-/// last word are zero, so equality, hashing, popcounts and hamming
+/// Bit `i` lives in word `i / 64` at position `i % 64` (LSB-first).
+/// Invariant: bits at or past `len` in the last word are zero (every
+/// write is range-checked), so equality, hashing, popcounts and hamming
 /// distances need no tail masking.
 ///
 /// # Example
@@ -33,84 +18,27 @@ pub fn words_for(bits: usize) -> usize {
 /// ```
 /// use vapp_storage::bits::BitBuf;
 ///
-/// let mut b = BitBuf::new();
-/// b.push(true);
-/// b.push(false);
-/// b.push(true);
+/// let mut b = BitBuf::zeroed(3);
+/// b.set(0, true);
+/// b.flip(2);
 /// assert_eq!(b.len(), 3);
 /// assert!(b.get(0));
 /// assert!(!b.get(1));
+/// assert_eq!(b.count_ones(), 2);
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct BitBuf {
     words: Vec<u64>,
     len: usize,
 }
 
 impl BitBuf {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Creates a zeroed buffer of `bits` bits.
     pub fn zeroed(bits: usize) -> Self {
         BitBuf {
-            words: vec![0u64; words_for(bits)],
+            words: vec![0u64; bits.div_ceil(64)],
             len: bits,
         }
-    }
-
-    /// Builds a buffer from the low `bits` bits of `bytes` (LSB-first
-    /// within each byte). Bits past `bits` are dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes` is too short for `bits`.
-    pub fn from_bytes(bytes: &[u8], bits: usize) -> Self {
-        assert!(bytes.len() * 8 >= bits, "byte buffer too short");
-        let used = &bytes[..bytes_for(bits)];
-        let mut words = vec![0u64; words_for(bits)];
-        for (w, chunk) in words.iter_mut().zip(used.chunks(8)) {
-            let mut le = [0u8; 8];
-            le[..chunk.len()].copy_from_slice(chunk);
-            *w = u64::from_le_bytes(le);
-        }
-        let mut out = BitBuf { words, len: bits };
-        out.mask_tail();
-        out
-    }
-
-    /// Builds a buffer directly from words (bit `i` of the buffer = bit
-    /// `i % 64` of `words[i / 64]`). Bits past `bits` are masked off.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` is too short for `bits`.
-    pub fn from_words(words: Vec<u64>, bits: usize) -> Self {
-        assert!(words.len() >= words_for(bits), "word buffer too short");
-        let mut words = words;
-        words.truncate(words_for(bits));
-        let mut out = BitBuf { words, len: bits };
-        out.mask_tail();
-        out
-    }
-
-    /// Zeroes any bits at or past `len` in the last word.
-    #[inline]
-    fn mask_tail(&mut self) {
-        let r = self.len % 64;
-        if r != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << r) - 1;
-            }
-        }
-    }
-
-    /// The backing words (bits past `len` in the last word are zero).
-    #[inline]
-    pub fn words(&self) -> &[u64] {
-        &self.words
     }
 
     /// Number of bits stored.
@@ -160,17 +88,6 @@ impl BitBuf {
         self.words[i / 64] ^= 1u64 << (i % 64);
     }
 
-    /// Appends one bit.
-    pub fn push(&mut self, v: bool) {
-        if self.len.is_multiple_of(64) {
-            self.words.push(0);
-        }
-        if v {
-            self.words[self.len / 64] |= 1u64 << (self.len % 64);
-        }
-        self.len += 1;
-    }
-
     /// Reads `n` bits starting at `i` as an integer (bit `i` in the low
     /// position), `1 <= n <= 64`.
     ///
@@ -214,51 +131,6 @@ impl BitBuf {
         }
     }
 
-    /// Appends the low `n` bits of `v`, `1 <= n <= 64`.
-    fn push_bits(&mut self, v: u64, n: usize) {
-        debug_assert!((1..=64).contains(&n));
-        let v = if n < 64 { v & ((1u64 << n) - 1) } else { v };
-        let o = self.len % 64;
-        if o == 0 {
-            self.words.push(v);
-        } else {
-            let last = self.words.len() - 1;
-            self.words[last] |= v << o;
-            if o + n > 64 {
-                self.words.push(v >> (64 - o));
-            }
-        }
-        self.len += n;
-    }
-
-    /// Appends `count` bits from `other` starting at `from`, copying up
-    /// to 64 bits per step (word-shift, not bit-by-bit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the source range is out of bounds.
-    pub fn extend_from(&mut self, other: &BitBuf, from: usize, count: usize) {
-        assert!(from + count <= other.len, "source range out of bounds");
-        self.words.reserve(words_for(count) + 1);
-        let mut done = 0;
-        while done < count {
-            let n = (count - done).min(64);
-            self.push_bits(other.get_bits(from + done, n), n);
-            done += n;
-        }
-    }
-
-    /// The packed little-endian bytes (trailing bits of the last byte are
-    /// zero).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(bytes_for(self.len));
-        for &w in &self.words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out.truncate(bytes_for(self.len));
-        out
-    }
-
     /// Number of set bits (word-level popcount).
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -278,40 +150,6 @@ impl BitBuf {
             .map(|(a, b)| (a ^ b).count_ones() as usize)
             .sum()
     }
-
-    /// Bit-at-a-time `extend_from` — the pre-word-level reference
-    /// implementation, kept for equivalence property tests.
-    #[cfg(test)]
-    pub(crate) fn extend_from_bitwise(&mut self, other: &BitBuf, from: usize, count: usize) {
-        assert!(from + count <= other.len, "source range out of bounds");
-        for i in 0..count {
-            self.push(other.get(from + i));
-        }
-    }
-}
-
-/// Transposes a 64×64 bit matrix in place: on return, bit `i` of
-/// `m[j]` equals bit `j` of the input's `m[i]` (LSB-first columns).
-///
-/// This is the struct-of-arrays pivot behind the batch BCH kernels: 64
-/// codeword words (one per block) become 64 bit-planes (one per bit
-/// position), so a whole batch advances with single `u64` ops per bit
-/// position. Recursive block swaps (Hacker's Delight §7-3, adapted to
-/// the LSB-first column convention), six passes of masked exchanges.
-pub fn transpose64(m: &mut [u64; 64]) {
-    let mut j = 32usize;
-    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
-    while j != 0 {
-        let mut k = 0usize;
-        while k < 64 {
-            let t = ((m[k] >> j) ^ m[k + j]) & mask;
-            m[k] ^= t << j;
-            m[k + j] ^= t;
-            k = (k + j + 1) & !j;
-        }
-        j >>= 1;
-        mask ^= mask << j;
-    }
 }
 
 #[cfg(test)]
@@ -319,52 +157,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn push_get_set() {
-        let mut b = BitBuf::new();
-        for i in 0..20 {
-            b.push(i % 3 == 0);
+    fn get_set_flip() {
+        let mut b = BitBuf::zeroed(70);
+        assert_eq!(b.len(), 70);
+        assert!((0..70).all(|i| !b.get(i)));
+        for i in (0..70).filter(|i| i % 3 == 0) {
+            b.set(i, true);
         }
-        assert_eq!(b.len(), 20);
-        for i in 0..20 {
-            assert_eq!(b.get(i), i % 3 == 0);
+        for i in 0..70 {
+            assert_eq!(b.get(i), i % 3 == 0, "bit {i}");
         }
         b.set(1, true);
         assert!(b.get(1));
         b.flip(1);
         assert!(!b.get(1));
-    }
-
-    #[test]
-    fn zeroed_and_from_bytes() {
-        let z = BitBuf::zeroed(17);
-        assert_eq!(z.len(), 17);
-        assert!((0..17).all(|i| !z.get(i)));
-        let f = BitBuf::from_bytes(&[0b0000_0101, 0xFF], 10);
-        assert!(f.get(0));
-        assert!(!f.get(1));
-        assert!(f.get(2));
-        assert!(f.get(8));
-    }
-
-    #[test]
-    fn from_bytes_masks_bits_past_len() {
-        // Bits 10..16 of the source are set but past `len`: they must not
-        // leak into equality or popcounts.
-        let dirty = BitBuf::from_bytes(&[0x00, 0xFF], 10);
-        let mut clean = BitBuf::zeroed(10);
-        clean.set(8, true);
-        clean.set(9, true);
-        assert_eq!(dirty, clean);
-        assert_eq!(dirty.count_ones(), 2);
-    }
-
-    #[test]
-    fn from_words_and_words_round_trip() {
-        let b = BitBuf::from_words(vec![0xDEAD_BEEF_0123_4567, 0xFFFF], 70);
-        assert_eq!(b.words().len(), 2);
-        assert_eq!(b.words()[0], 0xDEAD_BEEF_0123_4567);
-        assert_eq!(b.words()[1], 0x3F, "tail masked to 6 bits");
-        assert_eq!(BitBuf::from_words(b.words().to_vec(), 70), b);
+        b.flip(68);
+        assert!(b.get(68));
+        b.set(0, false);
+        assert!(!b.get(0));
     }
 
     #[test]
@@ -382,53 +192,6 @@ mod tests {
         // Bits 60..70 are now clear and 70..128 still set, so the 64-bit
         // window at 32 sees ones only at result positions 38..=63.
         assert_eq!(b.get_bits(32, 64), u64::MAX << 38);
-    }
-
-    #[test]
-    fn extend_from_copies_ranges() {
-        let mut a = BitBuf::new();
-        for i in 0..16 {
-            a.push(i % 2 == 0);
-        }
-        let mut b = BitBuf::new();
-        b.extend_from(&a, 4, 8);
-        assert_eq!(b.len(), 8);
-        for i in 0..8 {
-            assert_eq!(b.get(i), (i + 4) % 2 == 0);
-        }
-    }
-
-    #[test]
-    fn extend_from_matches_bitwise_reference() {
-        // Word-shift copies against the bit-at-a-time reference over
-        // random offsets, lengths and starting alignments.
-        vapp_check::check("extend_from_matches_bitwise_reference", 128, |rng| {
-            use vapp_check::RngExt;
-            let src_bits = rng.random_range(1..400usize);
-            let mut src = BitBuf::zeroed(src_bits);
-            for i in 0..src_bits {
-                if rng.random::<bool>() {
-                    src.set(i, true);
-                }
-            }
-            let from = rng.random_range(0..src_bits);
-            let count = rng.random_range(0..=(src_bits - from));
-            let pre = rng.random_range(0..100usize);
-            let mut fast = BitBuf::zeroed(pre);
-            let mut slow = fast.clone();
-            fast.extend_from(&src, from, count);
-            slow.extend_from_bitwise(&src, from, count);
-            assert_eq!(fast, slow, "pre={pre} from={from} count={count}");
-        });
-    }
-
-    #[test]
-    fn to_bytes_matches_bit_layout() {
-        let mut b = BitBuf::zeroed(19);
-        b.set(0, true);
-        b.set(9, true);
-        b.set(18, true);
-        assert_eq!(b.to_bytes(), vec![0b0000_0001, 0b0000_0010, 0b0000_0100]);
     }
 
     #[test]
@@ -457,32 +220,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_get_panics() {
         BitBuf::zeroed(4).get(4);
-    }
-
-    #[test]
-    fn transpose64_matches_naive_and_is_involution() {
-        vapp_check::check("transpose64_matches_naive", 32, |rng| {
-            use vapp_check::RngExt;
-            let mut m = [0u64; 64];
-            for w in m.iter_mut() {
-                *w = rng.random::<u64>();
-            }
-            let original = m;
-            transpose64(&mut m);
-            // Indexing both matrices by (i, j) is the statement of the
-            // transpose property itself.
-            #[allow(clippy::needless_range_loop)]
-            for i in 0..64 {
-                for j in 0..64 {
-                    assert_eq!(
-                        (m[j] >> i) & 1,
-                        (original[i] >> j) & 1,
-                        "bit ({i},{j}) misplaced"
-                    );
-                }
-            }
-            transpose64(&mut m);
-            assert_eq!(m, original, "transpose must be an involution");
-        });
     }
 }

@@ -7,8 +7,9 @@
 //!   scrub interval,
 //! * [`bch`] — real BCH-X codes over GF(2^10) on 512-bit blocks
 //!   (10·X parity bits, matching the paper's Fig. 8 overheads exactly),
-//! * [`batch`] — the bitsliced engine behind every BCH encode and decode,
-//!   64 blocks per `u64` operation (per-block calls are one-lane batches),
+//! * [`batch`] — the bitsliced BCH decoder, 64 blocks' error patterns
+//!   per `u64` operation (the crate stores no codewords: syndromes are
+//!   linear, so decoding a block's bare error pattern is enough),
 //! * [`rs`] — Reed–Solomon over the same GF(2^10) with erasure decoding
 //!   (bursty channels know *where* a page died),
 //! * [`interleave`] — row/column block interleaver spreading bursts
@@ -27,8 +28,8 @@
 //! # Example
 //!
 //! ```
-//! use vapp_storage::bch::{Bch, DecodeOutcome, DATA_BITS};
-//! use vapp_storage::bits::BitBuf;
+//! use vapp_storage::batch::BlockBatch;
+//! use vapp_storage::bch::{Bch, DecodeOutcome};
 //! use vapp_storage::uber::block_failure_rate;
 //!
 //! let code = Bch::new(6);
@@ -36,9 +37,11 @@
 //! let rate = block_failure_rate(&code, 1e-3);
 //! assert!(rate < 1e-5 && rate > 1e-8); // Fig. 8: ~1e-6
 //!
-//! let mut cw = code.encode(&BitBuf::zeroed(DATA_BITS));
-//! cw.flip(17);
-//! assert_eq!(code.decode(&mut cw), DecodeOutcome::Corrected(1));
+//! // One block whose stored bit 17 flipped: the error pattern decodes.
+//! let mut errs = BlockBatch::zeroed(&code, 1);
+//! errs.flip(0, 17);
+//! assert_eq!(code.decode_batch(&mut errs), [DecodeOutcome::Corrected(1)]);
+//! assert_eq!(errs.plane(17), 0);
 //! ```
 
 pub mod array;

@@ -7,8 +7,8 @@ use vapp_codec::arith::{ArithDecoder, ArithEncoder, BinContext};
 use vapp_codec::bitstream::{BitReader, BitWriter};
 use vapp_codec::expgolomb;
 use vapp_crypto::CipherMode;
-use vapp_storage::bch::{Bch, DecodeOutcome, DATA_BITS};
-use vapp_storage::bits::BitBuf;
+use vapp_storage::batch::{BlockBatch, LANES};
+use vapp_storage::bch::{Bch, DecodeOutcome};
 
 #[test]
 fn bitstream_roundtrip() {
@@ -70,29 +70,35 @@ fn arith_coder_roundtrip() {
 
 #[test]
 fn bch_corrects_any_t_errors() {
+    // Storage decodes each block's bare error pattern (syndromes are
+    // linear, so the stored data cannot matter): any pattern of at most
+    // t = 6 flips must decode to exactly those flips and leave nothing.
     check("bch_corrects_any_t_errors", 64, |rng| {
-        let seed: u64 = rng.random();
-        let n_flips = rng.random_range(0..=6usize);
-        let flips = gen::distinct(rng, 0..572, n_flips);
-        let code = Bch::new(6);
-        let mut data = BitBuf::zeroed(DATA_BITS);
-        let mut s = seed | 1;
-        for i in 0..DATA_BITS {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            data.set(i, (s >> 62) & 1 == 1);
+        let code = Bch::cached(6);
+        let n = code.codeword_bits();
+        let lanes = rng.random_range(1..=LANES);
+        let patterns: Vec<_> = (0..lanes)
+            .map(|_| {
+                let n_flips = rng.random_range(0..=6usize);
+                gen::distinct(rng, 0..n, n_flips)
+            })
+            .collect();
+        let mut errs = BlockBatch::zeroed(code, lanes);
+        for (lane, flips) in patterns.iter().enumerate() {
+            for &f in flips {
+                errs.flip(lane, f);
+            }
         }
-        let clean = code.encode(&data);
-        let mut cw = clean.clone();
-        for &f in &flips {
-            cw.flip(f);
+        let outcomes = code.decode_batch(&mut errs);
+        for (lane, flips) in patterns.iter().enumerate() {
+            let want = if flips.is_empty() {
+                DecodeOutcome::Clean
+            } else {
+                DecodeOutcome::Corrected(flips.len())
+            };
+            assert_eq!(outcomes[lane], want, "lane {lane}");
         }
-        let outcome = code.decode(&mut cw);
-        if flips.is_empty() {
-            assert_eq!(outcome, DecodeOutcome::Clean);
-        } else {
-            assert_eq!(outcome, DecodeOutcome::Corrected(flips.len()));
-        }
-        assert_eq!(cw, clean);
+        assert!((0..n).all(|bit| errs.plane(bit) == 0), "residual left");
     });
 }
 
