@@ -219,31 +219,10 @@ impl Bch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bch::reference::{batch_decode, ScalarBch};
+    use crate::bch::reference::{batch_decode, pattern, random_data, xor, ScalarBch};
     use crate::bits::BitBuf;
     use crate::interleave::Interleaver;
     use vapp_check::RngExt;
-
-    fn pattern_data(seed: u64) -> BitBuf {
-        let mut d = BitBuf::zeroed(DATA_BITS);
-        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        for i in 0..DATA_BITS {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            d.set(i, (s >> 60) & 1 == 1);
-        }
-        d
-    }
-
-    /// A pattern of `n` bits with the given positions flipped.
-    fn pattern(n: usize, flips: impl IntoIterator<Item = usize>) -> BitBuf {
-        let mut p = BitBuf::zeroed(n);
-        for f in flips {
-            p.flip(f);
-        }
-        p
-    }
 
     #[test]
     fn all_clean_batch_short_circuits() {
@@ -260,12 +239,13 @@ mod tests {
         let oracle = ScalarBch::new(10);
         let n = code.codeword_bits();
         let parity = code.parity_bits();
-        let mut patterns = vec![BitBuf::zeroed(n); LANES];
+        let zero = pattern(code, []);
+        let mut patterns = vec![zero.clone(); LANES];
         // Lanes 0, 7, 63: correctable; lane 20: beyond the radius.
         for (lane, errs) in [(0usize, 1usize), (7, 2), (63, 10)] {
-            patterns[lane] = pattern(n, (0..errs).map(|e| (e * 101 + 17) % n));
+            patterns[lane] = pattern(code, (0..errs).map(|e| (e * 101 + 17) % n));
         }
-        patterns[20] = pattern(n, (0..25).map(|e| (e * 37 + 3) % n));
+        patterns[20] = pattern(code, (0..25).map(|e| (e * 37 + 3) % n));
         // Lane 42: x^95·m1(x), m1 = x^10 + x^3 + 1 the minimal polynomial
         // of α (the field's primitive polynomial). S_1 and its conjugates
         // vanish but S_3 does not: not a codeword, so the lane is dirty
@@ -279,7 +259,7 @@ mod tests {
                 d - parity
             }
         };
-        patterns[42] = pattern(n, [95, 98, 105].map(coeff_bit));
+        patterns[42] = pattern(code, [95, 98, 105].map(coeff_bit));
 
         let mut residual = patterns.clone();
         let outcomes = batch_decode(code, &mut residual);
@@ -288,7 +268,7 @@ mod tests {
         assert_eq!(outcomes[63], DecodeOutcome::Corrected(10));
         assert_eq!(outcomes[42], DecodeOutcome::Corrected(3));
         for lane in [0usize, 7, 42, 63] {
-            assert_eq!(residual[lane].count_ones(), 0, "lane {lane} not cleared");
+            assert_eq!(residual[lane], zero, "lane {lane} not cleared");
         }
         // The dirty lanes must behave exactly like the oracle.
         for lane in [20usize, 42] {
@@ -298,60 +278,37 @@ mod tests {
         }
         for lane in (1..LANES).filter(|l| ![7, 20, 42, 63].contains(l)) {
             assert_eq!(outcomes[lane], DecodeOutcome::Clean);
-            assert_eq!(residual[lane].count_ones(), 0, "clean lane {lane} moved");
-        }
-    }
-
-    /// Decodes the bare error patterns as one sparse batch and checks each
-    /// lane's outcome against the oracle on `encode(data) + pattern`, with
-    /// data drawn from `seed` — the pipeline identity: syndromes are
-    /// linear and vanish on codewords, so the data cannot matter.
-    fn assert_sparse_matches_shifted(t: usize, patterns: &[Vec<usize>], seed: u64) {
-        let code = Bch::cached(t);
-        let oracle = ScalarBch::new(t);
-        let mut batch = BlockBatch::zeroed(code, patterns.len());
-        for (lane, flips) in patterns.iter().enumerate() {
-            for &f in flips {
-                batch.flip(lane, f);
-            }
-        }
-        let sparse = code.decode_batch(&mut batch);
-        for (lane, flips) in patterns.iter().enumerate() {
-            let mut cw = oracle.encode(&pattern_data(seed.wrapping_add(lane as u64)));
-            for &f in flips {
-                cw.flip(f);
-            }
-            assert_eq!(sparse[lane], oracle.decode(&mut cw), "t={t} lane {lane}");
+            assert_eq!(residual[lane], zero, "clean lane {lane} moved");
         }
     }
 
     #[test]
     fn sparse_error_batches_match_scalar_reference() {
-        // The fast store path feeds the batch decoder bare error patterns
-        // instead of codeword+error; this keeps it byte-identical to the
-        // oracle. Fixed edge positions first, then random patterns.
-        let n = Bch::cached(6).codeword_bits();
+        // Edge positions (first and last data bits, first and last parity
+        // bits, a t + 1 run) decode as the oracle decodes
+        // `encode(data) + pattern`; random patterns get the same check in
+        // `bch::tests::fast_kernels_match_scalar_reference`.
+        let code = Bch::cached(6);
+        let oracle = ScalarBch::new(6);
+        let n = code.codeword_bits();
         let edges = [
             vec![5],
             vec![0, 511, 512, n - 1],
             vec![1, 2, 3, 4, 5, 6, 7],
             vec![100, 200, 300, 400, 450, 500],
         ];
-        assert_sparse_matches_shifted(6, &edges, 9);
-        for t in [6usize, 10, 16] {
-            let n = Bch::cached(t).codeword_bits();
-            vapp_check::check(&format!("sparse_error_batch_t{t}"), 12, |rng| {
-                let blocks = rng.random_range(1..=LANES);
-                let patterns: Vec<Vec<usize>> = (0..blocks)
-                    .map(|_| {
-                        let errors = rng.random_range(0..t + 3);
-                        vapp_check::gen::distinct(rng, 0..n, errors)
-                            .into_iter()
-                            .collect()
-                    })
-                    .collect();
-                assert_sparse_matches_shifted(t, &patterns, rng.random());
-            });
+        let errors: Vec<BitBuf> = edges.iter().map(|f| pattern(code, f.clone())).collect();
+        let mut residuals = errors.clone();
+        let outcomes = batch_decode(code, &mut residuals);
+        for (lane, e) in errors.iter().enumerate() {
+            let stored = oracle.encode(&random_data(9 + lane as u64));
+            let mut read = xor(&stored, e);
+            assert_eq!(outcomes[lane], oracle.decode(&mut read), "lane {lane}");
+            assert_eq!(
+                read,
+                xor(&stored, &residuals[lane]),
+                "lane {lane} read-back"
+            );
         }
     }
 
@@ -364,37 +321,25 @@ mod tests {
             let code = Bch::cached(t);
             let oracle = ScalarBch::new(t);
             let n = code.codeword_bits();
+            let zero = pattern(code, []);
             vapp_check::check(&format!("within_radius_t{t}"), 6, |rng| {
                 let lanes = rng.random_range(1..=LANES);
-                let patterns: Vec<Vec<usize>> = (0..lanes)
+                let errors: Vec<BitBuf> = (0..lanes)
                     .map(|_| {
                         let w = rng.random_range(1..=t);
-                        vapp_check::gen::distinct(rng, 0..n, w)
-                            .into_iter()
-                            .collect()
+                        pattern(code, vapp_check::gen::distinct(rng, 0..n, w))
                     })
                     .collect();
-                let mut batch = BlockBatch::zeroed(code, lanes);
-                for (lane, flips) in patterns.iter().enumerate() {
-                    for &f in flips {
-                        batch.flip(lane, f);
-                    }
-                }
-                let outcomes = code.decode_batch(&mut batch);
-                for (lane, flips) in patterns.iter().enumerate() {
-                    let want = DecodeOutcome::Corrected(flips.len());
+                let mut residuals = errors.clone();
+                let outcomes = batch_decode(code, &mut residuals);
+                for (lane, e) in errors.iter().enumerate() {
+                    let want = DecodeOutcome::Corrected(e.hamming_distance(&zero));
                     assert_eq!(outcomes[lane], want, "t={t} batch lane {lane}");
-                    let mut cw = BitBuf::zeroed(n);
-                    for &f in flips {
-                        cw.flip(f);
-                    }
+                    assert_eq!(residuals[lane], zero, "t={t} batch residual, lane {lane}");
+                    let mut cw = e.clone();
                     assert_eq!(oracle.decode(&mut cw), want, "t={t} scalar lane {lane}");
-                    assert_eq!(cw.count_ones(), 0, "t={t} scalar residual, lane {lane}");
+                    assert_eq!(cw, zero, "t={t} scalar residual, lane {lane}");
                 }
-                assert!(
-                    (0..n).all(|bit| batch.plane(bit) == 0),
-                    "t={t} batch residual"
-                );
             });
         }
     }

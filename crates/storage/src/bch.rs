@@ -325,6 +325,37 @@ pub(crate) mod reference {
     use crate::batch::{BlockBatch, LANES};
     use crate::bits::BitBuf;
 
+    /// An error pattern for `code` with the given positions flipped.
+    pub fn pattern(code: &Bch, flips: impl IntoIterator<Item = usize>) -> BitBuf {
+        let mut p = BitBuf::zeroed(code.codeword_bits());
+        for f in flips {
+            p.flip(f);
+        }
+        p
+    }
+
+    /// `base` with every bit set in `by` flipped.
+    pub fn xor(base: &BitBuf, by: &BitBuf) -> BitBuf {
+        let mut x = base.clone();
+        for bit in (0..by.len()).filter(|&bit| by.get(bit)) {
+            x.flip(bit);
+        }
+        x
+    }
+
+    /// 512 pseudo-random data bits drawn from `seed`.
+    pub fn random_data(seed: u64) -> BitBuf {
+        let mut d = BitBuf::zeroed(DATA_BITS);
+        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        for i in 0..DATA_BITS {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            d.set(i, (s >> 60) & 1 == 1);
+        }
+        d
+    }
+
     /// Runs [`Bch::decode_batch`] over per-block error patterns, 64 lanes
     /// per batch, and writes each lane's residual back into its pattern.
     pub fn batch_decode(code: &Bch, patterns: &mut [BitBuf]) -> Vec<DecodeOutcome> {
@@ -467,19 +498,10 @@ pub(crate) mod reference {
 
 #[cfg(test)]
 mod tests {
-    use super::reference::{batch_decode, ScalarBch};
+    use super::reference::{batch_decode, pattern, random_data, xor, ScalarBch};
     use super::*;
     use crate::batch::{BlockBatch, LANES};
     use crate::bits::BitBuf;
-
-    /// A pattern for `code` with the given positions flipped.
-    fn pattern(code: &Bch, flips: &[usize]) -> BitBuf {
-        let mut p = BitBuf::zeroed(code.codeword_bits());
-        for &f in flips {
-            p.flip(f);
-        }
-        p
-    }
 
     #[test]
     fn parity_is_ten_bits_per_corrected_error() {
@@ -506,15 +528,15 @@ mod tests {
     fn zero_pattern_decodes_clean() {
         for t in [6usize, 8] {
             let code = Bch::new(t);
-            let mut p = [pattern(&code, &[])];
+            let mut p = [pattern(&code, [])];
             assert_eq!(batch_decode(&code, &mut p), [DecodeOutcome::Clean]);
-            assert_eq!(p[0].count_ones(), 0);
+            assert_eq!(p[0], pattern(&code, []));
         }
         // First data bit and a parity bit at t = 8.
         let code = Bch::new(8);
-        let mut p = [pattern(&code, &[0, 550])];
+        let mut p = [pattern(&code, [0, 550])];
         assert_eq!(batch_decode(&code, &mut p), [DecodeOutcome::Corrected(2)]);
-        assert_eq!(p[0].count_ones(), 0);
+        assert_eq!(p[0], pattern(&code, []));
     }
 
     #[test]
@@ -530,19 +552,19 @@ mod tests {
                     flipped.push(pos);
                 }
             }
-            let mut p = [pattern(&code, &flipped)];
+            let mut p = [pattern(&code, flipped.iter().copied())];
             let out = batch_decode(&code, &mut p);
             assert_eq!(out, [DecodeOutcome::Corrected(flipped.len())], "t = {t}");
-            assert_eq!(p[0].count_ones(), 0, "t = {t}: pattern not cleared");
+            assert_eq!(p[0], pattern(&code, []), "t = {t}: pattern not cleared");
         }
     }
 
     #[test]
     fn single_error_in_parity_corrected() {
         let code = Bch::new(6);
-        let mut p = [pattern(&code, &[DATA_BITS + 5])];
+        let mut p = [pattern(&code, [DATA_BITS + 5])];
         assert_eq!(batch_decode(&code, &mut p), [DecodeOutcome::Corrected(1)]);
-        assert_eq!(p[0].count_ones(), 0);
+        assert_eq!(p[0], pattern(&code, []));
     }
 
     #[test]
@@ -559,14 +581,14 @@ mod tests {
                 s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
                 flipped.insert((s >> 33) as usize % code.codeword_bits());
             }
-            patterns.push(pattern(&code, &flipped.into_iter().collect::<Vec<_>>()));
+            patterns.push(pattern(&code, flipped));
         }
         let outcomes = batch_decode(&code, &mut patterns);
         for (trial, (out, p)) in outcomes.iter().zip(&patterns).enumerate() {
             assert_ne!(*out, DecodeOutcome::Clean, "trial {trial}");
             assert_ne!(
-                p.count_ones(),
-                0,
+                *p,
+                pattern(&code, []),
                 "trial {trial}: 7 errors restored silently"
             );
         }
@@ -586,7 +608,10 @@ mod tests {
         // with 0..=t+2 random flips (clean, correctable and beyond-radius
         // lanes mixed in one batch), for the three code strengths the
         // figures use. Outcomes and the residual each lane is left with
-        // must agree exactly.
+        // must agree exactly with the oracle decoding the bare pattern,
+        // and with it decoding `encode(data) + pattern`: the pipeline
+        // identity (syndromes are linear and vanish on codewords, so the
+        // stored data cannot matter).
         use vapp_check::RngExt;
         for t in [6usize, 10, 16] {
             let fast = Bch::cached(t);
@@ -594,22 +619,24 @@ mod tests {
             let n = fast.codeword_bits();
             vapp_check::check(&format!("bch_fast_matches_scalar_t{t}"), 12, |rng| {
                 let blocks = rng.random_range(1..2 * LANES + 10);
-                let mut got: Vec<BitBuf> = (0..blocks)
+                let errors: Vec<BitBuf> = (0..blocks)
                     .map(|_| {
-                        let errors = rng.random_range(0..=t + 2);
-                        let flips: Vec<usize> = vapp_check::gen::distinct(rng, 0..n, errors)
-                            .into_iter()
-                            .collect();
-                        pattern(fast, &flips)
+                        let w = rng.random_range(0..=t + 2);
+                        pattern(fast, vapp_check::gen::distinct(rng, 0..n, w))
                     })
                     .collect();
-                let mut want = got.clone();
-                let out_fast = batch_decode(fast, &mut got);
-                let out_slow: Vec<DecodeOutcome> =
-                    want.iter_mut().map(|p| slow.decode(p)).collect();
-                assert_eq!(out_fast, out_slow, "t = {t}: outcomes diverge");
-                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(a, b, "t = {t} block {i}: residual mismatch");
+                let seed: u64 = rng.random();
+                let mut residuals = errors.clone();
+                let outcomes = batch_decode(fast, &mut residuals);
+                for (i, (e, residual)) in errors.iter().zip(&residuals).enumerate() {
+                    let mut bare = e.clone();
+                    assert_eq!(outcomes[i], slow.decode(&mut bare), "t = {t} block {i}");
+                    assert_eq!(*residual, bare, "t = {t} block {i}: residual mismatch");
+                    let stored = slow.encode(&random_data(seed.wrapping_add(i as u64)));
+                    let mut read = xor(&stored, e);
+                    let shifted = slow.decode(&mut read);
+                    assert_eq!(outcomes[i], shifted, "t = {t} block {i}: data mattered");
+                    assert_eq!(read, xor(&stored, residual), "t = {t} block {i}: read-back");
                 }
             });
         }

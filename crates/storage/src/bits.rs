@@ -10,7 +10,7 @@
 ///
 /// Bit `i` lives in word `i / 64` at position `i % 64` (LSB-first).
 /// Invariant: bits at or past `len` in the last word are zero (every
-/// write is range-checked), so equality, hashing, popcounts and hamming
+/// write is range-checked), so equality, hashing and hamming
 /// distances need no tail masking.
 ///
 /// # Example
@@ -24,7 +24,7 @@
 /// assert_eq!(b.len(), 3);
 /// assert!(b.get(0));
 /// assert!(!b.get(1));
-/// assert_eq!(b.count_ones(), 2);
+/// assert_eq!(b.hamming_distance(&BitBuf::zeroed(3)), 2);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct BitBuf {
@@ -131,11 +131,6 @@ impl BitBuf {
         }
     }
 
-    /// Number of set bits (word-level popcount).
-    pub fn count_ones(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
     /// Number of bits that differ from `other` (vectorized xor+popcount;
     /// the tail invariant makes padding self-cancelling).
     ///
@@ -192,16 +187,6 @@ mod tests {
         // Bits 60..70 are now clear and 70..128 still set, so the 64-bit
         // window at 32 sees ones only at result positions 38..=63.
         assert_eq!(b.get_bits(32, 64), u64::MAX << 38);
-    }
-
-    #[test]
-    fn count_ones_spans_words() {
-        let mut a = BitBuf::zeroed(130);
-        a.set(0, true);
-        a.set(64, true);
-        a.set(129, true);
-        assert_eq!(a.count_ones(), 3);
-        assert_eq!(BitBuf::zeroed(70).count_ones(), 0);
     }
 
     #[test]
