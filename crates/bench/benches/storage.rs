@@ -13,7 +13,6 @@ use vapp_storage::bch::Bch;
 use vapp_storage::channel::{
     burst_erasure, data_in_video, mlc_pcm, BurstConfig, Substrate, VideoChannelConfig,
 };
-use vapp_storage::interleave::Interleaver;
 use vapp_storage::mlc::{MlcConfig, MlcSubstrate};
 use vapp_storage::rs::Rs;
 use vapp_storage::uber::block_failure_rate;
@@ -92,11 +91,10 @@ fn bench_bch_batch(c: &mut Criterion) {
 }
 
 /// The pluggable error channels behind `StoragePolicy`: the RS
-/// erasure-channel kernels (encode, errors-and-erasures decode,
-/// interleaver construction) and whole-stream corruption through each
-/// `Substrate`, measured on the same 64 KiB payload. The video channel
-/// uses a deliberately tiny frame so the encoder round-trip stays a
-/// micro-benchmark.
+/// erasure-channel kernels (encode, errors-and-erasures decode) and
+/// whole-stream corruption through each `Substrate`, measured on the
+/// same 64 KiB payload. The video channel uses a deliberately tiny
+/// frame so the encoder round-trip stays a micro-benchmark.
 fn bench_substrate(c: &mut Criterion) {
     let mut group = c.benchmark_group("substrate");
     group.sample_size(20);
@@ -122,9 +120,6 @@ fn bench_substrate(c: &mut Criterion) {
             }
             black_box(code.decode(&mut cw, &eras))
         });
-    });
-    group.bench_function("interleaver_build_64x134", |b| {
-        b.iter(|| black_box(Interleaver::new(black_box(64), black_box(64 * 134))));
     });
 
     // Whole-stream corruption, 64 KiB at the BCH-6 ladder rung.

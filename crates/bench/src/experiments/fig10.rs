@@ -18,6 +18,22 @@ pub struct Fig10Result {
     pub storage_pct: Vec<f64>,
 }
 
+impl Fig10Result {
+    /// (rate, class boundary) pairs where the higher class loses more
+    /// than `margin_db` less than the class below it. Classes are
+    /// cumulative, so each adds payload to the one below and should lose
+    /// at least as much.
+    pub fn inversions(&self, margin_db: f64) -> usize {
+        (self.loss.windows(2))
+            .map(|b| {
+                (b[0].iter().zip(&b[1]))
+                    .filter(|&(lo, hi)| hi - lo > margin_db)
+                    .count()
+            })
+            .sum()
+    }
+}
+
 /// Runs the experiment.
 pub fn run(cfg: &ExpConfig) -> Fig10Result {
     let prepared = prepare(cfg, 24);

@@ -7,7 +7,7 @@
 //! ciphertext flip to exactly that plaintext bit is checked end to end by
 //! `tests/encrypted_pipeline.rs` and not repeated here.
 
-use vapp_bench::experiments::{fig11, fig3, fig9, table1};
+use vapp_bench::experiments::{fig10, fig11, fig3, fig9, table1};
 use vapp_bench::ExpConfig;
 use videoapp::EcScheme;
 
@@ -15,6 +15,12 @@ use videoapp::EcScheme;
 /// small scale has 3 (5 trials per point); more means importance stopped
 /// predicting measured damage.
 const FIG9_INVERSION_BUDGET: usize = 3;
+
+/// Fig 10 (rate, class boundary) pairs allowed to invert by more than
+/// 0.5 dB. The small scale has 4 (one each at 1e-5, 1e-4, 1e-3 and
+/// 1e-2; 5 trials per point); more means the cumulative classes stopped
+/// losing in importance order.
+const FIG10_INVERSION_BUDGET: usize = 4;
 
 #[test]
 #[ignore = "runs the Fig 3 experiment"]
@@ -36,6 +42,19 @@ fn fig9_loss_follows_bin_importance_within_the_budget() {
         "{inversions} inversions"
     );
     assert!(r.max_importance.windows(2).all(|b| b[0] <= b[1]));
+}
+
+#[test]
+#[ignore = "runs the Fig 10 experiment"]
+fn fig10_classes_lose_in_order_within_the_budget() {
+    let r = fig10::run(&ExpConfig::from_env());
+    let inversions = r.inversions(0.5);
+    assert!(
+        inversions <= FIG10_INVERSION_BUDGET,
+        "{inversions} inversions"
+    );
+    assert!(r.storage_pct.windows(2).all(|c| c[0] <= c[1]));
+    assert_eq!(r.storage_pct.last().copied(), Some(100.0));
 }
 
 #[test]

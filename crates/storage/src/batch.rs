@@ -221,7 +221,6 @@ mod tests {
     use super::*;
     use crate::bch::reference::{batch_decode, pattern, random_data, xor, ScalarBch};
     use crate::bits::BitBuf;
-    use crate::interleave::Interleaver;
     use vapp_check::RngExt;
 
     #[test]
@@ -344,10 +343,10 @@ mod tests {
         }
     }
 
-    /// Burst-shaped error patterns (page-sized runs spread by the block
-    /// interleaving plus i.i.d. background) — dense, often overloaded
-    /// patterns far from the sparse i.i.d. population — must decode
-    /// exactly as the oracle decodes them.
+    /// Burst-shaped error patterns (page-sized runs spread by bit
+    /// interleaving across `depth` blocks, plus i.i.d. background) —
+    /// dense, often overloaded patterns far from the sparse i.i.d.
+    /// population — must decode exactly as the oracle decodes them.
     #[test]
     fn burst_patterns_match_scalar_reference() {
         for t in [6usize, 10] {
@@ -357,20 +356,20 @@ mod tests {
             vapp_check::check(&format!("batch_burst_equivalence_t{t}"), 16, |rng| {
                 let blocks = rng.random_range(1..80usize);
                 let depth = rng.random_range(1..=blocks);
-                let il = Interleaver::new(depth, depth * nb);
                 let mut patterns: Vec<BitBuf> = (0..blocks).map(|_| BitBuf::zeroed(nb)).collect();
                 // A few physical bursts, each wiping a contiguous run whose
                 // bits garble with probability 1/2 (what a lost page does).
+                // Physical bit `pos` of a group holds bit `pos / depth` of
+                // its block `pos % depth`.
                 for _ in 0..rng.random_range(0..4usize) {
                     let span = rng.random_range(1..3 * depth.max(2));
                     let group = rng.random_range(0..blocks.div_ceil(depth));
                     let start = rng.random_range(0..depth * nb - span);
                     for pos in start..start + span {
                         if rng.random_bool(0.5) {
-                            let l = il.inverse(pos);
-                            let block = group * depth + l / nb;
+                            let block = group * depth + pos % depth;
                             if block < blocks {
-                                patterns[block].flip(l % nb);
+                                patterns[block].flip(pos / depth);
                             }
                         }
                     }

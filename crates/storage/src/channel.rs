@@ -14,9 +14,9 @@
 //!   `tests/determinism.rs` are the gate).
 //! - [`BurstErasure`] — whole-page loss with configurable burst length
 //!   plus a background i.i.d. floor. Protected by the in-repo
-//!   Reed–Solomon code over GF(2^10) ([`crate::rs`]) behind a symbol
-//!   interleaver ([`crate::interleave`]), with page-granular *erasure*
-//!   locations handed to the decoder.
+//!   Reed–Solomon code over GF(2^10) ([`crate::rs`]) with its symbols
+//!   interleaved column-major over the medium (`RsStream`), and
+//!   page-granular *erasure* locations handed to the decoder.
 //! - [`DataInVideo`] — the payload round-trips through our own lossy
 //!   codec at a configurable quant level (`vapp-codec`, all-intra),
 //!   RS-protected. Damage is content-dependent, deterministic, and
@@ -47,7 +47,6 @@ use std::sync::{Arc, OnceLock};
 use crate::batch::{self, BlockBatch};
 use crate::bch::{Bch, DecodeOutcome, DATA_BITS};
 use crate::bits::BitBuf;
-use crate::interleave::Interleaver;
 use crate::rs::{Rs, RS_DATA_SYMS, SYM_BITS};
 use crate::uber;
 use vapp_codec::{Encoder, EncoderConfig};
@@ -375,43 +374,38 @@ impl Substrate for MlcPcm {
 /// [`DataInVideo`]).
 ///
 /// The stream's `bits` split into 10-bit MSB-first data symbols,
-/// [`RS_DATA_SYMS`] per codeword; every codeword of the stream
-/// interleaves column-major over the physical medium. A codeword is
-/// `[parity; p] ++ [data; k]`, so symbol `j >= p` of codeword `c` is
-/// stream data symbol `c * k + j - p`.
+/// [`RS_DATA_SYMS`] per codeword. The `cws` codewords interleave
+/// column-major over the physical medium: physical symbol `phys` holds
+/// symbol `phys / cws` of codeword `phys % cws`, so a run of `B`
+/// consecutive physical symbols hits any one codeword at most
+/// `ceil(B / cws)` times. A codeword is `[parity; p] ++ [data; k]`, so
+/// symbol `j >= p` of codeword `c` is stream data symbol `c * k + j - p`.
 struct RsStream {
     code: &'static Rs,
     bits: u64,
     total_syms: usize,
     cws: usize,
-    il: Interleaver,
 }
 
 impl RsStream {
     fn new(bits: u64, t: usize) -> Self {
-        let code = Rs::cached(t);
         let total_syms = (bits as usize).div_ceil(SYM_BITS);
-        let cws = total_syms.div_ceil(RS_DATA_SYMS).max(1);
-        let il = Interleaver::new(cws, cws * code.codeword_syms());
         RsStream {
-            code,
+            code: Rs::cached(t),
             bits,
             total_syms,
-            cws,
-            il,
+            cws: total_syms.div_ceil(RS_DATA_SYMS).max(1),
         }
     }
 
     /// Symbols on the physical medium: every codeword, parity included.
     fn phys_syms(&self) -> usize {
-        self.il.len()
+        self.cws * self.code.codeword_syms()
     }
 
     /// `(codeword, symbol)` stored at physical symbol `phys`.
     fn locate(&self, phys: usize) -> (usize, usize) {
-        let l = self.il.inverse(phys);
-        let n = self.code.codeword_syms();
-        (l / n, l % n)
+        (phys % self.cws, phys / self.cws)
     }
 
     /// Stream data symbol `gs`; bits past the stream read as zero.
@@ -424,15 +418,16 @@ impl RsStream {
 
     /// Decodes each codeword's error pattern and delivers what decoding
     /// leaves of it to the stream. `erasures[c]` lists the erased
-    /// symbols of codeword `c`; a channel without erasure knowledge
-    /// passes an empty slice. Syndromes are linear, so decoding the bare
-    /// pattern gives the outcome — and the corrections — of decoding the
-    /// damaged codeword. A codeword within the radius `2·errors +
-    /// erasures ≤ parity` that [`Rs::decode`] guarantees decodes to a
-    /// zero pattern (Clean if the erased symbols' garbage matched), so it
-    /// counts as corrected without running the decoder. Any other reads
-    /// back with its residual: the whole pattern when Uncorrectable, the
-    /// wrong codeword's symbols on a miscorrection ([`Self::deliver`]).
+    /// symbols of codeword `c` in strictly ascending order; a channel
+    /// without erasure knowledge passes an empty slice. Syndromes are
+    /// linear, so decoding the bare pattern gives the outcome — and the
+    /// corrections — of decoding the damaged codeword. A codeword within
+    /// the radius `2·errors + erasures ≤ parity` that [`Rs::decode`]
+    /// guarantees decodes to a zero pattern (Clean if the erased
+    /// symbols' garbage matched), so it counts as corrected without
+    /// running the decoder. Any other reads back with its residual: the
+    /// whole pattern when Uncorrectable, the wrong codeword's symbols on
+    /// a miscorrection ([`Self::deliver`]).
     fn decode_and_deliver(
         &self,
         data: &mut [u8],
@@ -442,7 +437,6 @@ impl RsStream {
         let mut tally = CorruptTally::default();
         let p = self.code.parity_syms();
         vapp_obs::counter!("storage.substrate.rs.codewords", self.cws as u64);
-        let mut erased = vec![false; self.code.codeword_syms()];
         for (c, pattern) in patterns.iter_mut().enumerate() {
             tally.flips += pattern.iter().map(|&v| v.count_ones() as u64).sum::<u64>();
             let eras = erasures.get(c).map_or(&[][..], Vec::as_slice);
@@ -450,20 +444,10 @@ impl RsStream {
                 tally.clean += 1;
                 continue;
             }
-            let mut distinct = 0;
-            for &e in eras {
-                distinct += usize::from(!erased[e]);
-                erased[e] = true;
-            }
-            let errors = pattern
-                .iter()
-                .zip(&erased)
-                .filter(|&(&v, &x)| v != 0 && !x)
+            let errors = (pattern.iter().enumerate())
+                .filter(|&(j, &v)| v != 0 && eras.binary_search(&j).is_err())
                 .count();
-            for &e in eras {
-                erased[e] = false;
-            }
-            if 2 * errors + distinct <= p {
+            if 2 * errors + eras.len() <= p {
                 tally.corrected += 1;
                 continue;
             }
@@ -629,30 +613,26 @@ impl BurstErasure {
         let lost = self.draw_lost_pages(n_pages, &mut StdRng::seed_from_u64(seeds[0]));
         vapp_obs::counter!("storage.substrate.burst.pages_lost", lost.len() as u64);
 
-        // Erased physical symbols: any symbol overlapping a lost page.
-        let mut erased = vec![false; phys_syms];
-        for &page in &lost {
-            let start = (page * self.cfg.page_bits) as usize / SYM_BITS;
-            let end = ((page + 1) * self.cfg.page_bits).div_ceil(SYM_BITS as u64) as usize;
-            for s in erased.iter_mut().take(end.min(phys_syms)).skip(start) {
-                *s = true;
-            }
-        }
-
-        // Per-codeword error patterns. Erased symbols read back as
-        // garbage; garbage XOR original is uniform, so drawing the
-        // pattern value directly is distribution-exact and needs no
-        // content. Values draw in ascending physical order.
+        // Per-codeword error patterns. Every symbol overlapping a lost
+        // page is erased and reads back as garbage; garbage XOR
+        // original is uniform, so drawing the pattern value directly
+        // is distribution-exact and needs no content. Lost pages come
+        // sorted, so values draw in ascending physical order, a symbol
+        // straddling two lost pages draws once, and each codeword's
+        // erasure list comes out strictly ascending.
         let mut patterns = vec![vec![0u16; rs.code.codeword_syms()]; rs.cws];
         let mut erasures: Vec<Vec<usize>> = vec![Vec::new(); rs.cws];
         let mut garble = StdRng::seed_from_u64(seeds[1]);
-        for (phys, flag) in erased.iter().enumerate() {
-            if !flag {
-                continue;
+        let mut drawn = 0;
+        for &page in &lost {
+            let start = (page * self.cfg.page_bits) as usize / SYM_BITS;
+            let end = ((page + 1) * self.cfg.page_bits).div_ceil(SYM_BITS as u64) as usize;
+            for phys in start.max(drawn)..end.min(phys_syms) {
+                let (c, j) = rs.locate(phys);
+                patterns[c][j] = garble.random::<u16>() & 0x3FF;
+                erasures[c].push(j);
             }
-            let (c, j) = rs.locate(phys);
-            patterns[c][j] = garble.random::<u16>() & 0x3FF;
-            erasures[c].push(j);
+            drawn = end;
         }
         let mut iid = StdRng::seed_from_u64(seeds[2]);
         for pos in pick_positions(&[0..phys_bits], self.cfg.iid_ber, &mut iid) {
@@ -763,7 +743,7 @@ impl Default for VideoChannelConfig {
 /// near the threshold flips bits, spatially clustered along block
 /// boundaries. Damage is *content-dependent and deterministic* — the
 /// seed is unused (see the module determinism contract) — and the RS
-/// realization spreads it with the symbol interleaver.
+/// realization spreads it by interleaving codeword symbols.
 #[derive(Debug)]
 pub struct DataInVideo {
     cfg: VideoChannelConfig,
@@ -1136,6 +1116,54 @@ mod tests {
             miscorrected_triples > 0,
             "the fixture must miscorrect a 3-flip block"
         );
+    }
+
+    #[test]
+    fn rs_layout_is_a_bijection_that_spreads_bursts() {
+        for (bits, t) in [
+            (1u64, 1usize),
+            (1020, 2),
+            (3067, 3),
+            (30_011, 6),
+            (524_288, 16),
+        ] {
+            let rs = RsStream::new(bits, t);
+            let (cws, n) = (rs.cws, rs.code.codeword_syms());
+            assert_eq!(rs.phys_syms(), cws * n);
+            let mut seen = vec![false; cws * n];
+            for phys in 0..rs.phys_syms() {
+                let (c, j) = rs.locate(phys);
+                assert!(
+                    c < cws && j < n,
+                    "bits {bits} t {t}: phys {phys} → ({c}, {j})"
+                );
+                assert!(
+                    !seen[c * n + j],
+                    "bits {bits} t {t}: ({c}, {j}) located twice"
+                );
+                seen[c * n + j] = true;
+            }
+            // Slide every window of `burst` consecutive physical symbols
+            // and track the most hits any one codeword takes.
+            for burst in [1, cws.max(2) - 1, cws, cws + 1, 3 * cws + 2, 205] {
+                let burst = burst.min(rs.phys_syms());
+                let mut hits = vec![0usize; cws];
+                let mut worst = 0;
+                for phys in 0..rs.phys_syms() {
+                    let c = rs.locate(phys).0;
+                    hits[c] += 1;
+                    worst = worst.max(hits[c]);
+                    if phys + 1 >= burst {
+                        hits[rs.locate(phys + 1 - burst).0] -= 1;
+                    }
+                }
+                let bound = burst.div_ceil(cws);
+                assert!(
+                    worst <= bound,
+                    "bits {bits} t {t} burst {burst}: a codeword took {worst} > {bound} symbols"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //!   linear, so decoding a block's bare error pattern is enough),
 //! * [`rs`] — Reed–Solomon over the same GF(2^10) with erasure decoding
 //!   (bursty channels know *where* a page died),
-//! * [`interleave`] — row/column block interleaver spreading bursts
-//!   across codewords,
 //! * [`channel`] — the [`channel::Substrate`] trait making the error
 //!   channel pluggable: MLC PCM (i.i.d., BCH), burst page-erasure and
-//!   data-stored-as-video (both on one interleaved-RS decode path),
+//!   data-stored-as-video (both on one RS decode path whose codewords
+//!   interleave symbol by symbol over the medium, spreading bursts),
 //! * [`uber`] — binomial-tail math for uncorrectable error rates,
 //! * [`bank`] — a fixed-capacity block bank (one shard of the archive
 //!   layer): pristine writes, substrate-decoded reads,
@@ -52,7 +51,6 @@ pub mod bits;
 pub mod channel;
 pub mod density;
 pub mod gf;
-pub mod interleave;
 pub mod mlc;
 pub mod rs;
 pub mod uber;
@@ -65,6 +63,5 @@ pub use channel::{
     burst_erasure, data_in_video, mlc_pcm, BurstConfig, BurstErasure, CorruptTally, DataInVideo,
     MlcPcm, Substrate, VideoChannelConfig,
 };
-pub use interleave::Interleaver;
 pub use mlc::{MlcConfig, MlcSubstrate, DEFAULT_SCRUB_DAYS, TARGET_RAW_BER};
 pub use rs::Rs;

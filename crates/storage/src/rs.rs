@@ -214,12 +214,14 @@ impl Rs {
             .rposition(|&c| c != 0)
             .expect("psi has unit constant term");
         let mut fixes: Vec<(usize, u16)> = Vec::with_capacity(deg_psi);
+        let mut roots = 0usize;
         for pos in 0..cw.len() {
             // x = X_pos⁻¹ = α^{-pos}
             let log_x = (GF_ORDER - pos % GF_ORDER) % GF_ORDER;
             if poly_eval_log(gf, &psi, log_x) != 0 {
                 continue;
             }
+            roots += 1;
             // Forney: e = X · Ω(x) / Ψ'(x); in char 2, Ψ'(x) keeps the
             // odd-degree terms of Ψ only.
             let num = poly_eval_log(gf, &omega, log_x);
@@ -236,14 +238,7 @@ impl Rs {
         // count short of deg Ψ means roots outside [0, n) or repeated
         // factors — a bogus locator from damage past the radius. (Roots
         // with zero magnitude — erased symbols whose garbage happened to
-        // match — still count as roots; they are found above with e = 0.)
-        let mut roots = 0usize;
-        for pos in 0..cw.len() {
-            let log_x = (GF_ORDER - pos % GF_ORDER) % GF_ORDER;
-            if poly_eval_log(gf, &psi, log_x) == 0 {
-                roots += 1;
-            }
-        }
+        // match — still count as roots, with no fix.)
         if roots != deg_psi {
             return DecodeOutcome::Uncorrectable;
         }

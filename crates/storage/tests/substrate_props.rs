@@ -1,13 +1,13 @@
 //! Property tests for the substrate building blocks: Reed–Solomon
-//! round-trips at the mixed erasure/error budget boundary, interleaver
-//! bijectivity on arbitrary partial tails, and seed purity of the burst
-//! substrate. (The BCH engine's burst-pattern equivalence against the
-//! scalar oracle is a `vapp-storage` unit test in `batch.rs`.)
+//! round-trips at the mixed erasure/error budget boundary and seed
+//! purity of the burst substrate. (The RS channels' symbol layout — a
+//! bijection that bounds each codeword's share of a burst — is a unit
+//! test in `channel.rs`; the BCH engine's burst-pattern equivalence
+//! against the scalar oracle is a unit test in `batch.rs`.)
 
 use vapp_check::{RngExt, StdRng};
 use vapp_storage::bch::DecodeOutcome;
 use vapp_storage::channel::{BurstConfig, BurstErasure, Substrate};
-use vapp_storage::interleave::Interleaver;
 use vapp_storage::rs::Rs;
 
 fn random_syms(rng: &mut StdRng, n: usize) -> Vec<u16> {
@@ -72,47 +72,6 @@ fn rs_erasure_only_budget_is_double_the_error_budget() {
             assert_eq!(cw, clean);
         });
     }
-}
-
-#[test]
-fn interleaver_is_a_bijection_on_random_partial_tails() {
-    vapp_check::check("interleaver_bijection", 64, |rng| {
-        let total = rng.random_range(1..5000usize);
-        let depth = rng.random_range(1..200usize);
-        let il = Interleaver::new(depth, total);
-        let mut seen = vec![false; total];
-        for l in 0..total {
-            let p = il.forward(l);
-            assert!(p < total, "physical out of range");
-            assert!(!seen[p], "depth {depth} total {total}: physical {p} reused");
-            seen[p] = true;
-            assert_eq!(il.inverse(p), l, "inverse mismatch at logical {l}");
-        }
-    });
-}
-
-#[test]
-fn interleaver_bounds_burst_damage_per_row() {
-    // The guarantee the whole design rests on: a physical burst of B
-    // units touches each row at most ceil(B/depth) + 1 times.
-    vapp_check::check("interleaver_burst_bound", 48, |rng| {
-        let depth = rng.random_range(2..64usize);
-        let total = rng.random_range(depth..4000usize);
-        let il = Interleaver::new(depth, total);
-        let burst = rng.random_range(1..total.min(300));
-        let start = rng.random_range(0..total - burst + 1);
-        let mut per_row = vec![0usize; il.depth()];
-        for p in start..start + burst {
-            per_row[il.inverse(p) / il.cols()] += 1;
-        }
-        let bound = burst.div_ceil(il.depth()) + 1;
-        for (r, &hits) in per_row.iter().enumerate() {
-            assert!(
-                hits <= bound,
-                "depth {depth} total {total} burst {burst}: row {r} hit {hits} > {bound}"
-            );
-        }
-    });
 }
 
 /// The public corruption surface of `BurstErasure` must be a pure
