@@ -24,7 +24,8 @@ use crate::namespace::ObjectId;
 pub struct CachedObject {
     /// Corrected payload bytes.
     pub bytes: Vec<u8>,
-    /// Whether any stream mismatched its ingest checksum.
+    /// Whether the substrate changed any payload bit on the read that
+    /// produced these bytes.
     pub degraded: bool,
 }
 

@@ -124,7 +124,7 @@ pub struct FleetOutcome {
     pub cache_misses: u64,
     /// See `cache_hits`.
     pub cache_evictions: u64,
-    /// Reads whose decoded bytes mismatched the ingest checksum.
+    /// Reads on which the substrate changed payload bits.
     pub degraded: u64,
     /// Objects ingested through the queue (excludes catalog preload).
     pub ingested: u64,

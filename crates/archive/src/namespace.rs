@@ -31,17 +31,6 @@ pub fn shard_of(id: ObjectId, banks: usize) -> usize {
     (mix64(id) % banks as u64) as usize
 }
 
-/// FNV-1a over a byte slice — the namespace's content checksum (pristine
-/// bytes at ingest; reads compare against it to count degraded serves).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// One protection stream of an object.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StreamMeta {
@@ -51,8 +40,6 @@ pub struct StreamMeta {
     pub bytes: u64,
     /// Where the stream lives inside the object's shard bank.
     pub extents: Vec<Extent>,
-    /// FNV-1a of the pristine stream bytes.
-    pub checksum: u64,
 }
 
 /// Namespace record for one object.

@@ -94,7 +94,7 @@ pub enum Completion {
         bytes: Option<Vec<u8>>,
         /// Served from the hot cache.
         cache_hit: bool,
-        /// At least one stream mismatched its ingest checksum.
+        /// The substrate changed at least one payload bit on this read.
         degraded: bool,
     },
     /// Delete outcome.

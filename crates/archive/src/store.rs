@@ -15,7 +15,7 @@ use vapp_storage::bank::{Bank, BLOCK_BYTES};
 use vapp_storage::channel::{CorruptTally, Substrate};
 
 use crate::extent::{Extent, ExtentAllocator};
-use crate::namespace::{fnv1a, shard_of, Namespace, ObjectId, ObjectMeta, StreamMeta};
+use crate::namespace::{shard_of, Namespace, ObjectId, ObjectMeta, StreamMeta};
 
 /// One rung of a tenant's protection ladder.
 #[derive(Clone, Copy, Debug)]
@@ -75,7 +75,9 @@ pub struct ReadResult {
     /// The decoded payload (may differ from the ingested bytes on
     /// unprotected/overwhelmed streams — that's the approximate deal).
     pub bytes: Vec<u8>,
-    /// Whether any stream's decoded bytes mismatch its ingest checksum.
+    /// Whether the substrate changed any payload bit on this read
+    /// (`tally.changed_bits > 0`). Banks hold the pristine ingested
+    /// bytes, so this is exactly "`bytes` differ from what was put".
     pub degraded: bool,
     /// Merged substrate tally across the object's streams.
     pub tally: CorruptTally,
@@ -92,6 +94,16 @@ fn read_seed(archive_seed: u64, id: ObjectId, stream: usize) -> u64 {
         z ^ (z >> 31)
     }
     mix(archive_seed ^ mix(id ^ mix(stream as u64)))
+}
+
+/// Appends the stored (pristine) bytes of stream `s` on `bank` to `out`.
+fn read_stored(bank: &Bank, s: &StreamMeta, out: &mut Vec<u8>) {
+    let mut rem = s.bytes as usize;
+    for e in &s.extents {
+        let chunk = rem.min(e.blocks as usize * BLOCK_BYTES);
+        bank.read_into(e.start, chunk, out);
+        rem -= chunk;
+    }
 }
 
 /// The sharded archive store.
@@ -187,7 +199,7 @@ impl Archive {
         let mut streams = Vec::with_capacity(parts.len());
         let mut off = 0usize;
         for (n, t) in parts {
-            let slice = &payload[off..off + n];
+            let mut rem = &payload[off..off + n];
             off += n;
             let blocks = (n.div_ceil(BLOCK_BYTES)) as u64;
             let Some(extents) = self.allocs[shard].allocate(blocks) else {
@@ -198,7 +210,6 @@ impl Archive {
                 }
                 return Err(PutError::OutOfSpace);
             };
-            let mut rem = slice;
             for e in &extents {
                 let chunk = rem.len().min(e.blocks as usize * BLOCK_BYTES);
                 self.banks[shard].write(e.start, &rem[..chunk]);
@@ -208,7 +219,6 @@ impl Archive {
                 t,
                 bytes: n as u64,
                 extents,
-                checksum: fnv1a(slice),
             });
         }
         let inserted = self.namespace.insert(id, ObjectMeta { tenant, streams });
@@ -224,27 +234,16 @@ impl Archive {
         let shard = shard_of(id, self.banks.len());
         let bank = &self.banks[shard];
         let mut bytes = Vec::with_capacity(meta.bytes() as usize);
-        let mut degraded = false;
         let mut tally = CorruptTally::default();
         for (k, s) in meta.streams.iter().enumerate() {
-            let mut buf = Vec::with_capacity(s.bytes as usize);
-            let mut rem = s.bytes as usize;
-            for e in &s.extents {
-                let chunk = rem.min(e.blocks as usize * BLOCK_BYTES);
-                bank.read_into(e.start, chunk, &mut buf);
-                rem -= chunk;
-            }
-            let t = bank.decode_read(&mut buf, s.bytes * 8, s.t, read_seed(self.seed, id, k));
-            tally.flips += t.flips;
-            tally.clean += t.clean;
-            tally.corrected += t.corrected;
-            tally.uncorrectable += t.uncorrectable;
-            degraded |= fnv1a(&buf) != s.checksum;
-            bytes.extend_from_slice(&buf);
+            let start = bytes.len();
+            read_stored(bank, s, &mut bytes);
+            let seed = read_seed(self.seed, id, k);
+            tally += bank.decode_read(&mut bytes[start..], s.bytes * 8, s.t, seed);
         }
         Some(ReadResult {
             bytes,
-            degraded,
+            degraded: tally.changed_bits > 0,
             tally,
         })
     }
@@ -276,12 +275,7 @@ impl Archive {
             }
             for (k, s) in meta.streams.iter().enumerate() {
                 let mut buf = Vec::with_capacity(s.bytes as usize);
-                let mut rem = s.bytes as usize;
-                for e in &s.extents {
-                    let chunk = rem.min(e.blocks as usize * BLOCK_BYTES);
-                    self.banks[bank].read_into(e.start, chunk, &mut buf);
-                    rem -= chunk;
-                }
+                read_stored(&self.banks[bank], s, &mut buf);
                 staged.push((id, k, buf));
             }
         }
@@ -373,6 +367,42 @@ mod tests {
                 "object {i} changed across compaction"
             );
             assert_eq!(got.degraded, want.degraded);
+        }
+    }
+
+    #[test]
+    fn degraded_means_the_read_differs_from_the_ingested_bytes() {
+        // At raw BER 2e-2 every tier's blocks often fail, so sizes run
+        // from a few bytes (whose few live bits often escape the damage)
+        // to several blocks, and both verdicts occur. Compaction moves
+        // the bytes and must not change either.
+        let mut a = Archive::new(2, 4096, mlc_pcm(2e-2), TenantPolicy::default_tiers(), 13);
+        let payloads: Vec<Vec<u8>> = (0..36)
+            .map(|i| payload(1 + 2 * i * i, 50 + i as u64))
+            .collect();
+        for (i, p) in payloads.iter().enumerate() {
+            a.put(i as u64, (i % 3) as u32, p).unwrap();
+        }
+        for i in [4u64, 11, 19, 26] {
+            assert!(a.delete(i));
+        }
+        for pass in ["before compaction", "after compaction"] {
+            let mut verdicts = [[0usize; 2]; 3];
+            for (i, p) in payloads.iter().enumerate() {
+                let Some(r) = a.read(i as u64) else { continue };
+                assert_eq!(r.degraded, r.bytes != *p, "object {i} {pass}");
+                verdicts[i % 3][r.degraded as usize] += 1;
+            }
+            for (tier, [clean, degraded]) in verdicts.iter().enumerate() {
+                assert!(*clean + *degraded > 0, "tier {tier} unread {pass}");
+            }
+            let total = verdicts
+                .iter()
+                .fold([0, 0], |t, v| [t[0] + v[0], t[1] + v[1]]);
+            assert!(total[0] > 0 && total[1] > 0, "{pass}: {verdicts:?}");
+            for bank in 0..a.banks() {
+                a.compact_bank(bank);
+            }
         }
     }
 }

@@ -68,6 +68,20 @@ pub struct CorruptTally {
     pub corrected: u64,
     /// Blocks/codewords past the realization's correction radius.
     pub uncorrectable: u64,
+    /// Live payload bits (below `bits`) whose value differs after the
+    /// call: what the read changed, net of any bit flipped twice. Zero
+    /// exactly when the stream reads back as it was stored.
+    pub changed_bits: u64,
+}
+
+impl std::ops::AddAssign for CorruptTally {
+    fn add_assign(&mut self, rhs: CorruptTally) {
+        self.flips += rhs.flips;
+        self.clean += rhs.clean;
+        self.corrected += rhs.corrected;
+        self.uncorrectable += rhs.uncorrectable;
+        self.changed_bits += rhs.changed_bits;
+    }
 }
 
 /// An error substrate: the physical medium's density surface, its
@@ -130,13 +144,16 @@ pub fn data_in_video(cfg: VideoChannelConfig) -> Arc<dyn Substrate> {
 
 /// Flips one bit in an MSB-first byte stream (same convention as
 /// `vapp_codec::bitstream::flip_bit`; duplicated here so the storage
-/// crate's hot loop does not reach across the crate boundary).
+/// crate's hot loop does not reach across the crate boundary). Returns
+/// whether the bit lies inside `bytes` and was flipped.
 #[inline]
-fn flip_stream_bit(bytes: &mut [u8], bit_index: u64) {
+fn flip_stream_bit(bytes: &mut [u8], bit_index: u64) -> bool {
     let byte = (bit_index / 8) as usize;
-    if byte < bytes.len() {
+    let inside = byte < bytes.len();
+    if inside {
         bytes[byte] ^= 1 << (7 - (bit_index % 8));
     }
+    inside
 }
 
 /// Reads one bit of an MSB-first byte stream (the read side of
@@ -166,7 +183,7 @@ fn corrupt_iid_bch(
     if t == 0 {
         let mut rng = StdRng::seed_from_u64(seed);
         for pos in pick_positions(&[0..bits], raw_ber, &mut rng) {
-            flip_stream_bit(data, pos);
+            stats.changed_bits += flip_stream_bit(data, pos) as u64;
             stats.flips += 1;
         }
     } else if !exact {
@@ -188,7 +205,7 @@ fn corrupt_iid_bch(
             let start = b * DATA_BITS as u64;
             let end = ((b + 1) * DATA_BITS as u64).min(bits);
             for pos in pick_k_positions(&[start..end], t as u64 + 1, &mut rng) {
-                flip_stream_bit(data, pos);
+                stats.changed_bits += flip_stream_bit(data, pos) as u64;
                 stats.flips += 1;
             }
         }
@@ -264,7 +281,7 @@ fn corrupt_iid_bch(
                 }
             }
             let lane_blocks: Vec<usize> = heavy.iter().map(|&(lb, _)| lb).collect();
-            deliver_residual(&errs, &lane_blocks, chunk, base, bits);
+            stats.changed_bits += deliver_residual(&errs, &lane_blocks, chunk, base, bits);
         }
         if flip_free > 0 {
             vapp_obs::counter!("storage.bch.clean", flip_free);
@@ -284,14 +301,15 @@ fn corrupt_iid_bch(
 /// `chunk` (whose first block is stream block `base`), and every data
 /// bit still set in it flips that bit of the block, MSB-first. Bits past
 /// the stream's live `bits`, and parity-region bits, are never part of
-/// the stored payload.
+/// the stored payload. Returns the number of stream bits flipped.
 fn deliver_residual(
     errs: &BlockBatch,
     lane_blocks: &[usize],
     chunk: &mut [u8],
     base: usize,
     bits: u64,
-) {
+) -> u64 {
+    let mut changed = 0;
     for bit in 0..DATA_BITS {
         let mut lanes = errs.plane(bit);
         while lanes != 0 {
@@ -299,9 +317,11 @@ fn deliver_residual(
             lanes &= lanes - 1;
             if (((base + lb) * DATA_BITS + bit) as u64) < bits {
                 chunk[lb * (DATA_BITS / 8) + bit / 8] ^= 0x80u8 >> (bit % 8);
+                changed += 1;
             }
         }
     }
+    changed
 }
 
 /// The paper's multi-level-cell PCM substrate: 3 bits/cell, i.i.d. bit
@@ -455,7 +475,7 @@ impl RsStream {
                 DecodeOutcome::Clean | DecodeOutcome::Corrected(_) => tally.corrected += 1,
                 DecodeOutcome::Uncorrectable => tally.uncorrectable += 1,
             }
-            self.deliver(data, c, pattern);
+            tally.changed_bits += self.deliver(data, c, pattern);
         }
         vapp_obs::counter!("storage.substrate.rs.clean", tally.clean);
         vapp_obs::counter!("storage.substrate.rs.corrected", tally.corrected);
@@ -465,9 +485,11 @@ impl RsStream {
 
     /// Flips the stream bits that codeword `c`'s (decoded) error
     /// `pattern` still holds in its data symbols; parity and padding
-    /// damage is never part of the stored payload.
-    fn deliver(&self, data: &mut [u8], c: usize, pattern: &[u16]) {
+    /// damage is never part of the stored payload. Returns the number of
+    /// stream bits flipped.
+    fn deliver(&self, data: &mut [u8], c: usize, pattern: &[u16]) -> u64 {
         let p = self.code.parity_syms();
+        let mut changed = 0;
         for (j, &v) in pattern.iter().enumerate().skip(p) {
             let gs = c * RS_DATA_SYMS + (j - p);
             if v == 0 || gs >= self.total_syms {
@@ -476,10 +498,11 @@ impl RsStream {
             for b in 0..SYM_BITS {
                 let pos = (gs * SYM_BITS + b) as u64;
                 if (v >> (SYM_BITS - 1 - b)) & 1 == 1 && pos < self.bits {
-                    flip_stream_bit(data, pos);
+                    changed += flip_stream_bit(data, pos) as u64;
                 }
             }
         }
+        changed
     }
 }
 
@@ -562,7 +585,9 @@ impl BurstErasure {
         lost
     }
 
-    /// Unprotected damage: lost pages garble the data bits directly.
+    /// Unprotected damage: lost pages garble the data bits directly. An
+    /// i.i.d. flip on a bit the garble already flipped restores it, so
+    /// `changed_bits` counts it back out.
     fn corrupt_raw(&self, data: &mut [u8], bits: u64, seed: u64) -> CorruptTally {
         let mut tally = CorruptTally::default();
         let seeds = derive_subseeds(seed, 3);
@@ -570,19 +595,30 @@ impl BurstErasure {
         let lost = self.draw_lost_pages(n_pages, &mut StdRng::seed_from_u64(seeds[0]));
         vapp_obs::counter!("storage.substrate.burst.pages_lost", lost.len() as u64);
         let mut garble = StdRng::seed_from_u64(seeds[1]);
+        // Ascending, since lost pages come sorted.
+        let mut garbled = Vec::new();
         for &page in &lost {
             let start = page * self.cfg.page_bits;
             let end = (start + self.cfg.page_bits).min(bits);
             for pos in start..end {
                 if garble.random_bool(0.5) {
-                    flip_stream_bit(data, pos);
+                    if flip_stream_bit(data, pos) {
+                        garbled.push(pos);
+                    }
                     tally.flips += 1;
                 }
             }
         }
+        tally.changed_bits = garbled.len() as u64;
         let mut iid = StdRng::seed_from_u64(seeds[2]);
         for pos in pick_positions(&[0..bits], self.cfg.iid_ber, &mut iid) {
-            flip_stream_bit(data, pos);
+            if flip_stream_bit(data, pos) {
+                if garbled.binary_search(&pos).is_ok() {
+                    tally.changed_bits -= 1;
+                } else {
+                    tally.changed_bits += 1;
+                }
+            }
             tally.flips += 1;
         }
         tally
@@ -918,7 +954,7 @@ impl Substrate for DataInVideo {
             let back = self.roundtrip(&carrier);
             for pos in 0..bits as usize {
                 if carrier.get(pos) != back.get(pos) {
-                    flip_stream_bit(data, pos as u64);
+                    tally.changed_bits += flip_stream_bit(data, pos as u64) as u64;
                     tally.flips += 1;
                 }
             }
@@ -968,6 +1004,14 @@ mod tests {
     fn pattern_bytes(len: usize, seed: u64) -> Vec<u8> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..len).map(|_| rng.random::<u8>()).collect()
+    }
+
+    /// Bits that differ between two equal-length byte streams.
+    fn differing_bits(a: &[u8], b: &[u8]) -> u64 {
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x ^ y).count_ones() as u64)
+            .sum()
     }
 
     #[test]
@@ -1020,6 +1064,7 @@ mod tests {
         vapp_obs::counter!("storage.bch.blocks", flips.len() as u64);
         let mut stats = CorruptTally::default();
         let used = bits.div_ceil(8) as usize;
+        let stored = data.to_vec();
         let groups = data[..used].chunks_mut((DATA_BITS / 8) * batch::LANES);
         for ((g, chunk), group) in groups.enumerate().zip(flips.chunks(batch::LANES)) {
             let dirty: Vec<usize> = (0..group.len())
@@ -1047,6 +1092,7 @@ mod tests {
             }
             deliver_residual(&errs, &dirty, chunk, g * batch::LANES, bits);
         }
+        stats.changed_bits = differing_bits(&stored, data);
         stats
     }
 
@@ -1079,42 +1125,58 @@ mod tests {
         // the scalar oracle decoder and read the data bits back: that is
         // what the stream must hold. At t = 1 and ~3 flips per block,
         // many blocks land within one flip of a wrong codeword and
-        // miscorrect; their damage must reach the stream.
+        // miscorrect; their damage must reach the stream, and
+        // `changed_bits` must count it. The last block is partial: what
+        // decoding leaves past `bits` is not payload and must not count.
         use crate::bch::reference::ScalarBch;
-        let (t, ber, bits, seed) = (1usize, 6e-3, 64 * DATA_BITS as u64 - 77, 11u64);
+        let (t, ber, bits) = (1usize, 6e-3, 64 * DATA_BITS as u64 - 77);
         let oracle = ScalarBch::new(t);
         let orig = pattern_bytes(bits.div_ceil(8) as usize, 3);
-        let mut got = orig.clone();
-        corrupt_iid_bch(&mut got, bits, t, true, ber, seed);
-        let mut miscorrected_triples = 0;
-        for (b, flips) in block_flips(bits, t, ber, seed).iter().enumerate() {
-            let start = (b * DATA_BITS) as u64;
-            let live = (bits - start).min(DATA_BITS as u64) as usize;
-            let mut block = BitBuf::zeroed(DATA_BITS);
-            for i in 0..live {
-                block.set(i, stream_bit(&orig, start + i as u64));
-            }
-            let clean = oracle.encode(&block);
-            let mut cw = clean.clone();
-            for &f in flips {
-                cw.flip(f as usize);
-            }
-            let outcome = oracle.decode(&mut cw);
-            if flips.len() == 3 && outcome == DecodeOutcome::Corrected(1) && cw != clean {
-                miscorrected_triples += 1;
-            }
-            for i in 0..live {
-                assert_eq!(
-                    stream_bit(&got, start + i as u64),
-                    cw.get(i),
-                    "block {b} bit {i} ({} flips, {outcome:?})",
-                    flips.len()
-                );
+        let (mut miscorrected_triples, mut past_end) = (0, 0);
+        for seed in 11..16u64 {
+            let mut got = orig.clone();
+            let tally = corrupt_iid_bch(&mut got, bits, t, true, ber, seed);
+            assert_eq!(
+                tally.changed_bits,
+                differing_bits(&orig, &got),
+                "seed {seed}"
+            );
+            for (b, flips) in block_flips(bits, t, ber, seed).iter().enumerate() {
+                let start = (b * DATA_BITS) as u64;
+                let live = (bits - start).min(DATA_BITS as u64) as usize;
+                let mut block = BitBuf::zeroed(DATA_BITS);
+                for i in 0..live {
+                    block.set(i, stream_bit(&orig, start + i as u64));
+                }
+                let clean = oracle.encode(&block);
+                let mut cw = clean.clone();
+                for &f in flips {
+                    cw.flip(f as usize);
+                }
+                let outcome = oracle.decode(&mut cw);
+                if flips.len() == 3 && outcome == DecodeOutcome::Corrected(1) && cw != clean {
+                    miscorrected_triples += 1;
+                }
+                past_end += (live..DATA_BITS)
+                    .filter(|&i| cw.get(i) != clean.get(i))
+                    .count();
+                for i in 0..live {
+                    assert_eq!(
+                        stream_bit(&got, start + i as u64),
+                        cw.get(i),
+                        "seed {seed} block {b} bit {i} ({} flips, {outcome:?})",
+                        flips.len()
+                    );
+                }
             }
         }
         assert!(
             miscorrected_triples > 0,
             "the fixture must miscorrect a 3-flip block"
+        );
+        assert!(
+            past_end > 0,
+            "some seed must leave a residual past `bits` in the last block"
         );
     }
 
@@ -1205,6 +1267,7 @@ mod tests {
                         }
                         rs.deliver(&mut b, c, &pattern);
                     }
+                    tally.changed_bits = differing_bits(&orig, &b);
                     vapp_obs::counter!("storage.substrate.rs.clean", tally.clean);
                     vapp_obs::counter!("storage.substrate.rs.corrected", tally.corrected);
                     vapp_obs::counter!("storage.substrate.rs.uncorrectable", tally.uncorrectable);

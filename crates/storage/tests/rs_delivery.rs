@@ -4,7 +4,9 @@
 //! protected levels that come back fully corrected. These cases push
 //! both RS channels past their correction radius, so the bytes pinned
 //! here include data symbols delivered back from `Uncorrectable`
-//! codewords, and the tally must show both outcomes.
+//! codewords, and the tally must show both outcomes. The tally's
+//! `changed_bits` is not typed in: it must equal the number of bits
+//! that differ between the stored and the delivered bytes.
 
 use vapp_storage::channel::{
     BurstConfig, BurstErasure, CorruptTally, DataInVideo, Substrate, VideoChannelConfig,
@@ -26,15 +28,33 @@ fn payload(bits: u64) -> Vec<u8> {
         .collect()
 }
 
-fn run(sub: &dyn Substrate, bits: u64, t: usize, seed: u64) -> (u64, CorruptTally) {
-    let mut data = payload(bits);
+/// The delivered bytes' digest, the tally, and the tally the pin
+/// expects: `pinned` with `changed_bits` = popcount(stored ⊕ delivered).
+fn run(
+    sub: &dyn Substrate,
+    bits: u64,
+    t: usize,
+    seed: u64,
+    pinned: CorruptTally,
+) -> (u64, CorruptTally, CorruptTally) {
+    let stored = payload(bits);
+    let mut data = stored.clone();
     let tally = sub.corrupt_stream(&mut data, bits, t, true, seed);
     assert!(
         tally.corrected > 0 && tally.uncorrectable > 0,
         "{}: the pin must cover both decode branches, got {tally:?}",
         sub.name()
     );
-    (digest(&data), tally)
+    let changed_bits = stored
+        .iter()
+        .zip(&data)
+        .map(|(a, b)| (a ^ b).count_ones() as u64)
+        .sum();
+    let expected = CorruptTally {
+        changed_bits,
+        ..pinned
+    };
+    (digest(&data), tally, expected)
 }
 
 #[test]
@@ -43,8 +63,8 @@ fn burst_rs_uncorrectable_delivery_is_pinned() {
         page_loss: 0.03,
         ..BurstConfig::default()
     });
-    let (d, tally) = run(&sub, 80_000, 10, 7);
-    assert_eq!(tally, BURST_TALLY, "burst tally moved");
+    let (d, tally, expected) = run(&sub, 80_000, 10, 7, BURST_TALLY);
+    assert_eq!(tally, expected, "burst tally moved");
     assert_eq!(d, BURST_DIGEST, "burst bytes moved (digest {d:#018x})");
 }
 
@@ -56,18 +76,20 @@ fn video_rs_uncorrectable_delivery_is_pinned() {
         crf: 44,
         ..VideoChannelConfig::default()
     });
-    let (d, tally) = run(&sub, 12_000, 8, 0);
-    assert_eq!(tally, VIDEO_TALLY, "video tally moved");
+    let (d, tally, expected) = run(&sub, 12_000, 8, 0, VIDEO_TALLY);
+    assert_eq!(tally, expected, "video tally moved");
     assert_eq!(d, VIDEO_DIGEST, "video bytes moved (digest {d:#018x})");
 }
 
 // Captured before the burst and video channels shared one RS decode
-// loop; any change to these is a change in delivered bytes.
+// loop; any change to these is a change in delivered bytes. `run`
+// replaces the `changed_bits: 0` placeholder with the delivered count.
 const BURST_TALLY: CorruptTally = CorruptTally {
     flips: 8383,
     clean: 0,
     corrected: 20,
     uncorrectable: 59,
+    changed_bits: 0,
 };
 const BURST_DIGEST: u64 = 0xb9ad_9e7d_f5b8_e812;
 const VIDEO_TALLY: CorruptTally = CorruptTally {
@@ -75,5 +97,6 @@ const VIDEO_TALLY: CorruptTally = CorruptTally {
     clean: 0,
     corrected: 8,
     uncorrectable: 4,
+    changed_bits: 0,
 };
 const VIDEO_DIGEST: u64 = 0xefeb_8e90_6b30_0afd;
