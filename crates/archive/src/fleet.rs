@@ -4,14 +4,13 @@
 //! Every random decision — catalog payloads, per-round Poisson op
 //! counts, Zipf read targets, upload sizes, delete victims — comes from
 //! per-client sub-seeds fanned out of the master seed with
-//! [`vapp_sim::derive_subseeds`]. Client plans are generated with
-//! `par_map` (pure per client, order-preserving), then *submitted* in a
-//! fixed round-robin round order, so the entire run — every stored
-//! byte, every served byte, every queue rejection, every cache eviction
-//! — is byte-identical at any `VAPP_THREADS`. The run digest folds the
-//! completion stream and the final stable counters; wall-clock
-//! latencies go to `vapp-obs` sketches only and are deliberately
-//! excluded.
+//! [`vapp_sim::derive_subseeds`]. Client plans are generated up front
+//! (pure per client), then *submitted* in a fixed round-robin round
+//! order, so the entire run — every stored byte, every served byte,
+//! every queue rejection, every cache eviction — is a pure function of
+//! the seed. The run digest folds the completion stream and the final
+//! stable counters; wall-clock latencies go to `vapp-obs` sketches only
+//! and are deliberately excluded.
 
 use std::time::{Duration, Instant};
 
@@ -104,7 +103,7 @@ impl FleetConfig {
 }
 
 /// What a fleet run produced: the determinism digest plus the stable
-/// counters (everything here is thread-count-invariant except
+/// counters (everything here is a pure function of the seed except
 /// `elapsed`).
 #[derive(Clone, Debug)]
 pub struct FleetOutcome {
@@ -300,20 +299,21 @@ pub fn run_fleet(cfg: &FleetConfig, master_seed: u64) -> FleetOutcome {
     );
     let mut service = ArchiveService::new(archive, cfg.service);
 
-    // Catalog preload: payloads generated in parallel (pure per id),
-    // loaded sequentially in id order.
+    // Catalog preload, in id order.
     let catalog_seeds = derive_subseeds(catalog_seed, cfg.initial_objects);
-    let catalog = vapp_par::par_map(catalog_seeds, |_, s| gen_payload(s, cfg.object_bytes));
-    for (i, payload) in catalog.iter().enumerate() {
+    for (i, &s) in catalog_seeds.iter().enumerate() {
+        let payload = gen_payload(s, cfg.object_bytes);
         service
-            .preload(i as ObjectId, (i % n_tenants) as u32, payload)
+            .preload(i as ObjectId, (i % n_tenants) as u32, &payload)
             .expect("catalog must fit the configured banks");
     }
 
-    // Client schedules: pure per client, fanned out over the pool.
+    // Client schedules: pure per client.
     let cdf = zipf_cdf(cfg.initial_objects, cfg.zipf_s);
-    let plan_inputs: Vec<u64> = seeds[2..].to_vec();
-    let plans = vapp_par::par_map(plan_inputs, |_, s| plan_client(s, cfg, &cdf));
+    let plans: Vec<_> = seeds[2..]
+        .iter()
+        .map(|&s| plan_client(s, cfg, &cdf))
+        .collect();
 
     // Drive: fixed round-robin submission order; on backpressure, drain
     // a batch (folding its completions) and resubmit — never drop.

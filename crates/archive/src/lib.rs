@@ -14,13 +14,13 @@
 //!   weaker (or no) code — the paper's approximation contract priced as
 //!   a storage tier.
 //! * [`service`] — bounded ingest/read queues with typed backpressure
-//!   ([`queue`]), a batched scheduler that fans read decodes over the
-//!   `vapp-par` pool (batch-BCH in 64-block groups underneath), and a
+//!   ([`queue`]), a batched scheduler that serves each read batch on the
+//!   caller's thread (batch-BCH in 64-block groups underneath), and a
 //!   byte-bounded LRU of corrected payloads ([`cache`]).
 //! * [`fleet`] — a deterministic fleet workload driver: Zipf readers and
 //!   Poisson-ish uploaders whose every random choice derives from
 //!   per-client sub-seeds, so a run is a pure function of the master
-//!   seed at any thread count.
+//!   seed.
 //! * [`report`] — throughput + p50/p99/p999 per op class from the
 //!   `vapp-obs` sketches.
 //!

@@ -8,12 +8,12 @@
 //!    and writes; delete releases and invalidates the cache),
 //! 2. a compaction sweep of any bank whose free list fragmented past
 //!    the configured threshold,
-//! 3. up to `batch` queued reads: a sequential cache pass (hits answer
-//!    immediately and refresh recency), then the misses fan out over
-//!    the `vapp-par` worker pool against the immutable archive — the
-//!    substrate decode runs the batch-BCH engine in 64-block groups —
-//!    and finally a sequential insert pass (so eviction order is a pure
-//!    function of the request order, not thread timing).
+//! 3. up to `batch` queued reads, in FIFO order on the caller's thread:
+//!    a hit answers from the cache and refreshes its recency, a miss
+//!    reads the archive (the substrate decode runs the batch-BCH engine
+//!    in 64-block groups); then the batch's misses enter the cache in
+//!    request order, so every read of a batch looks the cache up as it
+//!    stood before the batch.
 //!
 //! Every completed request records its wall-clock latency into a
 //! per-class `vapp-obs` histogram (`archive.op.<class>.ns`). Latencies
@@ -227,86 +227,58 @@ impl ArchiveService {
 
     fn drain_reads(&mut self, out: &mut Vec<Completion>) {
         let ids = self.reads.pop_batch(self.cfg.batch);
-        if ids.is_empty() {
-            return;
-        }
-        // Pass 1 (sequential): answer from cache, collect misses.
-        enum Slot {
-            Hit(CachedObject),
-            Miss,
-        }
-        let mut slots = Vec::with_capacity(ids.len());
-        let mut misses = Vec::new();
-        for &id in &ids {
+        let first = out.len();
+        for id in ids {
             let start = Instant::now();
-            if let Some(obj) = self.cache.get(id) {
+            let completion = if let Some(obj) = self.cache.get(id) {
                 vapp_obs::counter!("archive.cache.hits");
                 let obj = obj.clone();
                 vapp_obs::histogram!("archive.op.read_hit.ns", elapsed_ns(start));
-                slots.push(Slot::Hit(obj));
-            } else {
-                vapp_obs::counter!("archive.cache.misses");
-                slots.push(Slot::Miss);
-                misses.push(id);
-            }
-        }
-        // Pass 2 (parallel): decode the misses against the immutable
-        // archive. par_map preserves order and propagates panics.
-        let archive = &self.archive;
-        let decoded = vapp_par::par_map(misses, |_, id| {
-            let start = Instant::now();
-            let r = archive.read(id);
-            vapp_obs::histogram!("archive.op.read_miss.ns", elapsed_ns(start));
-            (id, r)
-        });
-        // Pass 3 (sequential): fill the cache in request order so
-        // evictions are deterministic, then emit completions. The cache
-        // gets the one copy; the decoded bytes move into the completion.
-        for (id, result) in &decoded {
-            if let Some(r) = result {
-                let evicted = self.cache.insert(
-                    *id,
-                    CachedObject {
-                        bytes: r.bytes.clone(),
-                        degraded: r.degraded,
-                    },
-                );
-                vapp_obs::counter!("archive.cache.evictions", evicted);
-            }
-        }
-        let mut decoded = decoded.into_iter().map(|(_, r)| r);
-        for (&id, slot) in ids.iter().zip(slots) {
-            let completion = match slot {
-                Slot::Hit(obj) => Completion::ReadDone {
+                Completion::ReadDone {
                     id,
                     bytes: Some(obj.bytes),
                     cache_hit: true,
                     degraded: obj.degraded,
-                },
-                Slot::Miss => match decoded.next().expect("one decode per miss") {
-                    Some(r) => {
-                        if r.degraded {
-                            vapp_obs::counter!("archive.read.degraded");
-                        }
-                        Completion::ReadDone {
-                            id,
-                            bytes: Some(r.bytes),
-                            cache_hit: false,
-                            degraded: r.degraded,
-                        }
-                    }
-                    None => Completion::ReadDone {
-                        id,
-                        bytes: None,
-                        cache_hit: false,
-                        degraded: false,
-                    },
-                },
+                }
+            } else {
+                vapp_obs::counter!("archive.cache.misses");
+                let r = self.archive.read(id);
+                vapp_obs::histogram!("archive.op.read_miss.ns", elapsed_ns(start));
+                let degraded = r.as_ref().is_some_and(|r| r.degraded);
+                if degraded {
+                    vapp_obs::counter!("archive.read.degraded");
+                }
+                Completion::ReadDone {
+                    id,
+                    bytes: r.map(|r| r.bytes),
+                    cache_hit: false,
+                    degraded,
+                }
             };
             if matches!(&completion, Completion::ReadDone { bytes: Some(_), .. }) {
                 vapp_obs::counter!("archive.read.served");
             }
             out.push(completion);
+        }
+        // Fill the cache only after the batch, in request order: every
+        // read above saw the cache as it stood before the batch.
+        for c in &out[first..] {
+            if let Completion::ReadDone {
+                id,
+                bytes: Some(bytes),
+                cache_hit: false,
+                degraded,
+            } = c
+            {
+                let evicted = self.cache.insert(
+                    *id,
+                    CachedObject {
+                        bytes: bytes.clone(),
+                        degraded: *degraded,
+                    },
+                );
+                vapp_obs::counter!("archive.cache.evictions", evicted);
+            }
         }
     }
 }

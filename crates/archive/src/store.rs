@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use vapp_storage::bank::{Bank, BLOCK_BYTES};
-use vapp_storage::channel::{CorruptTally, Substrate};
+use vapp_storage::channel::Substrate;
 
 use crate::extent::{Extent, ExtentAllocator};
 use crate::namespace::{shard_of, Namespace, ObjectId, ObjectMeta, StreamMeta};
@@ -75,12 +75,10 @@ pub struct ReadResult {
     /// The decoded payload (may differ from the ingested bytes on
     /// unprotected/overwhelmed streams — that's the approximate deal).
     pub bytes: Vec<u8>,
-    /// Whether the substrate changed any payload bit on this read
-    /// (`tally.changed_bits > 0`). Banks hold the pristine ingested
-    /// bytes, so this is exactly "`bytes` differ from what was put".
+    /// Whether the substrate changed any payload bit on this read (its
+    /// tally's `changed_bits`). Banks hold the pristine ingested bytes,
+    /// so this is exactly "`bytes` differ from what was put".
     pub degraded: bool,
-    /// Merged substrate tally across the object's streams.
-    pub tally: CorruptTally,
 }
 
 /// Per-read damage seed: a pure function of the archive seed, the
@@ -226,25 +224,25 @@ impl Archive {
         Ok(())
     }
 
-    /// Serves an object through the substrate decode path. Immutable —
-    /// concurrent reads of different objects can fan out over the
-    /// worker pool.
+    /// Serves an object through the substrate decode path: each stream
+    /// replays the bank's error channel at the stream's strength.
     pub fn read(&self, id: ObjectId) -> Option<ReadResult> {
         let meta = self.namespace.get(id)?;
         let shard = shard_of(id, self.banks.len());
         let bank = &self.banks[shard];
         let mut bytes = Vec::with_capacity(meta.bytes() as usize);
-        let mut tally = CorruptTally::default();
+        let mut changed_bits = 0;
         for (k, s) in meta.streams.iter().enumerate() {
             let start = bytes.len();
             read_stored(bank, s, &mut bytes);
             let seed = read_seed(self.seed, id, k);
-            tally += bank.decode_read(&mut bytes[start..], s.bytes * 8, s.t, seed);
+            changed_bits += bank
+                .decode_read(&mut bytes[start..], s.bytes * 8, s.t, seed)
+                .changed_bits;
         }
         Some(ReadResult {
             bytes,
-            degraded: tally.changed_bits > 0,
-            tally,
+            degraded: changed_bits > 0,
         })
     }
 

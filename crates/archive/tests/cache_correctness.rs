@@ -130,6 +130,52 @@ fn deleted_object_is_invalidated_not_served_stale() {
     });
 }
 
+/// The `(id, cache_hit)` pairs of one drain cycle's read completions.
+/// A read batch looks the cache up as it stood before the batch: its
+/// misses enter the cache only after the whole batch is served.
+fn batch_hits(svc: &mut ArchiveService, ids: &[u64]) -> Vec<(u64, bool)> {
+    for &id in ids {
+        svc.submit(Request::Read { id }).unwrap();
+    }
+    svc.drain_batch()
+        .into_iter()
+        .map(|c| match c {
+            Completion::ReadDone {
+                id,
+                bytes: Some(_),
+                cache_hit,
+                ..
+            } => (id, cache_hit),
+            other => panic!("expected a served read, got {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn an_uncached_id_read_twice_in_one_batch_misses_twice() {
+    with_registry(Arc::new(Registry::new()), || {
+        let mut svc = service(64 * 1024);
+        svc.preload(1, 0, &payload(1500, 1)).unwrap();
+        assert_eq!(batch_hits(&mut svc, &[1, 1]), [(1, false), (1, false)]);
+        assert_eq!(batch_hits(&mut svc, &[1]), [(1, true)]);
+    });
+}
+
+#[test]
+fn a_hit_later_in_the_batch_survives_an_earlier_miss_that_evicts_it() {
+    with_registry(Arc::new(Registry::new()), || {
+        // Room for one object, `a` cached: in the batch `[b, a]`, `a` is
+        // a hit although `b`'s insert evicts it afterwards.
+        let (a, b) = (10, 11);
+        let mut svc = service(2048);
+        svc.preload(a, 0, &payload(1500, a)).unwrap();
+        svc.preload(b, 0, &payload(1500, b)).unwrap();
+        assert_eq!(batch_hits(&mut svc, &[a]), [(a, false)]);
+        assert_eq!(batch_hits(&mut svc, &[b, a]), [(b, false), (a, true)]);
+        assert_eq!(batch_hits(&mut svc, &[a]), [(a, false)]);
+    });
+}
+
 /// Tier-2 soak: thousands of clients, full service path, 1-vs-8-thread
 /// digest equality at scale. Run via the CI `--ignored` job:
 /// `cargo test -q --release -- --ignored`.

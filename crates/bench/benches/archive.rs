@@ -1,6 +1,5 @@
-//! Archive service timing: the smoke fleet end to end at one worker (as
-//! perfbench's `archive` workload pins it), the raw read decode path,
-//! and the cache-hit fast path. `BENCH_archive.json` is
+//! Archive service timing: the smoke fleet end to end, the raw read
+//! decode path, and the cache-hit fast path. `BENCH_archive.json` is
 //! gated against `baselines/BENCH_archive.json` by `bench_compare` in
 //! CI; the workload is seed-pinned so only wall-clock may move.
 
@@ -25,15 +24,12 @@ fn bench_archive(c: &mut Criterion) {
     let mut group = c.benchmark_group("archive");
     group.sample_size(10);
 
-    // The whole tier-1 fleet: queues, scheduler, cache, compaction. One
-    // worker, so the machine's core count and load do not set the time.
+    // The whole tier-1 fleet: queues, scheduler, cache, compaction.
     group.bench_function("fleet_smoke", |b| {
         let cfg = FleetConfig::smoke();
         b.iter(|| {
-            vapp_par::with_threads(1, || {
-                with_registry(Arc::new(Registry::new()), || {
-                    black_box(run_fleet(&cfg, 0xA2C4_17E0))
-                })
+            with_registry(Arc::new(Registry::new()), || {
+                black_box(run_fleet(&cfg, 0xA2C4_17E0))
             })
         });
     });

@@ -3,11 +3,12 @@
 //! `bench_function`, `Bencher::iter`, `criterion_group!`/
 //! `criterion_main!`) so the bench files changed imports only.
 //!
-//! Each `bench_function` runs one warmup call and sizes the batch from a
-//! second, warm call, then times `sample_size` batches and reports
-//! per-iteration statistics. Every group writes `BENCH_<group>.json` with machine-readable
-//! timings — the benchmark trajectory across PRs is diffed from these
-//! files, so the JSON shape is a compatibility surface:
+//! Each `bench_function` runs one warmup call, sizes the batch from warm
+//! batches of 1, 2, 4, … calls (the first to pass 1 ms), then times
+//! `sample_size` batches and reports per-iteration statistics. Every
+//! group writes `BENCH_<group>.json` with machine-readable timings — the
+//! benchmark trajectory across PRs is diffed from these files, so the
+//! JSON shape is a compatibility surface:
 //!
 //! ```json
 //! {
@@ -245,8 +246,8 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Runs the benchmark body: one warmup call, a second call to size the
-    /// batch, then `sample_size` timed batches.
+    /// Runs the benchmark body: one warmup call, warm sizing batches,
+    /// then `sample_size` timed batches.
     pub fn iter<T>(&mut self, mut f: impl FnMut() -> T) {
         let budget_ms: u64 = std::env::var("VAPP_BENCH_MS")
             .ok()
@@ -254,12 +255,24 @@ impl Bencher {
             .unwrap_or(10);
         // The first call pays cold caches, page faults and lazy set-up, so
         // sizing from it would leave each batch far short of the budget.
-        // Size from the second, warm call: aim for ~budget per batch.
         black_box(f());
-        let t0 = Instant::now();
-        black_box(f());
-        let once_ns = t0.elapsed().as_nanos().max(1);
-        let iters = ((budget_ms as u128 * 1_000_000) / once_ns).clamp(1, 1_000_000) as u64;
+        // One warm call of a sub-100-ns body is mostly the two clock reads
+        // around it, so time 1, 2, 4, … warm calls until a batch passes
+        // 1 ms, then scale that batch to ~budget per sample.
+        let mut n: u64 = 1;
+        let batch_ns = loop {
+            let t0 = Instant::now();
+            for _ in 0..n {
+                black_box(f());
+            }
+            let ns = t0.elapsed().as_nanos().max(1);
+            if ns >= 1_000_000 || n >= 1_000_000 {
+                break ns;
+            }
+            n *= 2;
+        };
+        let iters =
+            ((budget_ms as u128 * 1_000_000 * n as u128) / batch_ns).clamp(1, 1_000_000) as u64;
         self.iters = iters;
         self.per_iter_ns.reserve(self.sample_size);
         for _ in 0..self.sample_size {

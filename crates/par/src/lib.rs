@@ -9,10 +9,10 @@
 //!
 //! # Where regions open
 //!
-//! At the unit of work — a clip, a Monte Carlo trial, a B-frame wave, an
-//! archive read's miss batch — never inside a stage: a region spawns its
-//! workers afresh, which costs more than a stage such as a stream split
-//! takes. DESIGN.md §8 lists the regions and their cost.
+//! At the unit of work — a clip, a Monte Carlo trial, a B-frame wave —
+//! never inside a stage: a region spawns its workers afresh, which costs
+//! more than a stage such as a stream split takes. DESIGN.md §8 lists
+//! the regions and their cost.
 //!
 //! # Worker count
 //!
