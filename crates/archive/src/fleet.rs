@@ -78,7 +78,8 @@ impl FleetConfig {
         }
     }
 
-    /// Tier-2 scale: thousands of clients (the `#[ignore]`d soak).
+    /// Soak scale: thousands of clients (`vapp archive --soak` and the
+    /// thread-count soak in `cache_correctness.rs`).
     pub fn soak() -> Self {
         FleetConfig {
             clients: 2000,

@@ -13,7 +13,7 @@ use vapp_codec::entropy::CabacReader;
 use vapp_codec::inter::{
     mc_block_halfpel_into, motion_search_stats, RefPlanes, SadGrid, SearchStats, MAX_BLOCK_PIXELS,
 };
-use vapp_codec::mb::{neighbors, read_mb, FrameSyntax, MbState};
+use vapp_codec::mb::{neighbors, read_mb, FrameSyntax, MbPred, MbState, MbSyntax};
 use vapp_codec::quant::{dequant_inverse, forward_quant};
 use vapp_codec::transform::Block4x4;
 use vapp_codec::types::{MotionVector, PartShape, PartitionLayout, SubShape};
@@ -187,7 +187,7 @@ fn bench_codec_kernels(c: &mut Criterion) {
     group.bench_function("cabac_decode_payload", |b| {
         b.iter(|| {
             let mut states = vec![MbState::default(); grid.mb_count()];
-            let mut last = None;
+            let mut syn = MbSyntax::new(MbPred::Skip, 0);
             for f in &stream.frames {
                 assert_eq!(f.header.slice_lens.len(), 1, "one slice per frame");
                 let frame = FrameSyntax {
@@ -199,10 +199,10 @@ fn bench_codec_kernels(c: &mut Criterion) {
                 states.fill(MbState::default());
                 for mb in 0..grid.mb_count() {
                     let nb = neighbors(&grid, mb, 0);
-                    last = Some(read_mb(&mut r, frame, &mut states, mb, &nb, &mut qp));
+                    read_mb(&mut r, &mut syn, frame, &mut states, mb, &nb, &mut qp);
                 }
             }
-            black_box(last)
+            black_box(&syn).qp
         });
     });
     group.finish();

@@ -185,11 +185,11 @@ impl ArithEncoder {
 ///   `value = (value << s) | next s bits`, `range <<= s`, one read of
 ///   `s` input bits per bin.
 ///
-/// Only `low` is needed to count the steps: `n` leading bits shared by
-/// `low` and `high = low + range - 1`, then `k` straddling steps, exactly
-/// as the serial loop would take them. After the run the top bit of `low`
-/// is clear (low and high differ there), so the new `low` is the old one
-/// shifted by `s` and masked below `HALF`.
+/// One bit count over `low` and `high = low + range - 1` gives the run
+/// length `s`: `n` leading bits the two share, then `k` straddling steps,
+/// exactly as the serial loop would take them (`renorm_steps`). After the
+/// run the top bit of `low` is clear (low and high differ there), so the
+/// new `low` is the old one shifted by `s` and masked below `HALF`.
 ///
 /// Input bits come from a 64-bit window refilled a byte at a time (bytes
 /// past the end read as zero).
@@ -271,13 +271,7 @@ impl<'a> ArithDecoder<'a> {
         self.low += r0 & one;
         self.value -= r0 & one;
         self.range = ((self.range - r0) & one) | (r0 & !one);
-        // `n` settled leading bits (the `high < HALF` / `low >= HALF`
-        // steps), then, with low = 0.. and high = 1.., `k` straddling steps:
-        // one per leading position where low has a 1 and high a 0.
-        let high = self.low + self.range - 1;
-        let n = ((self.low ^ high) as u32).leading_zeros();
-        let k = (!(((self.low & !high) << (n + 1)) as u32)).leading_zeros();
-        let s = n + k;
+        let s = renorm_steps(self.low, self.low + self.range - 1);
         self.low = (self.low << s) & (HALF - 1);
         self.range <<= s;
         self.value = (self.value << s) | self.take(s);
@@ -285,9 +279,23 @@ impl<'a> ArithDecoder<'a> {
     }
 }
 
+/// The number of renormalisation steps the serial loop takes on the
+/// interval `[low, high]` (both below `TOP`, `low < high`): `n` settled
+/// leading bits (the `high < HALF` / `low >= HALF` steps), then `k`
+/// straddling steps, one per following position where `low` has a 1 and
+/// `high` a 0. One count finds `n + k`: above bit `n` both terms are 0,
+/// and from bit `n` through bit `n + k - 1` the straddle mask shifted up
+/// by one cancels the 1s of `low ^ high`, so the first 1 left is bit
+/// `n + k` (bits counted from the top of the 32-bit word).
+#[inline]
+fn renorm_steps(low: u64, high: u64) -> u32 {
+    (((low ^ high) ^ ((low & !high) << 1)) as u32).leading_zeros()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vapp_check::RngExt;
 
     fn roundtrip(bits: &[bool], contexts: usize) {
         let mut enc = ArithEncoder::new();
@@ -400,6 +408,73 @@ mod tests {
         let mut cd = BinContext::new();
         let decoded: Vec<bool> = (0..400).map(|_| dd.decode(&mut cd)).collect();
         assert_ne!(decoded, bits);
+    }
+
+    /// The bit-serial renormalisation loop on `[low, high]`, counting its
+    /// steps.
+    fn serial_steps(mut low: u64, mut high: u64) -> u32 {
+        let mut steps = 0;
+        loop {
+            if high < HALF {
+            } else if low >= HALF {
+                low -= HALF;
+                high -= HALF;
+            } else if low >= QUARTER && high < THREE_QUARTERS {
+                low -= QUARTER;
+                high -= QUARTER;
+            } else {
+                return steps;
+            }
+            low <<= 1;
+            high = (high << 1) | 1;
+            steps += 1;
+        }
+    }
+
+    #[test]
+    fn renorm_steps_matches_the_serial_loop() {
+        let check = |low: u64, high: u64| {
+            assert!(low < high && high < TOP, "{low:#x}..{high:#x}");
+            assert_eq!(
+                renorm_steps(low, high),
+                serial_steps(low, high),
+                "low {low:#010x} high {high:#010x}"
+            );
+        };
+        // Edge states: the narrowest interval at every straddle depth, the
+        // interval ending at the top, the whole interval.
+        check(HALF - 1, HALF);
+        check(HALF - 2, HALF - 1);
+        check(HALF, HALF + 1);
+        check(TOP - 2, TOP - 1);
+        check(0, 1);
+        check(0, TOP - 1);
+        check(HALF - 1, TOP - 1);
+        for shift in 0..31 {
+            check(HALF - (1 << shift), HALF + (1 << shift) - 1);
+        }
+        vapp_check::check("renorm_steps", 20_000, |rng| {
+            // Random states, range down to 2.
+            let low = rng.random_range(0..TOP - 1);
+            let range = if rng.random::<bool>() {
+                rng.random_range(2..=64u64.min(TOP - low))
+            } else {
+                rng.random_range(2..=TOP - low)
+            };
+            check(low, low + range - 1);
+            // `n` shared bits, then a straddle run of `k` (1..=30): `low`
+            // reads 0 1^k 0 and `high` reads 1 0^k below the shared bits.
+            let k = rng.random_range(1..=30u32);
+            let n = rng.random_range(0..=31 - k);
+            let below = 31 - n - k;
+            let prefix = rng.random::<u64>().checked_shr(64 - n).unwrap_or(0) << (32 - n);
+            let low_tail = rng.random::<u64>() & (((1 << below) - 1) >> 1);
+            let high_tail = rng.random::<u64>() & ((1 << below) - 1);
+            let low = prefix | (((1 << k) - 1) << below) | low_tail;
+            let high = prefix | (1 << (31 - n)) | high_tail;
+            assert_eq!(renorm_steps(low, high), n + k, "n {n} k {k}");
+            check(low, high);
+        });
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The total (never-failing) decoder.
 //!
-//! Each macroblock is parsed into [`crate::mb::MbSyntax`] by
-//! [`read_mb`], which reads no pixels, then rebuilt by the reconstruction
+//! Each macroblock is parsed by [`read_mb`], which reads no pixels, into
+//! the one [`MbSyntax`] its slice reuses, then rebuilt by the reconstruction
 //! the encoder also runs, so an undamaged stream decodes bit-exact to the
 //! encoder's own reconstruction. On a damaged stream the decoder keeps
 //! going: every value is clamped to its domain, variable-length reads are
@@ -12,7 +12,9 @@
 //! payload gets a fresh entropy context.
 
 use crate::entropy::{CabacReader, CavlcReader, EntropyMode, SymbolReader};
-use crate::mb::{crop, neighbors, read_mb, reconstruct, slice_rows, FrameSyntax, MbState, Refs};
+use crate::mb::{
+    crop, neighbors, read_mb, reconstruct, slice_rows, FrameSyntax, MbPred, MbState, MbSyntax, Refs,
+};
 use crate::quant::MAX_QP;
 use crate::syntax::{EncodedFrame, EncodedVideo};
 use crate::types::FrameType;
@@ -124,11 +126,12 @@ fn decode_slice<R: SymbolReader>(
         b: frame.header.frame_type == FrameType::B,
     };
     let mut prev_qp = frame.header.qp.min(MAX_QP);
+    let mut syn = MbSyntax::new(MbPred::Skip, prev_qp);
     for row in row_start..row_end {
         for col in 0..grid.mb_cols() {
             let mb = grid.mb_index(col, row);
             let nb = neighbors(grid, mb, row_start);
-            let syn = read_mb(r, syntax, states, mb, &nb, &mut prev_qp);
+            read_mb(r, &mut syn, syntax, states, mb, &nb, &mut prev_qp);
             let (x, y) = (col * MB_SIZE, row * MB_SIZE);
             reconstruct(&syn, refs, recon, x, y, nb.intra_avail());
         }

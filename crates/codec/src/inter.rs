@@ -497,7 +497,13 @@ pub fn mc_block_halfpel_into(
     // Output rows (`max(1)`: a zero-width block has none).
     let rows = out.chunks_exact_mut(w.max(1)).enumerate();
     match (fx, fy) {
-        (0, 0) => rows.for_each(|(oy, dst)| dst.copy_from_slice(row(oy))),
+        // The partition widths copy rows of a fixed width, inline.
+        (0, 0) => match w {
+            4 => copy_rows::<4>(out, row),
+            8 => copy_rows::<8>(out, row),
+            16 => copy_rows::<16>(out, row),
+            _ => rows.for_each(|(oy, dst)| dst.copy_from_slice(row(oy))),
+        },
         (1, 0) => rows.for_each(|(oy, dst)| {
             let r0 = row(oy);
             avg_rounding(&r0[..w], &r0[1..], dst);
@@ -507,6 +513,14 @@ pub fn mc_block_halfpel_into(
             let (r0, r1) = (row(oy), row(oy + 1));
             avg4_rounding(&r0[..w], &r0[1..], &r1[..w], &r1[1..], dst);
         }),
+    }
+}
+
+/// Fills `out`'s rows of `N` pixels from `row(0)`, `row(1)`, …; the fixed
+/// row width lets each row copy inline instead of calling `memcpy`.
+fn copy_rows<'a, const N: usize>(out: &mut [u8], row: impl Fn(usize) -> &'a [u8]) {
+    for (oy, dst) in out.as_chunks_mut::<N>().0.iter_mut().enumerate() {
+        dst.copy_from_slice(&row(oy)[..N]);
     }
 }
 

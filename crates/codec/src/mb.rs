@@ -116,6 +116,22 @@ impl MbSyntax {
         }
     }
 
+    /// Makes this value a skip at `qp` with no motion and no coded
+    /// coefficients, as [`MbSyntax::new`] would, zeroing only the levels
+    /// of the blocks it coded: a parse reuses one value for every
+    /// macroblock of a slice.
+    fn clear(&mut self, qp: u8) {
+        let mut coded = self.coded;
+        while coded != 0 {
+            self.levels[coded.trailing_zeros() as usize] = [0; 16];
+            coded &= coded - 1;
+        }
+        self.coded = 0;
+        self.motion = [BlockMotion::default(); 16];
+        self.pred = MbPred::Skip;
+        self.qp = qp;
+    }
+
     /// Whether the macroblock is intra predicted.
     pub(crate) fn is_intra(&self) -> bool {
         matches!(self.pred, MbPred::Intra16(_) | MbPred::Intra4(_))
@@ -315,7 +331,7 @@ pub(crate) fn crop(p: &Plane, w: usize, h: usize) -> Plane {
 
 /// Writes one macroblock's syntax and records its state in `states[mb]`.
 ///
-/// The syntax must be one [`read_mb`] can return: skip and inter only in
+/// The syntax must be one [`read_mb`] can read back: skip and inter only in
 /// a frame with a forward reference, the skip vector equal to
 /// [`mb_mv_pred`]'s forward one, backward motion only in a B frame,
 /// vector differences within `±MV_LIMIT`, and a non-zero level in every
@@ -436,26 +452,30 @@ fn write_block<W: SymbolWriter>(w: &mut W, syn: &MbSyntax, blk: usize, inc: usiz
 
 // ----------------------------------------------------------------- read --
 
-/// Reads one macroblock's syntax and records its state in `states[mb]`.
+/// Reads one macroblock's syntax into `syn` and records its state in
+/// `states[mb]`.
 ///
-/// Reads only symbols and neighbour state, never pixels. Total: a damaged
-/// payload yields clamped, valid syntax.
+/// `syn` is overwritten whatever it held, so a slice's parse reuses one
+/// value: clearing it touches only the levels of the blocks it coded, not
+/// the whole 1.2 KiB. Reads only symbols and neighbour state, never
+/// pixels. Total: a damaged payload yields clamped, valid syntax.
 pub fn read_mb<R: SymbolReader>(
     r: &mut R,
+    syn: &mut MbSyntax,
     frame: FrameSyntax,
     states: &mut [MbState],
     mb: usize,
     nb: &Neighbors,
     prev_qp: &mut u8,
-) -> MbSyntax {
-    let mut syn = MbSyntax::new(MbPred::Skip, *prev_qp);
+) {
+    syn.clear(*prev_qp);
     let mut pred_fwd = mb_mv_pred(states, nb, true);
     let intra = if !frame.inter {
         true
     } else if r.get_flag(Element::Skip, skip_ctx_inc(states, nb)) {
         syn.motion[0].fwd = pred_fwd;
         states[mb] = syn.state(frame, 0);
-        return syn;
+        return;
     } else {
         r.get_flag(Element::Intra, intra_ctx_inc(states, nb))
     };
@@ -466,11 +486,11 @@ pub fn read_mb<R: SymbolReader>(
         let mut modes = [Intra4Mode::Dc; 16];
         for (blk, mode) in modes.iter_mut().enumerate() {
             *mode = Intra4Mode::from_index(r.get_uint(Element::Intra4Mode, 0).min(4));
-            read_block(r, &mut syn, blk, blk % 4);
+            read_block(r, syn, blk, blk % 4);
         }
         syn.pred = MbPred::Intra4(modes);
         states[mb] = syn.state(frame, 0);
-        return syn;
+        return;
     }
     if intra {
         syn.pred = MbPred::Intra16(IntraMode::from_index(
@@ -509,11 +529,10 @@ pub fn read_mb<R: SymbolReader>(
     let cbp: [bool; 4] = core::array::from_fn(|q| r.get_flag(Element::Cbp, q));
     for q in (0..4).filter(|&q| cbp[q]) {
         for (s, blk) in quadrant_blocks(q).into_iter().enumerate() {
-            read_block(r, &mut syn, blk, s);
+            read_block(r, syn, blk, s);
         }
     }
     states[mb] = syn.state(frame, mvd_mag);
-    syn
 }
 
 /// Reads a macroblock's quantiser delta and applies it to `prev_qp`.
@@ -649,11 +668,23 @@ pub(crate) fn predict(
         let mut buf = [0u8; MAX_BLOCK_PIXELS];
         let block = &mut buf[..g.w * g.h];
         compensate(refs, x, y, &g, m, block);
-        for (row, src) in block.chunks_exact(g.w).enumerate() {
-            pred[(g.dy + row) * MB_SIZE + g.dx..][..g.w].copy_from_slice(src);
+        let dst = &mut pred[g.dy * MB_SIZE + g.dx..];
+        match g.w {
+            4 => put_rows::<4>(dst, block),
+            8 => put_rows::<8>(dst, block),
+            w => unreachable!("a partition block is 4, 8 or 16 wide, not {w}"),
         }
     }
     pred
+}
+
+/// Copies a block of `N`-pixel rows into a macroblock prediction from
+/// `dst` on, rows `MB_SIZE` apart; the fixed row width lets each row copy
+/// inline, as in [`store_rows`].
+fn put_rows<const N: usize>(dst: &mut [u8], block: &[u8]) {
+    for (r, row) in block.as_chunks::<N>().0.iter().enumerate() {
+        dst[r * MB_SIZE..][..N].copy_from_slice(row);
+    }
 }
 
 /// Motion-compensates one block at `(x, y)` into `out`, falling back to

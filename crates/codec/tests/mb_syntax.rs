@@ -1,6 +1,6 @@
 //! The macroblock syntax round-trips symbol for symbol: random
 //! [`MbSyntax`] values written with `write_mb` read back identically with
-//! `read_mb`, under both entropy coders, in I, P and B frames, across
+//! `read_mb` into one reused value, under both entropy coders, in I, P and B frames, across
 //! every partition and sub-shape, intra 16x16 and 4x4, random coded masks,
 //! levels up to the reader's clamp, vectors and QP deltas, with one or
 //! more slices. The neighbour state each side records after every
@@ -67,7 +67,7 @@ fn residual(rng: &mut StdRng, syn: &mut MbSyntax) {
     }
 }
 
-/// A random syntax value `read_mb` can return for the macroblock whose
+/// A random syntax value `read_mb` can read for the macroblock whose
 /// neighbours are `nb`.
 fn random_syntax(
     rng: &mut StdRng,
@@ -149,8 +149,10 @@ fn write_frame<W: SymbolWriter>(
     (payloads, written)
 }
 
-/// Reads the payloads back and checks every macroblock's syntax and state
-/// against what was written.
+/// Reads the payloads back into one reused syntax value, as the decoder
+/// does, and checks every macroblock's syntax and state against what was
+/// written: levels or motion left over from an earlier macroblock fail
+/// the comparison.
 fn read_frame<'a, R: SymbolReader>(
     new_reader: impl Fn(&'a [u8]) -> R,
     payloads: &'a [Vec<u8>],
@@ -162,12 +164,13 @@ fn read_frame<'a, R: SymbolReader>(
 ) {
     let mut states = vec![MbState::default(); grid.mb_count()];
     let mut expected = written.iter();
+    let mut syn = MbSyntax::new(MbPred::Skip, base_qp);
     for (&rows, bytes) in slices.iter().zip(payloads) {
         let mut r = new_reader(bytes);
         let mut prev_qp = base_qp;
         for mb in slice_mbs(grid, rows) {
             let nb = neighbors(grid, mb, rows.0);
-            let syn = read_mb(&mut r, frame, &mut states, mb, &nb, &mut prev_qp);
+            read_mb(&mut r, &mut syn, frame, &mut states, mb, &nb, &mut prev_qp);
             let (want, want_state) = expected.next().expect("one written value per MB");
             assert_eq!(&syn, want, "syntax of MB {mb}");
             assert_eq!(&states[mb], want_state, "state of MB {mb}");
