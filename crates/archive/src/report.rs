@@ -1,9 +1,9 @@
-//! The `archive_report`: throughput + per-op-class latency quantiles.
+//! The archive report: throughput + per-op-class latency quantiles.
 //!
 //! Renders a fleet run's outcome and its `vapp-obs` snapshot as the
-//! fixed-width table the CLI (`vapp archive`) and the bench-side
-//! `archive_report` binary print. Latency quantiles come straight from
-//! the mergeable sketches behind `archive.op.<class>.ns`.
+//! fixed-width table the CLI (`vapp archive`) prints. Latency quantiles
+//! come straight from the mergeable sketches behind
+//! `archive.op.<class>.ns`.
 
 use vapp_obs::snapshot::{HistogramSnapshot, Snapshot};
 

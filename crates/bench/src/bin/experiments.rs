@@ -2,9 +2,10 @@
 //! current: `experiments [--write | --check] [NAME ...]` prints the named
 //! experiments (default: all), rewrites their blocks, or exits non-zero
 //! naming every stale block. NAME is one of `fig3 fig8 fig9 fig10 table1
-//! fig11 sec8`; a block is the text between `<!-- experiment:NAME -->` and
-//! `<!-- /experiment:NAME -->`. The blocks record the default scale, so
-//! `--write` and `--check` refuse `VAPP_SCALE=full`.
+//! fig11 sec63 fig7 sec8 sec431 sec62 sec61`; a block is the text between
+//! `<!-- experiment:NAME -->` and `<!-- /experiment:NAME -->`. The blocks
+//! record the default scale, so `--write` and `--check` refuse
+//! `VAPP_SCALE=full`.
 
 use std::process::ExitCode;
 use vapp_bench::experiments::EXPERIMENTS;

@@ -25,6 +25,18 @@ impl Fig3Result {
     pub fn corners(&self) -> (f64, f64) {
         (self.psnr[0], self.psnr[self.psnr.len() - 1])
     }
+
+    /// Row-major neighbours, and vertical neighbours, where the later
+    /// macroblock's frames lose more than `margin_db` more than the
+    /// earlier one's: places where PSNR falls along the scan order.
+    pub fn inversions(&self, margin_db: f64) -> usize {
+        let falls = |step: usize| {
+            (self.psnr.iter().zip(&self.psnr[step..]))
+                .filter(|&(early, late)| *late < early - margin_db)
+                .count()
+        };
+        falls(1) + falls(self.cols)
+    }
 }
 
 /// Runs the experiment; panics unless bottom-right flips damage less than

@@ -1,7 +1,8 @@
-//! The paper's evaluation: Figures 3, 8, 9, 10 and 11, Table 1 and the §8
-//! ablations. Each is a module with `run`, which returns its typed result,
-//! and `render`, which prints it; the `experiments` binary keeps their
-//! EXPERIMENTS.md blocks current.
+//! The paper's evaluation: Figures 3, 7, 8, 9, 10 and 11, Table 1, the §8
+//! ablations and the §4.3.1, §6.1, §6.2 and §6.3 measurements. Each is a
+//! module with `run`, which returns its typed result, and `render`, which
+//! prints it; the `experiments` binary keeps their EXPERIMENTS.md blocks
+//! current.
 //!
 //! The Monte Carlo loss curves all go through one grid loop, [`worst_loss`],
 //! each experiment with its own trial seeds: `1000 + clip` (Fig 9),
@@ -11,8 +12,13 @@
 pub mod fig10;
 pub mod fig11;
 pub mod fig3;
+pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod sec431;
+pub mod sec61;
+pub mod sec62;
+pub mod sec63;
 pub mod sec8;
 pub mod table1;
 
@@ -25,16 +31,14 @@ use videoapp::{importance_classes, Class};
 /// Runs an experiment at a scale and renders its output.
 pub type Render = fn(&ExpConfig) -> String;
 
+/// `(name, render ∘ run)` for each named experiment module.
+macro_rules! registry {
+    ($($m:ident),*) => { [$((stringify!($m), |c| $m::render(&$m::run(c)))),*] };
+}
+
 /// Every experiment by name, in EXPERIMENTS.md order.
-pub const EXPERIMENTS: [(&str, Render); 7] = [
-    ("fig3", |c| fig3::render(&fig3::run(c))),
-    ("fig8", |c| fig8::render(&fig8::run(c))),
-    ("fig9", |c| fig9::render(&fig9::run(c))),
-    ("fig10", |c| fig10::render(&fig10::run(c))),
-    ("table1", |c| table1::render(&table1::run(c))),
-    ("fig11", |c| fig11::render(&fig11::run(c))),
-    ("sec8", |c| sec8::render(&sec8::run(c))),
-];
+pub const EXPERIMENTS: [(&str, Render); 12] =
+    registry![fig3, fig8, fig9, fig10, table1, fig11, sec63, fig7, sec8, sec431, sec62, sec61];
 
 /// Measures the loss curve of every unit `(clip, key, payload ranges)` and
 /// keeps, per key in `0..keys`, the worst loss at each rate (the

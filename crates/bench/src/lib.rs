@@ -1,7 +1,7 @@
 //! Shared machinery for the paper's experiments ([`experiments`]: one
 //! `run` + `render` per figure or table, printed and checked by the
-//! `experiments` binary — see `DESIGN.md` §5), the other report binaries
-//! and the [`harness`]-driven benches.
+//! `experiments` binary — see `DESIGN.md` §5) and the [`harness`]-driven
+//! benches.
 //!
 //! Every experiment honours the `VAPP_SCALE` environment variable:
 //!
@@ -13,7 +13,6 @@ pub mod experiments;
 pub mod harness;
 
 use std::sync::Arc;
-use std::time::Instant;
 use vapp_codec::{EncodeResult, Encoder, EncoderConfig};
 use vapp_media::Video;
 use vapp_storage::channel::{burst_erasure, data_in_video, mlc_pcm, Substrate};
@@ -88,10 +87,6 @@ pub struct PreparedClip {
     pub result: EncodeResult,
     /// Macroblock importances.
     pub importance: ImportanceMap,
-    /// Encode wall time (for the §4.3.1 overhead claim).
-    pub encode_seconds: f64,
-    /// Importance-analysis wall time.
-    pub analysis_seconds: f64,
 }
 
 /// Encodes and analyses every clip of the suite at the given CRF.
@@ -102,24 +97,17 @@ pub fn prepare(cfg: &ExpConfig, crf: u8) -> Vec<PreparedClip> {
 /// Encodes and analyses every clip with an explicit encoder config.
 ///
 /// Clips are independent, so the suite fans out across workers
-/// (`vapp_par`); per-clip wall times still measure the work of that clip
-/// alone (each unit times its own encode/analysis).
+/// (`vapp_par`).
 pub fn prepare_with(cfg: &ExpConfig, enc_cfg: EncoderConfig) -> Vec<PreparedClip> {
     let encoder = Encoder::new(enc_cfg);
     vapp_par::par_map(cfg.suite(), |_, clip| {
-        let t0 = Instant::now();
         let result = encoder.encode(&clip.video);
-        let encode_seconds = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
         let importance = ImportanceMap::compute(&DependencyGraph::from_analysis(&result.analysis));
-        let analysis_seconds = t1.elapsed().as_secs_f64();
         PreparedClip {
             name: clip.name,
             original: clip.video,
             result,
             importance,
-            encode_seconds,
-            analysis_seconds,
         }
     })
 }

@@ -76,7 +76,7 @@ fn main() {
         "CTR must be transparent to approximation (requirement #3)"
     );
     println!("requirement #3 verified: encrypted and plaintext damage are identical.");
-    println!("(ECB/CBC would fail here — see `cargo run -p vapp-bench --bin crypto_modes`)");
+    println!("(ECB/CBC would fail here — see `cargo run -p vapp-bench --bin experiments -- fig7`)");
 
     if vapp_obs::stderr_level().is_some() {
         eprint!("{}", vapp_obs::current().snapshot().render_text(40));
