@@ -1,5 +1,5 @@
-//! VideoApp analysis cost: graph construction, importance (global and
-//! streaming), bins/classes/pivots — the §4.3.1 overhead claim.
+//! VideoApp analysis cost: graph construction, importance,
+//! bins/classes/pivots — the §4.3.1 overhead claim.
 
 use std::hint::black_box;
 use vapp_bench::harness::Criterion;
@@ -30,9 +30,6 @@ fn bench_analysis(c: &mut Criterion) {
     let graph = DependencyGraph::from_analysis(rec);
     group.bench_function("importance_global", |b| {
         b.iter(|| black_box(ImportanceMap::compute(black_box(&graph))));
-    });
-    group.bench_function("importance_streaming", |b| {
-        b.iter(|| black_box(ImportanceMap::compute_streaming(black_box(&graph))));
     });
     let imp = ImportanceMap::compute(&graph);
     group.bench_function("equal_storage_bins", |b| {

@@ -193,9 +193,13 @@ fn sec62_substrate_is_calibrated_and_partitioning_pays_on_every_channel() {
 fn sec61_all_four_metrics_fall_together() {
     let r = sec61::run(&ExpConfig::from_env());
     assert!(r.fall_together(), "{:?}", r.metrics);
-    let (clean, worst) = (r.metrics[0], r.metrics[r.metrics.len() - 1]);
-    for m in 0..4 {
-        assert!(worst[m] < clean[m], "metric {m}: {worst:?} vs {clean:?}");
+    // Every non-zero rate damages the clip, so each of its rows is below
+    // the clean row on all four metrics.
+    let clean = r.metrics[0];
+    for row in &r.metrics[1..] {
+        for m in 0..4 {
+            assert!(row[m] < clean[m], "metric {m}: {row:?} vs {clean:?}");
+        }
     }
 }
 

@@ -269,16 +269,6 @@ impl EncodedVideo {
         self.header.to_bytes().len() as u64 * 8
             + self.frames.iter().map(|f| f.header.bit_len()).sum::<u64>()
     }
-
-    /// Bit offset of frame `coding_index`'s payload within the
-    /// concatenation of all payloads (the global approximate-storage
-    /// address space).
-    pub fn payload_base_bits(&self, coding_index: usize) -> u64 {
-        self.frames[..coding_index]
-            .iter()
-            .map(EncodedFrame::payload_bits)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -408,7 +398,7 @@ mod tests {
     }
 
     #[test]
-    fn payload_base_accumulates() {
+    fn payload_bits_accumulate() {
         let mk = |len| EncodedFrame {
             header: FrameHeader {
                 coding_index: 0,
@@ -425,9 +415,6 @@ mod tests {
             header: sample_stream_header(),
             frames: vec![mk(10), mk(20), mk(30)],
         };
-        assert_eq!(v.payload_base_bits(0), 0);
-        assert_eq!(v.payload_base_bits(1), 80);
-        assert_eq!(v.payload_base_bits(2), 240);
         assert_eq!(v.payload_bits(), 480);
         assert!(v.header_bits() > 0);
     }

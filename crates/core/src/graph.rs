@@ -12,7 +12,7 @@
 //!   pattern: within a slice, each MB damages its scan-order successor
 //!   with weight 1 (a weighted linked list).
 
-use vapp_codec::{AnalysisRecord, FrameType};
+use vapp_codec::AnalysisRecord;
 
 /// A graph node (one macroblock of one coded frame).
 pub type NodeId = usize;
@@ -26,10 +26,6 @@ pub struct DependencyGraph {
     comp_children: Vec<Vec<(NodeId, f64)>>,
     /// Coding dependent of each node (scan-order successor in the slice).
     coding_child: Vec<Option<NodeId>>,
-    /// Frame type per coding index (for per-GOP streaming evaluation).
-    frame_types: Vec<FrameType>,
-    /// Display index per coding index.
-    display_indices: Vec<usize>,
 }
 
 impl DependencyGraph {
@@ -40,12 +36,8 @@ impl DependencyGraph {
         let n = mbs_per_frame * frames;
         let mut comp_children: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
         let mut coding_child: Vec<Option<NodeId>> = vec![None; n];
-        let mut frame_types = Vec::with_capacity(frames);
-        let mut display_indices = Vec::with_capacity(frames);
 
         for f in &rec.frames {
-            frame_types.push(f.frame_type);
-            display_indices.push(f.display_index);
             let base = f.coding_index * mbs_per_frame;
             // Compensation edges: recorded per destination MB as incoming
             // references; invert to source → destination. Aggregate
@@ -78,8 +70,6 @@ impl DependencyGraph {
             frames,
             comp_children,
             coding_child,
-            frame_types,
-            display_indices,
         }
     }
 
@@ -96,39 +86,6 @@ impl DependencyGraph {
     /// Number of coded frames.
     pub fn frames(&self) -> usize {
         self.frames
-    }
-
-    /// Frame types in coding order.
-    pub fn frame_types(&self) -> &[FrameType] {
-        &self.frame_types
-    }
-
-    /// Display index of each coding-order frame.
-    pub fn display_indices(&self) -> &[usize] {
-        &self.display_indices
-    }
-
-    /// Assigns every coded frame to its GOP component: frames whose
-    /// display index falls between consecutive I frames belong together.
-    /// With closed GOPs no dependency edge crosses these components
-    /// (paper §4.3.1).
-    pub fn gop_components(&self) -> Vec<usize> {
-        // I-frame display positions, sorted.
-        let mut i_displays: Vec<usize> = self
-            .frame_types
-            .iter()
-            .zip(&self.display_indices)
-            .filter(|(t, _)| **t == FrameType::I)
-            .map(|(_, &d)| d)
-            .collect();
-        i_displays.sort_unstable();
-        self.display_indices
-            .iter()
-            .map(|&d| match i_displays.binary_search(&d) {
-                Ok(k) => k,
-                Err(k) => k.saturating_sub(1),
-            })
-            .collect()
     }
 
     /// Compensation dependents of `node`.
@@ -152,46 +109,12 @@ impl DependencyGraph {
         }
         w
     }
-
-    /// Kahn topological sort of the *compensation* subgraph.
-    ///
-    /// The paper's algorithm (§4.3 steps 3/7) sorts topologically; for
-    /// this codec, coding order already is topological (references are
-    /// coded first, intra sources precede their dependents in scan order),
-    /// and this method verifies it while producing the order.
-    ///
-    /// Returns `None` if a cycle exists (impossible for valid encodes).
-    pub fn topo_sort_comp(&self) -> Option<Vec<NodeId>> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let n = self.node_count();
-        let mut indegree = vec![0usize; n];
-        for children in &self.comp_children {
-            for &(dest, _) in children {
-                indegree[dest] += 1;
-            }
-        }
-        // Min-heap on node id for a deterministic order.
-        let mut ready: BinaryHeap<Reverse<NodeId>> =
-            (0..n).filter(|&i| indegree[i] == 0).map(Reverse).collect();
-        let mut order = Vec::with_capacity(n);
-        while let Some(Reverse(node)) = ready.pop() {
-            order.push(node);
-            for &(dest, _) in &self.comp_children[node] {
-                indegree[dest] -= 1;
-                if indegree[dest] == 0 {
-                    ready.push(Reverse(dest));
-                }
-            }
-        }
-        (order.len() == n).then_some(order)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vapp_codec::{Encoder, EncoderConfig};
+    use vapp_codec::{Encoder, EncoderConfig, FrameType};
     use vapp_workloads::{ClipSpec, SceneKind};
 
     fn analyzed(bframes: u8, slices: u8) -> AnalysisRecord {
@@ -249,10 +172,8 @@ mod tests {
     fn topo_sort_exists_and_matches_natural_order() {
         let rec = analyzed(2, 1);
         let g = DependencyGraph::from_analysis(&rec);
-        let order = g.topo_sort_comp().expect("comp graph is a DAG");
-        assert_eq!(order.len(), g.node_count());
-        // Verify the natural (node id) order is also topological: every
-        // comp edge goes from a lower to a higher id.
+        // The natural (node id) order is topological: every comp edge
+        // goes from a lower to a higher id.
         for src in 0..g.node_count() {
             for &(dest, _) in g.comp_children(src) {
                 assert!(dest > src, "edge {src} -> {dest} violates coding order");
@@ -265,10 +186,11 @@ mod tests {
         let rec = analyzed(2, 1);
         let g = DependencyGraph::from_analysis(&rec);
         let per = g.mbs_per_frame();
-        for (ci, &ft) in g.frame_types().iter().enumerate() {
-            if ft != FrameType::B {
+        for f in &rec.frames {
+            if f.frame_type != FrameType::B {
                 continue;
             }
+            let ci = f.coding_index;
             for mb in 0..per {
                 // B MBs may have *intra* (same-frame) dependents but no
                 // temporal ones: nothing references a B frame.

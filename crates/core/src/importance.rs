@@ -1,18 +1,27 @@
 //! Macroblock importance (paper §4.3).
 //!
 //! Importance of a macroblock ≈ the number of macroblocks a bit flip
-//! there would damage, computed by the paper's eight-step algorithm:
+//! there would damage. The paper's eight-step algorithm accumulates
+//! backward twice:
 //!
-//! 1–4. On the *compensation-only* graph: initialise every node to 1,
-//!      topologically sort, then walk the order backwards adding each
-//!      node's weighted child importances. Afterwards each node holds the
-//!      number of MBs an error would reach through compensation.
+//! 1–4. On the *compensation-only* graph: initialise every node to 1 and
+//!      walk a topological order backwards, adding each node's weighted
+//!      child importances. Afterwards each node holds the number of MBs
+//!      an error would reach through compensation.
 //! 5–8. On the *coding-only* graph (the in-slice scan chain, weight 1):
 //!      seed with the compensation importances and do the same backward
 //!      accumulation.
 //!
 //! Compensation deps append to coding deps but not vice versa (§4.3),
-//! which is why the passes run in this order.
+//! which is why the passes run in this order. In this codec, coding
+//! order already is topological for both graphs — references are coded
+//! first, intra sources precede their dependents in scan order and the
+//! coding chain runs forward — so one sweep over node ids in reverse does
+//! all eight steps: when a node is reached, every child holds its final
+//! compensation and total importance. Since the sweep reads only a
+//! node's compensation children and its in-frame coding successor, and
+//! no compensation edge leaves its GOP, running it GOP by GOP (§4.3.1)
+//! is the same computation.
 
 use crate::graph::DependencyGraph;
 
@@ -24,53 +33,30 @@ pub struct ImportanceMap {
 }
 
 impl ImportanceMap {
-    /// Runs the full eight-step algorithm on a dependency graph.
+    /// Runs the eight-step algorithm as one backward sweep in coding
+    /// order.
     ///
     /// # Panics
     ///
-    /// Panics if the compensation graph has a cycle (impossible for valid
-    /// encoder output).
+    /// Panics if a compensation edge points backward in coding order
+    /// (impossible for valid encoder output): coding order would then not
+    /// be topological.
     pub fn compute(graph: &DependencyGraph) -> Self {
-        let comp = compensation_pass(graph);
-        let values = coding_pass(graph, comp);
-        ImportanceMap {
-            mbs_per_frame: graph.mbs_per_frame(),
-            values,
-        }
-    }
-
-    /// Streaming variant (paper §4.3.1): compensation importances are
-    /// computed independently per GOP (the connected components between
-    /// I-frames), then the coding pass runs per frame. Yields the same
-    /// values as [`ImportanceMap::compute`] because no compensation edge
-    /// crosses an I-frame boundary.
-    pub fn compute_streaming(graph: &DependencyGraph) -> Self {
-        let mut comp = vec![1.0f64; graph.node_count()];
-        let per = graph.mbs_per_frame();
-        let components = graph.gop_components();
-        let segments = components.iter().copied().max().map_or(0, |m| m + 1);
-        for seg in 0..segments {
-            // Nodes of this component in ascending (topological) id order.
-            let nodes: Vec<usize> = (0..graph.frames())
-                .filter(|&ci| components[ci] == seg)
-                .flat_map(|ci| ci * per..(ci + 1) * per)
-                .collect();
-            // Backward accumulation restricted to this component; closed
-            // GOPs guarantee edges stay inside it.
-            for &node in nodes.iter().rev() {
-                let mut acc = 1.0;
-                for &(dest, w) in graph.comp_children(node) {
-                    debug_assert_eq!(
-                        components[dest / per],
-                        seg,
-                        "compensation edge escapes its GOP component"
-                    );
-                    acc += w * comp[dest];
-                }
-                comp[node] = acc;
+        let n = graph.node_count();
+        let mut comp = vec![0.0f64; n];
+        let mut values = vec![0.0f64; n];
+        for node in (0..n).rev() {
+            let mut acc = 1.0;
+            for &(dest, w) in graph.comp_children(node) {
+                assert!(
+                    dest > node,
+                    "compensation edge {node} -> {dest} points backward in coding order"
+                );
+                acc += w * comp[dest];
             }
+            comp[node] = acc;
+            values[node] = acc + graph.coding_child(node).map_or(0.0, |next| values[next]);
         }
-        let values = coding_pass(graph, comp);
         ImportanceMap {
             mbs_per_frame: graph.mbs_per_frame(),
             values,
@@ -105,42 +91,20 @@ impl ImportanceMap {
     }
 }
 
-/// Steps 1–4 on the full graph (global topological order).
-fn compensation_pass(graph: &DependencyGraph) -> Vec<f64> {
-    let order = graph
-        .topo_sort_comp()
-        .expect("compensation graph must be acyclic");
-    let mut imp = vec![1.0f64; graph.node_count()];
-    for &node in order.iter().rev() {
-        let mut acc = 1.0;
-        for &(dest, w) in graph.comp_children(node) {
-            acc += w * imp[dest];
-        }
-        imp[node] = acc;
-    }
-    imp
-}
-
-/// Steps 5–8: per-frame coding chains (weight-1 linked lists).
-fn coding_pass(graph: &DependencyGraph, seed: Vec<f64>) -> Vec<f64> {
-    let mut imp = seed;
-    // The chain within each slice: process in reverse node order — every
-    // coding child has a higher id.
-    for node in (0..graph.node_count()).rev() {
-        if let Some(next) = graph.coding_child(node) {
-            imp[node] += imp[next];
-        }
-    }
-    imp
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vapp_codec::{Encoder, EncoderConfig, FrameType};
+    use vapp_codec::{
+        AnalysisRecord, Dependency, Encoder, EncoderConfig, FrameAnalysis, FrameType, MbAnalysis,
+    };
+    use vapp_media::MbGrid;
     use vapp_workloads::{ClipSpec, SceneKind};
 
-    fn importance_for(keyint: u16, bframes: u8, slices: u8) -> (DependencyGraph, ImportanceMap) {
+    fn importance_for(
+        keyint: u16,
+        bframes: u8,
+        slices: u8,
+    ) -> (AnalysisRecord, DependencyGraph, ImportanceMap) {
         let video = ClipSpec::new(64, 48, 12, SceneKind::MovingBlocks)
             .seed(4)
             .generate();
@@ -154,12 +118,12 @@ mod tests {
         .analysis;
         let g = DependencyGraph::from_analysis(&rec);
         let m = ImportanceMap::compute(&g);
-        (g, m)
+        (rec, g, m)
     }
 
     #[test]
     fn importance_at_least_one() {
-        let (_, m) = importance_for(6, 2, 1);
+        let (_, _, m) = importance_for(6, 2, 1);
         assert!(m.values().iter().all(|&v| v >= 1.0 - 1e-12));
         assert!(m.max() > 1.0);
     }
@@ -168,7 +132,7 @@ mod tests {
     fn within_frame_importance_is_strictly_decreasing() {
         // Paper §4.4: the coding chain imposes a strictly decreasing order
         // of MBs within a frame (per slice) — the basis for pivots.
-        let (g, m) = importance_for(6, 2, 1);
+        let (_, g, m) = importance_for(6, 2, 1);
         let per = g.mbs_per_frame();
         for f in 0..g.frames() {
             for mb in 0..per - 1 {
@@ -181,15 +145,15 @@ mod tests {
 
     #[test]
     fn early_frames_matter_more_than_late_b_frames() {
-        let (g, m) = importance_for(12, 2, 1);
+        let (rec, g, m) = importance_for(12, 2, 1);
         let per = g.mbs_per_frame();
         // The I frame's first MB damages (nearly) everything; a B frame's
         // last MB damages only itself.
         let i_first = m.get(0, 0);
         let mut b_last = f64::MAX;
-        for (ci, &t) in g.frame_types().iter().enumerate() {
-            if t == FrameType::B {
-                b_last = b_last.min(m.get(ci, per - 1));
+        for f in &rec.frames {
+            if f.frame_type == FrameType::B {
+                b_last = b_last.min(m.get(f.coding_index, per - 1));
             }
         }
         assert!(i_first > 10.0 * b_last, "I {i_first} vs B {b_last}");
@@ -197,14 +161,15 @@ mod tests {
 
     #[test]
     fn unreferenced_b_frame_tail_has_importance_one() {
-        let (g, m) = importance_for(12, 2, 1);
+        let (rec, g, m) = importance_for(12, 2, 1);
         let per = g.mbs_per_frame();
         // The last MB of a B frame with no intra dependents: importance 1.
         let mut found = false;
-        for (ci, &t) in g.frame_types().iter().enumerate() {
-            if t != FrameType::B {
+        for f in &rec.frames {
+            if f.frame_type != FrameType::B {
                 continue;
             }
+            let ci = f.coding_index;
             let node = ci * per + per - 1;
             if g.comp_children(node).is_empty() {
                 assert!((m.get(ci, per - 1) - 1.0).abs() < 1e-9);
@@ -215,23 +180,34 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_global() {
-        let video = ClipSpec::new(64, 48, 16, SceneKind::Panning)
-            .seed(5)
-            .generate();
-        let rec = Encoder::new(EncoderConfig {
-            keyint: 4,
-            bframes: 1,
+    #[should_panic(expected = "points backward in coding order")]
+    fn backward_compensation_edge_is_rejected() {
+        // One I frame of two MBs whose first MB claims to be predicted
+        // from the second: a dependency coding order cannot satisfy.
+        let mb = |deps| MbAnalysis {
+            deps,
+            intra: true,
             ..Default::default()
-        })
-        .encode(&video)
-        .analysis;
-        let g = DependencyGraph::from_analysis(&rec);
-        let global = ImportanceMap::compute(&g);
-        let streaming = ImportanceMap::compute_streaming(&g);
-        for (a, b) in global.values().iter().zip(streaming.values()) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
+        };
+        let rec = AnalysisRecord {
+            grid: MbGrid::for_frame(32, 16),
+            frames: vec![FrameAnalysis {
+                coding_index: 0,
+                display_index: 0,
+                frame_type: FrameType::I,
+                header_bits: 0,
+                mbs: vec![
+                    mb(vec![Dependency {
+                        frame: 0,
+                        mb: 1,
+                        weight: 1.0,
+                    }]),
+                    mb(Vec::new()),
+                ],
+                slice_starts: vec![0],
+            }],
+        };
+        ImportanceMap::compute(&DependencyGraph::from_analysis(&rec));
     }
 
     #[test]
@@ -245,8 +221,8 @@ mod tests {
 
     #[test]
     fn shorter_gops_reduce_max_importance() {
-        let (_, long_gop) = importance_for(12, 0, 1);
-        let (_, short_gop) = importance_for(3, 0, 1);
+        let (_, _, long_gop) = importance_for(12, 0, 1);
+        let (_, _, short_gop) = importance_for(3, 0, 1);
         assert!(
             long_gop.max() > short_gop.max(),
             "long {} vs short {}",

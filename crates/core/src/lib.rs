@@ -26,7 +26,6 @@
 
 pub mod assignment;
 pub mod classes;
-pub mod facade;
 pub mod graph;
 pub mod importance;
 pub mod pipeline;
@@ -35,7 +34,6 @@ pub mod streams;
 
 pub use assignment::{Assignment, EcScheme, LossCurve, QUALITY_BUDGET_DB};
 pub use classes::{equal_storage_bins, importance_classes, payload_layout, Bin, Class};
-pub use facade::{Processed, VideoApp};
 pub use graph::{DependencyGraph, NodeId};
 pub use importance::ImportanceMap;
 pub use pipeline::{ApproxStore, PipelineReport, StoragePolicy};

@@ -523,7 +523,7 @@ mod tests {
     fn flip_global_bits_lands_in_the_right_frame() {
         let (stream, _, _) = setup();
         let mut dirty = stream.clone();
-        let base1 = stream.payload_base_bits(1);
+        let base1 = stream.frames[0].payload_bits();
         flip_global_bits(&mut dirty, &[base1]); // first bit of frame 1
         assert_eq!(dirty.frames[0].payload, stream.frames[0].payload);
         assert_ne!(dirty.frames[1].payload, stream.frames[1].payload);

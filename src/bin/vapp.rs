@@ -19,8 +19,9 @@ use vapp_rand::rngs::StdRng;
 use vapp_rand::SeedableRng;
 use vapp_workloads::{ClipSpec, SceneKind};
 use videoapp::{
-    burst_erasure, data_in_video, mlc_pcm, ApproxStore, BurstConfig, EcScheme, ImportanceMap,
-    PivotTable, StoragePolicy, Substrate, VideoApp, VideoChannelConfig,
+    burst_erasure, data_in_video, importance_classes, mlc_pcm, ApproxStore, BurstConfig,
+    DependencyGraph, EcScheme, ImportanceMap, PivotTable, StoragePolicy, Substrate,
+    VideoChannelConfig,
 };
 
 /// How `--stats` wants the observability snapshot rendered.
@@ -363,22 +364,23 @@ fn cmd_analyze(args: VecDeque<String>) -> Result<(), String> {
         return Err("analyze needs IN.vraw".into());
     };
     let video = load_video(input)?;
-    let processed = VideoApp::new(cfg).process(&video);
+    let result = Encoder::new(cfg).encode(&video);
+    let importance = ImportanceMap::compute(&DependencyGraph::from_analysis(&result.analysis));
     println!(
         "{}: {} MBs across {} frames, payload {} bits",
         input,
-        processed.analysis.total_mbs(),
-        processed.analysis.frames.len(),
-        processed.stream.payload_bits()
+        result.analysis.total_mbs(),
+        result.analysis.frames.len(),
+        result.stream.payload_bits()
     );
     println!(
         "importance: max {:.0} (class 2^{})",
-        processed.importance.max(),
-        ImportanceMap::class_of(processed.importance.max())
+        importance.max(),
+        ImportanceMap::class_of(importance.max())
     );
     println!("\nclass     mbs        bits     bits%");
-    let total = processed.stream.payload_bits().max(1);
-    for c in processed.classes() {
+    let total = result.stream.payload_bits().max(1);
+    for c in importance_classes(&result.analysis, &importance) {
         println!(
             "<=2^{:<4} {:>6} {:>11} {:>8.1}%",
             c.exp,
@@ -429,9 +431,10 @@ fn cmd_store(mut args: VecDeque<String>) -> Result<(), String> {
         return Err("store needs IN.vraw".into());
     };
     let video = load_video(input)?;
-    let processed = VideoApp::new(cfg).process(&video);
+    let result = Encoder::new(cfg).encode(&video);
+    let importance = ImportanceMap::compute(&DependencyGraph::from_analysis(&result.analysis));
     let thresholds = vec![8.0, 128.0, 2048.0];
-    let table = PivotTable::build(&processed.analysis, &processed.importance, &thresholds);
+    let table = PivotTable::build(&result.analysis, &importance, &thresholds);
     let channel_ber = substrate.raw_ber();
     let store = ApproxStore::new(StoragePolicy {
         ladder_levels: vec![
@@ -444,9 +447,9 @@ fn cmd_store(mut args: VecDeque<String>) -> Result<(), String> {
         substrate,
         exact_bch: true,
     });
-    let report = store.report(&processed.stream, &table, video.total_pixels() as u64);
+    let report = store.report(&result.stream, &table, video.total_pixels() as u64);
     let mut rng = StdRng::seed_from_u64(seed);
-    let loaded = store.store_load(&processed.stream, &table, &mut rng);
+    let loaded = store.store_load(&result.stream, &table, &mut rng);
     let decoded = decode(&loaded);
     println!("raw BER {channel_ber:.1e} on substrate `{substrate_name}`:");
     println!("  cells/pixel:        {:.4}", report.cells_per_pixel());
@@ -462,7 +465,7 @@ fn cmd_store(mut args: VecDeque<String>) -> Result<(), String> {
     println!(
         "  PSNR after storage: {:.2} dB (error-free {:.2} dB)",
         video_psnr(&video, &decoded),
-        video_psnr(&video, &processed.reconstruction),
+        video_psnr(&video, &result.reconstruction),
     );
     if let Some(path) = report_json {
         let snap = vapp_obs::current().snapshot();

@@ -1,10 +1,14 @@
 //! Out-of-range command-line values must fail like any other bad input:
 //! exit code 1 and an `error:` line on stderr naming the problem, never a
-//! panic (exit 101) or an allocation abort (exit 134).
+//! panic (exit 101) or an allocation abort (exit 134). A valid `analyze`
+//! run must print what the library computes.
 
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::OnceLock;
+
+use vapp_codec::{Encoder, EncoderConfig};
+use videoapp::{importance_classes, DependencyGraph, ImportanceMap};
 
 const VAPP: &str = env!("CARGO_BIN_EXE_vapp");
 
@@ -142,4 +146,47 @@ fn decode_rejects_inconsistent_container_headers() {
             needle,
         );
     }
+}
+
+#[test]
+fn analyze_prints_the_library_importance_classes() {
+    let clip = scratch().join("clip.vraw");
+    let out = Command::new(VAPP)
+        .arg("analyze")
+        .arg(&clip)
+        .output()
+        .expect("vapp runs");
+    assert!(out.status.success(), "analyze: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+
+    let bytes = std::fs::read(&clip).expect("fixture clip");
+    let video = vapp_media::Video::from_raw_bytes(&bytes).expect("valid clip");
+    let result = Encoder::new(EncoderConfig::default()).encode(&video);
+    let importance = ImportanceMap::compute(&DependencyGraph::from_analysis(&result.analysis));
+    let max = importance.max();
+    let max_line = format!(
+        "importance: max {max:.0} (class 2^{})",
+        ImportanceMap::class_of(max)
+    );
+    assert!(
+        stdout.lines().any(|l| l == max_line),
+        "{max_line:?} in {stdout}"
+    );
+
+    // `<=2^EXP MBS BITS PCT%` rows, one per non-empty class.
+    let rows: Vec<(u32, usize, u64)> = stdout
+        .lines()
+        .filter_map(|l| l.strip_prefix("<=2^"))
+        .map(|row| {
+            let cols: Vec<&str> = row.split_whitespace().collect();
+            let num = |i: usize| cols[i].parse::<u64>().expect("numeric column");
+            (num(0) as u32, num(1) as usize, num(2))
+        })
+        .collect();
+    let classes: Vec<(u32, usize, u64)> = importance_classes(&result.analysis, &importance)
+        .iter()
+        .map(|c| (c.exp, c.mbs, c.bits))
+        .collect();
+    assert!(!classes.is_empty());
+    assert_eq!(rows, classes, "{stdout}");
 }
