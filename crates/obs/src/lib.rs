@@ -169,25 +169,37 @@ macro_rules! counter {
 
 /// Records a value into a named histogram (log-bucketed quantile
 /// sketch; see [`sketch`]). The name must be a string literal; the
-/// handle is cached per call site like [`counter!`]'s.
+/// handle is cached per call site like [`counter!`]'s. A third argument
+/// records the value that many times in one update
+/// ([`registry::Histogram::record_n`]), for callers that tally repeats
+/// before flushing them; a count of 0 records nothing.
 ///
 /// ```
 /// vapp_obs::histogram!("sim.flips.per_draw", 12u64);
+/// vapp_obs::histogram!("sim.flips.per_draw", 0u64, 40u64);
 /// ```
 #[macro_export]
 macro_rules! histogram {
-    ($name:literal, $value:expr) => {{
+    ($name:literal, $value:expr) => {
+        $crate::histogram!($name, $value, 1u64)
+    };
+    ($name:literal, $value:expr, $n:expr) => {{
         let value: u64 = $value;
+        let n: u64 = $n;
         ::std::thread_local! {
             static SITE: $crate::registry::CachedHandle<$crate::registry::Histogram> =
                 const { $crate::registry::CachedHandle::new() };
         }
-        $crate::registry::record_cached(
-            &SITE,
-            $name,
-            $crate::registry::Registry::histogram,
-            |h: &$crate::registry::Histogram| h.record(value),
-        )
+        // A zero count records nothing and, unlike a lookup, leaves no
+        // empty histogram behind in the snapshot.
+        if n > 0 {
+            $crate::registry::record_cached(
+                &SITE,
+                $name,
+                $crate::registry::Registry::histogram,
+                |h: &$crate::registry::Histogram| h.record_n(value, n),
+            )
+        }
     }};
 }
 
@@ -267,6 +279,33 @@ mod tests {
         assert!(s.total_ns >= s.min_ns);
         assert_eq!(snap.timeline.len(), 1);
         assert_eq!(snap.timeline[0].fields, "part=7");
+    }
+
+    #[test]
+    fn counted_histogram_form_matches_repeated_records() {
+        let (counted, repeated) = (Arc::new(Registry::new()), Arc::new(Registry::new()));
+        let tallies = [(0u64, 40u64), (1, 9), (3, 1), (12, 0), (700, 2)];
+        with_registry(counted.clone(), || {
+            for &(w, n) in &tallies {
+                histogram!("test.widget.weight", w, n);
+            }
+            histogram!("test.widget.untouched", 5u64, 0u64);
+        });
+        with_registry(repeated.clone(), || {
+            for &(w, n) in &tallies {
+                for _ in 0..n {
+                    histogram!("test.widget.weight", w);
+                }
+            }
+        });
+        let (a, b) = (counted.snapshot(), repeated.snapshot());
+        assert_eq!(a.histograms, b.histograms);
+        assert!(
+            a.histogram("test.widget.untouched").is_none(),
+            "a zero count must not register the histogram"
+        );
+        let h = a.histogram("test.widget.weight").expect("recorded");
+        assert_eq!((h.count, h.sum, h.min, h.max), (52, 1412, 0, 700));
     }
 
     #[test]

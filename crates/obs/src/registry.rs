@@ -91,9 +91,20 @@ impl Histogram {
     /// Records one value.
     #[inline]
     pub fn record(&self, value: u64) {
-        self.buckets[sketch::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.record_n(value, 1);
+    }
+
+    /// Records `n` occurrences of `value`, leaving the same bucket,
+    /// count, sum, min and max as `n` calls of [`Histogram::record`]
+    /// (the sum wraps alike). `n = 0` records nothing.
+    #[inline]
+    pub fn record_n(&self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[sketch::bucket_index(value)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(value.wrapping_mul(n), Ordering::Relaxed);
         // `min` only falls and `max` only rises, so a value that cannot
         // move the loaded bound cannot move the live one either: skip
         // the locked read-modify-write.
@@ -453,6 +464,31 @@ mod tests {
         assert_eq!(hs.min, 0);
         assert_eq!(hs.max, 1000);
         assert_eq!(hs.sketch.count(), 5);
+    }
+
+    #[test]
+    fn record_n_matches_repeated_records() {
+        // Values span bucket edges, zero and the wrapping end of the sum;
+        // counts include 0, which must leave the histogram untouched.
+        let values = [0u64, 1, 2, 3, 7, 8, 1000, 1 << 40, u64::MAX / 3, u64::MAX];
+        let counts = [0u64, 1, 2, 5, 17];
+        let (once, each) = (Registry::new(), Registry::new());
+        let (h_once, h_each) = (once.histogram("h"), each.histogram("h"));
+        for (i, &v) in values.iter().enumerate() {
+            for &n in &counts[i % counts.len()..] {
+                h_once.record_n(v, n);
+                for _ in 0..n {
+                    h_each.record(v);
+                }
+                assert_eq!(h_once.to_sketch(), h_each.to_sketch(), "v {v} n {n}");
+            }
+        }
+        assert_eq!(once.snapshot().histograms, each.snapshot().histograms);
+        let empty = Registry::new();
+        empty.histogram("h").record_n(5, 0);
+        let hs = empty.snapshot();
+        let hs = hs.histogram("h").expect("looked up");
+        assert_eq!((hs.count, hs.sum, hs.min, hs.max), (0, 0, 0, 0));
     }
 
     #[test]

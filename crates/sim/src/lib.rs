@@ -39,39 +39,78 @@ pub fn derive_subseeds(master_seed: u64, count: usize) -> Vec<u64> {
     (0..count).map(|_| sm.next_u64()).collect()
 }
 
+/// The flip-count sampler: how many of `n_bits` independent bits flip at
+/// per-bit rate `rate`. It draws from a Poisson law (exact Knuth below
+/// λ = 30, normal approximation above), which matches the binomial to
+/// within its own sampling noise for the small rates used here.
+///
+/// λ and Knuth's stopping product e^−λ are computed once, so a caller
+/// that draws many equal-sized units (the exact MLC arm's 512-bit
+/// blocks) pays for them once per stream, not once per unit. Every count
+/// in the workspace comes from [`FlipCount::draw`]: [`sample_flip_count`]
+/// and [`pick_positions`] are thin callers of it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct FlipCount {
+    n_bits: u64,
+    lambda: f64,
+    limit: f64,
+}
+
+impl FlipCount {
+    /// A sampler for `n_bits` bits at per-bit `rate`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is outside `[0, 1]`.
+    pub fn new(n_bits: u64, rate: f64) -> Self {
+        assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
+        // λ is 0 exactly when `n_bits` or `rate` is: n·rate ≥ rate for
+        // n ≥ 1, so a positive rate cannot underflow to 0.
+        let lambda = n_bits as f64 * rate;
+        FlipCount {
+            n_bits,
+            lambda,
+            limit: (-lambda).exp(),
+        }
+    }
+
+    /// Draws one count, at most `n_bits`. Draws nothing from `rng` when
+    /// λ = 0; otherwise Knuth's product method takes `k + 1` uniforms
+    /// for a count of `k`, and the normal branch takes two.
+    #[inline]
+    pub fn draw(&self, rng: &mut StdRng) -> u64 {
+        if self.lambda == 0.0 {
+            return 0;
+        }
+        let k = if self.lambda < 30.0 {
+            // Knuth's product method.
+            let mut k = 0u64;
+            let mut p = 1.0;
+            loop {
+                p *= rng.random::<f64>();
+                if p <= self.limit {
+                    break;
+                }
+                k += 1;
+            }
+            k
+        } else {
+            // Normal approximation with continuity correction.
+            let g = gaussian(rng);
+            (self.lambda + g * self.lambda.sqrt()).round().max(0.0) as u64
+        };
+        k.min(self.n_bits)
+    }
+}
+
 /// Samples the number of flips among `n_bits` independent bits at per-bit
-/// rate `rate`. Uses a Poisson sampler (exact Knuth below λ=30, normal
-/// approximation above), which matches the binomial to within its own
-/// sampling noise for the small rates used here.
+/// rate `rate`: one [`FlipCount::draw`].
 ///
 /// # Panics
 ///
 /// Panics if `rate` is outside `[0, 1]`.
 pub fn sample_flip_count(n_bits: u64, rate: f64, rng: &mut StdRng) -> u64 {
-    assert!((0.0..=1.0).contains(&rate), "rate must be a probability");
-    if n_bits == 0 || rate == 0.0 {
-        return 0;
-    }
-    let lambda = n_bits as f64 * rate;
-    let k = if lambda < 30.0 {
-        // Knuth's product method.
-        let limit = (-lambda).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= rng.random::<f64>();
-            if p <= limit {
-                break;
-            }
-            k += 1;
-        }
-        k
-    } else {
-        // Normal approximation with continuity correction.
-        let g = gaussian(rng);
-        (lambda + g * lambda.sqrt()).round().max(0.0) as u64
-    };
-    k.min(n_bits)
+    FlipCount::new(n_bits, rate).draw(rng)
 }
 
 fn gaussian(rng: &mut StdRng) -> f64 {
@@ -106,7 +145,7 @@ fn index_to_position(ranges: &[Range<u64>], mut idx: u64) -> u64 {
 /// Panics if `rate` is outside `[0, 1]`.
 pub fn pick_positions(ranges: &[Range<u64>], rate: f64, rng: &mut StdRng) -> Vec<u64> {
     let n = total_bits(ranges);
-    let k = sample_flip_count(n, rate, rng);
+    let k = FlipCount::new(n, rate).draw(rng);
     vapp_obs::histogram!("sim.flips.per_draw", k);
     pick_k_positions(ranges, k, rng)
 }

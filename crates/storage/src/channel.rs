@@ -34,13 +34,14 @@
 //! The pipeline derives one sub-seed per protection level up front
 //! (`vapp_sim::derive_subseeds`); an implementation that splits a
 //! stream into units (the exact MLC arm's 512-bit blocks) likewise
-//! derives one sub-seed per unit, so no unit's draws depend on another
-//! unit's. Implementations may *ignore* the seed when the
-//! channel is intrinsically deterministic (`DataInVideo`'s damage is a
-//! function of the carrier content alone), but must never draw from
-//! ambient randomness. Every RNG an implementation runs must be seeded
-//! from `seed` (directly or via `derive_subseeds`) and consumed in a
-//! deterministic order.
+//! derives one sub-seed per unit (the exact arm streams the same
+//! SplitMix64 sequence instead of collecting it), so no unit's draws
+//! depend on another unit's. Implementations may *ignore* the seed
+//! when the channel is intrinsically deterministic (`DataInVideo`'s
+//! damage is a function of the carrier content alone), but must never
+//! draw from ambient randomness. Every RNG an implementation runs must
+//! be seeded from `seed` (directly or via `derive_subseeds`) and
+//! consumed in a deterministic order.
 
 use std::sync::{Arc, OnceLock};
 
@@ -52,8 +53,8 @@ use crate::uber;
 use vapp_codec::{Encoder, EncoderConfig};
 use vapp_media::{Frame, Video};
 use vapp_rand::rngs::StdRng;
-use vapp_rand::{RngExt, SeedableRng};
-use vapp_sim::{derive_subseeds, pick_k_positions, pick_positions};
+use vapp_rand::{RngCore, RngExt, SeedableRng, SplitMix64};
+use vapp_sim::{derive_subseeds, pick_k_positions, pick_positions, FlipCount};
 
 /// Per-stream corruption tally returned by [`Substrate::corrupt_stream`]
 /// and folded into the pipeline's per-level observability counters.
@@ -236,29 +237,36 @@ fn corrupt_iid_bch(
         //   (pattern ⊕ corrections) in its live data bits — the whole
         //   pattern when Uncorrectable, the wrong codeword's bits on a
         //   miscorrection ([`deliver_residual`]).
+        //
+        // So a block draws its weight first, and only a block past the
+        // radius goes on to pick positions, from the same RNG: that is
+        // `pick_positions`' own draw order, so heavy lanes get exactly
+        // the positions it would. Weights are tallied over the stream and
+        // `sim.flips.per_draw` gets one counted record per distinct
+        // weight, the same histogram as one record per block.
         let code = Bch::cached(t);
+        let n = code.codeword_bits() as u64;
+        let count = FlipCount::new(n, raw_ber);
         let blocks = bits.div_ceil(DATA_BITS as u64) as usize;
         vapp_obs::counter!("storage.bch.blocks", blocks as u64);
-        let block_seeds = derive_subseeds(seed, blocks);
+        // Streams the values `derive_subseeds(seed, blocks)` would hold.
+        let mut block_seeds = SplitMix64::new(seed);
+        let mut blocks_by_weight: Vec<u64> = Vec::new();
         let used = (bits.div_ceil(8) as usize).min(data.len());
         let group_bytes = (DATA_BITS / 8) * batch::LANES;
-        let (mut flip_free, mut within, mut within_bits) = (0u64, 0u64, 0u64);
         for (g, chunk) in data[..used].chunks_mut(group_bytes).enumerate() {
             let base = g * batch::LANES;
             let group_blocks = (blocks - base).min(batch::LANES);
             let mut heavy: Vec<(usize, Vec<u64>)> = Vec::new();
             for lb in 0..group_blocks {
-                let mut rng = StdRng::seed_from_u64(block_seeds[base + lb]);
-                let flips = pick_positions(&[0..code.codeword_bits() as u64], raw_ber, &mut rng);
-                let w = flips.len() as u64;
-                stats.flips += w;
-                if w == 0 {
-                    flip_free += 1;
-                } else if w <= t as u64 {
-                    within += 1;
-                    within_bits += w;
-                } else {
-                    heavy.push((lb, flips));
+                let mut rng = StdRng::seed_from_u64(block_seeds.next_u64());
+                let w = count.draw(&mut rng);
+                if blocks_by_weight.len() <= w as usize {
+                    blocks_by_weight.resize(w as usize + 1, 0);
+                }
+                blocks_by_weight[w as usize] += 1;
+                if w > t as u64 {
+                    heavy.push((lb, pick_k_positions(&[0..n], w, &mut rng)));
                 }
             }
             if heavy.is_empty() {
@@ -282,6 +290,19 @@ fn corrupt_iid_bch(
             }
             let lane_blocks: Vec<usize> = heavy.iter().map(|&(lb, _)| lb).collect();
             stats.changed_bits += deliver_residual(&errs, &lane_blocks, chunk, base, bits);
+        }
+        // The tally settles every block within the radius: weight 0 is
+        // clean, 1..=t is `Corrected(w)`.
+        let (mut flip_free, mut within, mut within_bits) = (0u64, 0u64, 0u64);
+        for (w, &k) in (0u64..).zip(&blocks_by_weight) {
+            vapp_obs::histogram!("sim.flips.per_draw", w, k);
+            stats.flips += w * k;
+            if w == 0 {
+                flip_free = k;
+            } else if w <= t as u64 {
+                within += k;
+                within_bits += w * k;
+            }
         }
         if flip_free > 0 {
             vapp_obs::counter!("storage.bch.clean", flip_free);
@@ -1117,6 +1138,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The tally, `storage.bch.*` counters and `sim.flips.per_draw`
+    /// histogram a corruption call leaves in a fresh registry.
+    fn observe(
+        f: impl FnOnce() -> CorruptTally,
+    ) -> (CorruptTally, Vec<u64>, Option<vapp_obs::HistogramSnapshot>) {
+        let reg = Arc::new(vapp_obs::Registry::new());
+        let tally = vapp_obs::registry::with_registry(reg.clone(), f);
+        let snap = reg.snapshot();
+        let counters = BCH_COUNTERS.iter().map(|c| snap.counter(c)).collect();
+        let flips_per_draw = snap.histogram("sim.flips.per_draw").cloned();
+        (tally, counters, flips_per_draw)
+    }
+
+    #[test]
+    fn exact_arm_observables_match_the_per_block_oracle() {
+        // The exact arm tallies block weights and flushes one counted
+        // `sim.flips.per_draw` record per weight; the oracle draws each
+        // block through `pick_positions`, one record per block. At 1e-3
+        // nearly every block is within the radius; at 2e-2 (λ ≈ 11–13)
+        // most lanes are heavy. Both must leave the same histogram and
+        // `storage.bch.*` counters.
+        let name = "exact_arm_observables_match_the_per_block_oracle";
+        vapp_check::check(name, 12, |rng| {
+            let t = [1usize, 2, 3, 6, 10, 16][vapp_check::gen::index(rng, 6)];
+            let bits = rng.random_range(1..=40_000u64);
+            let seed: u64 = rng.random();
+            let orig = pattern_bytes(bits.div_ceil(8) as usize, seed);
+            for ber in [1e-3, 2e-2] {
+                let (mut a, mut b) = (orig.clone(), orig.clone());
+                let arm = observe(|| corrupt_iid_bch(&mut a, bits, t, true, ber, seed));
+                let oracle = observe(|| always_decode(&mut b, bits, t, ber, seed));
+                let at = format!("ber {ber} t {t} bits {bits} seed {seed:#x}");
+                assert_eq!(arm.0, oracle.0, "tally, {at}");
+                assert_eq!(arm.1, oracle.1, "storage.bch.* counters, {at}");
+                assert!(arm.2.is_some(), "sim.flips.per_draw recorded, {at}");
+                assert_eq!(arm.2, oracle.2, "sim.flips.per_draw, {at}");
+            }
+        });
     }
 
     #[test]
